@@ -13,7 +13,7 @@ Run with::
     python examples/failover_demo.py
 """
 
-from repro import ActionSchedule, Cluster, FaultSchedule, replay_schedule
+from repro import ActionSchedule, Cluster, ClusterConfig, replay_schedule
 
 
 def main():
@@ -39,21 +39,19 @@ def main():
     assert result.passed
 
     print("\n== the same schedule, event-driven ==")
-    # FaultSchedule.from_actions binds the declarative schedule to a
-    # cluster you drive yourself — for scripts that interleave their own
-    # load or assertions with the fault timeline.
-    cluster = Cluster(5, seed=3).start()
+    # ActionSchedule.install arms the same schedule on a cluster you
+    # drive yourself — for scripts that interleave their own load or
+    # assertions with the fault timeline.
+    cluster = Cluster(ClusterConfig(n_voters=5, seed=3)).start()
     cluster.run_until_stable(timeout=30)
-    faults = FaultSchedule.from_actions(
-        cluster, schedule, start=cluster.sim.now
-    )
+    fault_log = schedule.install(cluster, start=cluster.sim.now)
     for _ in range(20):
         cluster.run(0.5)
         leader = cluster.leader()
         if leader is not None:
             leader.propose_op(("incr", "demo", 1))
     cluster.run_until_stable(timeout=30)
-    print("fault log:", ["%.1fs %s" % (t, d) for t, d in faults.events])
+    print("fault log:", ["%.1fs %s" % (t, d) for t, d in fault_log])
     report = cluster.check_properties()
     print("properties again: %s" % ("ALL OK" if report.ok else "VIOLATED"))
     assert report.ok

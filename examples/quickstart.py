@@ -9,12 +9,12 @@ Everything happens in simulated time, deterministically (same seed, same
 run), so the output below is reproducible bit for bit.
 """
 
-from repro import Cluster
+from repro import Cluster, ClusterConfig
 
 
 def main():
     print("== booting a 5-peer ensemble ==")
-    cluster = Cluster(n_voters=5, seed=2026).start()
+    cluster = Cluster(ClusterConfig(n_voters=5, seed=2026)).start()
     leader = cluster.run_until_stable(timeout=30)
     print("stable after %.3fs simulated, leader is peer %d"
           % (cluster.sim.now, leader.peer_id))

@@ -11,7 +11,7 @@ simulation machinery itself) and :mod:`repro.bench.parallel` (wall-clock
 scale-out of campaigns and exploration across processes).
 """
 
-from repro.bench.metrics import LatencyRecorder, Timeline, percentile
+from repro.bench.metrics import Timeline
 from repro.bench.parallel import parallel_explore, run_parallel_campaign
 from repro.bench.runner import BenchResult, run_broadcast_bench
 from repro.bench.workloads import (
@@ -22,9 +22,7 @@ from repro.bench.workloads import (
 )
 
 __all__ = [
-    "LatencyRecorder",
     "Timeline",
-    "percentile",
     "BenchResult",
     "run_broadcast_bench",
     "run_parallel_campaign",

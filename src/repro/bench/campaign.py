@@ -18,7 +18,9 @@ import time
 
 from repro.bench.formats import render_table
 from repro.harness.cluster import Cluster
-from repro.harness.replay import replay_schedule
+from repro.harness.config import ClusterConfig
+from repro.harness.opscenarios import run_ops_scenario
+from repro.harness.replay import replay_schedule, signature_json
 from repro.harness.schedule import ActionSchedule
 from repro.obs.metrics import StreamingHistogram
 
@@ -33,20 +35,18 @@ class RunOutcome:
     """Result of one seeded adversarial run."""
 
     __slots__ = ("seed", "ok", "violations", "converged", "epochs",
-                 "deliveries", "actions", "error", "schedule",
-                 "signature", "health", "latency", "elapsed", "worker")
+                 "deliveries", "error", "schedule", "signature",
+                 "health", "latency", "elapsed", "worker")
 
     def __init__(self, seed, ok, violations, converged, epochs,
-                 deliveries, actions, error=None, schedule=None,
-                 signature=(), health=None, latency=None, elapsed=None,
-                 worker=None):
+                 deliveries, schedule, error=None, signature=(),
+                 health=None, latency=None, elapsed=None, worker=None):
         self.seed = seed
         self.ok = ok
         self.violations = violations
         self.converged = converged
         self.epochs = epochs
         self.deliveries = deliveries
-        self.actions = actions
         self.error = error
         self.schedule = schedule
         self.signature = signature
@@ -112,25 +112,22 @@ def _one_run(seed, n_voters=3, steps=10, step_interval=0.5,
         )
     else:
         raise ValueError("unknown campaign profile: %r" % (profile,))
-    tracer = None
-    if with_health:
-        from repro.obs.trace import Tracer
-
-        tracer = Tracer()
-        tracer.disable("net.")
-    latency = StreamingHistogram()
-    result = replay_schedule(
-        schedule, n_voters=n_voters, seed=seed, op_interval=op_interval,
-        leader_factory=leader_factory, tracer=tracer,
-        dissemination=dissemination, latency_histogram=latency,
+    config = ClusterConfig(
+        leader_factory=leader_factory, dissemination=dissemination,
     )
+    latency = StreamingHistogram()
     health = None
-    if tracer is not None:
-        from repro.obs.health import HealthMonitor
-
-        monitor = HealthMonitor()
-        monitor.feed(tracer.events).finish()
-        health = monitor.summary()
+    if with_health:
+        ops = run_ops_scenario(
+            schedule, config, op_interval=op_interval,
+            latency_histogram=latency,
+        )
+        result, health = ops.replay, ops.health
+    else:
+        result = replay_schedule(
+            schedule, config, op_interval=op_interval,
+            latency_histogram=latency,
+        )
     return RunOutcome(
         seed=seed,
         ok=result.ok,
@@ -138,7 +135,6 @@ def _one_run(seed, n_voters=3, steps=10, step_interval=0.5,
         converged=result.converged,
         epochs=result.epochs,
         deliveries=result.deliveries,
-        actions=schedule.legacy_pairs(),
         error=result.error,
         schedule=schedule,
         signature=result.signature,
@@ -155,7 +151,9 @@ def run_partition_campaign_zab(seeds, n_voters=3, steps=10,
     variant below; same fault pattern, same load)."""
     results = []
     for seed in seeds:
-        cluster = Cluster(n_voters, seed=seed).start()
+        cluster = Cluster(
+            ClusterConfig(n_voters=n_voters, seed=seed)
+        ).start()
         cluster.run_until_stable(timeout=60)
         _drive_partitions(cluster, cluster.sim, seed, steps, flap_period,
                           op_interval, _zab_submit(cluster))
@@ -291,7 +289,7 @@ def render_campaign(outcomes):
         (
             outcome.seed,
             "pass" if outcome.passed else "FAIL",
-            len(outcome.actions),
+            len(outcome.schedule),
             max(outcome.epochs) if outcome.epochs else 0,
             outcome.deliveries,
         )
@@ -333,8 +331,6 @@ def render_campaign(outcomes):
     )
     lines = [table, verdict]
     for outcome in failed:
-        if outcome.schedule is None:
-            continue
         lines.append("")
         lines.append(
             "seed %d schedule (replay with `repro shrink --seed %d`):"
@@ -342,14 +338,6 @@ def render_campaign(outcomes):
         )
         lines.append(outcome.schedule.dumps())
     return "\n".join(lines)
-
-
-def _signature_json(signature):
-    """JSON-safe form of a replay violation signature."""
-    return [
-        [prop, None if zxid is None else list(zxid)]
-        for prop, zxid in signature
-    ]
 
 
 def campaign_report(outcomes, params=None):
@@ -373,10 +361,10 @@ def campaign_report(outcomes, params=None):
             "ok": outcome.ok,
             "converged": outcome.converged,
             "violations": sorted(outcome.violations),
-            "signature": _signature_json(outcome.signature),
+            "signature": signature_json(outcome.signature),
             "deliveries": outcome.deliveries,
             "epochs": sorted(outcome.epochs),
-            "actions": len(outcome.actions),
+            "actions": len(outcome.schedule),
             "error": outcome.error,
         }
         if outcome.health is not None:
@@ -384,7 +372,7 @@ def campaign_report(outcomes, params=None):
         if outcome.latency is not None:
             merged_latency.merge(outcome.latency)
             row["latency"] = outcome.latency.snapshot()
-        if not outcome.passed and outcome.schedule is not None:
+        if not outcome.passed:
             row["schedule"] = outcome.schedule.to_json()
         runs.append(row)
     failed = sorted(

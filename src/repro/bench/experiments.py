@@ -17,7 +17,7 @@ from repro.bench.runner import (
     run_broadcast_bench,
 )
 from repro.bench.workloads import OpenLoopDriver
-from repro.harness import Cluster, ClusterConfig, FaultSchedule
+from repro.harness import ActionSchedule, Cluster, ClusterConfig
 from repro.net import NetworkConfig
 from repro.zab.dissemination import DISSEMINATION_TOPOLOGIES
 from repro.paxos import PaxosCluster
@@ -167,12 +167,15 @@ def e3_failure_timeline(n_voters=5, seed=3, rate=2000):
         cluster, rate, default_op_factory(_OP_SIZE), _OP_SIZE,
         warmup=0.0, timeline_bucket=0.1,
     )
-    schedule = FaultSchedule(cluster)
     t0 = cluster.sim.now
-    schedule.crash_follower_at(t0 + 2.0)
-    schedule.recover_all_at(t0 + 4.0)
-    schedule.crash_leader_at(t0 + 6.0)
-    schedule.recover_all_at(t0 + 8.0)
+    events = (
+        ActionSchedule()
+        .add(2.0, "crash_follower")
+        .add(4.0, "recover_all")
+        .add(6.0, "crash_leader")
+        .add(8.0, "recover_all")
+        .install(cluster, start=t0)
+    )
     driver.start()
     cluster.run(10.0)
     driver.stop()
@@ -203,7 +206,7 @@ def e3_failure_timeline(n_voters=5, seed=3, rate=2000):
     report = cluster.check_properties()
     return rows, table, {
         "series": series,
-        "events": schedule.events,
+        "events": events,
         "report": report,
     }
 
@@ -233,7 +236,7 @@ def _paxos_counterexample(seed=4):
 
 
 def _zab_same_crash_pattern(seed=4):
-    cluster = Cluster(3, seed=seed).start()
+    cluster = Cluster(ClusterConfig(seed=seed)).start()
     cluster.run_until_stable(timeout=60)
     leader = cluster.leader()
     others = [
@@ -618,7 +621,7 @@ def a2_observers(duration=_DURATION, seed=12, rate=1000):
         cluster.run(0.3)
         report = cluster.check_properties()
         assert report.ok, report.violations[:3]
-        summary = driver.latency.summary()
+        summary = driver.latency.snapshot()
         rows.append({
             "config": label,
             "replicas": n_voters + n_observers,

@@ -5,8 +5,8 @@ time — this module measures **wall-clock** throughput of the Python
 machinery itself: how many kernel events, fabric messages, and checker
 events per real second the toolkit can push.  Those rates bound every
 experiment and every ``repro explore`` campaign, so they are tracked as
-first-class, regression-gated metrics (``BENCH_micro.json`` against
-``benchmarks/micro_baseline.json``).
+first-class, regression-gated metrics (``BENCH_micro.json`` against the
+``micro`` entry of ``benchmarks/baseline.json``).
 
 Four probes, one per hot layer:
 

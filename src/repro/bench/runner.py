@@ -105,24 +105,19 @@ def run_broadcast_bench(
     cluster.start()
     cluster.run_until_stable(timeout=60.0)
 
-    commit_latency = registry.histogram("bench.commit_latency_s")
     op_factory = default_op_factory(op_size)
     if session_classes is not None:
         driver = AggregateOpenLoopDriver(
             cluster, session_classes, warmup=warmup,
-            latency_histogram=commit_latency,
         )
     elif open_loop_rate is not None:
         driver = OpenLoopDriver(
             cluster, open_loop_rate, op_factory, op_size, warmup=warmup,
-            latency_histogram=commit_latency,
         )
     else:
         driver = ClosedLoopDriver(
             cluster, outstanding, op_factory, op_size, warmup=warmup,
-            latency_histogram=commit_latency,
         )
-    start_time = cluster.sim.now
     driver.start()
     cluster.run(duration + warmup)
     driver.stop()
@@ -130,8 +125,9 @@ def run_broadcast_bench(
     cluster.run(0.5)
 
     measured_window = duration
-    committed = driver.latency.count()
+    committed = driver.latency.count
     throughput = committed / measured_window if measured_window > 0 else 0.0
+    registry.histogram("bench.commit_latency_s").merge(driver.latency)
     registry.counter("bench.committed").inc(committed)
     registry.counter("bench.submitted").inc(driver.submitted)
 
@@ -163,7 +159,7 @@ def run_broadcast_bench(
     return BenchResult(
         params=params,
         throughput=throughput,
-        latency=driver.latency.summary(),
+        latency=driver.latency.snapshot(),
         duration=measured_window,
         committed=committed,
         net_stats=cluster.network.stats.snapshot(),

@@ -18,26 +18,23 @@ Three load models:
 All of them submit writes directly at the current leader
 (``propose_op``), measuring the broadcast layer itself rather than
 client networking, and survive leader changes by re-resolving the
-leader and retrying.
+leader and retrying.  Each driver owns one
+:class:`~repro.obs.metrics.StreamingHistogram` (``driver.latency``)
+and observes every post-warm-up commit in it exactly once.
 """
 
-from repro.bench.metrics import LatencyRecorder, Timeline
+from repro.bench.metrics import Timeline
 from repro.common.errors import NotLeaderError
 from repro.obs.metrics import StreamingHistogram
 
 
 class _DriverBase:
     def __init__(self, cluster, op_factory, op_size, warmup=0.0,
-                 timeline_bucket=0.1, latency_histogram=None):
+                 timeline_bucket=0.1):
         self.cluster = cluster
         self.op_factory = op_factory
         self.op_size = op_size
-        self.latency = LatencyRecorder(
-            warmup_until=cluster.sim.now + warmup
-        )
-        # Optional streaming histogram (repro.obs) fed alongside the
-        # exact recorder; lets bench reports carry sketch percentiles.
-        self.latency_histogram = latency_histogram
+        self.latency = StreamingHistogram()
         self._warmup_until = cluster.sim.now + warmup
         self.timeline = Timeline(bucket=timeline_bucket)
         self.submitted = 0
@@ -58,9 +55,8 @@ class _DriverBase:
         def on_commit(result, zxid, t0=submit_time):
             now = self.cluster.sim.now
             self.committed += 1
-            self.latency.record(now, now - t0)
-            if self.latency_histogram is not None and now >= self._warmup_until:
-                self.latency_histogram.observe(now - t0)
+            if now >= self._warmup_until:
+                self.latency.observe(now - t0)
             self.timeline.add(now)
             self._on_commit()
 
@@ -82,7 +78,7 @@ class _DriverBase:
         return {
             "submitted": self.submitted,
             "committed": self.committed,
-            "latency": self.latency.summary(),
+            "latency": self.latency.snapshot(),
         }
 
 
@@ -98,11 +94,10 @@ class ClosedLoopDriver(_DriverBase):
 
     def __init__(self, cluster, outstanding, op_factory, op_size,
                  warmup=0.0, retry_interval=0.05, stall_timeout=0.5,
-                 timeline_bucket=0.1, latency_histogram=None):
+                 timeline_bucket=0.1):
         _DriverBase.__init__(
             self, cluster, op_factory, op_size, warmup=warmup,
             timeline_bucket=timeline_bucket,
-            latency_histogram=latency_histogram,
         )
         self.outstanding = outstanding
         self.retry_interval = retry_interval
@@ -152,11 +147,10 @@ class OpenLoopDriver(_DriverBase):
     """Poisson arrivals at *rate* operations per simulated second."""
 
     def __init__(self, cluster, rate, op_factory, op_size, warmup=0.0,
-                 timeline_bucket=0.1, latency_histogram=None):
+                 timeline_bucket=0.1):
         _DriverBase.__init__(
             self, cluster, op_factory, op_size, warmup=warmup,
             timeline_bucket=timeline_bucket,
-            latency_histogram=latency_histogram,
         )
         if rate <= 0:
             raise ValueError("rate must be positive")
@@ -265,16 +259,15 @@ class SessionClass:
 
 
 class _ClassState:
-    """Per-class live counters and sketches inside the aggregate driver."""
+    """Per-class live counters and sketch inside the aggregate driver."""
 
-    __slots__ = ("cls", "rng", "latency", "histogram", "submitted",
-                 "committed", "reads", "read_misses", "rejected")
+    __slots__ = ("cls", "rng", "latency", "submitted", "committed",
+                 "reads", "read_misses", "rejected")
 
-    def __init__(self, cls, rng, warmup_until):
+    def __init__(self, cls, rng):
         self.cls = cls
         self.rng = rng
-        self.latency = LatencyRecorder(warmup_until=warmup_until)
-        self.histogram = StreamingHistogram()
+        self.latency = StreamingHistogram()
         self.submitted = 0
         self.committed = 0
         self.reads = 0
@@ -300,26 +293,20 @@ class AggregateOpenLoopDriver:
     / ``committed`` / ``results()`` — plus per-class breakdowns.
     """
 
-    def __init__(self, cluster, classes, warmup=0.0, timeline_bucket=0.1,
-                 latency_histogram=None):
+    def __init__(self, cluster, classes, warmup=0.0, timeline_bucket=0.1):
         if not classes:
             raise ValueError("need at least one SessionClass")
         names = [cls.name for cls in classes]
         if len(set(names)) != len(names):
             raise ValueError("session class names must be unique")
         self.cluster = cluster
-        self.latency = LatencyRecorder(
-            warmup_until=cluster.sim.now + warmup
-        )
-        self.latency_histogram = latency_histogram
+        self.latency = StreamingHistogram()
         self._warmup_until = cluster.sim.now + warmup
         self.timeline = Timeline(bucket=timeline_bucket)
         self.stopped = False
         self.classes = [
             _ClassState(
-                cls,
-                cluster.sim.random.stream("aggload:%s" % cls.name),
-                self._warmup_until,
+                cls, cluster.sim.random.stream("aggload:%s" % cls.name)
             )
             for cls in classes
         ]
@@ -397,13 +384,9 @@ class AggregateOpenLoopDriver:
         def on_commit(result, zxid, t0=submit_time):
             now = self.cluster.sim.now
             state.committed += 1
-            sample = now - t0
-            state.latency.record(now, sample)
             if now >= self._warmup_until:
-                state.histogram.observe(sample)
-                if self.latency_histogram is not None:
-                    self.latency_histogram.observe(sample)
-            self.latency.record(now, sample)
+                state.latency.observe(now - t0)
+                self.latency.observe(now - t0)
             self.timeline.add(now)
 
         try:
@@ -421,7 +404,7 @@ class AggregateOpenLoopDriver:
             "sessions": self.sessions,
             "submitted": self.submitted,
             "committed": self.committed,
-            "latency": self.latency.summary(),
+            "latency": self.latency.snapshot(),
             "classes": {
                 state.cls.name: {
                     "sessions": state.cls.sessions,
@@ -431,8 +414,7 @@ class AggregateOpenLoopDriver:
                     "reads": state.reads,
                     "read_misses": state.read_misses,
                     "rejected": state.rejected,
-                    "latency": state.latency.summary(),
-                    "latency_sketch": state.histogram.snapshot(),
+                    "latency": state.latency.snapshot(),
                 }
                 for state in self.classes
             },
@@ -448,10 +430,10 @@ class AggregateOpenLoopDriver:
             metrics["%s.reads" % prefix] = state.reads
             if duration > 0:
                 metrics["%s.write_ops" % prefix] = (
-                    state.latency.count() / duration
+                    state.latency.count / duration
                 )
                 metrics["%s.read_ops" % prefix] = state.reads / duration
-            summary = state.latency.summary()
+            summary = state.latency.snapshot()
             for key in ("mean", "p50", "p95", "p99"):
                 if key in summary:
                     metrics["%s.latency.%s_ms" % (prefix, key)] = (

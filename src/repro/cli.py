@@ -86,19 +86,16 @@ def cmd_bench(args):
     print("committed:    %d ops in %.1fs simulated"
           % (result.committed, result.duration))
     latency = result.latency
-    print("latency:      p50=%.2fms p95=%.2fms p99=%.2fms"
+    print("latency:      p50=%.2fms p95=%.2fms p99=%.2fms "
+          "(%d samples, ~2%% sketch err)"
           % (latency["p50"] * 1e3, latency["p95"] * 1e3,
-             latency["p99"] * 1e3))
+             latency["p99"] * 1e3, latency["count"]))
     print("wire traffic: %.1f MB" % (
         sum(result.net_stats["bytes_sent"].values()) / 1e6
     ))
     print("properties:   %s"
           % ("OK" if result.check_report.ok else "VIOLATED"))
     metrics = result.metrics
-    hist = metrics["histograms"]["bench.commit_latency_s"]
-    if hist["count"]:
-        print("obs sketch:   p50=%.2fms p99=%.2fms (%d samples, ~2%% err)"
-              % (hist["p50"] * 1e3, hist["p99"] * 1e3, hist["count"]))
     print("obs counters: committed=%d commits=%d elections=%d drops=%d"
           % (metrics["counters"]["bench.committed"],
              metrics["zab"]["commits"],
@@ -230,7 +227,7 @@ def cmd_trace(args):
             "net.", "log.", "leader.", "follower.", "peer.",
         )
     registry = obs.MetricsRegistry()
-    cluster, driver, schedule = crash_recovery_timeline(
+    cluster, driver, _fault_log = crash_recovery_timeline(
         n_voters=args.servers,
         seed=args.seed,
         rate=args.rate,
@@ -356,52 +353,40 @@ def cmd_profile(args):
 
 
 def cmd_fuzz(args):
-    # Import here: the integration helpers live in the test tree's
-    # spirit but are re-implemented inline to keep the CLI standalone.
-    from repro.harness import Cluster
-
-    cluster = Cluster(args.servers, seed=args.seed).start()
-    cluster.run_until_stable(timeout=60)
-    rng = cluster.sim.random.stream("cli-fuzz")
-    max_down = (args.servers - 1) // 2
-
-    def tick():
-        leader = cluster.leader()
-        if leader is not None:
-            try:
-                leader.propose_op(("incr", "counter", 1))
-            except Exception:
-                pass
-
-    for step in range(args.steps):
-        for _ in range(10):
-            cluster.run(0.05)
-            tick()
-        crashed = [p for p, peer in cluster.peers.items() if peer.crashed]
-        live = [p for p, peer in cluster.peers.items() if not peer.crashed]
-        if crashed and (rng.random() < 0.5 or len(crashed) >= max_down):
-            victim = rng.choice(crashed)
-            print("t=%6.2f recover peer %d" % (cluster.sim.now, victim))
-            cluster.recover(victim)
-        else:
-            victim = rng.choice(live)
-            print("t=%6.2f crash   peer %d" % (cluster.sim.now, victim))
-            cluster.crash(victim)
-    for peer_id, peer in cluster.peers.items():
-        if peer.crashed:
-            cluster.recover(peer_id)
-    cluster.run_until_stable(timeout=60)
-    cluster.run(2.0)
-    report = cluster.check_properties()
-    print()
     from repro.checker.report import render_history, render_report
+    from repro.harness.replay import replay_schedule
+    from repro.harness.schedule import ActionSchedule
 
+    result = replay_schedule(ActionSchedule.generate(
+        args.seed, n_voters=args.servers, steps=args.steps,
+    ))
+    for time, happened in result.fired:
+        print("t=%6.2f %s" % (time, happened))
+    if result.error is not None:
+        print("replay error: %s" % result.error)
+        return 1
+    report = result.report
+    print()
     print("properties: %s" % ("ALL OK" if report.ok else "VIOLATED"))
     print(render_report(report))
     if not report.ok:
         print("union history:")
-        print(render_history(cluster.trace))
-    return 0 if report.ok else 1
+        print(render_history(result.cluster.trace))
+    if not result.converged:
+        print("replica states DIVERGED")
+    return 0 if result.passed else 1
+
+
+def _seeded_bug_factory(name):
+    """The leader factory of seeded bug *name* (None for no bug)."""
+    if not name:
+        return None
+    from repro.harness.buggy import SEEDED_BUGS
+
+    if name not in SEEDED_BUGS:
+        raise ValueError("unknown seeded bug %r; choose from: %s"
+                         % (name, ", ".join(sorted(SEEDED_BUGS))))
+    return SEEDED_BUGS[name].factory
 
 
 _REPRO_TEST_TEMPLATE = '''\
@@ -413,18 +398,20 @@ bug.  Replays a %(n_actions)d-action schedule (shrunk from
 identical signature on every replay.
 """
 
-from repro import ActionSchedule, replay_schedule
+from repro import ActionSchedule, ClusterConfig, replay_schedule
 %(factory_import)s
 SCHEDULE = ActionSchedule.loads(r\'\'\'
 %(schedule_json)s
 \'\'\')
 
+CONFIG = ClusterConfig(%(factory_kwarg)s)
+
 EXPECTED_SIGNATURE = %(signature)r
 
 
 def test_seed_%(seed)d_violation_reproduces():
-    first = replay_schedule(SCHEDULE%(factory_kwarg)s)
-    second = replay_schedule(SCHEDULE%(factory_kwarg)s)
+    first = replay_schedule(SCHEDULE, CONFIG)
+    second = replay_schedule(SCHEDULE, CONFIG)
     assert not first.passed
     assert first.signature == EXPECTED_SIGNATURE
     assert second.signature == first.signature
@@ -435,21 +422,16 @@ def cmd_shrink(args):
     import os
 
     from repro import obs
+    from repro.harness.config import ClusterConfig
     from repro.harness.replay import replay_schedule
     from repro.harness.schedule import ActionSchedule
     from repro.harness.shrink import make_reproducer, shrink_schedule
 
-    leader_factory = None
-    if args.buggy:
-        from repro.harness.buggy import SEEDED_BUGS
-
-        bug = SEEDED_BUGS.get(args.buggy)
-        if bug is None:
-            print("unknown seeded bug %r; choose from: %s"
-                  % (args.buggy, ", ".join(sorted(SEEDED_BUGS))),
-                  file=sys.stderr)
-            return 2
-        leader_factory = bug.factory
+    try:
+        leader_factory = _seeded_bug_factory(args.buggy)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
     if args.schedule:
         schedule = ActionSchedule.load(args.schedule)
@@ -465,8 +447,8 @@ def cmd_shrink(args):
         print("generated %d-action schedule from seed %d"
               % (len(schedule), seed))
 
-    replay_kwargs = {"leader_factory": leader_factory}
-    baseline = replay_schedule(schedule, **replay_kwargs)
+    config = ClusterConfig(leader_factory=leader_factory)
+    baseline = replay_schedule(schedule, config)
     if baseline.passed:
         print("replay passed (%d deliveries); nothing to shrink"
               % baseline.deliveries)
@@ -478,7 +460,7 @@ def cmd_shrink(args):
         print("stabilisation errors are not shrinkable; bailing")
         return 2
 
-    failing = make_reproducer(baseline, mode=args.mode, **replay_kwargs)
+    failing = make_reproducer(baseline, mode=args.mode, config=config)
     result = shrink_schedule(schedule, failing=failing)
     print("shrunk %d -> %d actions in %d replays"
           % (result.original_len, len(result.schedule), result.replays))
@@ -491,9 +473,8 @@ def cmd_shrink(args):
     # violation signature (kind and zxid) on every replay.
     tracer = obs.Tracer()
     tracer.disable("net.")
-    first = replay_schedule(result.schedule, tracer=tracer,
-                            **replay_kwargs)
-    second = replay_schedule(result.schedule, **replay_kwargs)
+    first = replay_schedule(result.schedule, config.replace(tracer=tracer))
+    second = replay_schedule(result.schedule, config)
     if first.signature != second.signature or first.passed:
         print("WARNING: minimal schedule did not replay deterministically")
         return 2
@@ -519,7 +500,7 @@ def cmd_shrink(args):
                 "from repro.harness.buggy import %s\n"
                 % leader_factory.__name__ if args.buggy else "",
             "factory_kwarg":
-                ", leader_factory=%s" % leader_factory.__name__
+                "leader_factory=%s" % leader_factory.__name__
                 if args.buggy else "",
         })
     print("artifacts in %s/:" % out_dir)
@@ -538,17 +519,11 @@ def cmd_explore(args):
 
     from repro.mc import ExplorerConfig, Explorer
 
-    leader_factory = None
-    if args.buggy:
-        from repro.harness.buggy import SEEDED_BUGS
-
-        bug = SEEDED_BUGS.get(args.buggy)
-        if bug is None:
-            print("unknown seeded bug %r; choose from: %s"
-                  % (args.buggy, ", ".join(sorted(SEEDED_BUGS))),
-                  file=sys.stderr)
-            return 2
-        leader_factory = bug.factory
+    try:
+        leader_factory = _seeded_bug_factory(args.buggy)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
     out_dir = args.out or "explore-results"
     config = ExplorerConfig(
@@ -746,6 +721,7 @@ def cmd_health(args):
     elif args.schedule:
         # Offline: replay a declarative fault schedule, then judge
         # its trace (same monitor semantics as a live run).
+        from repro.harness.config import ClusterConfig
         from repro.harness.replay import replay_schedule
         from repro.harness.schedule import ActionSchedule
 
@@ -757,7 +733,9 @@ def cmd_health(args):
             return 2
         tracer = obs.Tracer()
         tracer.disable("net.")
-        replay_schedule(schedule, tracer=tracer, disk="model")
+        replay_schedule(
+            schedule, ClusterConfig(tracer=tracer, disk="model")
+        )
         monitor.feed(tracer.events).finish()
         params = {"schedule": args.schedule, "window": args.window}
     else:

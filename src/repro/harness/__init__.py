@@ -2,7 +2,6 @@
 
 from repro.harness.cluster import Cluster
 from repro.harness.config import ClusterConfig
-from repro.harness.faults import FaultSchedule
 from repro.harness.opscenarios import (
     OPS_SCENARIOS,
     OpsScenarioResult,
@@ -26,7 +25,6 @@ from repro.harness.shrink import (
 __all__ = [
     "Cluster",
     "ClusterConfig",
-    "FaultSchedule",
     "Action",
     "ActionSchedule",
     "apply_action",

@@ -13,10 +13,12 @@ regression test.
 
 Inject any of them through the ``leader_factory`` seam::
 
-    from repro import Cluster
+    from repro import Cluster, ClusterConfig
     from repro.harness.buggy import BuggyLeaderContext
 
-    cluster = Cluster(3, seed=7, leader_factory=BuggyLeaderContext)
+    cluster = Cluster(ClusterConfig(
+        seed=7, leader_factory=BuggyLeaderContext,
+    ))
 """
 
 from repro.harness.schedule import ActionSchedule

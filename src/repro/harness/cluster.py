@@ -24,40 +24,22 @@ from repro.zab.peer import PeerStorage, ZabPeer
 class Cluster:
     """An n-peer Zab ensemble on a simulated network.
 
-    Construction takes one :class:`~repro.harness.config.ClusterConfig`::
+    Construction takes one :class:`~repro.harness.config.ClusterConfig`
+    and nothing else::
 
         Cluster(ClusterConfig(n_voters=5, seed=7, dissemination="tree"))
-
-    The legacy spelling ``Cluster(n_voters, n_observers, seed)`` is
-    still supported; its extra keyword arguments (``net_config=``,
-    ``disk=``, ``tracer=``, ZabConfig overrides such as ``tick=``, ...)
-    forward through :meth:`ClusterConfig.from_legacy` for one release
-    with a :class:`DeprecationWarning`.  The old ``trace=`` alias for
-    ``checker_trace=`` (deprecated two releases ago) now raises
-    :class:`TypeError`.
 
     See :class:`~repro.harness.config.ClusterConfig` for every knob:
     ensemble shape, network/disk models, dissemination topology,
     checker/tracer/metrics wiring, and the leader-factory fault seam.
     """
 
-    def __init__(self, config=None, n_observers=0, seed=0, **legacy_kwargs):
-        if isinstance(config, ClusterConfig):
-            if n_observers or seed or legacy_kwargs:
-                raise ConfigError(
-                    "Cluster(ClusterConfig(...)) takes no extra arguments; "
-                    "set them on the ClusterConfig instead"
-                )
-            spec = config
-        else:
-            n_voters = config
-            if n_voters is None:
-                n_voters = legacy_kwargs.pop("n_voters", 3)
-            spec = ClusterConfig.from_legacy(
-                n_voters, n_observers=n_observers, seed=seed,
-                **legacy_kwargs
+    def __init__(self, config):
+        if not isinstance(config, ClusterConfig):
+            raise TypeError(
+                "Cluster takes one ClusterConfig, got %r" % (config,)
             )
-        self.cluster_config = spec
+        self.cluster_config = spec = config
         self.sim = Simulator(seed=spec.seed)
         recorder = spec.recorder
         if recorder is True:

@@ -43,22 +43,26 @@ from repro.harness.replay import replay_schedule
 from repro.harness.schedule import ActionSchedule
 
 
-def stable_leader_id(n_voters=3, seed=0, timeout=30.0, **cluster_kwargs):
-    """Which peer leads once a fresh (n_voters, seed) cluster settles.
+def stable_leader_id(config, timeout=30.0):
+    """Which peer leads once a fresh cluster built from *config* settles.
 
     Deterministic — the simulator is — so schedule generators can plan
     "leader last" or "skew a follower" without a live cluster in hand.
     Boots and discards a throwaway ensemble.
     """
-    spec = ClusterConfig.from_legacy(
-        n_voters, seed=seed, _warn=False, **cluster_kwargs
-    )
-    cluster = Cluster(spec).start()
+    cluster = Cluster(config).start()
     cluster.run_until_stable(timeout=timeout)
     return cluster.leader().peer_id
 
 
-def _base_meta(scenario, seed, n_voters, op_interval, **cluster_kwargs):
+def _shaped(config, seed, n_voters):
+    """*config* (default ``ClusterConfig()``) at this seed and size."""
+    return (config or ClusterConfig()).replace(
+        n_voters=n_voters, seed=seed
+    )
+
+
+def _base_meta(scenario, seed, n_voters, op_interval, config=None):
     meta = {
         "scenario": scenario,
         "seed": seed,
@@ -67,8 +71,8 @@ def _base_meta(scenario, seed, n_voters, op_interval, **cluster_kwargs):
     }
     # Replay-relevant cluster knobs ride in meta so the schedule alone
     # reproduces the run (replay_schedule reads them back out).
-    if "dissemination" in cluster_kwargs:
-        meta["dissemination"] = cluster_kwargs["dissemination"]
+    if config is not None:
+        meta["dissemination"] = config.dissemination
     return meta
 
 
@@ -117,22 +121,22 @@ def retention_churn_schedule(seed=0, n_voters=3, cycles=3, interval=0.6,
 
 def rolling_restart_schedule(seed=0, n_voters=3, dwell=0.5, gap=1.5,
                              op_interval=0.02, leader_id=None,
-                             **cluster_kwargs):
+                             config=None):
     """Bounce every voter in turn — followers first, leader last.
 
     Each voter is crashed for *dwell* seconds, then the cluster gets
     *gap* seconds to re-absorb it before the next bounce.  *leader_id*
-    (who goes last) defaults to :func:`stable_leader_id` for the same
-    (n_voters, seed), matching who actually leads when the schedule
-    replays.
+    (who goes last) defaults to :func:`stable_leader_id` of *config*
+    (default ``ClusterConfig()``) at this (n_voters, seed), matching
+    who actually leads when the schedule replays under that config.
     """
     if leader_id is None:
-        leader_id = stable_leader_id(n_voters, seed, **cluster_kwargs)
+        leader_id = stable_leader_id(_shaped(config, seed, n_voters))
     order = [p for p in range(1, n_voters + 1) if p != leader_id]
     order.append(leader_id)
     schedule = ActionSchedule(meta=dict(
         _base_meta("rolling-restart", seed, n_voters, op_interval,
-                   **cluster_kwargs),
+                   config),
         leader_id=leader_id, dwell=dwell, gap=gap,
     ))
     t = gap
@@ -145,7 +149,7 @@ def rolling_restart_schedule(seed=0, n_voters=3, dwell=0.5, gap=1.5,
 
 def flapping_partition_schedule(seed=0, n_voters=3, victim=None, flaps=3,
                                 period=0.4, oneway=False, op_interval=0.02,
-                                **cluster_kwargs):
+                                config=None):
     """A victim's connectivity flaps — fully, or outbound-only.
 
     The flap cycles run inline as one ``flap`` action (each cycle:
@@ -154,10 +158,10 @@ def flapping_partition_schedule(seed=0, n_voters=3, victim=None, flaps=3,
     worst case for the availability SLO.
     """
     if victim is None:
-        victim = stable_leader_id(n_voters, seed, **cluster_kwargs)
+        victim = stable_leader_id(_shaped(config, seed, n_voters))
     schedule = ActionSchedule(meta=dict(
         _base_meta("flapping-partition", seed, n_voters, op_interval,
-                   **cluster_kwargs),
+                   config),
         victim=victim, oneway=oneway,
     ))
     schedule.add(0.5, "flap", {
@@ -170,7 +174,7 @@ def flapping_partition_schedule(seed=0, n_voters=3, victim=None, flaps=3,
 
 
 def clock_skew_election_schedule(seed=0, n_voters=3, skew=4.0,
-                                 op_interval=0.02, **cluster_kwargs):
+                                 op_interval=0.02, config=None):
     """Skew a follower's election clock, then kill the leader.
 
     The skewed follower's notification resends and finalize waits run
@@ -179,11 +183,11 @@ def clock_skew_election_schedule(seed=0, n_voters=3, skew=4.0,
     rejoin.  The skew is lifted mid-schedule so the final quiesce has
     nothing left to clean.
     """
-    leader_id = stable_leader_id(n_voters, seed, **cluster_kwargs)
+    leader_id = stable_leader_id(_shaped(config, seed, n_voters))
     slow = (leader_id % n_voters) + 1  # some voter that is not the leader
     schedule = ActionSchedule(meta=dict(
         _base_meta("clock-skew-election", seed, n_voters, op_interval,
-                   **cluster_kwargs),
+                   config),
         leader_id=leader_id, skewed=slow, skew=skew,
     ))
     schedule.add(0.25, "clock_skew", [slow, skew])
@@ -265,12 +269,15 @@ def committed_txn_loss(cluster):
     return lost
 
 
-def run_ops_scenario(schedule, recorder_dir=None, **replay_kwargs):
+def run_ops_scenario(schedule, config=None, recorder_dir=None,
+                     **replay_kwargs):
     """Replay an operational schedule with full verdicts attached.
 
     Traces the run (wire-level ``net.*`` events disabled, exactly like
     the campaign — the health monitor never reads them), replays the
-    schedule, feeds the trace to an offline
+    schedule on a cluster built from *config* (default
+    ``ClusterConfig()``; its ``tracer`` is replaced by the scenario's
+    own), feeds the trace to an offline
     :class:`~repro.obs.health.HealthMonitor`, and audits committed-
     transaction loss.  Returns an :class:`OpsScenarioResult`; the same
     (schedule, seed) pair always produces the same one — health
@@ -283,8 +290,8 @@ def run_ops_scenario(schedule, recorder_dir=None, **replay_kwargs):
     tracer = Tracer()
     tracer.disable("net.")
     replay = replay_schedule(
-        schedule, tracer=tracer, recorder_dir=recorder_dir,
-        **replay_kwargs
+        schedule, (config or ClusterConfig()).replace(tracer=tracer),
+        recorder_dir=recorder_dir, **replay_kwargs
     )
     monitor = HealthMonitor()
     monitor.feed(tracer.events).finish()

@@ -37,6 +37,14 @@ def violation_signature(report, converged=True):
     return tuple(sorted(entries))
 
 
+def signature_json(signature):
+    """JSON-safe form of a :func:`violation_signature`."""
+    return [
+        [prop, None if zxid is None else list(zxid)]
+        for prop, zxid in signature
+    ]
+
+
 class ReplayResult:
     """Outcome of replaying one schedule."""
 
@@ -71,12 +79,84 @@ class ReplayResult:
         )
 
 
-def replay_schedule(schedule, n_voters=None, seed=None, op_interval=None,
-                    settle=2.0, timeout=60.0, op=("incr", "campaign", 1),
-                    leader_factory=None, tracer=None, metrics=None,
-                    dissemination=None, recorder_dir=None,
-                    latency_histogram=None, **cluster_kwargs):
+#: The write the steady client load submits every ``op_interval``.
+LOAD_OP = ("incr", "campaign", 1)
+
+
+def stabilise_under_load(cluster, timeout, op_interval,
+                         latency_histogram=None):
+    """Run a started *cluster* to stability, then start its client load.
+
+    The first half of every replayed or explored execution.  Raises
+    :class:`TimeoutError` when no leader establishes; otherwise starts
+    the one-write-per-*op_interval* tick (``0`` disables it) and
+    returns ``t0``, the timestamp schedule times count from.  A
+    *latency_histogram* observes submit-to-commit latency per op; it
+    schedules nothing and draws no randomness, so traces and violation
+    signatures stay bit-identical to a histogram-free run.
+    """
+    cluster.run_until_stable(timeout=timeout)
+    t0 = cluster.sim.now
+    if not op_interval:
+        return t0
+
+    def load_tick():
+        leader = cluster.leader()
+        if leader is not None:
+            try:
+                if latency_histogram is None:
+                    leader.propose_op(LOAD_OP)
+                else:
+                    def _observe(_result, _zxid, _t0=cluster.sim.now):
+                        latency_histogram.observe(cluster.sim.now - _t0)
+
+                    leader.propose_op(LOAD_OP, callback=_observe)
+            except Exception:
+                pass
+        cluster.sim.schedule(op_interval, load_tick)
+
+    load_tick()
+    return t0
+
+
+def quiesce_and_judge(cluster, settle, timeout, check=None):
+    """Undo every standing fault, re-stabilise, settle, then judge.
+
+    The second half.  Link cuts and clock skews restore trace-silently
+    when absent, so schedules predating those faults replay
+    byte-identically.  Raises :class:`TimeoutError` if stability never
+    returns.  *check* produces the property report (default: the
+    post-hoc ``cluster.check_properties``).  Returns ``(report,
+    converged, signature)``.
+    """
+    cluster.heal()
+    cluster.restore_links()
+    cluster.clear_clock_skews()
+    for peer_id, peer in cluster.peers.items():
+        if peer.crashed:
+            cluster.recover(peer_id)
+    cluster.run_until_stable(timeout=timeout)
+    cluster.run(settle)
+    report = (check or cluster.check_properties)()
+    states = {
+        tuple(sorted(state.items()))
+        for state in cluster.states().values()
+    }
+    converged = len(states) == 1
+    return report, converged, violation_signature(report, converged)
+
+
+def replay_schedule(schedule, config=None, op_interval=None, settle=2.0,
+                    timeout=60.0, recorder_dir=None,
+                    latency_histogram=None):
     """Run *schedule* against a fresh cluster; returns a ReplayResult.
+
+    The cluster is built from *config* (default ``ClusterConfig()``:
+    leader factory, tracer, metrics, network and disk models, ZabConfig
+    overrides) overlaid with the schedule's own ``meta`` — ``n_voters``,
+    ``seed``, ``dissemination`` — and ``op_interval`` defaults to the
+    meta's too (else 20 ms), so a schedule loaded from a repro artifact
+    replays with no extra arguments.
 
     With *recorder_dir* set, any failing replay (checker violation,
     divergence, or a run that never stabilised) dumps the cluster's
@@ -84,67 +164,25 @@ def replay_schedule(schedule, n_voters=None, seed=None, op_interval=None,
     returning, so the failure ships its black box even with tracing
     off.  The dump is deterministic: replaying the same schedule on
     the same seed writes byte-identical flight files.
-
-    ``n_voters`` / ``seed`` / ``op_interval`` / ``dissemination``
-    default to the schedule's own ``meta`` (falling back to 3 voters,
-    seed 0, 20 ms, leader-direct), so a schedule loaded from a repro
-    artifact replays with no extra arguments.  ``leader_factory`` is
-    forwarded to the cluster — the hook the
-    :class:`~repro.harness.buggy.BuggyLeaderContext` fixture uses to
-    prove the shrink pipeline end to end.  Remaining keyword arguments
-    route like legacy ``Cluster(...)`` keywords (without deprecation
-    noise): cluster-level names to :class:`ClusterConfig`, the rest to
-    :class:`~repro.zab.config.ZabConfig`.
     """
     meta = schedule.meta
-    if n_voters is None:
-        n_voters = meta.get("n_voters", 3)
-    if seed is None:
-        seed = meta.get("seed", 0)
     if op_interval is None:
         op_interval = meta.get("op_interval", 0.02)
-    if dissemination is None:
-        dissemination = meta.get("dissemination", "leader-direct")
-    spec = ClusterConfig.from_legacy(
-        n_voters, seed=seed, _warn=False,
-        leader_factory=leader_factory, tracer=tracer, metrics=metrics,
-        dissemination=dissemination, **cluster_kwargs
-    )
+    spec = (config or ClusterConfig()).replace(**{
+        key: meta[key]
+        for key in ("n_voters", "seed", "dissemination") if key in meta
+    })
     cluster = Cluster(spec).start()
     try:
-        cluster.run_until_stable(timeout=timeout)
+        t0 = stabilise_under_load(
+            cluster, timeout, op_interval, latency_histogram
+        )
     except TimeoutError as exc:
         cluster.dump_flight(recorder_dir, reason="never_stable")
         return ReplayResult(
             schedule, False, False, [], (), cluster=cluster,
             error="never stable: %s" % exc,
         )
-    t0 = cluster.sim.now
-
-    if op_interval:
-        # With a latency_histogram the client load records submit-to-
-        # commit latency per op.  The callback only feeds the sketch —
-        # it schedules nothing and draws no randomness — so traced
-        # events and violation signatures stay bit-identical to a
-        # histogram-free replay.
-        def load_tick():
-            leader = cluster.leader()
-            if leader is not None:
-                try:
-                    if latency_histogram is None:
-                        leader.propose_op(op)
-                    else:
-                        def _observe(_result, _zxid, _t0=cluster.sim.now):
-                            latency_histogram.observe(
-                                cluster.sim.now - _t0
-                            )
-
-                        leader.propose_op(op, callback=_observe)
-                except Exception:
-                    pass
-            cluster.sim.schedule(op_interval, load_tick)
-
-        load_tick()
 
     fired = []
     for action in schedule:
@@ -155,46 +193,27 @@ def replay_schedule(schedule, n_voters=None, seed=None, op_interval=None,
         if happened is not None:
             fired.append((cluster.sim.now, happened))
 
-    # Quiesce: undo every standing fault, re-stabilise, settle.  Link
-    # cuts and clock skews restore trace-silently when absent, so
-    # schedules predating those faults replay byte-identically.
-    cluster.heal()
-    cluster.restore_links()
-    cluster.clear_clock_skews()
-    for peer_id, peer in cluster.peers.items():
-        if peer.crashed:
-            cluster.recover(peer_id)
     try:
-        cluster.run_until_stable(timeout=timeout)
+        report, converged, signature = quiesce_and_judge(
+            cluster, settle, timeout
+        )
     except TimeoutError as exc:
         cluster.dump_flight(recorder_dir, reason="never_restabilised")
         return ReplayResult(
             schedule, False, False, [], (), cluster=cluster, fired=fired,
             error="never re-stabilised: %s" % exc,
         )
-    cluster.run(settle)
-
-    report = cluster.check_properties()
-    states = {
-        tuple(sorted(state.items()))
-        for state in cluster.states().values()
-    }
-    converged = len(states) == 1
-    if not (report.ok and converged):
-        signature = violation_signature(report, converged)
+    if signature:
         cluster.dump_flight(
             recorder_dir, reason="replay_violation",
-            signature=[
-                [prop, None if zxid is None else list(zxid)]
-                for prop, zxid in signature
-            ],
+            signature=signature_json(signature),
         )
     return ReplayResult(
         schedule,
         ok=report.ok,
         converged=converged,
         violations=sorted(report.violated_properties()),
-        signature=violation_signature(report, converged),
+        signature=signature,
         report=report,
         cluster=cluster,
         deliveries=report.stats["deliveries"],

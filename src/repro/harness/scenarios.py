@@ -12,50 +12,6 @@ class ScenarioError(ReproError):
     """A scenario could not complete (e.g. stability never returned)."""
 
 
-def rolling_restart(cluster, settle=1.0, timeout=60.0):
-    """Restart every peer one at a time, leader last.
-
-    The classic zero-downtime upgrade: each peer is crashed, the cluster
-    is given time to re-stabilise, and the peer is recovered and must
-    re-sync before the next one goes down.  Returns the restart order.
-    """
-    order = []
-    leader = cluster.leader()
-    if leader is None:
-        raise ScenarioError("no leader to start from")
-    peer_ids = [
-        peer_id for peer_id in cluster.peers
-        if peer_id != leader.peer_id
-    ] + [leader.peer_id]
-    for peer_id in peer_ids:
-        cluster.crash(peer_id)
-        cluster.run(settle)
-        cluster.recover(peer_id)
-        cluster.run_until_stable(timeout=timeout)
-        order.append(peer_id)
-    return order
-
-
-def flapping_partition(cluster, victim, flaps=5, period=0.4,
-                       timeout=60.0):
-    """Repeatedly isolate and reconnect one peer.
-
-    Models a flaky switch port.  Returns the number of role changes the
-    victim went through (each flap may or may not trigger one, depending
-    on timing vs. the staleness timeout).
-    """
-    peer = cluster.peers[victim]
-    before = len(peer.role_changes)
-    others = {p for p in cluster.peers if p != victim}
-    for _ in range(flaps):
-        cluster.partition({victim}, others)
-        cluster.run(period)
-        cluster.heal()
-        cluster.run(period)
-    cluster.run_until_stable(timeout=timeout)
-    return len(peer.role_changes) - before
-
-
 def leader_churn(cluster, rounds, timeout=60.0, write_between=True):
     """Crash each successive leader, recovering the previous victim.
 
@@ -95,13 +51,14 @@ def crash_recovery_timeline(n_voters=5, seed=3, rate=2000, tracer=None,
     resumed commits.  Pass a :class:`~repro.obs.health.HealthMonitor`
     as *monitor* to watch the run live (it is attached before the
     cluster boots, so window 0 starts at t=0).  Returns
-    ``(cluster, driver, schedule)``.
+    ``(cluster, driver, fault_log)`` — the log is
+    :meth:`ActionSchedule.install`'s ``[(time, description)]`` list.
     """
     from repro.bench.runner import default_op_factory
     from repro.bench.workloads import OpenLoopDriver
     from repro.harness.cluster import Cluster
     from repro.harness.config import ClusterConfig
-    from repro.harness.faults import FaultSchedule
+    from repro.harness.schedule import ActionSchedule
     from repro.net import NetworkConfig
 
     cluster = Cluster(ClusterConfig(
@@ -116,19 +73,19 @@ def crash_recovery_timeline(n_voters=5, seed=3, rate=2000, tracer=None,
     driver = OpenLoopDriver(
         cluster, rate, default_op_factory(op_size), op_size, warmup=0.0,
     )
-    schedule = FaultSchedule(cluster)
-    t0 = cluster.sim.now
+    schedule = ActionSchedule()
     if follower_crash_at is not None:
-        schedule.crash_follower_at(t0 + follower_crash_at)
+        schedule.add(follower_crash_at, "crash_follower")
     if leader_crash_at is not None:
-        schedule.crash_leader_at(t0 + leader_crash_at)
+        schedule.add(leader_crash_at, "crash_leader")
     if recover_at is not None:
-        schedule.recover_all_at(t0 + recover_at)
+        schedule.add(recover_at, "recover_all")
+    fault_log = schedule.install(cluster, start=cluster.sim.now)
     driver.start()
     cluster.run(duration)
     driver.stop()
     cluster.run(0.5)   # let in-flight operations finish
-    return cluster, driver, schedule
+    return cluster, driver, fault_log
 
 
 def slow_fsync_gray_failure(n_voters=5, seed=11, rate=2000, tracer=None,

@@ -207,20 +207,28 @@ class ActionSchedule:
         with open(path, encoding="utf-8") as f:
             return cls.loads(f.read())
 
-    # -- campaign compatibility ----------------------------------------
+    # -- event-driven execution ----------------------------------------
 
-    def legacy_pairs(self):
-        """The campaign's historical ``(kind, victim)`` action tuples."""
-        pairs = []
+    def install(self, cluster, start=0.0):
+        """Arm every action on *cluster*'s simulator; returns the fault log.
+
+        The event-driven sibling of
+        :func:`~repro.harness.replay.replay_schedule`, for scripts that
+        drive the cluster themselves: each action fires through
+        :func:`apply_action` at sim time ``start + action.time`` (pass
+        the stability timestamp as *start*) and appends ``(time,
+        description)`` to the returned list unless it was a no-op.
+        """
+        log = []
+
+        def fire(action):
+            happened = apply_action(cluster, action)
+            if happened is not None:
+                log.append((cluster.sim.now, happened))
+
         for action in self.actions:
-            if action.kind == "partition" and len(action.target) == 1 \
-                    and len(action.target[0]) == 1:
-                pairs.append(("isolate", action.target[0][0]))
-            elif action.kind in ("crash", "recover"):
-                pairs.append((action.kind, action.target))
-            else:
-                pairs.append((action.kind, None))
-        return pairs
+            cluster.sim.schedule_at(start + action.time, fire, action)
+        return log
 
     # -- generation ----------------------------------------------------
 

@@ -8,9 +8,10 @@ it, quiesce, and run the PO property checker over the whole history.
 Untaken alternatives recorded along the way become new prefixes on a
 depth-first frontier.
 
-Crucially, an execution here is *line-for-line the same recipe* as
-:func:`repro.harness.replay.replay_schedule` — same boot, same client
-load, same action timing, same quiesce.  That is what lets a violating
+Crucially, an execution here runs *the same recipe* as
+:func:`repro.harness.replay.replay_schedule` — the boot-under-load and
+quiesce-and-judge halves are the very functions replay calls, and the
+action timing matches.  That is what lets a violating
 run be emitted as a plain :class:`~repro.harness.schedule.ActionSchedule`
 that the existing ``repro shrink`` ddmin machinery and replay engine
 consume with zero new plumbing, and it is why every reported violation
@@ -28,11 +29,17 @@ import time
 from repro.checker import CheckerState
 from repro.harness.cluster import Cluster
 from repro.harness.config import ClusterConfig
-from repro.harness.replay import replay_schedule, violation_signature
+from repro.harness.replay import (
+    quiesce_and_judge,
+    replay_schedule,
+    signature_json,
+    stabilise_under_load,
+)
 from repro.harness.schedule import Action, ActionSchedule, apply_action
 from repro.mc.choices import Chooser, DfsFrontier
 from repro.mc.fingerprint import cluster_fingerprint
 from repro.mc.policy import InterleavingPolicy
+from repro.net import NetworkConfig
 
 #: Decision-point option meaning "inject nothing this step".
 NOOP = ("noop", None)
@@ -113,12 +120,16 @@ class ExplorerConfig:
         self.recorder_dir = recorder_dir
         self.ops_actions = ops_actions
 
-    def net_config(self):
-        """The NetworkConfig override, or None for the stock fabric."""
-        if self.jitter is None:
-            return None
-        from repro.net import NetworkConfig
-        return NetworkConfig(jitter=self.jitter)
+    def cluster_config(self):
+        """The ClusterConfig every explored execution and replay runs."""
+        net = None
+        if self.jitter is not None:
+            net = NetworkConfig(jitter=self.jitter)
+        return ClusterConfig(
+            n_voters=self.peers, seed=self.seed, net=net,
+            leader_factory=self.leader_factory,
+            dissemination=self.dissemination,
+        )
 
 
 class Violation:
@@ -138,11 +149,10 @@ class Violation:
 
     def to_json(self):
         return {
-            "signature": [list(entry) for entry in self.signature],
+            "signature": signature_json(self.signature),
             "confirmed": self.confirmed,
-            "replay_signature": [
-                list(entry) for entry in self.replay_signature
-            ] if self.replay_signature is not None else None,
+            "replay_signature": None if self.replay_signature is None
+            else signature_json(self.replay_signature),
             "prefix": list(self.prefix),
             "flight_path": self.flight_path,
             "schedule": self.schedule.to_json(),
@@ -210,6 +220,10 @@ class ExplorationResult:
             % (self.runs, self.states_visited, len(self.violations),
                self.stopped_reason)
         )
+
+
+class _CheckerMismatch(Exception):
+    """The incremental and post-hoc checkers disagreed on one history."""
 
 
 class _RunOutcome:
@@ -326,15 +340,9 @@ class Explorer:
         if outcome.signature in self._signatures:
             return
         self._signatures.add(outcome.signature)
-        replay_kwargs = {}
-        net_config = self.config.net_config()
-        if net_config is not None:
-            replay_kwargs["net_config"] = net_config
         replayed = replay_schedule(
-            outcome.schedule, leader_factory=self.config.leader_factory,
+            outcome.schedule, self.config.cluster_config(),
             settle=self.config.settle, timeout=self.config.timeout,
-            dissemination=self.config.dissemination,
-            **replay_kwargs
         )
         result.violations.append(Violation(
             schedule=outcome.schedule,
@@ -361,10 +369,7 @@ class Explorer:
         )
         outcome.recorder.dump(
             path, reason="explorer_violation",
-            signature=[
-                [prop, None if zxid is None else list(zxid)]
-                for prop, zxid in outcome.signature
-            ],
+            signature=signature_json(outcome.signature),
         )
         return path
 
@@ -390,20 +395,14 @@ class Explorer:
     def _execute(self, prefix, result):
         """Run one decision prefix end to end.
 
-        Mirrors :func:`~repro.harness.replay.replay_schedule` exactly —
-        boot, stabilise, client load from t0, one action per step
-        boundary, quiesce, check — so the ActionSchedule assembled from
-        the choices replays to the same execution bit for bit.
+        Boot and quiesce are :func:`~repro.harness.replay.replay_schedule`'s
+        own halves and each action lands on a step boundary, so the
+        ActionSchedule assembled from the choices replays to the same
+        execution bit for bit.
         """
         config = self.config
         chooser = Chooser(prefix)
-        spec = ClusterConfig(
-            n_voters=config.peers, seed=config.seed,
-            net=config.net_config(),
-            leader_factory=config.leader_factory,
-            dissemination=config.dissemination,
-        )
-        cluster = Cluster(spec).start()
+        cluster = Cluster(self.config.cluster_config()).start()
         # Incremental checker rides along with the execution, so the
         # terminal verdict is O(1) instead of a full check_all re-read
         # of the history at every explored state.
@@ -424,24 +423,13 @@ class Explorer:
             meta["jitter"] = config.jitter
         schedule = ActionSchedule(meta=meta)
         try:
-            cluster.run_until_stable(timeout=config.timeout)
+            t0 = stabilise_under_load(
+                cluster, config.timeout, config.op_interval
+            )
         except TimeoutError as exc:
             return _RunOutcome(
                 chooser, schedule, error="never stable: %s" % exc
             )
-        t0 = cluster.sim.now
-
-        if config.op_interval:
-            def load_tick():
-                leader = cluster.leader()
-                if leader is not None:
-                    try:
-                        leader.propose_op(("incr", "campaign", 1))
-                    except Exception:
-                        pass
-                cluster.sim.schedule(config.op_interval, load_tick)
-
-            load_tick()
 
         for step in range(config.depth):
             target = t0 + (step + 1) * config.step_interval
@@ -466,42 +454,33 @@ class Explorer:
                     result.states_pruned += 1
                     return _RunOutcome(chooser, schedule, pruned=True)
 
-        # Quiesce exactly like replay_schedule: undo standing faults,
-        # re-stabilise, settle, then judge the whole history.
-        cluster.heal()
-        cluster.restore_links()
-        cluster.clear_clock_skews()
-        for peer_id, peer in cluster.peers.items():
-            if peer.crashed:
-                cluster.recover(peer_id)
-        try:
-            cluster.run_until_stable(timeout=config.timeout)
-        except TimeoutError as exc:
-            return _RunOutcome(
-                chooser, schedule, error="never re-stabilised: %s" % exc
-            )
-        cluster.run(config.settle)
-
-        report = checker_state.report()
-        if not report.ok:
+        def check():
+            report = checker_state.report()
+            if report.ok:
+                return report
             # Cross-validate: the stock post-hoc checker stays the
             # authoritative oracle on anything the incremental state
             # flags.  A disagreement is a checker bug, reported loudly.
             posthoc = cluster.check_properties()
             if (posthoc.violated_properties()
                     != report.violated_properties()):
-                return _RunOutcome(
-                    chooser, schedule,
-                    error="incremental/post-hoc checker mismatch: %s != %s"
+                raise _CheckerMismatch(
+                    "incremental/post-hoc checker mismatch: %s != %s"
                     % (sorted(report.violated_properties()),
-                       sorted(posthoc.violated_properties())),
+                       sorted(posthoc.violated_properties()))
                 )
-            report = posthoc
-        states = {
-            tuple(sorted(state.items()))
-            for state in cluster.states().values()
-        }
-        signature = violation_signature(report, converged=len(states) == 1)
+            return posthoc
+
+        try:
+            _report, _converged, signature = quiesce_and_judge(
+                cluster, config.settle, config.timeout, check=check
+            )
+        except TimeoutError as exc:
+            return _RunOutcome(
+                chooser, schedule, error="never re-stabilised: %s" % exc
+            )
+        except _CheckerMismatch as exc:
+            return _RunOutcome(chooser, schedule, error=str(exc))
         return _RunOutcome(
             chooser, schedule, signature=signature,
             recorder=cluster.recorder,

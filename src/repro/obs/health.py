@@ -44,7 +44,7 @@ byte-identical ``health.json``, which CI asserts.
 """
 
 from repro.common.errors import ConfigError
-from repro.obs.series import SeriesBank
+from repro.obs.series import SeriesBank, nearest_rank
 
 #: Schema identifier embedded in every health report.
 HEALTH_SCHEMA = "repro-health/v1"
@@ -64,13 +64,6 @@ def _median(values):
     if n % 2:
         return ordered[middle]
     return (ordered[middle - 1] + ordered[middle]) / 2.0
-
-
-def _percentile(values, fraction):
-    """Nearest-rank percentile over a non-empty list."""
-    ordered = sorted(values)
-    index = int(round(fraction * (len(ordered) - 1)))
-    return ordered[index]
 
 
 class Slo:
@@ -424,7 +417,7 @@ class HealthMonitor:
             self.stall_ratio, self.stall_floor, start, end,
         )
         if self._win_latency:
-            p99 = _percentile(self._win_latency, 0.99)
+            p99 = nearest_rank(self._win_latency, 0.99)
             bank.series("commit_p99").add(end, p99)
             self.slo_commit.record(p99 <= self.slo_commit.target)
         bank.series("leader_present").add(

@@ -13,9 +13,9 @@ numbers.  Three primitive kinds:
   buckets: p50/p95/p99 with bounded relative error and O(1) memory,
   never storing individual samples.
 
-Existing ad-hoc stats objects (``net/stats.py``,
-``bench/metrics.py``) plug in as *providers*: a provider is a named
-zero-argument callable returning a plain dict, merged into
+Existing stats objects (``net/stats.py``, the cluster's aggregate zab
+counters) plug in as *providers*: a provider is a named zero-argument
+callable returning a plain dict, merged into
 :meth:`MetricsRegistry.snapshot` under its name.  This keeps the
 registry authoritative for reports without forcing every subsystem to
 rewrite its internal accounting.

@@ -6,9 +6,10 @@ useful for the examples and for validating crash-recovery reads against
 torn/corrupt tails.
 
 Format: a fixed magic header, then a sequence of records, each
-``[length:u32][crc32:u32][pickle payload]``.  Replay stops cleanly at the
-first truncated or corrupt record, mimicking how a real WAL recovers from a
-torn write at the tail.
+``[length:u32][crc32:u32][pickle payload]``.  Replay stops at a truncated
+or corrupt *tail* record and cuts the file back to the last valid one,
+mimicking how a real WAL recovers from a torn write; a bad record with
+valid records after it is corruption and raises.
 """
 
 import pickle
@@ -60,11 +61,13 @@ class FileJournal:
         self._file.flush()
 
     def replay(self):
-        """Yield (zxid, txn) records; stop at the first damaged record.
+        """Return the (zxid, txn) records; repair a damaged tail.
 
-        A damaged or truncated tail is normal after a crash and is not an
-        error; damage *before* valid records would indicate corruption and
-        raises :class:`StorageError`.
+        A truncated or corrupt *last* record is normal after a crash:
+        the file is cut back to the last valid record, so later appends
+        land where the next replay reads them.  A corrupt record
+        *followed by* a well-formed one cannot be a torn write and
+        raises :class:`StorageError` instead of dropping valid records.
         """
         if self._file is None:
             raise StorageError("journal is not open")
@@ -73,18 +76,35 @@ class FileJournal:
         if magic != _MAGIC:
             raise StorageError("bad journal magic in %s" % self.path)
         records = []
+        valid_end = self._file.tell()
         while True:
-            header = self._file.read(_HEADER.size)
-            if len(header) < _HEADER.size:
-                break  # clean EOF or torn header
-            length, crc = _HEADER.unpack(header)
-            payload = self._file.read(length)
-            if len(payload) < length or zlib.crc32(payload) != crc:
-                break  # torn or corrupt tail record
+            payload = self._read_record()
+            if payload is None:
+                break  # clean EOF, torn record, or corrupt record
             records.append(pickle.loads(payload))
-        # Position for subsequent appends just past the last valid record.
-        self._file.seek(0, 2)
+            valid_end = self._file.tell()
+        if self._read_record() is not None:
+            raise StorageError(
+                "corrupt record at byte %d of %s precedes valid records"
+                % (valid_end, self.path)
+            )
+        # Drop the damaged tail (if any): appends continue just past the
+        # last valid record.
+        self._file.seek(valid_end)
+        self._file.truncate()
         return records
+
+    def _read_record(self):
+        """The next record's payload, or None if it is short or corrupt
+        (a complete record with a bad checksum is still consumed)."""
+        header = self._file.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            return None
+        length, crc = _HEADER.unpack(header)
+        payload = self._file.read(length)
+        if len(payload) < length or zlib.crc32(payload) != crc:
+            return None
+        return payload
 
     def rewrite(self, records):
         """Atomically replace the journal contents (used after TRUNC)."""

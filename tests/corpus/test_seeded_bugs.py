@@ -18,7 +18,7 @@ import inspect
 
 import pytest
 
-from repro.harness import buggy, replay_schedule
+from repro.harness import ClusterConfig, buggy, replay_schedule
 from repro.harness.buggy import SEEDED_BUGS
 from repro.harness.shrink import shrink_schedule
 from repro.mc import explore_schedules
@@ -31,7 +31,7 @@ ALL_BUGS = sorted(SEEDED_BUGS)
 def test_checker_flags_exactly_the_registered_properties(name):
     bug = SEEDED_BUGS[name]
     result = replay_schedule(
-        bug.canonical_schedule(), leader_factory=bug.factory
+        bug.canonical_schedule(), ClusterConfig(leader_factory=bug.factory)
     )
     assert not result.passed, "%s: canonical schedule no longer triggers" % name
     violated = result.report.violated_properties()
@@ -46,10 +46,10 @@ def test_checker_flags_exactly_the_registered_properties(name):
 def test_violation_signature_is_stable_across_replays(name):
     bug = SEEDED_BUGS[name]
     first = replay_schedule(
-        bug.canonical_schedule(), leader_factory=bug.factory
+        bug.canonical_schedule(), ClusterConfig(leader_factory=bug.factory)
     )
     second = replay_schedule(
-        bug.canonical_schedule(), leader_factory=bug.factory
+        bug.canonical_schedule(), ClusterConfig(leader_factory=bug.factory)
     )
     assert first.signature == second.signature
     assert first.signature, "%s: empty signature cannot pin a bug" % name
@@ -107,7 +107,8 @@ def test_snapshot_skip_shrinks_to_minimal_trigger():
     # the essential crash -> snapshot -> compact chain.
     bug = SEEDED_BUGS["snapshot_skip"]
     result = shrink_schedule(
-        bug.canonical_schedule(), leader_factory=bug.factory
+        bug.canonical_schedule(),
+        config=ClusterConfig(leader_factory=bug.factory),
     )
     kinds = [action.kind for action in result.schedule]
     assert len(kinds) <= 3, "expected ddmin to drop recover_all: %s" % kinds

@@ -51,7 +51,7 @@ def test_extreme_jitter_preserves_fifo_and_order():
 
 
 def test_partition_storm_then_calm():
-    cluster = Cluster(5, seed=242).start()
+    cluster = Cluster(ClusterConfig(n_voters=5, seed=242)).start()
     cluster.run_until_stable(timeout=60)
     cluster.submit_and_wait(("put", "before", 1))
     rng = cluster.sim.random.stream("storm")
@@ -70,7 +70,7 @@ def test_partition_storm_then_calm():
 
 
 def test_slow_asymmetric_link_does_not_break_anything():
-    cluster = Cluster(3, seed=243).start()
+    cluster = Cluster(ClusterConfig(n_voters=3, seed=243)).start()
     cluster.run_until_stable(timeout=30)
     leader_id = cluster.leader().peer_id
     follower_id = next(

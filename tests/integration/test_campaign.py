@@ -10,15 +10,15 @@ def test_small_campaign_all_pass():
         assert outcome.passed, (outcome.seed, outcome.violations,
                                 outcome.error)
         assert outcome.deliveries > 0
-        assert outcome.actions
+        assert len(outcome.schedule)
 
 
 def test_campaign_outcomes_carry_fault_history():
     outcomes = run_adversarial_campaign([5], n_voters=5, steps=5)
-    actions = outcomes[0].actions
-    kinds = {kind for kind, _victim in actions}
-    assert kinds <= {"crash", "recover", "isolate", "heal"}
-    assert len(actions) == 5
+    schedule = outcomes[0].schedule
+    kinds = {action.kind for action in schedule}
+    assert kinds <= {"crash", "recover", "partition", "heal"}
+    assert len(schedule) == 5
 
 
 def test_render_campaign_verdict_line():

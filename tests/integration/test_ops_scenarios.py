@@ -17,6 +17,7 @@ guarantees asserted explicitly —
 
 import pytest
 
+from repro.harness import ClusterConfig
 from repro.harness.opscenarios import (
     OPS_SCENARIOS,
     retention_churn_schedule,
@@ -39,7 +40,9 @@ def converged_states(cluster):
 
 @pytest.mark.parametrize("topology", DISSEMINATION_TOPOLOGIES)
 def test_rolling_restart_zero_loss_across_topologies(topology):
-    schedule = rolling_restart_schedule(seed=0, dissemination=topology)
+    schedule = rolling_restart_schedule(
+        seed=0, config=ClusterConfig(dissemination=topology)
+    )
     assert schedule.meta["dissemination"] == topology
     result = run_ops_scenario(schedule)
     assert result.replay.passed, result.replay.violations
@@ -51,7 +54,7 @@ def test_rolling_restart_zero_loss_across_topologies(topology):
     assert result.health["active"] == []
     # And the whole run is replay-deterministic, health included.
     again = run_ops_scenario(rolling_restart_schedule(
-        seed=0, dissemination=topology
+        seed=0, config=ClusterConfig(dissemination=topology)
     ))
     assert again.replay.deliveries == result.replay.deliveries
     assert again.health == result.health

@@ -9,7 +9,12 @@ must shrink to ≤3 actions, and the minimal schedule must replay the
 import json
 import os
 
-from repro import ActionSchedule, replay_schedule, shrink_schedule
+from repro import (
+    ActionSchedule,
+    ClusterConfig,
+    replay_schedule,
+    shrink_schedule,
+)
 from repro.bench.campaign import render_campaign, run_adversarial_campaign
 from repro.cli import main
 from repro.harness.buggy import BuggyLeaderContext
@@ -20,6 +25,7 @@ from repro.harness.shrink import make_reproducer
 # the majority).  Deterministic: generation and replay are both pure
 # functions of the seed.
 BUGGY_SEED = 6
+BUGGY = ClusterConfig(leader_factory=BuggyLeaderContext)
 
 
 def test_json_round_trip_replays_identically():
@@ -36,26 +42,19 @@ def test_json_round_trip_replays_identically():
 def test_buggy_leader_schedule_shrinks_to_three_actions_or_fewer():
     schedule = ActionSchedule.generate(BUGGY_SEED, n_voters=3, steps=10)
     assert len(schedule) >= 10
-    baseline = replay_schedule(
-        schedule, leader_factory=BuggyLeaderContext
-    )
+    baseline = replay_schedule(schedule, BUGGY)
     assert not baseline.passed
     assert "total_order" in baseline.violations
 
-    failing = make_reproducer(
-        baseline, leader_factory=BuggyLeaderContext
-    )
+    failing = make_reproducer(baseline, config=BUGGY)
     result = shrink_schedule(schedule, failing=failing)
     assert len(result.schedule) <= 3
 
     # The minimal schedule reproduces the same violation kind and zxid,
     # deterministically, on every replay.
-    first = replay_schedule(
-        result.schedule, leader_factory=BuggyLeaderContext
-    )
+    first = replay_schedule(result.schedule, BUGGY)
     second = replay_schedule(
-        ActionSchedule.loads(result.schedule.dumps()),
-        leader_factory=BuggyLeaderContext,
+        ActionSchedule.loads(result.schedule.dumps()), BUGGY
     )
     assert not first.passed and not second.passed
     assert first.signature == second.signature

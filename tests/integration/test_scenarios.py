@@ -1,64 +1,13 @@
 """Tests for the canned operational scenarios."""
 
 from repro.harness import Cluster, ClusterConfig
-from repro.harness.scenarios import (
-    flapping_partition,
-    leader_churn,
-    measure_recovery_gap,
-    rolling_restart,
-)
+from repro.harness.scenarios import leader_churn, measure_recovery_gap
 
 
 def stable_cluster(n=3, seed=140, **kwargs):
     cluster = Cluster(ClusterConfig(n_voters=n, seed=seed, **kwargs)).start()
     cluster.run_until_stable(timeout=30)
     return cluster
-
-
-def test_rolling_restart_preserves_data_and_order():
-    cluster = stable_cluster(n=3)
-    for i in range(10):
-        cluster.submit_and_wait(("put", "k%d" % i, i))
-    leader_id = cluster.leader().peer_id
-    order = rolling_restart(cluster)
-    assert order[-1] == leader_id  # leader restarted last
-    assert len(order) == 3
-    cluster.run(1.0)
-    for state in cluster.states().values():
-        assert state == {"k%d" % i: i for i in range(10)}
-    cluster.assert_properties()
-
-
-def test_rolling_restart_five_nodes_under_writes():
-    cluster = stable_cluster(n=5, seed=141)
-    cluster.submit_and_wait(("put", "before", 1))
-    rolling_restart(cluster, settle=0.5)
-    cluster.submit_and_wait(("put", "after", 2))
-    cluster.run(1.0)
-    for state in cluster.states().values():
-        assert state["before"] == 1 and state["after"] == 2
-    cluster.assert_properties()
-
-
-def test_flapping_partition_of_follower_is_survivable():
-    cluster = stable_cluster(n=5, seed=142)
-    follower = next(
-        peer for peer in cluster.peers.values() if peer.is_active_follower
-    )
-    flapping_partition(cluster, follower.peer_id, flaps=4, period=0.3)
-    cluster.submit_and_wait(("put", "k", 1))
-    cluster.run(1.0)
-    assert all(s["k"] == 1 for s in cluster.states().values())
-    cluster.assert_properties()
-
-
-def test_flapping_partition_of_leader_reelects_and_recovers():
-    cluster = stable_cluster(n=5, seed=143)
-    leader_id = cluster.leader().peer_id
-    flapping_partition(cluster, leader_id, flaps=3, period=0.4)
-    cluster.submit_and_wait(("put", "k", 1))
-    cluster.run(1.0)
-    cluster.assert_properties()
 
 
 def test_leader_churn_epochs_strictly_increase():

@@ -10,7 +10,7 @@ invisible.
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.app.kvstore import KVStateMachine
-from repro.harness import Cluster
+from repro.harness import Cluster, ClusterConfig
 
 ops = st.lists(
     st.one_of(
@@ -34,7 +34,7 @@ ops = st.lists(
 )
 @given(op_list=ops, seed=st.integers(0, 3))
 def test_cluster_matches_sequential_spec(op_list, seed):
-    cluster = Cluster(3, seed=seed).start()
+    cluster = Cluster(ClusterConfig(n_voters=3, seed=seed)).start()
     cluster.run_until_stable(timeout=30)
 
     committed = []

@@ -1,83 +1,8 @@
 """Unit and property tests for the benchmark measurement primitives."""
 
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.bench.metrics import LatencyRecorder, Timeline, percentile
-
-
-# --- percentile -------------------------------------------------------------
-
-def test_percentile_basic():
-    values = [1, 2, 3, 4, 5]
-    assert percentile(values, 0.0) == 1
-    assert percentile(values, 1.0) == 5
-    assert percentile(values, 0.5) == 3
-
-
-def test_percentile_interpolates():
-    assert percentile([0, 10], 0.25) == pytest.approx(2.5)
-
-
-def test_percentile_single_value():
-    assert percentile([7], 0.99) == 7
-
-
-def test_percentile_validation():
-    with pytest.raises(ValueError):
-        percentile([], 0.5)
-    with pytest.raises(ValueError):
-        percentile([1], 1.5)
-
-
-@given(st.lists(st.floats(min_value=-1e9, max_value=1e9), min_size=1),
-       st.floats(min_value=0, max_value=1))
-def test_percentile_within_range(values, fraction):
-    result = percentile(values, fraction)
-    # Tiny tolerance for interpolation rounding at extreme magnitudes.
-    span = max(abs(min(values)), abs(max(values)), 1.0)
-    assert min(values) - span * 1e-12 <= result
-    assert result <= max(values) + span * 1e-12
-
-
-@given(st.lists(st.integers(-1000, 1000), min_size=1))
-def test_percentile_monotone_in_fraction(values):
-    p25 = percentile(values, 0.25)
-    p75 = percentile(values, 0.75)
-    assert p25 <= p75
-
-
-# --- LatencyRecorder -----------------------------------------------------------
-
-def test_recorder_summary():
-    recorder = LatencyRecorder()
-    for i in range(1, 101):
-        recorder.record(float(i), i / 1000.0)
-    summary = recorder.summary()
-    assert summary["count"] == 100
-    assert summary["p50"] == pytest.approx(0.0505, rel=0.01)
-    assert summary["max"] == pytest.approx(0.1)
-    assert summary["mean"] == pytest.approx(0.0505)
-
-
-def test_recorder_discards_warmup():
-    recorder = LatencyRecorder(warmup_until=5.0)
-    recorder.record(1.0, 0.5)    # during warmup
-    recorder.record(6.0, 0.1)
-    assert recorder.count() == 1
-    assert recorder.discarded == 1
-    assert recorder.latencies() == [0.1]
-
-
-def test_recorder_empty_summary():
-    assert LatencyRecorder().summary() == {"count": 0, "empty": True}
-
-
-def test_recorder_empty_stats_raise():
-    with pytest.raises(ValueError):
-        LatencyRecorder().mean()
-    with pytest.raises(ValueError):
-        LatencyRecorder().pct(0.5)
+from repro.bench.metrics import Timeline
 
 
 # --- Timeline ---------------------------------------------------------------

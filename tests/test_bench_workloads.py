@@ -76,16 +76,33 @@ def test_open_loop_validates_rate():
                        op_factory=default_op_factory(64), op_size=64)
 
 
-def test_latency_warmup_window_respected():
+def test_each_post_warmup_commit_is_recorded_exactly_once():
     cluster = stable_cluster(seed=135)
     driver = ClosedLoopDriver(
         cluster, outstanding=2, op_factory=default_op_factory(64),
         op_size=64, warmup=0.5,
     ).start()
-    cluster.run(1.5)
+    cluster.run(0.5)
+    warmup_commits = driver.committed
+    assert warmup_commits > 0
+    assert driver.latency.count == 0      # nothing recorded in warm-up
+    cluster.run(1.0)
     driver.stop()
-    assert driver.latency.discarded > 0
-    assert all(t >= 0.5 for t, _lat in driver.latency.samples)
+    cluster.run(0.5)
+    # One recorder, one observation per commit: a second recording path
+    # (or a double observe) would push count past the commits seen.
+    assert driver.latency.count == driver.committed - warmup_commits
+    assert driver.timeline.total() == driver.committed
+    assert driver.results()["latency"] == driver.latency.snapshot()
+
+
+def test_runner_registers_the_drivers_histogram():
+    result = run_broadcast_bench(
+        3, op_size=256, outstanding=8, duration=0.3, warmup=0.1, seed=136,
+    )
+    sketch = result.metrics["histograms"]["bench.commit_latency_s"]
+    assert sketch == result.latency
+    assert sketch["count"] == result.committed
 
 
 def test_runner_end_to_end_smoke():

@@ -17,7 +17,7 @@ over the same trace.  Three pressure sources:
 import pytest
 
 from repro.checker import CheckerState, Trace, check_all
-from repro.harness import Cluster
+from repro.harness import Cluster, ClusterConfig
 from repro.harness.buggy import SEEDED_BUGS
 from repro.harness.replay import replay_schedule
 from repro.zab.zxid import Zxid
@@ -50,7 +50,7 @@ def _assert_equivalent(trace):
 def test_equivalent_on_seeded_bug(name):
     bug = SEEDED_BUGS[name]
     result = replay_schedule(
-        bug.canonical_schedule(), leader_factory=bug.factory
+        bug.canonical_schedule(), ClusterConfig(leader_factory=bug.factory)
     )
     trace = result.cluster.trace
     state = _assert_equivalent(trace)
@@ -60,7 +60,7 @@ def test_equivalent_on_seeded_bug(name):
 
 
 def test_equivalent_on_clean_cluster_run():
-    cluster = Cluster(3, seed=11).start()
+    cluster = Cluster(ClusterConfig(n_voters=3, seed=11)).start()
     cluster.run_until_stable(timeout=30)
     state = CheckerState.attach(cluster.trace)
     for i in range(15):

@@ -91,6 +91,19 @@ def test_fuzz_clean_exit(capsys):
     assert "ALL OK" in out
 
 
+def test_fuzz_is_replay_of_the_generated_schedule(capsys):
+    # `fuzz` owns no adversary: same seed, same output, byte for byte,
+    # and the fired lines are the generated schedule's own actions.
+    argv = ["fuzz", "--seed", "7", "--steps", "6"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    fired = [line for line in first.splitlines() if line.startswith("t=")]
+    assert 0 < len(fired) <= 6
+    assert all(" peer " in line or line.endswith("heal") for line in fired)
+
+
 def test_campaign_command(capsys):
     assert main(["campaign", "--servers", "3", "--seeds", "2",
                  "--steps", "3"]) == 0

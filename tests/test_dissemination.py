@@ -20,7 +20,6 @@ This file pins that claim from four directions:
   bounded by fan-out for tree.
 """
 
-import warnings
 
 import pytest
 
@@ -263,8 +262,8 @@ def test_seeded_bugs_trip_identical_property_sets(topology, name):
     # must reproduce the exact same checker verdicts.
     bug = SEEDED_BUGS[name]
     result = replay_schedule(
-        bug.canonical_schedule(), leader_factory=bug.factory,
-        dissemination=topology,
+        bug.canonical_schedule(),
+        ClusterConfig(leader_factory=bug.factory, dissemination=topology),
     )
     assert not result.passed, (topology, name)
     assert result.report.violated_properties() == set(bug.expected), (
@@ -276,7 +275,8 @@ def test_seeded_bugs_trip_identical_property_sets(topology, name):
 def test_correct_zab_passes_the_corpus_schedules(topology):
     for name in sorted(SEEDED_BUGS):
         result = replay_schedule(
-            SEEDED_BUGS[name].canonical_schedule(), dissemination=topology,
+            SEEDED_BUGS[name].canonical_schedule(),
+            ClusterConfig(dissemination=topology),
         )
         assert result.passed, (topology, name)
 
@@ -342,23 +342,8 @@ def test_relayed_topologies_beat_leader_direct_at_scale(egress_curve):
 
 
 # ---------------------------------------------------------------------------
-# ClusterConfig spellings
+# ClusterConfig
 # ---------------------------------------------------------------------------
-
-def test_both_construction_spellings_build_the_same_cluster():
-    new = Cluster(ClusterConfig(
-        n_voters=3, seed=21, dissemination="chain",
-        zab={"max_outstanding": 16},
-    ))
-    with pytest.warns(DeprecationWarning):
-        legacy = Cluster(3, seed=21, dissemination="chain",
-                         max_outstanding=16)
-    for cluster in (new, legacy):
-        assert cluster.config.dissemination.name == "chain"
-        assert cluster.config.max_outstanding == 16
-        assert sorted(cluster.peers) == [1, 2, 3]
-    assert new.cluster_config == legacy.cluster_config
-
 
 def test_cluster_config_replace_and_validation():
     spec = ClusterConfig(n_voters=5, dissemination="tree")
@@ -372,11 +357,3 @@ def test_cluster_config_replace_and_validation():
         ClusterConfig(zab={"dissemination": "chain"})
     with pytest.raises(ConfigError):
         ClusterConfig(dissemination="gossip").zab_config()
-
-
-def test_positional_legacy_spelling_stays_warning_free():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        cluster = Cluster(3, 1, 42)       # n_voters, n_observers, seed
-    assert sorted(cluster.peers) == [1, 2, 3, 4]
-    assert cluster.cluster_config.seed == 42

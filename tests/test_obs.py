@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from repro.bench.metrics import percentile
 from repro.obs import (
     NULL_TRACER,
     Counter,
@@ -19,6 +18,7 @@ from repro.obs import (
     phase_spans,
     summarize,
 )
+from repro.obs.series import nearest_rank
 from repro.sim import Simulator
 
 
@@ -85,9 +85,9 @@ def test_null_tracer_is_inert_and_inactive():
 def test_tracer_off_means_zero_events_from_a_real_run():
     # A cluster built without a tracer must leave the shared no-op
     # tracer untouched — the zero-overhead path.
-    from repro.harness import Cluster
+    from repro.harness import Cluster, ClusterConfig
 
-    cluster = Cluster(3, seed=0).start()
+    cluster = Cluster(ClusterConfig(n_voters=3, seed=0)).start()
     cluster.run_until_stable(timeout=30.0)
     cluster.submit_and_wait(("put", "k", "v"))
     assert len(NULL_TRACER.events) == 0
@@ -132,7 +132,7 @@ def test_histogram_quantiles_match_exact_percentile():
     for value in samples:
         histogram.observe(value)
     for fraction in (0.50, 0.95, 0.99):
-        exact = percentile(samples, fraction)
+        exact = nearest_rank(samples, fraction)
         sketch = histogram.quantile(fraction)
         assert abs(sketch - exact) / exact < 0.05, (
             "p%d: sketch %.6g vs exact %.6g" % (

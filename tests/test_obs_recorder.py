@@ -246,7 +246,8 @@ def test_assert_properties_does_not_dump_on_a_clean_run(tmp_path):
 def _replay_buggy(out_dir):
     bug = SEEDED_BUGS["quorum_skip"]
     result = replay_schedule(
-        bug.canonical_schedule(), leader_factory=bug.factory,
+        bug.canonical_schedule(),
+        ClusterConfig(leader_factory=bug.factory),
         recorder_dir=str(out_dir),
     )
     assert not result.ok, "seeded bug did not trip the checker"

@@ -11,7 +11,7 @@ live in ``tests/integration/test_ops_scenarios.py`` under ``-m ops``.
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.harness import Cluster
+from repro.harness import Cluster, ClusterConfig
 from repro.harness.opscenarios import (
     OPS_SCENARIOS,
     committed_txn_loss,
@@ -41,7 +41,7 @@ def test_schedules_are_json_round_trippable(family):
 
 
 def test_rolling_restart_bounces_leader_last():
-    leader = stable_leader_id(3, seed=0)
+    leader = stable_leader_id(ClusterConfig(n_voters=3, seed=0))
     schedule = OPS_SCENARIOS["rolling-restart"](seed=0)
     crashes = [a.target for a in schedule if a.kind == "crash"]
     assert sorted(crashes) == [1, 2, 3]
@@ -83,6 +83,32 @@ def test_family_smoke_run_passes(family):
     assert result.health["verdict"] == "healthy", result.health
 
 
+def test_rolling_restart_five_voters_loses_nothing():
+    result = run_ops_scenario(
+        OPS_SCENARIOS["rolling-restart"](seed=141, n_voters=5, gap=1.0)
+    )
+    assert result.passed, (result.replay.violations, result.lost)
+    assert len(result.replay.fired) == 10    # every voter down and back
+
+
+def test_flapping_a_follower_is_survivable_and_needs_no_election():
+    leader = stable_leader_id(ClusterConfig(n_voters=5, seed=142))
+    follower = leader % 5 + 1
+    result = run_ops_scenario(OPS_SCENARIOS["flapping-partition"](
+        seed=142, n_voters=5, victim=follower, flaps=4, period=0.3,
+    ))
+    assert result.passed, (result.replay.violations, result.lost)
+    assert result.replay.cluster.leader().peer_id == leader
+
+
+def test_flapping_the_leader_forces_reelection():
+    result = run_ops_scenario(
+        OPS_SCENARIOS["flapping-partition"](seed=143, n_voters=5)
+    )
+    assert result.passed, (result.replay.violations, result.lost)
+    assert len(result.replay.epochs) > 1
+
+
 def test_scenario_results_are_deterministic():
     schedule = OPS_SCENARIOS["snapshot-under-load"](seed=2)
     first = run_ops_scenario(schedule)
@@ -109,7 +135,7 @@ def test_snapshot_under_load_actually_compacts():
 # ---------------------------------------------------------------------------
 
 def stable_cluster(seed=0):
-    cluster = Cluster(3, seed=seed).start()
+    cluster = Cluster(ClusterConfig(n_voters=3, seed=seed)).start()
     cluster.run_until_stable(timeout=30)
     return cluster
 

@@ -9,14 +9,14 @@ before it shows up in any benchmark.
 
 import pytest
 
-from repro.harness import Cluster
+from repro.harness import Cluster, ClusterConfig
 from repro.net import Network, NetworkConfig
 from repro.sim import Simulator
 
 
 def run_quiet_broadcasts(n_voters, ops, seed=110):
     """Cluster with heartbeats effectively disabled during measurement."""
-    cluster = Cluster(n_voters, seed=seed).start()
+    cluster = Cluster(ClusterConfig(n_voters=n_voters, seed=seed)).start()
     cluster.run_until_stable(timeout=30)
     before = dict(cluster.network.stats.by_type)
     for i in range(ops):
@@ -46,7 +46,7 @@ def test_broadcast_message_counts(n_voters):
 
 
 def test_proposal_bytes_dominate_commit_bytes():
-    cluster = Cluster(3, seed=111).start()
+    cluster = Cluster(ClusterConfig(n_voters=3, seed=111)).start()
     cluster.run_until_stable(timeout=30)
     before = dict(cluster.network.stats.bytes_by_type)
     for i in range(10):
@@ -84,7 +84,7 @@ def test_remote_replica_does_not_slow_quorum():
     """With one far-away replica in a 3-peer ensemble, commit latency
     should track the *second fastest* follower, not the slow one —
     quorums wait for a majority, not for everyone."""
-    cluster = Cluster(3, seed=112).start()
+    cluster = Cluster(ClusterConfig(n_voters=3, seed=112)).start()
     cluster.run_until_stable(timeout=30)
     leader_id = cluster.leader().peer_id
     followers = [p for p in cluster.config.voters if p != leader_id]

@@ -10,7 +10,7 @@ SCRIPT = os.path.join(
 )
 
 SUPPORTED = [
-    "Cluster", "Client", "FaultSchedule", "ActionSchedule",
+    "Cluster", "ClusterConfig", "Client", "ActionSchedule",
     "run_broadcast_bench", "check_all", "Tracer", "MetricsRegistry",
     "replay_schedule", "shrink_schedule",
     "TxnSpan", "build_spans", "profile_trace", "CausalityGraph",
@@ -57,7 +57,7 @@ def test_drift_is_detected():
 
 
 def test_quickstart_flow_through_top_level_imports():
-    cluster = repro.Cluster(n_voters=3, seed=1).start()
+    cluster = repro.Cluster(repro.ClusterConfig(n_voters=3, seed=1)).start()
     cluster.run_until_stable()
     _result, zxid = cluster.submit_and_wait(("put", "greeting", "hello"))
     assert zxid is not None

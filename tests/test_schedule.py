@@ -82,19 +82,6 @@ def test_generate_never_crashes_beyond_minority():
             assert len(down) <= 2  # (5 - 1) // 2
 
 
-def test_legacy_pairs_match_campaign_vocabulary():
-    schedule = (
-        ActionSchedule()
-        .add(0.5, "crash", 2)
-        .add(1.0, "recover", 2)
-        .add(1.5, "partition", [[3]])
-        .add(2.0, "heal")
-    )
-    assert schedule.legacy_pairs() == [
-        ("crash", 2), ("recover", 2), ("isolate", 3), ("heal", None),
-    ]
-
-
 def test_replace_actions_preserves_meta():
     schedule = ActionSchedule(meta={"seed": 4}).add(1.0, "heal")
     trimmed = schedule.replace_actions([])

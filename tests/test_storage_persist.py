@@ -3,7 +3,7 @@
 import pytest
 
 from repro.app.statemachine import Txn
-from repro.harness import Cluster
+from repro.harness import Cluster, ClusterConfig
 from repro.storage.persist import StorageDirectory
 from repro.storage.records import LogRecord
 from repro.zab.peer import PeerStorage, ZabPeer
@@ -120,12 +120,19 @@ def test_torn_journal_tail_is_dropped_on_reload(tmp_path):
     reloaded = reload_storage(tmp_path)
     assert len(reloaded.log) == 2
     assert reloaded.log.last_durable() == Zxid(1, 2)
+    # An append after the tear must survive the next power cycle, not
+    # hide behind the garbage the torn record left.
+    reloaded.log.append(Zxid(2, 1), txn(9), size=16)
+    again = reload_storage(tmp_path)
+    assert len(again.log) == 3
+    assert again.log.last_durable() == Zxid(2, 1)
+    assert again.log.get(Zxid(2, 1)).txn.body == ("set", "k", 9)
 
 
 def test_cluster_peer_recovers_from_files_alone(tmp_path):
     """Full power-cycle: run a cluster with one file-backed peer, crash
     it, rebuild its storage purely from disk, and rejoin."""
-    cluster = Cluster(3, seed=160)
+    cluster = Cluster(ClusterConfig(n_voters=3, seed=160))
     directory = StorageDirectory(str(tmp_path), 1)
     file_storage = PeerStorage(**directory.create())
     cluster.storages[1] = file_storage
@@ -165,7 +172,7 @@ def test_snapshot_purge_double_reload_with_inflight_txns(tmp_path):
     log suffix alone — the double-reload path that exposed the purge
     watermark advancing past the durable tail.
     """
-    cluster = Cluster(3, seed=161)
+    cluster = Cluster(ClusterConfig(n_voters=3, seed=161))
     directory = StorageDirectory(str(tmp_path), 1)
     file_storage = PeerStorage(**directory.create())
     cluster.storages[1] = file_storage

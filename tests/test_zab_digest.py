@@ -54,7 +54,7 @@ def test_corrupted_follower_is_detected():
 
 
 def test_digest_disabled_by_default():
-    cluster = Cluster(3, seed=202).start()
+    cluster = Cluster(ClusterConfig(n_voters=3, seed=202)).start()
     cluster.run_until_stable(timeout=30)
     for i in range(10):
         cluster.submit_and_wait(("put", "k", i))

@@ -6,7 +6,7 @@ bookkeeping.
 """
 
 from repro.app.statemachine import Txn
-from repro.harness import Cluster
+from repro.harness import Cluster, ClusterConfig
 from repro.zab import messages
 from repro.zab.zxid import Zxid
 
@@ -17,7 +17,7 @@ def seed_txn(name):
 
 
 def test_three_peers_elect_exactly_one_leader():
-    cluster = Cluster(3, seed=2).start()
+    cluster = Cluster(ClusterConfig(n_voters=3, seed=2)).start()
     cluster.run_until_stable(timeout=30)
     leaders = [
         peer for peer in cluster.peers.values()
@@ -28,14 +28,14 @@ def test_three_peers_elect_exactly_one_leader():
 
 def test_highest_id_wins_fresh_election():
     # With identical (epoch, zxid) the server id breaks ties.
-    cluster = Cluster(5, seed=3).start()
+    cluster = Cluster(ClusterConfig(n_voters=5, seed=3)).start()
     leader = cluster.run_until_stable(timeout=30)
     assert leader.peer_id == 5
 
 
 def test_peer_with_most_advanced_log_wins():
     # Reachable state: a quorum accepted epoch 1, peer 1 logged the most.
-    cluster = Cluster(3, seed=4)
+    cluster = Cluster(ClusterConfig(n_voters=3, seed=4))
     for peer_id in (1, 2, 3):
         cluster.storages[peer_id].epochs.set_accepted_epoch(1)
         cluster.storages[peer_id].epochs.set_current_epoch(1)
@@ -47,7 +47,7 @@ def test_peer_with_most_advanced_log_wins():
 
 def test_higher_epoch_beats_higher_zxid():
     # Peer 1: old epoch, long log.  Peer 2: newer epoch, short log.
-    cluster = Cluster(3, seed=5)
+    cluster = Cluster(ClusterConfig(n_voters=3, seed=5))
     for peer_id in (1, 2, 3):
         cluster.storages[peer_id].epochs.set_accepted_epoch(2)
     cluster.storages[1].log.append(Zxid(1, 50), seed_txn("old"), size=10)
@@ -60,7 +60,7 @@ def test_higher_epoch_beats_higher_zxid():
 
 
 def test_minority_cannot_elect():
-    cluster = Cluster(5, seed=6)
+    cluster = Cluster(ClusterConfig(n_voters=5, seed=6))
     for peer_id in (3, 4, 5):
         cluster.peers[peer_id].crashed = True  # never started
     for peer_id in (1, 2):
@@ -72,7 +72,7 @@ def test_minority_cannot_elect():
 
 
 def test_rejoining_peer_finds_established_leader():
-    cluster = Cluster(3, seed=7).start()
+    cluster = Cluster(ClusterConfig(n_voters=3, seed=7)).start()
     leader = cluster.run_until_stable(timeout=30)
     follower_id = next(
         peer_id for peer_id in cluster.peers
@@ -88,7 +88,7 @@ def test_rejoining_peer_finds_established_leader():
 
 
 def test_quorum_reelects_after_leader_crash():
-    cluster = Cluster(5, seed=8).start()
+    cluster = Cluster(ClusterConfig(n_voters=5, seed=8)).start()
     first = cluster.run_until_stable(timeout=30)
     cluster.crash(first.peer_id)
     second = cluster.run_until_stable(timeout=30)
@@ -96,13 +96,13 @@ def test_quorum_reelects_after_leader_crash():
 
 
 def test_single_peer_ensemble_elects_itself():
-    cluster = Cluster(1, seed=9).start()
+    cluster = Cluster(ClusterConfig(n_voters=1, seed=9)).start()
     leader = cluster.run_until_stable(timeout=30)
     assert leader.peer_id == 1
 
 
 def test_epoch_increases_across_leader_changes():
-    cluster = Cluster(3, seed=10).start()
+    cluster = Cluster(ClusterConfig(n_voters=3, seed=10)).start()
     first = cluster.run_until_stable(timeout=30)
     epoch1 = first.storage.epochs.current_epoch
     cluster.crash(first.peer_id)

@@ -1,6 +1,6 @@
 """Unit tests for FLE internals, driven through puppet endpoints."""
 
-from repro.harness import Cluster
+from repro.harness import Cluster, ClusterConfig
 from repro.zab import messages
 from repro.zab.zxid import Zxid, ZXID_ZERO
 
@@ -29,7 +29,7 @@ class Puppet:
 
 def looking_peer(seed=350):
     """Peer 1 LOOKING; peers 2 and 3 are puppets."""
-    cluster = Cluster(3, seed=seed)
+    cluster = Cluster(ClusterConfig(n_voters=3, seed=seed))
     puppet2 = Puppet(cluster, 2)
     puppet3 = Puppet(cluster, 3)
     cluster.peers[1].start()
@@ -111,7 +111,7 @@ def test_stale_round_sender_is_helped_forward():
 
 
 def test_observer_probe_is_answered_with_elected_vote():
-    cluster = Cluster(3, n_observers=1, seed=356).start()
+    cluster = Cluster(ClusterConfig(n_voters=3, n_observers=1, seed=356)).start()
     cluster.run_until_stable(timeout=30)
     # The observer found the leader through probe replies.
     observer = cluster.peers[4]

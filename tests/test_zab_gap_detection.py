@@ -9,7 +9,7 @@ channel: it abandons the leader and re-syncs, exactly the effect a TCP
 reset has in ZooKeeper.
 """
 
-from repro.harness import Cluster
+from repro.harness import Cluster, ClusterConfig
 from repro.zab import messages
 from repro.zab.follower import _contiguous
 from repro.zab.zxid import Zxid
@@ -46,7 +46,7 @@ def drop_one_propose(cluster, victim_id):
 
 
 def test_single_dropped_propose_triggers_resync_not_divergence():
-    cluster = Cluster(3, seed=250).start()
+    cluster = Cluster(ClusterConfig(n_voters=3, seed=250)).start()
     cluster.run_until_stable(timeout=30)
     for i in range(3):
         cluster.submit_and_wait(("put", "k", i))
@@ -69,7 +69,7 @@ def test_single_dropped_propose_triggers_resync_not_divergence():
 def test_dropped_propose_history_never_skips():
     """The checker-level statement of the bug: no replica's history may
     skip a transaction, even when the transport drops a proposal."""
-    cluster = Cluster(3, seed=251).start()
+    cluster = Cluster(ClusterConfig(n_voters=3, seed=251)).start()
     cluster.run_until_stable(timeout=30)
     follower = next(
         peer for peer in cluster.peers.values() if peer.is_active_follower

@@ -46,7 +46,7 @@ def test_observer_snap_syncs_when_far_behind():
 def test_observer_probe_retries_until_leader_exists():
     # Boot ONLY the observer first: it probes into the void, then the
     # voters arrive and it must still find the leader.
-    cluster = Cluster(3, n_observers=1, seed=212)
+    cluster = Cluster(ClusterConfig(n_voters=3, n_observers=1, seed=212))
     cluster.peers[4].start()
     cluster.run(1.0)
     assert cluster.peers[4].state == messages.OBSERVING

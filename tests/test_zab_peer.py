@@ -142,7 +142,7 @@ def test_peer_storage_install_snapshot():
 
 
 def test_clone_state_machine_is_independent():
-    cluster = Cluster(3, seed=81).start()
+    cluster = Cluster(ClusterConfig(n_voters=3, seed=81)).start()
     cluster.run_until_stable(timeout=30)
     cluster.submit_and_wait(("put", "a", 1))
     leader = cluster.leader()

@@ -68,7 +68,7 @@ def test_plain_follower_read_can_be_stale_but_sync_read_is_fresh():
 
 
 def test_sync_read_fails_cleanly_when_not_serving():
-    cluster = Cluster(3, seed=121)
+    cluster = Cluster(ClusterConfig(n_voters=3, seed=121))
     cluster.peers[1].start()
     cluster.run(0.5)
     results = []
