@@ -59,7 +59,7 @@ def main():
     cluster.run_until(lambda: done, timeout=10)
     cluster.run(0.5)  # let the INFORM reach the observer
     ok, zxid = done[0]
-    print("writer committed the update as %r" % zxid)
+    print("writer committed the update as %r" % (zxid,))
     print("watch fired on the observer: %r" % (seen,))
     assert seen == [("changed", b"db://replica-7")]
 

@@ -20,6 +20,7 @@ Operations (tuples):
 from repro.app.statemachine import StateMachine
 
 _READS = frozenset(["get", "keys", "len"])
+_ABSENT = object()
 
 
 class KVError(Exception):
@@ -31,6 +32,9 @@ class KVStateMachine(StateMachine):
 
     def __init__(self):
         self._data = {}
+        # Snapshot payload bytes of _data, kept in step by apply() so a
+        # snapshot never walks the store to learn its own size.
+        self._data_bytes = 0
         self.applied_count = 0
 
     # -- primary side ---------------------------------------------------
@@ -69,11 +73,20 @@ class KVStateMachine(StateMachine):
         self.applied_count += 1
         if kind == "set":
             _, key, value = body
+            size = self._value_size
+            old = self._data.get(key, _ABSENT)
+            if old is _ABSENT:
+                self._data_bytes += size(key) + size(value)
+            else:
+                self._data_bytes += size(value) - size(old)
             self._data[key] = value
             return value
         if kind == "del":
             _, key = body
-            self._data.pop(key, None)
+            size = self._value_size
+            old = self._data.pop(key, _ABSENT)
+            if old is not _ABSENT:
+                self._data_bytes -= size(key) + size(old)
             return None
         if kind == "fail":
             _, key, reason = body
@@ -101,15 +114,15 @@ class KVStateMachine(StateMachine):
 
     def serialize(self):
         blob = (dict(self._data), self.applied_count)
-        nbytes = 16 + sum(
-            self._value_size(key) + self._value_size(value)
-            for key, value in self._data.items()
-        )
-        return blob, nbytes
+        return blob, 16 + self._data_bytes
 
     def restore(self, blob):
         data, applied = blob
         self._data = dict(data)
+        size = self._value_size
+        self._data_bytes = sum(
+            size(key) + size(value) for key, value in data.items()
+        )
         self.applied_count = applied
 
     def op_size(self, op):

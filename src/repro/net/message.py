@@ -68,10 +68,6 @@ def _dict_size(obj):
     )
 
 
-def _wire_size_call(obj):
-    return obj.wire_size()
-
-
 def _generic_size(obj):
     wire_size = getattr(obj, "wire_size", None)
     if callable(wire_size):
@@ -95,6 +91,10 @@ def _make_sizer(cls):
     type instead of once per message.  Sizes themselves stay
     per-instance (a 1 KiB write still costs more than an empty one).
     """
+    if callable(getattr(cls, "wire_size", None)):
+        # First: a payload class that is also a tuple (a zxid) must be
+        # sized by its own declaration, not walked as a container.
+        return cls.wire_size
     if cls is type(None) or issubclass(cls, bool):
         return lambda obj: 1
     if issubclass(cls, (int, float)):
@@ -107,8 +107,6 @@ def _make_sizer(cls):
         return _container_size
     if issubclass(cls, dict):
         return _dict_size
-    if callable(getattr(cls, "wire_size", None)):
-        return _wire_size_call
     return _generic_size
 
 

@@ -86,7 +86,9 @@ class Network:
         self._node_bandwidth = {}  # node -> egress bytes/s override
         self._rng = sim.random.stream("network")
         self._msg_seq = 0         # monotone id linking net.send -> net.deliver
-        self._type_names = {}     # payload class -> __name__ (hot-path cache)
+        # (src, dst, payload class) -> (stats cell, type name, (src, dst)):
+        # what _send would otherwise look up or build for every message.
+        self._links = {}
 
     # ------------------------------------------------------------------
     # Endpoint lifecycle
@@ -101,17 +103,18 @@ class Network:
         reset also retires the node's per-pair FIFO floors and NIC
         bookkeeping: a fresh connection owes no ordering to packets of a
         dead one, and without the purge a long campaign of client
-        restarts grows ``_last_arrival`` without bound.
+        restarts grows ``_last_arrival`` (and the per-link cache) without
+        bound.
         """
         returning = node_id in self._handlers
         self._handlers[node_id] = handler
         self._alive[node_id] = True
         self._incarnation[node_id] = self._incarnation.get(node_id, 0) + 1
         if returning:
-            last_arrival = self._last_arrival
-            for pair in [pair for pair in last_arrival
-                         if pair[0] == node_id or pair[1] == node_id]:
-                del last_arrival[pair]
+            for table in (self._last_arrival, self._links):
+                for key in [key for key in table
+                            if key[0] == node_id or key[1] == node_id]:
+                    del table[key]
         self._nic_free_at[node_id] = 0.0
 
     def set_alive(self, node_id, alive):
@@ -189,10 +192,15 @@ class Network:
     def _send(self, src, dst, payload, size):
         """The per-message fast path; *size* is precomputed by callers."""
         cls = payload.__class__
-        type_name = self._type_names.get(cls)
-        if type_name is None:
-            type_name = self._type_names[cls] = cls.__name__
-        self.stats.record_send(src, size, type_name, dst)
+        link = self._links.get((src, dst, cls))
+        if link is None:
+            link = self._links[(src, dst, cls)] = (
+                self.stats.send_cell(src, cls.__name__, dst), cls.__name__,
+                (src, dst),
+            )
+        cell, type_name, pair = link
+        cell[0] += 1
+        cell[1] += size
         msg_id = self._msg_seq + 1
         self._msg_seq = msg_id
         sim = self.sim
@@ -205,7 +213,10 @@ class Network:
         if dst not in self._handlers:
             self._drop(envelope, dst, "unknown-dest")
             return envelope
-        if not self.partitions.connected(src, dst):
+        # Nothing partitioned or cut is the common case: skip the call.
+        partitions = self.partitions
+        if ((partitions._groups is not None or partitions._cut_links)
+                and not partitions.connected(src, dst)):
             self._drop(envelope, dst, "partitioned")
             return envelope
         config = self.config
@@ -233,19 +244,18 @@ class Network:
         else:
             tx_done = now
         if self._link_latency:
-            arrival = tx_done + self._link_latency.get(
-                (src, dst), config.latency
-            )
+            arrival = tx_done + self._link_latency.get(pair, config.latency)
         else:
             arrival = tx_done + config.latency
         if config.jitter:
-            arrival += self._rng.uniform(0.0, config.jitter)
+            # uniform(0.0, jitter), bit for bit: 0.0 + (j - 0.0) * random()
+            arrival += config.jitter * self._rng.random()
         # Enforce FIFO per directed pair despite jitter.
         last_arrival = self._last_arrival
-        floor = last_arrival.get((src, dst), 0.0) + _FIFO_EPSILON
+        floor = last_arrival.get(pair, 0.0) + _FIFO_EPSILON
         if arrival < floor:
             arrival = floor
-        last_arrival[(src, dst)] = arrival
+        last_arrival[pair] = arrival
 
         sim.schedule_at(
             arrival, self._deliver, envelope, self._incarnation[dst]

@@ -26,6 +26,21 @@ PHASE_DISCOVERY = "discovery"
 PHASE_SYNC = "synchronization"
 PHASE_BROADCAST = "broadcast"
 
+#: Exact-class dispatch of leader traffic: message class -> name of the
+#: handling method (no message class is subclassed).
+_HANDLERS = {
+    messages.NewEpoch: "_on_new_epoch",
+    messages.HistoryRequest: "_on_history_request",
+    messages.SyncStart: "_on_sync_start",
+    messages.SyncTxn: "_on_sync_txn",
+    messages.NewLeader: "_on_new_leader",
+    messages.UpToDate: "_on_up_to_date",
+    messages.Propose: "_on_propose",
+    messages.Commit: "_on_commit",
+    messages.Ping: "_on_ping",
+    messages.SyncReply: "_on_sync_reply",
+}
+
 
 def _contiguous(last, zxid):
     """True if *zxid* directly extends *last* in the broadcast order.
@@ -129,7 +144,8 @@ class FollowerContext:
     # ------------------------------------------------------------------
 
     def on_message(self, src, msg):
-        if isinstance(msg, messages.Relay):
+        cls = msg.__class__
+        if cls is messages.Relay:
             # Relayed broadcast traffic arrives from a peer follower,
             # not the leader itself — validate by origin/epoch instead
             # of transport source.
@@ -138,26 +154,9 @@ class FollowerContext:
         if src != self.leader_id:
             return  # stale traffic from a deposed leader
         self._last_leader_contact = self.peer.sim.now
-        if isinstance(msg, messages.NewEpoch):
-            self._on_new_epoch(msg)
-        elif isinstance(msg, messages.HistoryRequest):
-            self._on_history_request()
-        elif isinstance(msg, messages.SyncStart):
-            self._on_sync_start(msg)
-        elif isinstance(msg, messages.SyncTxn):
-            self._on_sync_txn(msg)
-        elif isinstance(msg, messages.NewLeader):
-            self._on_new_leader(msg)
-        elif isinstance(msg, messages.UpToDate):
-            self._on_up_to_date(msg)
-        elif isinstance(msg, messages.Propose):
-            self._on_propose(msg)
-        elif isinstance(msg, messages.Commit):
-            self._on_commit(msg.zxid)
-        elif isinstance(msg, messages.Ping):
-            self._on_ping(msg)
-        elif isinstance(msg, messages.SyncReply):
-            self._on_sync_reply(msg)
+        handler = _HANDLERS.get(cls)
+        if handler is not None:
+            getattr(self, handler)(msg)
 
     # ------------------------------------------------------------------
     # Handshake
@@ -180,7 +179,7 @@ class FollowerContext:
             ),
         )
 
-    def _on_history_request(self):
+    def _on_history_request(self, msg):
         storage = self.peer.storage
         snapshot = None
         if storage.log.purged_through() is not None:
@@ -329,21 +328,30 @@ class FollowerContext:
         self.peer.send(self.leader_id, messages.Ack(zxid))
         self._deliver_committed()
 
-    def _on_commit(self, zxid):
-        if zxid > self.commit_frontier:
-            self.commit_frontier = zxid
+    def _on_commit(self, msg):
+        if msg.zxid > self.commit_frontier:
+            self.commit_frontier = msg.zxid
         self._deliver_committed()
 
     def _deliver_committed(self):
+        """Deliver the durable records the commit frontier now covers.
+
+        Runs on every durable callback, COMMIT and PING; most of those
+        move nothing, so the log is only read when the frontier is ahead
+        of what was already delivered.
+        """
         if not self.active:
             return
-        log = self.peer.storage.log
-        start = self.peer.last_committed
-        for record in log.entries_after(start):
-            if record.zxid > self.commit_frontier:
-                break
-            self.peer.commit_local(record.zxid, record.txn)
-        self._serve_ready_sync_reads()
+        peer = self.peer
+        frontier = self.commit_frontier
+        delivered = peer.last_committed
+        if delivered is None or frontier > delivered:
+            for record in peer.storage.log.entries_after(delivered):
+                if record.zxid > frontier:
+                    break
+                peer.commit_local(record.zxid, record.txn)
+        if self._sync_barriers:
+            self._serve_ready_sync_reads()
 
     # ------------------------------------------------------------------
     # Fresh reads (ZooKeeper's sync())

@@ -28,6 +28,18 @@ PHASE_FETCH = "fetch-history"
 PHASE_SYNC = "synchronization"
 PHASE_BROADCAST = "broadcast"
 
+#: Exact-class dispatch of learner traffic: message class -> name of the
+#: handling method (no message class is subclassed).
+_HANDLERS = {
+    messages.FollowerInfo: "_on_follower_info",
+    messages.AckEpoch: "_on_ack_epoch",
+    messages.HistoryResponse: "_on_history_response",
+    messages.AckNewLeader: "_on_ack_new_leader",
+    messages.Ack: "_on_ack",
+    messages.SyncRequest: "_on_sync_request",
+    messages.ForwardedRequest: "_on_forwarded_request",
+}
+
 
 class _FollowerHandle:
     """Per-learner connection state at the leader."""
@@ -156,27 +168,11 @@ class LeaderContext:
         handle = self.handles.get(src)
         if handle is not None:
             handle.last_contact = self.peer.sim.now
-        if isinstance(msg, messages.FollowerInfo):
-            self._on_follower_info(src, msg)
-        elif isinstance(msg, messages.AckEpoch):
-            self._on_ack_epoch(src, msg)
-        elif isinstance(msg, messages.HistoryResponse):
-            self._on_history_response(src, msg)
-        elif isinstance(msg, messages.AckNewLeader):
-            self._on_ack_new_leader(src, msg)
-        elif isinstance(msg, messages.Ack):
-            self._on_ack(src, msg.zxid)
-        elif isinstance(msg, messages.Pong):
-            pass  # last_contact already refreshed above
-        elif isinstance(msg, messages.SyncRequest):
-            self._on_sync_request(src, msg)
-        elif isinstance(msg, messages.ForwardedRequest):
-            self.submit(
-                PendingRequest(
-                    msg.request_id, msg.client, msg.origin, msg.op, msg.size
-                )
-            )
-        # anything else is stale traffic from an older role; ignore
+        # A PONG only refreshes last_contact; anything else without a
+        # handler is stale traffic from an older role.
+        handler = _HANDLERS.get(msg.__class__)
+        if handler is not None:
+            getattr(self, handler)(src, msg)
 
     # ------------------------------------------------------------------
     # Phase 1: discovery
@@ -385,6 +381,13 @@ class LeaderContext:
     # Phase 3: broadcast
     # ------------------------------------------------------------------
 
+    def _on_forwarded_request(self, src, msg):
+        self.submit(
+            PendingRequest(
+                msg.request_id, msg.client, msg.origin, msg.op, msg.size
+            )
+        )
+
     def submit(self, request):
         """Accept a client write (queues until established / window free)."""
         if not self.established:
@@ -436,12 +439,15 @@ class LeaderContext:
                     self.peer.send(handle.peer_id, message)
         else:
             self._disseminate(message)
+        # The leader acknowledges its own proposal once it is durable.
         self.peer.storage.log.append(
             zxid, txn, request.size,
-            callback=lambda z=zxid: self._on_ack(self.peer.peer_id, z),
+            callback=lambda ack=messages.Ack(zxid): self._on_ack(
+                self.peer.peer_id, ack),
         )
 
-    def _on_ack(self, src, zxid):
+    def _on_ack(self, src, msg):
+        zxid = msg.zxid
         proposal = self.proposals.get(zxid)
         if proposal is None or not self.config.is_voter(src):
             # An ACK for an already-committed proposal: protocol-wise a
@@ -489,7 +495,7 @@ class LeaderContext:
         committed_any = False
         while self.proposals:
             zxid, proposal = self.proposals.head()
-            if not self.config.quorum.contains_quorum(proposal.acks):
+            if proposal.quorum_at is None:
                 break
             del self.proposals[zxid]
             self._commit(zxid, proposal)

@@ -196,6 +196,9 @@ class Ack:
     def __init__(self, zxid):
         self.zxid = zxid
 
+    def wire_size(self):
+        return 16
+
 
 class Commit:
     """Leader -> follower: deliver everything up to (and incl.) zxid."""
@@ -204,6 +207,9 @@ class Commit:
 
     def __init__(self, zxid):
         self.zxid = zxid
+
+    def wire_size(self):
+        return 16
 
 
 class Inform:
@@ -259,8 +265,10 @@ class Relay:
         return count
 
     def wire_size(self):
+        # The wrapped message keeps its own framing: it is never charged
+        # less than a header (what a relayed COMMIT has always cost).
         inner = getattr(self.payload, "wire_size", None)
-        size = inner() if inner is not None else HEADER_BYTES
+        size = max(inner(), HEADER_BYTES) if inner else HEADER_BYTES
         return size + 16 + self.ROUTE_ENTRY_BYTES * self._route_nodes()
 
     def __repr__(self):

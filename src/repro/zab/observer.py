@@ -8,7 +8,20 @@ the same learner handshake as a follower.
 """
 
 from repro.zab import messages
+from repro.zab.follower import _contiguous
 from repro.zab.zxid import ZXID_ZERO
+
+#: Exact-class dispatch of leader traffic: message class -> name of the
+#: handling method (no message class is subclassed).
+_HANDLERS = {
+    messages.NewEpoch: "_on_new_epoch",
+    messages.SyncStart: "_on_sync_start",
+    messages.SyncTxn: "_on_sync_txn",
+    messages.NewLeader: "_on_new_leader",
+    messages.UpToDate: "_on_up_to_date",
+    messages.Inform: "_on_inform",
+    messages.Ping: "_on_ping",
+}
 
 
 class ObserverContext:
@@ -59,30 +72,28 @@ class ObserverContext:
         if src != self.leader_id:
             return
         self._last_leader_contact = self.peer.sim.now
-        if isinstance(msg, messages.NewEpoch):
-            self._on_new_epoch(msg)
-        elif isinstance(msg, messages.SyncStart):
-            self._sync_records = []
-            self._pending_snapshot = None
-            if msg.mode == messages.SYNC_TRUNC:
-                self.peer.storage.log.truncate(msg.trunc_zxid)
-            elif msg.mode == messages.SYNC_SNAP:
-                self._pending_snapshot = msg.snapshot
-        elif isinstance(msg, messages.SyncTxn):
-            self._sync_records.append((msg.zxid, msg.txn, msg.size))
-        elif isinstance(msg, messages.NewLeader):
-            self._on_new_leader(msg)
-        elif isinstance(msg, messages.UpToDate):
-            self._on_up_to_date(msg)
-        elif isinstance(msg, messages.Inform):
-            self._on_inform(msg)
-        elif isinstance(msg, messages.Ping):
-            self.peer.send(
-                self.leader_id,
-                messages.Pong(
-                    self.peer.storage.log.last_durable() or ZXID_ZERO
-                ),
-            )
+        handler = _HANDLERS.get(msg.__class__)
+        if handler is not None:
+            getattr(self, handler)(msg)
+
+    def _on_sync_start(self, msg):
+        self._sync_records = []
+        self._pending_snapshot = None
+        if msg.mode == messages.SYNC_TRUNC:
+            self.peer.storage.log.truncate(msg.trunc_zxid)
+        elif msg.mode == messages.SYNC_SNAP:
+            self._pending_snapshot = msg.snapshot
+
+    def _on_sync_txn(self, msg):
+        self._sync_records.append((msg.zxid, msg.txn, msg.size))
+
+    def _on_ping(self, msg):
+        self.peer.send(
+            self.leader_id,
+            messages.Pong(
+                self.peer.storage.log.last_durable() or ZXID_ZERO
+            ),
+        )
 
     def _on_new_epoch(self, msg):
         epochs = self.peer.storage.epochs
@@ -139,8 +150,6 @@ class ObserverContext:
         last = self.peer.storage.log.last_appended()
         if last is not None and msg.zxid <= last:
             return  # duplicate
-        from repro.zab.follower import _contiguous
-
         if not _contiguous(last, msg.zxid):
             # A committed transaction went missing in flight; re-sync
             # rather than deliver past the hole.

@@ -22,6 +22,14 @@ from repro.zab.pipeline import PendingRequest
 from repro.zab.zxid import ZXID_ZERO
 
 
+#: Messages the peer handles itself, whatever its role (exact class ->
+#: method name); everything else goes to the current role context.
+_HANDLERS = {
+    messages.Notification: "_on_notification",
+    messages.ClientRequest: "_on_client_request",
+}
+
+
 class PeerState:
     """Peer role constants (mirrors :mod:`repro.zab.messages`)."""
 
@@ -273,10 +281,9 @@ class ZabPeer(Process):
     def _on_message(self, src, msg):
         if self.crashed or self.state is None:
             return
-        if isinstance(msg, messages.Notification):
-            self._on_notification(src, msg)
-        elif isinstance(msg, messages.ClientRequest):
-            self._on_client_request(src, msg)
+        handler = _HANDLERS.get(msg.__class__)
+        if handler is not None:
+            getattr(self, handler)(src, msg)
         elif self.ctx is not None:
             self.ctx.on_message(src, msg)
 

@@ -23,7 +23,10 @@ class QuorumVerifier:
         raise NotImplementedError
 
     def contains_quorum(self, members):
-        """True if *members* (an iterable of peer ids) includes a quorum."""
+        """True if *members* (an iterable of peer ids) includes a quorum.
+
+        A peer id that occurs more than once counts once.
+        """
         raise NotImplementedError
 
     def validate_intersection(self):
@@ -62,8 +65,7 @@ class MajorityQuorum(QuorumVerifier):
         return self._threshold
 
     def contains_quorum(self, members):
-        count = sum(1 for member in members if member in self._voters)
-        return count >= self._threshold
+        return len(self._voters.intersection(members)) >= self._threshold
 
     def __repr__(self):
         return "MajorityQuorum(%d of %d)" % (
@@ -98,7 +100,9 @@ class WeightedQuorum(QuorumVerifier):
         return frozenset(self._weights)
 
     def contains_quorum(self, members):
-        weight = sum(self._weights.get(member, 0) for member in members)
+        weight = sum(
+            self._weights.get(member, 0) for member in set(members)
+        )
         return 2 * weight > self._total
 
     def __repr__(self):

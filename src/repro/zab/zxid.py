@@ -7,20 +7,26 @@ order Zab delivers in.  ZooKeeper packs the pair into a 64-bit integer
 (epoch in the high 32 bits); :meth:`Zxid.packed` mirrors that encoding.
 """
 
-import functools
+import collections
 
 
-@functools.total_ordering
-class Zxid:
-    """An (epoch, counter) transaction id."""
+class Zxid(collections.namedtuple("Zxid", ("epoch", "counter"))):
+    """An (epoch, counter) transaction id.
 
-    __slots__ = ("epoch", "counter")
+    A zxid *is* an immutable two-element tuple, so ordering, equality
+    and hashing run in C: logs are bisected and windows keyed by zxid
+    on every message of the broadcast path.  The consequence is that a
+    zxid equals (and orders against) the plain tuple of its parts —
+    ``Zxid(1, 2) == (1, 2)`` — while ordering against anything that is
+    not a tuple still raises ``TypeError``.
+    """
 
-    def __init__(self, epoch, counter):
+    __slots__ = ()
+
+    def __new__(cls, epoch, counter):
         if epoch < 0 or counter < 0:
             raise ValueError("zxid parts must be non-negative")
-        self.epoch = epoch
-        self.counter = counter
+        return tuple.__new__(cls, (epoch, counter))
 
     def next(self):
         """The next zxid of the same primary instance."""
@@ -28,7 +34,10 @@ class Zxid:
 
     def packed(self):
         """64-bit packed form: epoch << 32 | counter."""
-        return (self.epoch << 32) | self.counter
+        epoch, counter = self
+        if epoch >= 1 << 31 or counter >= 1 << 32:
+            raise OverflowError("%r does not fit the 64-bit form" % (self,))
+        return (epoch << 32) | counter
 
     @classmethod
     def unpack(cls, value):
@@ -36,23 +45,10 @@ class Zxid:
         return cls(value >> 32, value & 0xFFFFFFFF)
 
     def as_tuple(self):
-        return (self.epoch, self.counter)
-
-    def __eq__(self, other):
-        if not isinstance(other, Zxid):
-            return NotImplemented
-        return self.epoch == other.epoch and self.counter == other.counter
-
-    def __lt__(self, other):
-        if not isinstance(other, Zxid):
-            return NotImplemented
-        return (self.epoch, self.counter) < (other.epoch, other.counter)
-
-    def __hash__(self):
-        return hash((self.epoch, self.counter))
+        return tuple(self)
 
     def __repr__(self):
-        return "zxid(%d:%d)" % (self.epoch, self.counter)
+        return "zxid(%d:%d)" % self
 
     def wire_size(self):
         return 8

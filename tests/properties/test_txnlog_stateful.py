@@ -32,8 +32,8 @@ class TxnLogModel(RuleBasedStateMachine):
         self.next_counter += gap - 1
         zxid = Zxid(self.epoch, self.next_counter)
         self.next_counter += 1
-        self.log.append(zxid, "txn-%s" % zxid, size=10)
-        self.model.append((zxid, "txn-%s" % zxid))
+        self.log.append(zxid, "txn-%s" % (zxid,), size=10)
+        self.model.append((zxid, "txn-%s" % (zxid,)))
 
     @rule()
     def bump_epoch(self):

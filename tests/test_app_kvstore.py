@@ -1,9 +1,12 @@
 """Unit and property tests for the replicated KV state machine."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.app import KVStateMachine
+from repro.zab.peer import ZabPeer
 
 
 def prepared_apply(sm, op):
@@ -154,3 +157,54 @@ def test_snapshot_mid_stream_equivalent_to_full_replay(op_list, cut):
     for delta in deltas[cut:]:
         restored.apply(delta)
     assert restored.as_dict() == primary.as_dict()
+
+
+# --- snapshot size is kept incrementally --------------------------------------
+
+_keys = st.sampled_from(["a", "b", "long-key-name", b"raw", 7])
+_values = st.one_of(
+    st.text(max_size=20), st.binary(max_size=20), st.integers(-5, 5),
+    st.floats(allow_nan=False), st.none(), st.tuples(st.integers(0, 3)),
+)
+_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), _keys, _values),
+        st.tuples(st.just("incr"), _keys, st.integers(-3, 3)),
+        st.tuples(st.just("append"), _keys, st.text(max_size=5)),
+        st.tuples(st.just("cas"), _keys, _values, _values),
+        st.tuples(st.just("del"), _keys),
+        st.just(("noop",)),
+        st.just(("restore",)),
+        st.just(("clone",)),
+    ),
+    max_size=40,
+)
+
+
+def _walked_size(sm):
+    """The snapshot size as serialize() used to compute it: a full walk."""
+    size = KVStateMachine._value_size
+    return 16 + sum(
+        size(key) + size(value) for key, value in sm.as_dict().items()
+    )
+
+
+@given(_steps)
+def test_incremental_snapshot_size_equals_a_full_walk(steps):
+    sm = KVStateMachine()
+    assert sm.serialize()[1] == 16
+    for step in steps:
+        if step == ("noop",):
+            sm.apply(step)
+        elif step == ("restore",):
+            restored = KVStateMachine()
+            restored.restore(sm.serialize()[0])
+            sm = restored
+        elif step == ("clone",):
+            # ZabPeer.clone_state_machine needs only these two attributes.
+            sm = ZabPeer.clone_state_machine(
+                SimpleNamespace(app_factory=KVStateMachine, sm=sm)
+            )
+        else:
+            prepared_apply(sm, step)   # incl. "fail" deltas: no change
+        assert sm.serialize()[1] == _walked_size(sm), step

@@ -349,3 +349,69 @@ def test_make_report_embeds_health_summary():
     report = make_report("demo", {"x": 1.0}, health=health)
     assert report["health"]["verdict"] == "healthy"
     assert make_report("demo", {"x": 1.0}).get("health") is None
+
+
+# ---------------------------------------------------------------------------
+# scripts/check_e2e_counts.py: exact pins of the e2e benchmark's counts
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def counts_gate():
+    return load_script("check_e2e_counts")
+
+
+def _e2e_result(msgs_per_op=6.0):
+    return {
+        "schema": "bench-e2e/v1", "smoke": True, "seed": 11,
+        "workloads": {"saturated-n3": {
+            "untraced": {"work": 1515, "sim": {"sim_commit_p50_ms": 6.25},
+                         "detail": {"rejected": 0}},
+            "traced": {"per_layer": {
+                "net.msgs_per_op": msgs_per_op, "mc.runs": 0,
+                # Host-time metrics differ run to run and are not pinned.
+                "net.self_us_per_op": 43.1, "net.self_s_share": 0.3,
+                "app.apply_self_us": 0.6, "storage.snapshot_self_s": 0.01,
+                "mc.exhaust_host_s": 0.0, "mc.boot_s_share": 0.0,
+                "trace.overhead_ratio": 2.3, "trace.calibration_scale": 2.2,
+                "baseline.n1_ops_per_host_s": 38000.0,
+            }},
+        }},
+    }
+
+
+def test_counts_gate_pins_only_deterministic_values(tmp_path, counts_gate):
+    pinned = counts_gate.deterministic_values(_e2e_result())
+    assert pinned["workloads"]["saturated-n3"] == {
+        "untraced.work": 1515, "untraced.sim.sim_commit_p50_ms": 6.25,
+        "untraced.detail.rejected": 0, "traced.net.msgs_per_op": 6.0,
+        "traced.mc.runs": 0,
+    }
+
+
+def test_counts_gate_exit_codes(tmp_path, counts_gate, capsys):
+    pins = str(tmp_path / "pins.json")
+    result = _write(tmp_path, "r.json", _e2e_result())
+    assert counts_gate.main([result, "--pinned", pins, "--update"]) == 0
+    assert counts_gate.main([result, "--pinned", pins]) == 0
+    capsys.readouterr()
+    moved = _write(tmp_path, "moved.json", _e2e_result(msgs_per_op=6.5))
+    assert counts_gate.main([moved, "--pinned", pins]) == 1
+    assert ("saturated-n3 traced.net.msgs_per_op 6.0 6.5"
+            in capsys.readouterr().out)
+    garbled = tmp_path / "garbled.json"
+    garbled.write_text("{not json")
+    assert counts_gate.main([str(garbled), "--pinned", pins]) == 2
+    assert len(capsys.readouterr().out.strip().split("\n")) == 1
+    full_size = _write(tmp_path, "full.json", dict(_e2e_result(), smoke=False))
+    assert counts_gate.main([full_size, "--pinned", pins]) == 2
+
+
+def test_committed_counts_cover_all_four_workloads(counts_gate):
+    with open(counts_gate.DEFAULT_PINNED) as handle:
+        pinned = json.load(handle)
+    assert pinned["schema"] == counts_gate.PINNED_SCHEMA
+    assert sorted(pinned["workloads"]) == [
+        "explore-d5", "failover-n5", "mixed-n5obs2", "saturated-n3"]
+    for flat in pinned["workloads"].values():
+        assert flat["traced.trace.missing_boundaries"] == 0
+        assert not any(counts_gate.is_host_metric(name) for name in flat)

@@ -1,5 +1,6 @@
 """Follower-context behaviours that deserve direct pinning."""
 
+from repro.app.statemachine import Txn
 from repro.harness import Cluster, ClusterConfig
 from repro.zab import messages
 from repro.zab.zxid import Zxid
@@ -106,3 +107,49 @@ def test_follower_answers_history_request():
     follower.ctx.on_message(leader_id, messages.HistoryRequest())
     sent_after = cluster.network.stats.by_type.get("HistoryResponse", 0)
     assert sent_after == sent_before + 1
+
+
+def test_delivery_reads_the_log_only_when_something_is_deliverable():
+    # _deliver_committed runs on every durable callback, COMMIT and PING;
+    # it may touch the log only when the commit frontier is ahead of what
+    # was delivered, and out-of-order arrival still delivers in order.
+    cluster = stable_cluster(226, disk="model", fsync_latency=0.01)
+    cluster.submit_and_wait(("put", "k", 0))
+    cluster.run(0.3)
+    follower = active_follower(cluster)
+    leader_id = cluster.leader().peer_id
+    log = follower.storage.log
+    reads, delivered = [], []
+    read_log, commit_local = log.entries_after, follower.commit_local
+    log.entries_after = lambda zxid: reads.append(zxid) or read_log(zxid)
+    follower.commit_local = (
+        lambda zxid, txn: delivered.append(zxid) or commit_local(zxid, txn))
+
+    last = log.last_appended()
+    first, second = last.next(), last.next().next()
+    for value, zxid in enumerate((first, second), start=1):
+        txn = Txn("t-%d" % value, "r-%d" % value, None, leader_id,
+                  ("set", "k", value), 64)
+        follower.ctx.on_message(leader_id, messages.Propose(zxid, txn, 64))
+
+    # COMMIT overtakes the local fsync: one look, nothing durable yet.
+    follower.ctx.on_message(leader_id, messages.Commit(first))
+    assert len(reads) <= 1 and delivered == []
+
+    # Both fsyncs land: the first durable callback delivers *first*, the
+    # second has nothing newly committed and must not read the log.
+    reads.clear()
+    cluster.run(0.04)
+    assert log.last_durable() == second
+    assert delivered == [first] and len(reads) == 1
+
+    reads.clear()
+    follower.ctx.on_message(leader_id, messages.Commit(second))
+    assert delivered == [first, second] and len(reads) == 1
+    assert follower.sm.read(("get", "k")) == 2
+
+    # A repeated COMMIT and a PING at the frontier move nothing.
+    reads.clear()
+    follower.ctx.on_message(leader_id, messages.Commit(second))
+    follower.ctx.on_message(leader_id, messages.Ping(second))
+    assert reads == [] and delivered == [first, second]

@@ -117,3 +117,43 @@ def test_hierarchical_intersection_small():
         "c": {7: 1},
     })
     assert quorum.validate_intersection()
+
+
+# --- All verifiers: a repeated member counts once ------------------------------------
+
+_weights = st.dictionaries(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=4),
+    min_size=1, max_size=6,
+).filter(lambda weights: sum(weights.values()) > 0)
+
+
+def _split_in_groups(weights):
+    voters = sorted(weights)
+    half = (len(voters) + 1) // 2
+    groups = {"a": {v: weights[v] for v in voters[:half]}}
+    if voters[half:]:
+        groups["b"] = {v: weights[v] for v in voters[half:]}
+    return groups
+
+
+def test_repeated_member_is_not_a_quorum_of_three():
+    for quorum in (
+        MajorityQuorum([1, 2, 3]),
+        WeightedQuorum({1: 1, 2: 1, 3: 1}),
+        HierarchicalQuorum({"a": {1: 1, 2: 1, 3: 1}}),
+    ):
+        assert not quorum.contains_quorum([1, 1]), quorum
+        assert quorum.contains_quorum([1, 2, 1]), quorum
+
+
+@given(_weights, st.lists(st.integers(min_value=0, max_value=7), max_size=12))
+def test_verdict_on_a_list_is_the_verdict_on_its_set(weights, members):
+    for quorum in (
+        MajorityQuorum(weights),
+        WeightedQuorum(weights),
+        HierarchicalQuorum(_split_in_groups(weights)),
+    ):
+        assert (quorum.contains_quorum(members)
+                == quorum.contains_quorum(set(members))), quorum
+        assert quorum.validate_intersection(), quorum
