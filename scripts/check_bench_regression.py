@@ -51,6 +51,8 @@ ZERO_FLOOR = 1e-9
 def load_baseline(path):
     with open(path, "r", encoding="utf-8") as handle:
         baseline = json.load(handle)
+    if not isinstance(baseline, dict):
+        raise ValueError("%s: not a JSON object" % path)
     if baseline.get("schema") != BASELINE_SCHEMA:
         raise ValueError(
             "%s: schema %r is not %r"

@@ -10,8 +10,8 @@ reviewed snapshot update.
 
 Usage::
 
-    PYTHONPATH=src python scripts/check_public_api.py          # verify
-    PYTHONPATH=src python scripts/check_public_api.py --update # re-snapshot
+    python scripts/check_public_api.py          # verify
+    python scripts/check_public_api.py --update # re-snapshot
 
 Runs in CI alongside the tier-1 tests (also wrapped by
 ``tests/test_public_api.py`` so a plain pytest run covers it).
@@ -21,6 +21,11 @@ import inspect
 import json
 import os
 import sys
+
+sys.path.insert(
+    0,
+    os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"),
+)
 
 SNAPSHOT_PATH = os.path.join(os.path.dirname(__file__),
                              "api_snapshot.json")

@@ -20,7 +20,6 @@ and EXPERIMENTS.md for the paper-vs-measured record of every reproduced
 table and figure.
 """
 
-from repro.bench.micro import run_micro_suite
 from repro.bench.parallel import parallel_explore, run_parallel_campaign
 from repro.bench.runner import run_broadcast_bench
 from repro.bench.workloads import AggregateOpenLoopDriver, SessionClass
@@ -75,7 +74,6 @@ __all__ = [
     "ExplorerConfig",
     "ExplorationResult",
     "run_broadcast_bench",
-    "run_micro_suite",
     "run_parallel_campaign",
     "parallel_explore",
     "SessionClass",

@@ -6,9 +6,9 @@ simulated seconds.  Absolute values depend on the network/disk models
 configured; the experiments in :mod:`repro.bench.experiments` are about
 *shapes* (scaling curves, knees, dips), per EXPERIMENTS.md.
 
-The exceptions are :mod:`repro.bench.micro` (wall-clock rates of the
-simulation machinery itself) and :mod:`repro.bench.parallel` (wall-clock
-scale-out of campaigns and exploration across processes).
+The exception is :mod:`repro.bench.parallel` (wall-clock scale-out of
+campaigns and exploration across processes); wall-clock cost of the
+simulation machinery itself is measured by ``benchmarks/e2e/run.py``.
 """
 
 from repro.bench.metrics import Timeline

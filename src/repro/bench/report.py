@@ -115,7 +115,12 @@ def write_report(report, path):
 def load_report(path):
     """Read a ``BENCH_*.json`` file, checking its schema tag."""
     with open(path, "r", encoding="utf-8") as handle:
-        report = json.load(handle)
+        try:
+            report = json.load(handle)
+        except ValueError as exc:
+            raise ValueError("%s: not JSON (%s)" % (path, exc)) from exc
+    if not isinstance(report, dict):
+        raise ValueError("%s: not a JSON object" % path)
     if report.get("schema") != SCHEMA:
         raise ValueError(
             "%s: schema %r is not %r" % (path, report.get("schema"), SCHEMA)

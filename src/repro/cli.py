@@ -59,8 +59,6 @@ def cmd_experiment(args):
 
 
 def cmd_bench(args):
-    if args.micro:
-        return _cmd_bench_micro(args)
     tracer = None
     if args.json:
         # A protocol-level trace lets the report carry a health
@@ -115,22 +113,16 @@ def cmd_bench(args):
     return 0
 
 
-def _cmd_bench_micro(args):
-    """Wall-clock microbenchmarks of the simulation hot paths."""
-    from repro.bench.micro import (
-        render_micro, run_micro_suite, write_micro_report,
-    )
+class _UnreadableInput(Exception):
+    """An input file is missing or malformed; ``main`` exits 2 on it."""
 
-    metrics = run_micro_suite(
-        quick=args.quick,
-        progress=lambda name: print(".. %s" % name, file=sys.stderr),
-    )
-    print(render_micro(metrics))
-    if args.json:
-        params = {"quick": args.quick}
-        path = write_micro_report(metrics, path=args.json, params=params)
-        print("report: %s" % path)
-    return 0
+
+def _load(loader, path):
+    """``loader(path)``; the loaders name *path* in what they raise."""
+    try:
+        return loader(path)
+    except (OSError, ValueError) as exc:
+        raise _UnreadableInput("cannot read input: %s" % exc) from exc
 
 
 def _parse_kinds(spec):
@@ -150,11 +142,7 @@ def _cmd_trace_view(args):
     """Inspect an existing JSONL trace or flight-recorder dump."""
     from repro import obs
 
-    try:
-        events = obs.load_jsonl(args.view)
-    except (OSError, ValueError, KeyError) as exc:
-        print("cannot read %s: %s" % (args.view, exc), file=sys.stderr)
-        return 2
+    events = _load(obs.load_jsonl, args.view)
     marker = None
     if events and events[-1].kind == "recorder.dump":
         marker = events[-1]
@@ -269,12 +257,7 @@ def cmd_profile(args):
 
     if args.trace:
         # Analyse an existing capture instead of running a scenario.
-        try:
-            events = obs.load_jsonl(args.trace)
-        except (OSError, ValueError, KeyError) as exc:
-            print("cannot read %s: %s" % (args.trace, exc),
-                  file=sys.stderr)
-            return 2
+        events = _load(obs.load_jsonl, args.trace)
         params = {"trace": args.trace}
     else:
         from repro.harness.scenarios import crash_recovery_timeline
@@ -434,7 +417,7 @@ def cmd_shrink(args):
         return 2
 
     if args.schedule:
-        schedule = ActionSchedule.load(args.schedule)
+        schedule = _load(ActionSchedule.load, args.schedule)
         seed = schedule.meta.get("seed", args.seed)
         print("loaded %d-action schedule from %s"
               % (len(schedule), args.schedule))
@@ -710,12 +693,7 @@ def cmd_health(args):
     monitor = HealthMonitor(window=args.window)
     if args.trace:
         # Offline: judge an existing JSONL capture.
-        try:
-            events = obs.load_jsonl(args.trace)
-        except (OSError, ValueError, KeyError) as exc:
-            print("cannot read %s: %s" % (args.trace, exc),
-                  file=sys.stderr)
-            return 2
+        events = _load(obs.load_jsonl, args.trace)
         monitor.feed(events).finish()
         params = {"trace": args.trace, "window": args.window}
     elif args.schedule:
@@ -725,12 +703,7 @@ def cmd_health(args):
         from repro.harness.replay import replay_schedule
         from repro.harness.schedule import ActionSchedule
 
-        try:
-            schedule = ActionSchedule.load(args.schedule)
-        except (OSError, ValueError, KeyError) as exc:
-            print("cannot load %s: %s" % (args.schedule, exc),
-                  file=sys.stderr)
-            return 2
+        schedule = _load(ActionSchedule.load, args.schedule)
         tracer = obs.Tracer()
         tracer.disable("net.")
         replay_schedule(
@@ -804,13 +777,6 @@ def build_parser():
                          help="also write a BENCH_<name>.json report")
     p_bench.add_argument("--name", default="bench",
                          help="report name for --json (default bench)")
-    p_bench.add_argument("--micro", action="store_true",
-                         help="wall-clock hot-path microbenchmarks "
-                              "(kernel/fabric/checker/explore) instead "
-                              "of a simulated throughput run")
-    p_bench.add_argument("--quick", action="store_true",
-                         help="with --micro: ~10x smaller op counts "
-                              "(smoke mode; rates are not comparable)")
     p_bench.set_defaults(fn=cmd_bench)
 
     p_trace = sub.add_parser(
@@ -947,9 +913,10 @@ def build_parser():
     p_explore.add_argument("--workers", type=int, default=None,
                            metavar="N",
                            help="partition the search into root-sibling "
-                                "subtrees across N processes (budgets "
-                                "apply per subtree; merged summary is "
-                                "byte-identical for every N)")
+                                "subtrees across N processes (budgets and "
+                                "pruning apply per subtree: the summary is "
+                                "byte-identical for every N, and differs "
+                                "from the search without --workers)")
     p_explore.add_argument("--json", default=None, metavar="PATH",
                            help="write the JSON exploration summary here")
     p_explore.add_argument("-o", "--out", default=None,
@@ -1042,7 +1009,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _UnreadableInput as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

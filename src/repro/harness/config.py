@@ -50,13 +50,14 @@ class ClusterConfig:
         The always-on flight recorder (black box).  ``True`` (default)
         builds a fresh :class:`~repro.obs.FlightRecorder` in its
         near-zero-cost control-plane posture (elections, sync, role
-        transitions, faults — the microbench gate holds it within 5%
-        of tracing off); pass an instance to control capacity or
-        posture (``FlightRecorder(capture="all")`` rings the full
-        stream), or ``False``/``None`` for the bare ``NULL_TRACER``
-        path.  Without a ``tracer`` the recorder *is* the cluster
-        tracer; with one it rides the tracer's observer feed and
-        retains the tail of the recorded stream.
+        transitions, faults — ``tests/test_hotpath_budget.py`` holds it
+        to half a Python frame per committed op over tracing off);
+        pass an instance to control capacity or posture
+        (``FlightRecorder(capture="all")`` rings the full stream), or
+        ``False``/``None`` for the bare ``NULL_TRACER`` path.  Without
+        a ``tracer`` the recorder *is* the cluster tracer; with one it
+        rides the tracer's observer feed and retains the tail of the
+        recorded stream.
     leader_factory
         Leader-context factory seam (fault-injection tests plant broken
         leaders here; see :mod:`repro.harness.buggy`).

@@ -204,8 +204,17 @@ class ActionSchedule:
 
     @classmethod
     def load(cls, path):
+        """Read a schedule file; ``ValueError`` naming *path* if it is
+        not one (bad JSON, wrong shape, unknown kind, bad target)."""
         with open(path, encoding="utf-8") as f:
-            return cls.loads(f.read())
+            text = f.read()
+        try:
+            return cls.loads(text)
+        except (ValueError, KeyError, TypeError, ConfigError) as exc:
+            raise ValueError(
+                "%s: not an action schedule (%s: %s)"
+                % (path, type(exc).__name__, exc)
+            ) from exc
 
     # -- event-driven execution ----------------------------------------
 

@@ -84,8 +84,14 @@ class TraceEvent:
 
     @classmethod
     def from_dict(cls, data):
-        return cls(data["t"], data["node"], data["kind"],
-                   data.get("fields", {}))
+        event = cls(data["t"], data["node"], data["kind"],
+                    data.get("fields", {}))
+        if not (isinstance(event.t, (int, float))
+                and isinstance(event.kind, str)
+                and isinstance(event.fields, dict)):
+            raise TypeError("t must be a number, kind a string and "
+                            "fields an object")
+        return event
 
     def __eq__(self, other):
         if not isinstance(other, TraceEvent):
@@ -453,13 +459,25 @@ def dump_jsonl(events, destination):
 
 
 def load_jsonl(source):
-    """Read a JSONL trace (path or text file object) back into events."""
+    """Read a JSONL trace (path or text file object) back into events.
+
+    Raises ``ValueError`` naming the source and line number for a line
+    that is not a JSON object shaped like :meth:`TraceEvent.to_dict`.
+    """
     if isinstance(source, (str, bytes)):
         with io.open(source, "r", encoding="utf-8") as handle:
             return load_jsonl(handle)
     events = []
-    for line in source:
+    for number, line in enumerate(source, 1):
         line = line.strip()
-        if line:
+        if not line:
+            continue
+        try:
             events.append(TraceEvent.from_dict(json.loads(line)))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(
+                "%s line %d: not a trace event (%s: %s)"
+                % (getattr(source, "name", "<stream>"), number,
+                   type(exc).__name__, exc)
+            ) from exc
     return events

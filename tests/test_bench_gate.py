@@ -53,12 +53,21 @@ def test_report_round_trip(tmp_path):
     assert loaded["schema"] == SCHEMA
 
 
-def test_load_report_rejects_wrong_schema(tmp_path):
+def test_load_report_rejects_wrong_schema(tmp_path, gate, capsys):
     path = str(tmp_path / "bad.json")
     with open(path, "w") as handle:
         json.dump({"schema": "nope/v9", "metrics": {}}, handle)
     with pytest.raises(ValueError):
         load_report(path)
+    # Well-formed JSON of the wrong shape is an input error (one line,
+    # exit 2), never "a metric is out of tolerance" (exit 1).
+    listed = _write(tmp_path, "list.json", [1, 2, 3])
+    with pytest.raises(ValueError, match="list.json"):
+        load_report(listed)
+    good = _write(tmp_path, "BENCH_smoke.json", _report_payload({}))
+    for argv in ([listed], [good, "--baseline", listed]):
+        assert gate.main(argv) == 2
+        assert capsys.readouterr().err.count("\n") == 1
 
 
 def test_bench_metrics_flattens_result():

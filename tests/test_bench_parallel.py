@@ -139,13 +139,18 @@ def test_explore_workers_byte_identical_summary():
 
 
 def test_explore_subtree_units_cover_the_whole_search():
-    # The serial explorer's run count equals the root run plus every
-    # subtree's runs: the decomposition covers the tree exactly once.
+    # Up to depth 3 the serial explorer's run count equals the root run
+    # plus every subtree's runs (deeper, per-unit visited maps cannot
+    # prune across subtrees and the partitioned search runs more).  The
+    # decomposition must never drift, so the counts are exact: seed 0,
+    # 7 units; a state straddling two subtrees counts once in each.
     from repro.mc import Explorer
 
-    serial = Explorer(small_config()).run()
-    parallel = parallel_explore(small_config(), workers=1)
-    assert parallel.runs == serial.runs
+    serial = Explorer(small_config(depth=3)).run()
+    parallel = parallel_explore(small_config(depth=3), workers=1)
+    assert (serial.runs, serial.states_visited) == (36, 47)
+    assert (len(parallel.unit_results), parallel.runs,
+            parallel.states_visited) == (7, 36, 51)
     assert parallel.exhausted and serial.exhausted
     assert parallel.ok and serial.ok
 

@@ -164,6 +164,24 @@ def test_aggregate_driver_simulates_millions_of_sessions():
     assert web["latency"]["p50"] > 0
 
 
+@pytest.mark.parametrize("sessions", [1, 1024, 2**20, 10**6])
+def test_aggregate_driver_cost_is_independent_of_population(sessions):
+    # Sessions are a rate parameter, not objects: the same 400 ops/s
+    # spread over one session or a million fires the same kernel events
+    # and submits and commits the same ops, on any machine.  (The class
+    # name labels the arrival PRNG stream, so it is part of the pin.)
+    cluster = stable_cluster(seed=1)
+    fired = cluster.sim.events_fired
+    driver = AggregateOpenLoopDriver(cluster, [SessionClass(
+        "population", sessions=sessions, rate_per_session=400.0 / sessions,
+        read_fraction=0.5, op_size=64,
+    )]).start()
+    cluster.run(1.0)
+    driver.stop()
+    assert (cluster.sim.events_fired - fired, driver.submitted,
+            driver.committed) == (1779, 423, 202)
+
+
 def test_aggregate_driver_per_class_breakdowns_are_independent():
     cluster = stable_cluster(seed=141)
     classes = [

@@ -285,3 +285,49 @@ def test_trace_view_missing_file_is_usage_error(capsys, tmp_path):
     missing = str(tmp_path / "nope.jsonl")
     assert main(["trace", "--view", missing]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+# Every command that reads a user-supplied file must answer a missing,
+# truncated or well-formed-but-wrong one with one line and exit 2.
+_BAD_SCHEDULES = {
+    "missing-file": None,
+    "truncated-json": '{"version": 1, "actions": [{"t": 0.5, "act',
+    "json-list": "[1, 2, 3]",
+    "record-missing-key": '{"actions": [{"action": "heal"}]}',
+    "unknown-action-kind": '{"actions": [{"t": 1, "action": "explode"}]}',
+    "non-numeric-time": '{"actions": [{"t": "soon", "action": "heal"}]}',
+}
+_GOOD_LINE = '{"t": 0.1, "node": 1, "kind": "election.start", "fields": {}}\n'
+_BAD_TRACES = {
+    "missing-file": None,
+    "truncated-json": _GOOD_LINE + '{"t": 0.2, "node": 1, "ki',
+    "json-list": _GOOD_LINE + "[1, 2, 3]\n",
+    "record-missing-key": _GOOD_LINE + '{"t": 0.2, "node": 1}\n',
+    "non-numeric-time":
+        '{"t": "soon", "node": 1, "kind": "election.start", "fields": {}}\n',
+}
+_BAD_INPUTS = [
+    pytest.param(argv, text, id="%s-%s" % ("".join(argv), case))
+    for argv, cases in (
+        (["shrink", "--schedule"], _BAD_SCHEDULES),
+        (["health", "--schedule"], _BAD_SCHEDULES),
+        (["health", "--trace"], _BAD_TRACES),
+        (["profile", "--trace"], _BAD_TRACES),
+        (["trace", "--view"], _BAD_TRACES),
+    )
+    for case, text in cases.items()
+]
+
+
+@pytest.mark.parametrize("argv,text", _BAD_INPUTS)
+def test_malformed_input_file_is_one_line_and_exit_2(
+    capsys, tmp_path, argv, text
+):
+    path = tmp_path / "input.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(argv + [str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and str(path) in captured.err
+    assert "Traceback" not in captured.err

@@ -341,6 +341,29 @@ def test_relayed_topologies_beat_leader_direct_at_scale(egress_curve):
         assert egress_curve[(topology, 7)]["throughput"] > direct, topology
 
 
+@pytest.mark.parametrize("topology,egress_per_txn", [
+    ("leader-direct", 937.5), ("chain", 362.375),
+    ("tree", 580.75), ("ring", 362.375),
+])
+def test_leader_egress_bytes_per_txn_exact(topology, egress_per_txn):
+    # Each topology's signature, simulation-exact: no benchmark
+    # workload runs a relayed topology, so the byte counts are pinned
+    # here.  A protocol or wire-size change moves them on purpose.
+    cluster = Cluster(ClusterConfig(
+        n_voters=5, seed=1, dissemination=topology,
+    )).start()
+    leader = cluster.run_until_stable(timeout=60)
+    stats = cluster.network.stats
+    before = stats.egress_bytes(leader.peer_id)
+    done = []
+    for i in range(400):
+        cluster.submit(("put", "k%d" % (i % 16), i),
+                       callback=lambda _r, _z: done.append(None))
+    assert cluster.run_until(lambda: len(done) >= 400, timeout=60)
+    assert (stats.egress_bytes(leader.peer_id) - before) / 400 \
+        == egress_per_txn
+
+
 # ---------------------------------------------------------------------------
 # ClusterConfig
 # ---------------------------------------------------------------------------

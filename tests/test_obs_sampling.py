@@ -178,6 +178,30 @@ def test_sampling_shrinks_the_artifact_not_the_spans():
         assert span.propose_t <= span.quorum_t <= span.commit_t
 
 
+def _commit_puts(ops, **config):
+    cluster = Cluster(ClusterConfig(n_voters=3, seed=1, **config)).start()
+    cluster.run_until_stable(timeout=60.0)
+    done = []
+    for i in range(ops):
+        cluster.submit(("put", "k%d" % (i % 16), i),
+                       callback=lambda _r, _z: done.append(None))
+    assert cluster.run_until(lambda: len(done) >= ops, timeout=60.0)
+    return cluster
+
+
+def test_event_counts_per_posture_exact():
+    # The keep/drop decision is a pure function of the zxid, so the
+    # retained-event counts are the same on every platform, Python
+    # version and hash seed; so is what the default control-plane
+    # recorder rings (elections, sync, snapshot.save — never per-op).
+    sampled, full = Tracer(), Tracer()
+    sampled.sample(8, "net.", "log.", "leader.", "follower.", "peer.")
+    _commit_puts(1250, tracer=sampled, recorder=False)
+    _commit_puts(1250, tracer=full, recorder=False)
+    assert (len(sampled.events), len(full.events)) == (5810, 37583)
+    assert _commit_puts(5000).recorder.recorded == 44
+
+
 # ---------------------------------------------------------------------------
 # enable()/disable() symmetry — the documented scope contract
 # ---------------------------------------------------------------------------
