@@ -13,12 +13,12 @@ Run with::
     python examples/paxos_vs_zab.py
 """
 
-from repro.bench.experiments import e4_paxos_violation
+from repro.bench.experiments import EXPERIMENTS
 
 
 def main():
     print(__doc__)
-    rows, table, extras = e4_paxos_violation()
+    rows, table, extras = EXPERIMENTS["e4"].run()
     print(table)
 
     paxos, zab = rows

@@ -9,19 +9,18 @@ Usage::
 Each ``BENCH_<name>.json`` report (``repro profile --json`` /
 ``repro bench --json``; schema ``repro-bench/v1``) is compared against
 its entry in ``benchmarks/baseline.json``.  Every metric present in the
-baseline must be present in the run and agree within the per-metric
-tolerance (symmetric relative error, so the gate catches regressions
-*and* too-good-to-be-true jumps that usually mean the workload
-changed).  Metrics only the run has are informational — they become
-gated once ``--update`` records them.
+baseline must be present in the run and **equal** to it.  Metrics only
+the run has are informational — they become gated once ``--update``
+records them.
 
-The simulator runs on virtual time with seeded randomness, so runs are
-deterministic per (scenario, seed) and the default tolerances can stay
-tight; they absorb histogram-sketch error (~2%) and cross-version
-``random`` drift, not real perf changes.
+The simulator runs on virtual time with seeded randomness, so a run is
+bit-for-bit reproducible per (scenario, seed) — on any machine, under
+any ``PYTHONHASHSEED`` — and the gate compares with ``==``.  A change
+that moves a metric on purpose re-records the baseline with ``--update``
+and says so.
 
-Exit codes: 0 all reports within tolerance, 1 at least one violation,
-2 usage or file errors.
+Exit codes: 0 all reports equal their baseline, 1 at least one
+violation, 2 usage or file errors.
 """
 
 import argparse
@@ -41,11 +40,6 @@ DEFAULT_BASELINE = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "..", "benchmarks",
     "baseline.json",
 )
-#: Default symmetric relative tolerance per metric.
-DEFAULT_TOLERANCE = 0.15
-#: Scale floor so a zero baseline still tolerates float fuzz but flags
-#: any metric that becomes materially non-zero.
-ZERO_FLOOR = 1e-9
 
 
 def load_baseline(path):
@@ -67,63 +61,45 @@ def check_report(report, entry):
     """Compare one run against one baseline entry.
 
     Returns ``(rows, failures)`` where *rows* are
-    ``(metric, base, run, delta, allowed, status)`` for every baseline
-    metric and *failures* counts the violations.
+    ``(metric, base, run, status)`` for every baseline metric and
+    *failures* counts the violations.
     """
     base_metrics = entry["metrics"]
     run_metrics = report["metrics"]
-    default = entry.get("tolerance", DEFAULT_TOLERANCE)
-    overrides = entry.get("tolerances", {})
     rows = []
     failures = 0
     for metric in sorted(base_metrics):
         base = base_metrics[metric]
-        allowed = overrides.get(metric, default)
         run = run_metrics.get(metric)
         if run is None:
-            rows.append((metric, base, None, None, allowed, "MISSING"))
-            failures += 1
-            continue
-        scale = max(abs(base), ZERO_FLOOR)
-        delta = (run - base) / scale
-        if abs(delta) > allowed:
-            rows.append((metric, base, run, delta, allowed, "FAIL"))
-            failures += 1
+            status = "MISSING"
+        elif run == base:
+            status = "ok"
         else:
-            rows.append((metric, base, run, delta, allowed, "ok"))
+            status = "FAIL"
+        if status != "ok":
+            failures += 1
+        rows.append((metric, base, run, status))
     return rows, failures
 
 
 def render_rows(rows):
-    lines = [
-        "  %-34s %12s %12s %8s %8s  %s"
-        % ("metric", "baseline", "run", "delta", "allowed", "")
-    ]
-    for metric, base, run, delta, allowed, status in rows:
+    # repr: the digits the comparison saw, to the last one.
+    lines = ["  %-34s %22s %22s  %s" % ("metric", "baseline", "run", "")]
+    for metric, base, run, status in rows:
         lines.append(
-            "  %-34s %12.6g %12s %8s %7.0f%%  %s"
-            % (
-                metric, base,
-                "-" if run is None else "%.6g" % run,
-                "-" if delta is None else "%+.1f%%" % (delta * 100),
-                allowed * 100,
-                status if status != "ok" else "",
-            )
+            "  %-34s %22r %22s  %s"
+            % (metric, base, "-" if run is None else repr(run),
+               status if status != "ok" else "")
         )
     return "\n".join(lines)
 
 
 def update_baseline(path, reports, existing):
-    """Record *reports* as the new baseline, keeping tolerance knobs."""
+    """Record *reports* as the new baseline (other entries are kept)."""
     entries = dict(existing.get("entries", {})) if existing else {}
     for report in reports:
-        old = entries.get(report["name"], {})
-        entry = {"metrics": report["metrics"]}
-        if "tolerance" in old:
-            entry["tolerance"] = old["tolerance"]
-        if "tolerances" in old:
-            entry["tolerances"] = old["tolerances"]
-        entries[report["name"]] = entry
+        entries[report["name"]] = {"metrics": report["metrics"]}
     baseline = {"schema": BASELINE_SCHEMA, "entries": entries}
     directory = os.path.dirname(os.path.abspath(path))
     if directory and not os.path.isdir(directory):

@@ -242,37 +242,6 @@ def _drive_partitions(cluster, sim, seed, steps, flap_period, op_interval,
             cluster.heal()
 
 
-def render_comparison(zab_results, paxos_results):
-    """Side-by-side organic-violation table for E4b.
-
-    Result lists merged from parallel workers may arrive in any order;
-    everything here aggregates by value and sorts by seed, so the table
-    is independent of how the runs were scheduled.
-    """
-    zab_bad = sorted(seed for seed, violations in zab_results if violations)
-    paxos_bad = sorted(
-        seed for seed, violations in paxos_results if violations
-    )
-    properties = sorted({
-        prop
-        for _seed, violations in paxos_results
-        for prop in violations
-    })
-    rows = [
-        ("zab", len(zab_results), len(zab_bad), ", ".join(
-            str(seed) for seed in zab_bad) or "-", "-"),
-        ("paxos (8 outstanding)", len(paxos_results), len(paxos_bad),
-         ", ".join(str(seed) for seed in paxos_bad) or "-",
-         ", ".join(properties) or "-"),
-    ]
-    return render_table(
-        ["system", "seeds", "violating seeds", "which", "properties"],
-        rows,
-        title="E4b: organic PO violations under partition fault "
-              "injection (unscripted)",
-    )
-
-
 def render_campaign(outcomes):
     """Summary table plus a verdict line.
 

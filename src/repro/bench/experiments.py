@@ -1,23 +1,39 @@
-"""The paper's evaluation, reconstructed (experiments E1-E10).
+"""The paper's evaluation, reconstructed: the registry of experiments.
 
-Each function runs one experiment end-to-end on the simulator and returns
-``(rows, table_text, extras)`` where *rows* are structured data points,
-*table_text* is the printable artifact matching the paper's table/figure,
-and *extras* carries experiment-specific material (timelines, property
-reports).
+``EXPERIMENTS`` maps each id (``e1`` ... ``a3``) to an
+:class:`Experiment` carrying its title, the paper artefact it
+reconstructs, its table columns (declared once: row key -> header) and
+the function that measures it on the simulator, whose keyword defaults
+are the parameters of record.  ``EXPERIMENTS[id].run()`` returns
+``(rows, table_text, extras)``: structured data points, the printable
+artefact, and experiment-specific material (timelines, property reports).
 
-See DESIGN.md for the experiment index and EXPERIMENTS.md for the
-recorded paper-vs-measured outcomes.
+``python -m repro experiments [ID ...]`` is the only producer of the
+recorded tables (``benchmarks/results/<id>.txt`` and that id's fenced
+block of EXPERIMENTS.md).  The paper-shape assertion of every id, and
+the byte-equality of a fresh run with the committed table, live in
+``tests/test_experiments.py``; DESIGN.md holds the index.
 """
 
+import inspect
+
 from repro.app.statemachine import Txn
+from repro.bench.campaign import (
+    run_partition_campaign_paxos,
+    run_partition_campaign_zab,
+)
 from repro.bench.formats import render_series, render_table
 from repro.bench.runner import (
     default_op_factory,
+    require_properties,
     run_broadcast_bench,
 )
 from repro.bench.workloads import OpenLoopDriver
 from repro.harness import ActionSchedule, Cluster, ClusterConfig
+from repro.harness.scenarios import (
+    crash_recovery_timeline,
+    measure_recovery_gap,
+)
 from repro.net import NetworkConfig
 from repro.zab.dissemination import DISSEMINATION_TOPOLOGIES
 from repro.paxos import PaxosCluster
@@ -26,27 +42,97 @@ from repro.zab.sync import make_sync_plan
 from repro.zab.zxid import Zxid
 
 # Shared small-scale defaults: big enough for stable measurements, small
-# enough that the whole benchmark suite finishes in minutes of wall time.
+# enough that the whole evaluation regenerates in minutes of wall time.
 _BANDWIDTH = 25e6          # bytes/s (a 200 Mb/s link)
 _OP_SIZE = 1024            # the paper's 1K operations
 _DURATION = 1.0
 _WARMUP = 0.3
 
+#: id -> :class:`Experiment`, in the order EXPERIMENTS.md presents them.
+EXPERIMENTS = {}
 
-# ---------------------------------------------------------------------------
-# E1: saturated broadcast throughput vs. ensemble size
-# ---------------------------------------------------------------------------
 
+class Experiment:
+    """One entry of the evaluation registry.
+
+    *columns* maps each table column's row key to its header, or to
+    ``(header, show)`` when the cell shows ``show(value)``.  *title* may
+    name parameters (``"... at {rate} ops/s"``).  A timeline experiment
+    returns its ``series`` in *extras*; the table ends with its sparkline.
+    """
+
+    def __init__(self, eid, title, artefact, columns, measure):
+        self.id = eid
+        self.title = "%s: %s" % (eid.capitalize(), title)
+        self.artefact = artefact
+        self.columns = {
+            key: spec if isinstance(spec, tuple) else (spec, None)
+            for key, spec in columns.items()
+        }
+        self.measure = measure
+
+    @property
+    def params(self):
+        """The parameters of record: *measure*'s keyword defaults."""
+        return {
+            name: parameter.default for name, parameter
+            in inspect.signature(self.measure).parameters.items()
+        }
+
+    def run(self, **overrides):
+        """Measure (at the parameters of record unless overridden) and
+        render; returns ``(rows, table_text, extras)``."""
+        params = dict(self.params, **overrides)
+        rows, extras = self.measure(**params)
+        table = render_table(
+            [header for header, _show in self.columns.values()],
+            [
+                [show(row[key]) if show else row[key]
+                 for key, (_header, show) in self.columns.items()]
+                for row in rows
+            ],
+            title=self.title.format(**params),
+        )
+        if "series" in extras:
+            table += "\n" + render_series(extras["series"])
+        return rows, table, extras
+
+
+def experiment(eid, title, artefact, columns):
+    """Register the decorated ``measure(**params) -> (rows, extras)``."""
+    def register(measure):
+        EXPERIMENTS[eid] = Experiment(eid, title, artefact, columns, measure)
+        return measure
+    return register
+
+
+def _bench(n_voters, duration, seed, op_size=_OP_SIZE, **kwargs):
+    """``run_broadcast_bench`` on the evaluation's link, warm-up and
+    operation size (it raises unless the history passes the checker)."""
+    return run_broadcast_bench(
+        n_voters, op_size=op_size, duration=duration, warmup=_WARMUP,
+        seed=seed, bandwidth_bps=_BANDWIDTH, **kwargs
+    )
+
+
+def _listed(values):
+    return ", ".join(str(value) for value in values) or "-"
+
+
+@experiment(
+    "e1", "saturated 1KiB-write throughput vs. ensemble size",
+    'Fig. "Saturated broadcast throughput vs. ensemble size"',
+    {"servers": "servers", "throughput": "ops/s",
+     "ideal_net_bound": "net-bound ops/s", "efficiency": "efficiency",
+     "p50_latency_ms": "p50 (ms)"},
+)
 def e1_throughput_vs_servers(sizes=(3, 5, 7, 9, 11, 13), duration=_DURATION,
                              seed=1):
     """The paper's headline figure: the leader's egress NIC saturates, so
     throughput falls roughly as B/(n-1)."""
     rows = []
     for n in sizes:
-        result = run_broadcast_bench(
-            n, op_size=_OP_SIZE, outstanding=64, duration=duration,
-            warmup=_WARMUP, seed=seed, bandwidth_bps=_BANDWIDTH,
-        )
+        result = _bench(n, duration, seed, outstanding=64)
         ideal = _BANDWIDTH / (_OP_SIZE * (n - 1))
         rows.append({
             "servers": n,
@@ -55,23 +141,17 @@ def e1_throughput_vs_servers(sizes=(3, 5, 7, 9, 11, 13), duration=_DURATION,
             "efficiency": result.throughput / ideal,
             "p50_latency_ms": result.latency["p50"] * 1000,
         })
-    table = render_table(
-        ["servers", "ops/s", "net-bound ops/s", "efficiency",
-         "p50 (ms)"],
-        [
-            (row["servers"], row["throughput"], row["ideal_net_bound"],
-             row["efficiency"], row["p50_latency_ms"])
-            for row in rows
-        ],
-        title="E1: saturated 1KiB-write throughput vs. ensemble size",
-    )
-    return rows, table, {}
+    return rows, {}
 
 
-# ---------------------------------------------------------------------------
-# E1b: throughput vs. ensemble size, per dissemination topology
-# ---------------------------------------------------------------------------
-
+@experiment(
+    "e1b", "saturated throughput vs. ensemble size, per dissemination "
+           "topology",
+    "E1 under each dissemination topology (repo addition)",
+    {"topology": "topology", "servers": "servers", "throughput": "ops/s",
+     "leader_egress_bytes_per_txn": "leader B/txn",
+     "p50_latency_ms": "p50 (ms)"},
+)
 def e1b_topology_scaling(sizes=(3, 5, 7, 9, 11, 13),
                          topologies=DISSEMINATION_TOPOLOGIES,
                          duration=_DURATION, seed=1):
@@ -86,11 +166,8 @@ def e1b_topology_scaling(sizes=(3, 5, 7, 9, 11, 13),
     rows = []
     for topology in topologies:
         for n in sizes:
-            result = run_broadcast_bench(
-                n, op_size=_OP_SIZE, outstanding=64, duration=duration,
-                warmup=_WARMUP, seed=seed, bandwidth_bps=_BANDWIDTH,
-                dissemination=topology,
-            )
+            result = _bench(n, duration, seed, outstanding=64,
+                            dissemination=topology)
             stats = result.net_stats
             leader_id = result.params["leader"]
             leader_bytes = stats["bytes_sent"].get(
@@ -104,33 +181,22 @@ def e1b_topology_scaling(sizes=(3, 5, 7, 9, 11, 13),
                 "leader_egress_bytes_per_txn": leader_bytes / committed,
                 "p50_latency_ms": result.latency["p50"] * 1000,
             })
-    table = render_table(
-        ["topology", "servers", "ops/s", "leader B/txn", "p50 (ms)"],
-        [
-            (row["topology"], row["servers"], row["throughput"],
-             row["leader_egress_bytes_per_txn"], row["p50_latency_ms"])
-            for row in rows
-        ],
-        title="E1b: saturated throughput vs. ensemble size, per "
-              "dissemination topology",
-    )
-    return rows, table, {}
+    return rows, {}
 
 
-# ---------------------------------------------------------------------------
-# E2: latency vs. offered load (open loop)
-# ---------------------------------------------------------------------------
-
+@experiment(
+    "e2", "latency vs. offered load (n=5, 1KiB writes)",
+    'Fig. "Latency vs. offered load"',
+    {"offered_rate": "offered ops/s", "throughput": "achieved ops/s",
+     "p50_ms": "p50 (ms)", "p99_ms": "p99 (ms)"},
+)
 def e2_latency_vs_load(rates=(500, 1000, 2000, 4000, 8000, 12000),
                        n_voters=5, duration=_DURATION, seed=2):
     """Latency stays flat until the offered load hits the service
     capacity, then queues blow up — the classic knee."""
     rows = []
     for rate in rates:
-        result = run_broadcast_bench(
-            n_voters, op_size=_OP_SIZE, duration=duration, warmup=_WARMUP,
-            seed=seed, bandwidth_bps=_BANDWIDTH, open_loop_rate=rate,
-        )
+        result = _bench(n_voters, duration, seed, open_loop_rate=rate)
         p50 = result.latency.get("p50")
         p99 = result.latency.get("p99")
         rows.append({
@@ -139,48 +205,29 @@ def e2_latency_vs_load(rates=(500, 1000, 2000, 4000, 8000, 12000),
             "p50_ms": p50 * 1000 if p50 is not None else None,
             "p99_ms": p99 * 1000 if p99 is not None else None,
         })
-    table = render_table(
-        ["offered ops/s", "achieved ops/s", "p50 (ms)", "p99 (ms)"],
-        [
-            (row["offered_rate"], row["throughput"], row["p50_ms"],
-             row["p99_ms"])
-            for row in rows
-        ],
-        title="E2: latency vs. offered load (n=5, 1KiB writes)",
-    )
-    return rows, table, {}
+    return rows, {}
 
 
-# ---------------------------------------------------------------------------
-# E3: throughput timeline under injected failures
-# ---------------------------------------------------------------------------
-
+@experiment(
+    "e3", "throughput through failures (n=5, open loop)",
+    'Fig. "Throughput timeline under failures"',
+    {"phase": "phase", "window": "window", "ops_per_s": "ops/s"},
+)
 def e3_failure_timeline(n_voters=5, seed=3, rate=2000):
     """Follower crash barely dents throughput; a leader crash opens a
     visible gap (election + sync) before service resumes."""
-    cluster = Cluster(ClusterConfig(
-        n_voters=n_voters, seed=seed,
-        net=NetworkConfig(bandwidth_bps=_BANDWIDTH, latency=0.0002),
-    )).start()
-    cluster.run_until_stable(timeout=60)
-    driver = OpenLoopDriver(
-        cluster, rate, default_op_factory(_OP_SIZE), _OP_SIZE,
-        warmup=0.0, timeline_bucket=0.1,
+    cluster, driver, events = crash_recovery_timeline(
+        n_voters=n_voters, seed=seed, rate=rate, duration=10.0,
+        bandwidth_bps=_BANDWIDTH, op_size=_OP_SIZE,
+        schedule=(
+            ActionSchedule()
+            .add(2.0, "crash_follower")
+            .add(4.0, "recover_all")
+            .add(6.0, "crash_leader")
+            .add(8.0, "recover_all")
+        ),
     )
-    t0 = cluster.sim.now
-    events = (
-        ActionSchedule()
-        .add(2.0, "crash_follower")
-        .add(4.0, "recover_all")
-        .add(6.0, "crash_leader")
-        .add(8.0, "recover_all")
-        .install(cluster, start=t0)
-    )
-    driver.start()
-    cluster.run(10.0)
-    driver.stop()
-    cluster.run(0.5)
-
+    t0 = driver.started_at
     series = driver.timeline.series(start=t0, end=t0 + 10.0)
 
     def window_rate(lo, hi):
@@ -197,23 +244,12 @@ def e3_failure_timeline(n_voters=5, seed=3, rate=2000):
         {"phase": "recovered", "window": "8.5-10s",
          "ops_per_s": window_rate(8.5, 10.0)},
     ]
-    table = render_table(
-        ["phase", "window", "ops/s"],
-        [(row["phase"], row["window"], row["ops_per_s"]) for row in rows],
-        title="E3: throughput through failures (n=5, open loop)",
-    )
-    table += "\n" + render_series(series)
-    report = cluster.check_properties()
-    return rows, table, {
+    return rows, {
         "series": series,
         "events": events,
-        "report": report,
+        "report": require_properties(cluster),
     }
 
-
-# ---------------------------------------------------------------------------
-# E4: the Paxos primary-order counter-example, executable
-# ---------------------------------------------------------------------------
 
 def _paxos_counterexample(seed=4):
     cluster = PaxosCluster(3, seed=seed, auto_scout=False).start()
@@ -265,9 +301,17 @@ def _zab_same_crash_pattern(seed=4):
     return cluster
 
 
+@experiment(
+    "e4", "paper's multi-primary run — checker verdicts",
+    'Fig. "Paxos run violating primary order" (analytical → executable)',
+    {"system": "system",
+     "violations": ("violated properties",
+                    lambda names: ", ".join(names) or "(none)")},
+)
 def e4_paxos_violation(seed=4):
     """Run the paper's counter-example under both protocols and diff the
-    property-checker verdicts."""
+    property-checker verdicts (the verdicts are the result: the Paxos
+    history is expected to fail, so neither is raised on)."""
     paxos = _paxos_counterexample(seed)
     paxos_report = paxos.check_properties()
     zab = _zab_same_crash_pattern(seed)
@@ -284,24 +328,50 @@ def e4_paxos_violation(seed=4):
             "final_state": zab.states(),
         },
     ]
-    table = render_table(
-        ["system", "violated properties"],
-        [
-            (row["system"], ", ".join(row["violations"]) or "(none)")
-            for row in rows
-        ],
-        title="E4: paper's multi-primary run — checker verdicts",
-    )
-    return rows, table, {
+    return rows, {
         "paxos_report": paxos_report,
         "zab_report": zab_report,
     }
 
 
-# ---------------------------------------------------------------------------
-# E5: pipelining — throughput vs. max outstanding proposals
-# ---------------------------------------------------------------------------
+@experiment(
+    "e4b", "organic PO violations under partition fault injection "
+           "(unscripted)",
+    "Organic PO violations (unscripted strengthening of E4)",
+    {"system": "system", "seeds": "seeds", "violating": "violating seeds",
+     "which": ("which", _listed), "properties": ("properties", _listed)},
+)
+def e4b_organic_violations(seeds=range(20)):
+    """Identical partition-only adversaries and load against both
+    systems: pipelined Paxos violates primary integrity on a visible
+    fraction of seeds (a fresh leader broadcasts before its state covers
+    the re-proposed suffix — the barrier Zab's Phase 2 enforces), Zab on
+    none.  Like E4, the checker verdicts are the result."""
+    rows = []
+    for system, campaign in (
+        ("zab", run_partition_campaign_zab),
+        ("paxos (8 outstanding)", run_partition_campaign_paxos),
+    ):
+        results = campaign(seeds)
+        bad = sorted(seed for seed, violations in results if violations)
+        rows.append({
+            "system": system,
+            "seeds": len(results),
+            "violating": len(bad),
+            "which": bad,
+            "properties": sorted({
+                prop for _seed, violations in results for prop in violations
+            }),
+        })
+    return rows, {}
 
+
+@experiment(
+    "e5", "pipelining (n=5, 1KiB writes)",
+    'Table "Pipelining: throughput vs. max outstanding"',
+    {"outstanding": "outstanding", "throughput": "ops/s",
+     "p50_ms": "p50 (ms)"},
+)
 def e5_pipelining(window_sizes=(1, 2, 4, 8, 16, 32, 64), n_voters=5,
                   duration=_DURATION, seed=5):
     """outstanding=1 is the conservative one-at-a-time sequencer; Zab's
@@ -309,40 +379,34 @@ def e5_pipelining(window_sizes=(1, 2, 4, 8, 16, 32, 64), n_voters=5,
     NIC, not the RTT, is the bottleneck."""
     rows = []
     for window in window_sizes:
-        result = run_broadcast_bench(
-            n_voters, op_size=_OP_SIZE, outstanding=window,
-            duration=duration, warmup=_WARMUP, seed=seed,
-            bandwidth_bps=_BANDWIDTH, max_outstanding=max(window, 1),
-        )
+        result = _bench(n_voters, duration, seed, outstanding=window,
+                        max_outstanding=max(window, 1))
         rows.append({
             "outstanding": window,
             "throughput": result.throughput,
             "p50_ms": result.latency["p50"] * 1000,
         })
-    table = render_table(
-        ["outstanding", "ops/s", "p50 (ms)"],
-        [
-            (row["outstanding"], row["throughput"], row["p50_ms"])
-            for row in rows
-        ],
-        title="E5: pipelining (n=5, 1KiB writes)",
-    )
-    return rows, table, {}
+    return rows, {}
 
-
-# ---------------------------------------------------------------------------
-# E6: synchronisation strategy cost (DIFF vs SNAP vs TRUNC)
-# ---------------------------------------------------------------------------
 
 def _seed_txn(i):
     return Txn("t1.%d" % i, None, None, 0, ("set", "k%d" % (i % 64), i),
                _OP_SIZE)
 
 
+@experiment(
+    "e6", "sync strategy vs. follower lag (20k-txn history, snap "
+          "threshold {snap_threshold})",
+    'Table "Recovery cost by sync strategy" (plan level)',
+    {"lag_txns": "follower lag (txns)", "mode": "chosen mode",
+     "bytes_shipped": "bytes shipped",
+     "diff_bytes_would_be": "full-DIFF bytes"},
+)
 def e6_sync_strategies(lags=(10, 200, 2000, 20000), state_size=50,
                        snap_threshold=500):
     """Plan-level cost model: bytes shipped to resynchronise a follower
-    that is *lag* transactions behind a 20k-transaction history."""
+    that is *lag* transactions behind a 20k-transaction history (no
+    cluster runs, so there is no history to judge)."""
     total = max(lags) + 1000
     log = TxnLog()
     for i in range(1, total + 1):
@@ -351,7 +415,9 @@ def e6_sync_strategies(lags=(10, 200, 2000, 20000), state_size=50,
     snapshot_bytes = state_size * _OP_SIZE  # live state ≪ full history
     provider = lambda: Snapshot(committed, ("blob", total), snapshot_bytes)
     rows = []
-    for lag in lags:
+    # The last, negative lag is the TRUNC case: a follower *ahead* by an
+    # uncommitted tail of 5.
+    for lag in tuple(lags) + (-5,):
         follower_last = Zxid(1, total - lag)
         plan = make_sync_plan(
             log, follower_last, committed, snap_threshold, provider
@@ -360,31 +426,18 @@ def e6_sync_strategies(lags=(10, 200, 2000, 20000), state_size=50,
             "lag_txns": lag,
             "mode": plan.mode,
             "bytes_shipped": plan.payload_bytes(),
-            "diff_bytes_would_be": lag * _OP_SIZE,
+            "diff_bytes_would_be": max(lag, 0) * _OP_SIZE,
         })
-    # TRUNC case: follower ahead by an uncommitted tail.
-    ahead = Zxid(1, total + 5)
-    plan = make_sync_plan(log, ahead, committed, snap_threshold, provider)
-    rows.append({
-        "lag_txns": -5,
-        "mode": plan.mode,
-        "bytes_shipped": plan.payload_bytes(),
-        "diff_bytes_would_be": 0,
-    })
-    table = render_table(
-        ["follower lag (txns)", "chosen mode", "bytes shipped",
-         "full-DIFF bytes"],
-        [
-            (row["lag_txns"], row["mode"], row["bytes_shipped"],
-             row["diff_bytes_would_be"])
-            for row in rows
-        ],
-        title="E6: sync strategy vs. follower lag "
-              "(20k-txn history, snap threshold %d)" % snap_threshold,
-    )
-    return rows, table, {}
+    return rows, {}
 
 
+@experiment(
+    "e6b", "end-to-end resync of a follower {lag} txns behind (64-key "
+           "live state)",
+    'Table "Recovery cost by sync strategy" (end to end)',
+    {"mode": "forced mode", "resync_seconds": "resync time (s)",
+     "sync_megabytes": "transfer (MB)"},
+)
 def e6_end_to_end_resync(lag=5000, seed=6):
     """Wall-clock (simulated) cost of a real follower resync via DIFF vs
     via SNAP, same lag, controlled by the snap threshold.
@@ -424,22 +477,15 @@ def e6_end_to_end_resync(lag=5000, seed=6):
                 cluster.network.stats.total_bytes() - before
             ) / 1e6,
         })
-    table = render_table(
-        ["forced mode", "resync time (s)", "transfer (MB)"],
-        [
-            (row["mode"], row["resync_seconds"], row["sync_megabytes"])
-            for row in rows
-        ],
-        title="E6b: end-to-end resync of a follower %d txns behind "
-              "(64-key live state)" % lag,
-    )
-    return rows, table, {}
+        require_properties(cluster)
+    return rows, {}
 
 
-# ---------------------------------------------------------------------------
-# E7: log device configuration (paper testbed note)
-# ---------------------------------------------------------------------------
-
+@experiment(
+    "e7", "log-device configuration (n=3, 1KiB writes)",
+    "Ablation: dedicated vs shared log device (paper's testbed note)",
+    {"config": "log device", "throughput": "ops/s", "p50_ms": "p50 (ms)"},
+)
 def e7_log_device(n_voters=3, duration=_DURATION, seed=7):
     """The paper's testbed used dedicated log devices.  With the disk
     model enabled, a dedicated device (group commit amortising fsyncs)
@@ -451,60 +497,48 @@ def e7_log_device(n_voters=3, duration=_DURATION, seed=7):
         ("shared device (contended)", "shared", 0.0005),
         ("dedicated, slow fsync", "model", 0.005),
     ):
-        result = run_broadcast_bench(
-            n_voters, op_size=_OP_SIZE, outstanding=64, duration=duration,
-            warmup=_WARMUP, seed=seed, bandwidth_bps=_BANDWIDTH,
-            disk=disk, fsync_latency=fsync,
-        )
+        result = _bench(n_voters, duration, seed, outstanding=64,
+                        disk=disk, fsync_latency=fsync)
         rows.append({
             "config": label,
             "throughput": result.throughput,
             "p50_ms": result.latency["p50"] * 1000,
         })
-    table = render_table(
-        ["log device", "ops/s", "p50 (ms)"],
-        [(row["config"], row["throughput"], row["p50_ms"])
-         for row in rows],
-        title="E7: log-device configuration (n=3, 1KiB writes)",
-    )
-    return rows, table, {}
+    return rows, {}
 
 
-# ---------------------------------------------------------------------------
-# E8: latency percentiles by ensemble size (moderate load)
-# ---------------------------------------------------------------------------
-
+@experiment(
+    "e8", "latency percentiles at {rate} ops/s",
+    'Table "Latency percentiles by ensemble size"',
+    {"servers": "servers", "mean_ms": "mean (ms)", "p50_ms": "p50 (ms)",
+     "p95_ms": "p95 (ms)", "p99_ms": "p99 (ms)"},
+)
 def e8_latency_percentiles(sizes=(3, 5, 7), rate=1000, duration=_DURATION,
                            seed=8):
+    """The median grows with the ensemble (the leader serialises each
+    proposal to more followers before a quorum answers); tails stay
+    bounded at moderate load."""
     rows = []
     for n in sizes:
-        result = run_broadcast_bench(
-            n, op_size=_OP_SIZE, duration=duration, warmup=_WARMUP,
-            seed=seed, bandwidth_bps=_BANDWIDTH, open_loop_rate=rate,
-        )
+        latency = _bench(n, duration, seed, open_loop_rate=rate).latency
         rows.append({
             "servers": n,
-            "p50_ms": result.latency["p50"] * 1000,
-            "p95_ms": result.latency["p95"] * 1000,
-            "p99_ms": result.latency["p99"] * 1000,
-            "mean_ms": result.latency["mean"] * 1000,
+            "p50_ms": latency["p50"] * 1000,
+            "p95_ms": latency["p95"] * 1000,
+            "p99_ms": latency["p99"] * 1000,
+            "mean_ms": latency["mean"] * 1000,
         })
-    table = render_table(
-        ["servers", "mean (ms)", "p50 (ms)", "p95 (ms)", "p99 (ms)"],
-        [
-            (row["servers"], row["mean_ms"], row["p50_ms"], row["p95_ms"],
-             row["p99_ms"])
-            for row in rows
-        ],
-        title="E8: latency percentiles at %d ops/s" % rate,
-    )
-    return rows, table, {}
+    return rows, {}
 
 
-# ---------------------------------------------------------------------------
-# E9: group-commit ablation (disk-bound configuration)
-# ---------------------------------------------------------------------------
-
+@experiment(
+    "e9", "group-commit ablation (n=3, 1KiB writes, disk model)",
+    "Ablation: fsync-before-ack with and without group commit",
+    {"fsync_ms": "fsync (ms)",
+     "group_commit": ("group commit", lambda on: "on" if on else "off"),
+     "throughput": "ops/s", "fsync_bound": "1/fsync bound",
+     "p50_ms": "p50 (ms)"},
+)
 def e9_group_commit(fsyncs=(0.0005, 0.002), n_voters=3,
                     duration=_DURATION, seed=9):
     """ZooKeeper acknowledges a proposal only after fsync, and amortises
@@ -514,10 +548,8 @@ def e9_group_commit(fsyncs=(0.0005, 0.002), n_voters=3,
     rows = []
     for fsync in fsyncs:
         for group_commit in (True, False):
-            result = run_broadcast_bench(
-                n_voters, op_size=_OP_SIZE, outstanding=128,
-                duration=duration, warmup=_WARMUP, seed=seed,
-                bandwidth_bps=_BANDWIDTH, disk="model",
+            result = _bench(
+                n_voters, duration, seed, outstanding=128, disk="model",
                 fsync_latency=fsync, group_commit=group_commit,
                 max_outstanding=128,
             )
@@ -528,156 +560,8 @@ def e9_group_commit(fsyncs=(0.0005, 0.002), n_voters=3,
                 "fsync_bound": 1.0 / fsync,
                 "p50_ms": result.latency["p50"] * 1000,
             })
-    table = render_table(
-        ["fsync (ms)", "group commit", "ops/s", "1/fsync bound",
-         "p50 (ms)"],
-        [
-            (row["fsync_ms"], "on" if row["group_commit"] else "off",
-             row["throughput"], row["fsync_bound"], row["p50_ms"])
-            for row in rows
-        ],
-        title="E9: group-commit ablation (n=3, 1KiB writes, disk model)",
-    )
-    return rows, table, {}
+    return rows, {}
 
-
-# ---------------------------------------------------------------------------
-# A1 (ablation): recovery gap vs. failure-detection budget
-# ---------------------------------------------------------------------------
-
-def a1_recovery_time(ticks=(0.02, 0.05, 0.1, 0.2), n_voters=5, seed=11,
-                     trials=3):
-    """How long writes stall after a leader crash, as a function of the
-    tick (heartbeat) period.  Detection costs ``sync_limit`` ticks, and
-    election/sync add roughly constant time on top, so the gap should
-    grow linearly in the tick with a positive intercept."""
-    from repro.harness.scenarios import measure_recovery_gap
-
-    rows = []
-    for tick in ticks:
-        gaps = []
-        for trial in range(trials):
-            cluster = Cluster(ClusterConfig(
-                n_voters=n_voters, seed=seed + trial,
-                net=NetworkConfig(bandwidth_bps=_BANDWIDTH),
-                zab={"tick": tick},
-            )).start()
-            cluster.run_until_stable(timeout=60)
-            cluster.submit_and_wait(("put", "warm", 1))
-            gap, _leader = measure_recovery_gap(cluster)
-            gaps.append(gap)
-            report = cluster.check_properties()
-            assert report.ok, report.violations[:3]
-        rows.append({
-            "tick_ms": tick * 1000,
-            "detection_budget_ms": tick * 4 * 1000,  # sync_limit ticks
-            "mean_gap_ms": sum(gaps) / len(gaps) * 1000,
-            "max_gap_ms": max(gaps) * 1000,
-        })
-    table = render_table(
-        ["tick (ms)", "detection budget (ms)", "mean gap (ms)",
-         "max gap (ms)"],
-        [
-            (row["tick_ms"], row["detection_budget_ms"],
-             row["mean_gap_ms"], row["max_gap_ms"])
-            for row in rows
-        ],
-        title="A1: write-unavailability after leader crash vs. tick "
-              "(n=5, 3 trials)",
-    )
-    return rows, table, {}
-
-
-# ---------------------------------------------------------------------------
-# A2 (ablation): growing the ensemble with observers vs. voters
-# ---------------------------------------------------------------------------
-
-def a2_observers(duration=_DURATION, seed=12, rate=1000):
-    """ZooKeeper observers replicate the committed stream without
-    voting.  At equal total replica count, an observer-heavy ensemble
-    commits with a *smaller quorum*: the leader waits for fewer
-    acknowledgements, so commit latency stays near the small-ensemble
-    value while read capacity scales the same way."""
-    configs = [
-        ("3 voters", 3, 0),
-        ("3 voters + 2 observers", 3, 2),
-        ("3 voters + 4 observers", 3, 4),
-        ("5 voters", 5, 0),
-        ("7 voters", 7, 0),
-    ]
-    rows = []
-    for label, n_voters, n_observers in configs:
-        cluster = Cluster(ClusterConfig(
-            n_voters=n_voters, n_observers=n_observers, seed=seed,
-            net=NetworkConfig(bandwidth_bps=_BANDWIDTH),
-        )).start()
-        cluster.run_until_stable(timeout=60)
-        driver = OpenLoopDriver(
-            cluster, rate, default_op_factory(_OP_SIZE), _OP_SIZE,
-            warmup=_WARMUP,
-        ).start()
-        cluster.run(duration + _WARMUP)
-        driver.stop()
-        cluster.run(0.3)
-        report = cluster.check_properties()
-        assert report.ok, report.violations[:3]
-        summary = driver.latency.snapshot()
-        rows.append({
-            "config": label,
-            "replicas": n_voters + n_observers,
-            "quorum_acks": n_voters // 2 + 1,
-            "p50_ms": summary["p50"] * 1000,
-            "p99_ms": summary["p99"] * 1000,
-        })
-    table = render_table(
-        ["config", "replicas", "quorum", "p50 (ms)", "p99 (ms)"],
-        [
-            (row["config"], row["replicas"], row["quorum_acks"],
-             row["p50_ms"], row["p99_ms"])
-            for row in rows
-        ],
-        title="A2: write latency at %d ops/s — observers vs voters" % rate,
-    )
-    return rows, table, {}
-
-
-# ---------------------------------------------------------------------------
-# A3 (ablation): throughput vs. operation size
-# ---------------------------------------------------------------------------
-
-def a3_op_size(sizes=(128, 512, 1024, 4096, 16384), n_voters=3,
-               duration=_DURATION, seed=13):
-    """At saturation, ops/s x bytes/op is constant: the leader's NIC
-    moves a fixed byte budget regardless of how it is sliced (modulo
-    per-message header overhead, which favours large operations)."""
-    rows = []
-    for size in sizes:
-        result = run_broadcast_bench(
-            n_voters, op_size=size, outstanding=64, duration=duration,
-            warmup=_WARMUP, seed=seed, bandwidth_bps=_BANDWIDTH,
-        )
-        goodput = result.throughput * size
-        rows.append({
-            "op_bytes": size,
-            "throughput": result.throughput,
-            "goodput_mbps": goodput * 8 / 1e6,
-            "wire_efficiency": goodput * (n_voters - 1) / _BANDWIDTH,
-        })
-    table = render_table(
-        ["op size (B)", "ops/s", "goodput (Mb/s)", "wire efficiency"],
-        [
-            (row["op_bytes"], row["throughput"], row["goodput_mbps"],
-             row["wire_efficiency"])
-            for row in rows
-        ],
-        title="A3: saturated throughput vs. operation size (n=3)",
-    )
-    return rows, table, {}
-
-
-# ---------------------------------------------------------------------------
-# E10: Zab vs Paxos throughput under identical conditions
-# ---------------------------------------------------------------------------
 
 def _run_paxos_bench(n_replicas, outstanding, duration, seed):
     cluster = PaxosCluster(
@@ -713,22 +597,23 @@ def _run_paxos_bench(n_replicas, outstanding, duration, seed):
 
     pump()
     cluster.run(duration + _WARMUP)
-    report = cluster.check_properties()
-    assert report.ok, report.violations[:3]
+    require_properties(cluster)
     return len(samples) / duration
 
 
+@experiment(
+    "e10", "Zab vs Paxos, identical network (n=3, 1KiB writes)",
+    "Zab vs Paxos throughput (baseline comparison)",
+    {"system": "system", "throughput": "ops/s",
+     "primary_order_safe": ("PO-safe across primary changes",
+                            lambda safe: "yes" if safe else "NO (see E4)")},
+)
 def e10_zab_vs_paxos(n=3, duration=_DURATION, seed=10):
-    rows = []
-    zab_pipelined = run_broadcast_bench(
-        n, op_size=_OP_SIZE, outstanding=64, duration=duration,
-        warmup=_WARMUP, seed=seed, bandwidth_bps=_BANDWIDTH,
-    ).throughput
-    zab_single = run_broadcast_bench(
-        n, op_size=_OP_SIZE, outstanding=1, duration=duration,
-        warmup=_WARMUP, seed=seed, bandwidth_bps=_BANDWIDTH,
-        max_outstanding=1,
-    ).throughput
+    """Paxos only matches Zab's throughput by pipelining, and pipelined
+    Paxos forfeits primary order across leader changes (E4)."""
+    zab_pipelined = _bench(n, duration, seed, outstanding=64).throughput
+    zab_single = _bench(n, duration, seed, outstanding=1,
+                        max_outstanding=1).throughput
     paxos_single = _run_paxos_bench(n, 1, duration, seed)
     paxos_pipelined = _run_paxos_bench(n, 64, duration, seed)
     rows = [
@@ -741,13 +626,111 @@ def e10_zab_vs_paxos(n=3, duration=_DURATION, seed=10):
         {"system": "paxos, 1 outstanding", "throughput": paxos_single,
          "primary_order_safe": True},
     ]
-    table = render_table(
-        ["system", "ops/s", "PO-safe across primary changes"],
-        [
-            (row["system"], row["throughput"],
-             "yes" if row["primary_order_safe"] else "NO (see E4)")
-            for row in rows
-        ],
-        title="E10: Zab vs Paxos, identical network (n=3, 1KiB writes)",
-    )
-    return rows, table, {}
+    return rows, {}
+
+
+@experiment(
+    "a1", "write-unavailability after leader crash vs. tick (n=5, "
+          "{trials} trials)",
+    "Ablation: recovery gap vs failure-detection budget",
+    {"tick_ms": "tick (ms)", "detection_budget_ms": "detection budget (ms)",
+     "mean_gap_ms": "mean gap (ms)", "max_gap_ms": "max gap (ms)"},
+)
+def a1_recovery_time(ticks=(0.02, 0.05, 0.1, 0.2), n_voters=5, seed=11,
+                     trials=3):
+    """How long writes stall after a leader crash, as a function of the
+    tick (heartbeat) period.  Detection costs ``sync_limit`` ticks, and
+    election/sync add roughly constant time on top, so the gap should
+    grow linearly in the tick with a positive intercept."""
+    rows = []
+    for tick in ticks:
+        gaps = []
+        for trial in range(trials):
+            cluster = Cluster(ClusterConfig(
+                n_voters=n_voters, seed=seed + trial,
+                net=NetworkConfig(bandwidth_bps=_BANDWIDTH),
+                zab={"tick": tick},
+            )).start()
+            cluster.run_until_stable(timeout=60)
+            cluster.submit_and_wait(("put", "warm", 1))
+            gap, _leader = measure_recovery_gap(cluster)
+            gaps.append(gap)
+            require_properties(cluster)
+        rows.append({
+            "tick_ms": tick * 1000,
+            "detection_budget_ms": tick * 4 * 1000,  # sync_limit ticks
+            "mean_gap_ms": sum(gaps) / len(gaps) * 1000,
+            "max_gap_ms": max(gaps) * 1000,
+        })
+    return rows, {}
+
+
+@experiment(
+    "a2", "write latency at {rate} ops/s — observers vs voters",
+    "Ablation: observers vs voters",
+    {"config": "config", "replicas": "replicas", "quorum_acks": "quorum",
+     "p50_ms": "p50 (ms)", "p99_ms": "p99 (ms)"},
+)
+def a2_observers(duration=_DURATION, seed=12, rate=1000):
+    """ZooKeeper observers replicate the committed stream without
+    voting.  At equal total replica count, an observer-heavy ensemble
+    commits with a *smaller quorum*: the leader waits for fewer
+    acknowledgements, so commit latency stays near the small-ensemble
+    value while read capacity scales the same way."""
+    configs = [
+        ("3 voters", 3, 0),
+        ("3 voters + 2 observers", 3, 2),
+        ("3 voters + 4 observers", 3, 4),
+        ("5 voters", 5, 0),
+        ("7 voters", 7, 0),
+    ]
+    rows = []
+    for label, n_voters, n_observers in configs:
+        cluster = Cluster(ClusterConfig(
+            n_voters=n_voters, n_observers=n_observers, seed=seed,
+            net=NetworkConfig(bandwidth_bps=_BANDWIDTH),
+        )).start()
+        cluster.run_until_stable(timeout=60)
+        driver = OpenLoopDriver(
+            cluster, rate, default_op_factory(_OP_SIZE), _OP_SIZE,
+            warmup=_WARMUP,
+        ).start()
+        cluster.run(duration + _WARMUP)
+        driver.stop()
+        cluster.run(0.3)
+        require_properties(cluster)
+        summary = driver.latency.snapshot()
+        rows.append({
+            "config": label,
+            "replicas": n_voters + n_observers,
+            "quorum_acks": n_voters // 2 + 1,
+            "p50_ms": summary["p50"] * 1000,
+            "p99_ms": summary["p99"] * 1000,
+        })
+    return rows, {}
+
+
+@experiment(
+    "a3", "saturated throughput vs. operation size (n=3)",
+    "Ablation: throughput vs operation size",
+    {"op_bytes": "op size (B)", "throughput": "ops/s",
+     "goodput_mbps": "goodput (Mb/s)",
+     "wire_efficiency": "wire efficiency"},
+)
+def a3_op_size(sizes=(128, 512, 1024, 4096, 16384), n_voters=3,
+               duration=_DURATION, seed=13):
+    """At saturation, ops/s x bytes/op is constant: the leader's NIC
+    moves a fixed byte budget regardless of how it is sliced (modulo
+    per-message header overhead, which favours large operations)."""
+    rows = []
+    for size in sizes:
+        result = _bench(n_voters, duration, seed, op_size=size,
+                        outstanding=64)
+        goodput = result.throughput * size
+        rows.append({
+            "op_bytes": size,
+            "throughput": result.throughput,
+            "goodput_mbps": goodput * 8 / 1e6,
+            "wire_efficiency": goodput * (n_voters - 1) / _BANDWIDTH,
+        })
+    return rows, {}

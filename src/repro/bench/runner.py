@@ -3,8 +3,9 @@
 ``run_broadcast_bench`` builds a cluster with the requested network/disk
 models, drives it with a workload for a fixed stretch of simulated time,
 and returns a :class:`BenchResult` with throughput, latency percentiles,
-and traffic accounting.  Every experiment in the ``benchmarks/`` tree
-bottoms out here (or in a small variation of it).
+and traffic accounting.  Every experiment of
+:mod:`repro.bench.experiments` bottoms out here (or in a small variation
+of it).
 """
 
 from repro.bench.workloads import (
@@ -52,6 +53,18 @@ def default_op_factory(value_bytes):
         return ("put", "key-%d" % (index % 64), payload)
 
     return factory
+
+
+def require_properties(cluster):
+    """``cluster.check_properties()``, raising on any violation: the one
+    verdict every cluster-running experiment passes through (an explicit
+    raise, because a bare ``assert`` is gone under ``python -O``)."""
+    report = cluster.check_properties()
+    if not report.ok:
+        raise AssertionError(
+            "benchmark run violated broadcast properties: %r" % report
+        )
+    return report
 
 
 def run_broadcast_bench(
@@ -131,11 +144,7 @@ def run_broadcast_bench(
     registry.counter("bench.committed").inc(committed)
     registry.counter("bench.submitted").inc(driver.submitted)
 
-    report = cluster.check_properties() if check_properties else None
-    if report is not None and not report.ok:
-        raise AssertionError(
-            "benchmark run violated broadcast properties: %r" % report
-        )
+    report = require_properties(cluster) if check_properties else None
 
     leader = cluster.leader()
     params = {

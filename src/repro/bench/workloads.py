@@ -35,7 +35,9 @@ class _DriverBase:
         self.op_factory = op_factory
         self.op_size = op_size
         self.latency = StreamingHistogram()
-        self._warmup_until = cluster.sim.now + warmup
+        # Warm-up and timeline windows (E3's phases) count from here.
+        self.started_at = cluster.sim.now
+        self._warmup_until = self.started_at + warmup
         self.timeline = Timeline(bucket=timeline_bucket)
         self.submitted = 0
         self.committed = 0

@@ -2,8 +2,8 @@
 
 Usage (after ``pip install -e .``)::
 
-    python -m repro experiment e1          # regenerate a paper artifact
-    python -m repro experiment all
+    python -m repro experiments            # regenerate the evaluation
+    python -m repro experiments e1 e9      # ... or only these tables
     python -m repro bench --servers 5      # one custom throughput run
     python -m repro trace -o trace.jsonl   # traced crash/recovery timeline
     python -m repro profile --servers 5    # commit-path stage breakdown
@@ -14,47 +14,78 @@ Usage (after ``pip install -e .``)::
 
 The CLI is a thin veneer over :mod:`repro.bench.experiments` and
 :mod:`repro.harness`; everything it prints can also be produced from the
-library API.
+library API.  ``experiments`` also *records* each table it prints, in
+``benchmarks/results/<id>.txt`` and that id's block of EXPERIMENTS.md.
 """
 
 import argparse
+import re
 import sys
+from pathlib import Path
 
 from repro.bench import experiments
 from repro.bench.runner import run_broadcast_bench
 from repro.harness.opscenarios import OPS_SCENARIOS
 from repro.zab.dissemination import DISSEMINATION_TOPOLOGIES
 
-EXPERIMENTS = {
-    "e1": experiments.e1_throughput_vs_servers,
-    "e1b": experiments.e1b_topology_scaling,
-    "e2": experiments.e2_latency_vs_load,
-    "e3": experiments.e3_failure_timeline,
-    "e4": experiments.e4_paxos_violation,
-    "e5": experiments.e5_pipelining,
-    "e6": experiments.e6_sync_strategies,
-    "e6b": experiments.e6_end_to_end_resync,
-    "e7": experiments.e7_log_device,
-    "e8": experiments.e8_latency_percentiles,
-    "e9": experiments.e9_group_commit,
-    "e10": experiments.e10_zab_vs_paxos,
-    "a1": experiments.a1_recovery_time,
-    "a2": experiments.a2_observers,
-    "a3": experiments.a3_op_size,
-}
+
+class _UnreadableInput(Exception):
+    """An input file is missing or malformed; ``main`` exits 2 on it."""
 
 
-def cmd_experiment(args):
-    names = list(EXPERIMENTS) if args.id == "all" else [args.id]
-    for name in names:
-        fn = EXPERIMENTS.get(name)
-        if fn is None:
-            print("unknown experiment %r; choose from: %s"
-                  % (name, ", ".join(EXPERIMENTS)), file=sys.stderr)
+def _load(loader, path):
+    """``loader(path)``; the loaders name *path* in what they raise."""
+    try:
+        return loader(path)
+    except (OSError, ValueError) as exc:
+        raise _UnreadableInput("cannot read input: %s" % exc) from exc
+
+
+# A table block of EXPERIMENTS.md is a bare fence whose first line is
+# "<Id>: <title>"; the prose around the blocks is hand-written.
+_TABLE_BLOCK = re.compile(
+    r"^```\n(([EA]\d+b?): .*?)\n```$", re.MULTILINE | re.DOTALL
+)
+
+
+def table_blocks(text):
+    """``[(id, table_text)]`` of EXPERIMENTS.md's table blocks, in order."""
+    return [
+        (match.group(2).lower(), match.group(1))
+        for match in _TABLE_BLOCK.finditer(text)
+    ]
+
+
+def cmd_experiments(args):
+    registry = experiments.EXPERIMENTS
+    ids = args.ids or list(registry)
+    unknown = [eid for eid in ids if eid not in registry]
+    if unknown:
+        print("unknown experiment %r; choose from: %s"
+              % (unknown[0], ", ".join(registry)), file=sys.stderr)
+        return 2
+    document = Path(args.root, "EXPERIMENTS.md")
+    text = _load(lambda path: path.read_text(encoding="utf-8"), document)
+    # A missing block should fail before minutes of simulation, not after.
+    blocks = [eid for eid, _table in table_blocks(text)]
+    for eid in ids:
+        if blocks.count(eid) != 1:
+            print("%s: %d table blocks for %s, expected 1"
+                  % (document, blocks.count(eid), eid), file=sys.stderr)
             return 2
-        _rows, table, _extras = fn()
+    results = Path(args.root, "benchmarks", "results")
+    results.mkdir(parents=True, exist_ok=True)
+    for eid in ids:
+        _rows, table, _extras = registry[eid].run()
         print(table)
         print()
+        (results / (eid + ".txt")).write_text(table + "\n", encoding="utf-8")
+        text = _TABLE_BLOCK.sub(
+            lambda match: "```\n%s\n```" % table
+            if match.group(2).lower() == eid else match.group(0),
+            text,
+        )
+        document.write_text(text, encoding="utf-8")
     return 0
 
 
@@ -111,18 +142,6 @@ def cmd_bench(args):
         print("health:       %s" % monitor.summary()["verdict"])
         print("report:       %s" % path)
     return 0
-
-
-class _UnreadableInput(Exception):
-    """An input file is missing or malformed; ``main`` exits 2 on it."""
-
-
-def _load(loader, path):
-    """``loader(path)``; the loaders name *path* in what they raise."""
-    try:
-        return loader(path)
-    except (OSError, ValueError) as exc:
-        raise _UnreadableInput("cannot read input: %s" % exc) from exc
 
 
 def _parse_kinds(spec):
@@ -261,6 +280,7 @@ def cmd_profile(args):
         params = {"trace": args.trace}
     else:
         from repro.harness.scenarios import crash_recovery_timeline
+        from repro.harness.schedule import ActionSchedule
 
         tracer = obs.Tracer()
         if not args.net:
@@ -273,9 +293,7 @@ def cmd_profile(args):
             rate=args.rate,
             duration=args.duration,
             tracer=tracer,
-            follower_crash_at=None,
-            leader_crash_at=None,
-            recover_at=None,
+            schedule=ActionSchedule(),   # fault-free: a clean profile
         )
         # Round-trip through JSONL: the analysis below always runs on a
         # replayed trace, so `repro profile --trace <file>` on the dump
@@ -742,7 +760,11 @@ def cmd_health(args):
 
 def cmd_info(_args):
     print(__doc__)
-    print("experiments:", ", ".join(EXPERIMENTS))
+    print("experiments (id, reconstructed artefact, parameters of record):")
+    for entry in experiments.EXPERIMENTS.values():
+        print("  %-4s %s  [%s]" % (entry.id, entry.artefact, ", ".join(
+            "%s=%r" % item for item in entry.params.items()
+        )))
     return 0
 
 
@@ -754,10 +776,16 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_exp = sub.add_parser(
-        "experiment", help="regenerate a paper table/figure (e1..e10, all)"
+        "experiments",
+        help="run experiments (default: all) and record their tables: "
+             "benchmarks/results/<id>.txt and EXPERIMENTS.md's blocks",
     )
-    p_exp.add_argument("id")
-    p_exp.set_defaults(fn=cmd_experiment)
+    p_exp.add_argument("ids", nargs="*", metavar="ID",
+                       help="experiment ids (e1 e1b ... a3; see `info`)")
+    p_exp.add_argument("--root", default=".", metavar="DIR",
+                       help="directory holding EXPERIMENTS.md and "
+                            "benchmarks/results/ (default: the cwd)")
+    p_exp.set_defaults(fn=cmd_experiments)
 
     p_bench = sub.add_parser("bench", help="one custom throughput run")
     p_bench.add_argument("--servers", type=int, default=3)

@@ -36,17 +36,19 @@ def leader_churn(cluster, rounds, timeout=60.0, write_between=True):
 
 
 def crash_recovery_timeline(n_voters=5, seed=3, rate=2000, tracer=None,
-                            metrics=None, follower_crash_at=2.0,
-                            leader_crash_at=4.0, recover_at=6.0,
-                            duration=8.0, bandwidth_bps=25e6,
-                            op_size=1024, monitor=None):
+                            metrics=None, schedule=None, duration=8.0,
+                            bandwidth_bps=25e6, op_size=1024,
+                            monitor=None):
     """The E3 anatomy run: load, follower crash, leader crash, recovery.
 
     Builds its own cluster (optionally instrumented with *tracer* /
     *metrics* from :mod:`repro.obs`), drives it with an open-loop
-    workload, crashes a follower and later the leader on a fixed
-    schedule, recovers everyone, and lets service resume.  This is the
-    scenario behind ``repro trace``: its event stream contains the
+    workload and installs *schedule* (an
+    :class:`~repro.harness.schedule.ActionSchedule` timed from
+    stability; default: crash a follower at 2.0, the leader at 4.0,
+    recover everyone at 6.0; pass an empty one for a fault-free run).
+    This is the scenario behind ``repro trace`` and experiment E3: with
+    the default schedule its event stream contains the
     full leader-crash anatomy — fault, election, sync strategy,
     resumed commits.  Pass a :class:`~repro.obs.health.HealthMonitor`
     as *monitor* to watch the run live (it is attached before the
@@ -73,13 +75,13 @@ def crash_recovery_timeline(n_voters=5, seed=3, rate=2000, tracer=None,
     driver = OpenLoopDriver(
         cluster, rate, default_op_factory(op_size), op_size, warmup=0.0,
     )
-    schedule = ActionSchedule()
-    if follower_crash_at is not None:
-        schedule.add(follower_crash_at, "crash_follower")
-    if leader_crash_at is not None:
-        schedule.add(leader_crash_at, "crash_leader")
-    if recover_at is not None:
-        schedule.add(recover_at, "recover_all")
+    if schedule is None:
+        schedule = (
+            ActionSchedule()
+            .add(2.0, "crash_follower")
+            .add(4.0, "crash_leader")
+            .add(6.0, "recover_all")
+        )
     fault_log = schedule.install(cluster, start=cluster.sim.now)
     driver.start()
     cluster.run(duration)

@@ -7,6 +7,7 @@ after it, a decision, synchronisation with a chosen strategy, and
 commits resuming under the new leader — all stamped with virtual time.
 """
 
+from repro.harness import ActionSchedule
 from repro.harness.scenarios import crash_recovery_timeline
 from repro.obs import MetricsRegistry, Tracer, phase_spans
 
@@ -17,7 +18,12 @@ def _run_traced(rate=300.0, duration=6.0):
     registry = MetricsRegistry()
     cluster, driver, schedule = crash_recovery_timeline(
         n_voters=5, seed=3, rate=rate, duration=duration,
-        follower_crash_at=1.0, leader_crash_at=2.0, recover_at=4.0,
+        schedule=(
+            ActionSchedule()
+            .add(1.0, "crash_follower")
+            .add(2.0, "crash_leader")
+            .add(4.0, "recover_all")
+        ),
         tracer=tracer, metrics=registry,
     )
     return cluster, driver, tracer, registry

@@ -4,6 +4,7 @@ schema validator's correlation-field checks."""
 import importlib.util
 import io
 import json
+import math
 import os
 
 import pytest
@@ -105,12 +106,9 @@ def _write(tmp_path, name, payload):
     return path
 
 
-def _baseline_payload(metrics, tolerance=0.15, tolerances=None):
-    entry = {"metrics": metrics, "tolerance": tolerance}
-    if tolerances:
-        entry["tolerances"] = tolerances
+def _baseline_payload(metrics):
     return {"schema": "repro-bench-baseline/v1",
-            "entries": {"smoke": entry}}
+            "entries": {"smoke": {"metrics": metrics}}}
 
 
 def _report_payload(metrics):
@@ -118,37 +116,21 @@ def _report_payload(metrics):
             "params": {}, "metrics": metrics}
 
 
-def test_gate_accepts_within_tolerance(tmp_path, gate, capsys):
-    baseline = _write(tmp_path, "baseline.json",
-                      _baseline_payload({"throughput_ops": 1000.0}))
-    report = _write(tmp_path, "BENCH_smoke.json",
-                    _report_payload({"throughput_ops": 1100.0}))
-    assert gate.main([report, "--baseline", baseline]) == 0
-    assert "OK" in capsys.readouterr().out
-
-
 def test_gate_rejects_perturbed_metric(tmp_path, gate, capsys):
-    # The acceptance case: perturb one metric past its tolerance and
-    # the gate must fail the run (in both directions).
+    # The acceptance case: the gate is ==, so one unit in the last place
+    # of one metric, in either direction, must fail the run.
+    value = 772.466752542617
     baseline = _write(tmp_path, "baseline.json",
-                      _baseline_payload({"throughput_ops": 1000.0,
+                      _baseline_payload({"throughput_ops": value,
                                          "latency.p99_ms": 2.0}))
-    for perturbed in (700.0, 1300.0):
+    for perturbed in (math.nextafter(value, 0.0),
+                      math.nextafter(value, math.inf)):
         report = _write(tmp_path, "BENCH_smoke.json", _report_payload(
             {"throughput_ops": perturbed, "latency.p99_ms": 2.0}
         ))
         assert gate.main([report, "--baseline", baseline]) == 1
-        assert "FAIL" in capsys.readouterr().out
-
-
-def test_gate_per_metric_tolerance_override(tmp_path, gate):
-    baseline = _write(tmp_path, "baseline.json", _baseline_payload(
-        {"latency.p99_ms": 2.0},
-        tolerances={"latency.p99_ms": 0.5},
-    ))
-    report = _write(tmp_path, "BENCH_smoke.json",
-                    _report_payload({"latency.p99_ms": 2.8}))
-    assert gate.main([report, "--baseline", baseline]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" in out and repr(perturbed) in out
 
 
 def test_gate_fails_on_missing_metric(tmp_path, gate, capsys):
@@ -182,17 +164,15 @@ def test_gate_unknown_report_name_fails(tmp_path, gate, capsys):
     assert "no baseline entry" in capsys.readouterr().out
 
 
-def test_gate_update_records_and_keeps_tolerances(tmp_path, gate):
-    baseline = _write(tmp_path, "baseline.json", _baseline_payload(
-        {"throughput_ops": 1000.0},
-        tolerances={"throughput_ops": 0.05},
-    ))
+def test_gate_update_records_and_accepts_own_run(tmp_path, gate):
+    baseline = _write(tmp_path, "baseline.json",
+                      _baseline_payload({"throughput_ops": 1000.0}))
     report = _write(tmp_path, "BENCH_smoke.json",
                     _report_payload({"throughput_ops": 1200.0}))
+    assert gate.main([report, "--baseline", baseline]) == 1
     assert gate.main([report, "--baseline", baseline, "--update"]) == 0
     entry = gate.load_baseline(baseline)["entries"]["smoke"]
-    assert entry["metrics"] == {"throughput_ops": 1200.0}
-    assert entry["tolerances"] == {"throughput_ops": 0.05}
+    assert entry == {"metrics": {"throughput_ops": 1200.0}}
     # The freshly recorded baseline accepts its own run.
     assert gate.main([report, "--baseline", baseline]) == 0
 
@@ -260,13 +240,14 @@ def test_validator_still_rejects_unknown_kinds(validator):
 
 
 def test_validator_accepts_real_profile_dump(tmp_path, validator):
+    from repro.harness import ActionSchedule
     from repro.harness.scenarios import crash_recovery_timeline
     from repro.obs import Tracer, dump_jsonl
 
     tracer = Tracer()
     crash_recovery_timeline(
         n_voters=3, seed=1, rate=200, duration=0.5, tracer=tracer,
-        follower_crash_at=None, leader_crash_at=None, recover_at=None,
+        schedule=ActionSchedule(),
     )
     path = str(tmp_path / "profile.jsonl")
     dump_jsonl(tracer, path)

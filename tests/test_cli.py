@@ -1,26 +1,68 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.bench.experiments import EXPERIMENTS
+from repro.cli import build_parser, main, table_blocks
 
 
 def test_info_lists_experiments(capsys):
     assert main(["info"]) == 0
     out = capsys.readouterr().out
-    assert "e1" in out and "e10" in out
+    for eid, entry in EXPERIMENTS.items():
+        assert "\n  %-4s %s  [" % (eid, entry.artefact) in out
 
 
-def test_experiment_unknown_id(capsys):
-    assert main(["experiment", "e99"]) == 2
-    assert "unknown experiment" in capsys.readouterr().err
+def test_experiment_unknown_id(capsys, tmp_path):
+    assert main(["experiments", "e4", "e99", "--root", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "unknown experiment 'e99'; choose from: %s\n"
+        % ", ".join(EXPERIMENTS)
+    )
+    assert not list(tmp_path.iterdir())
 
 
-def test_experiment_e4_runs(capsys):
-    assert main(["experiment", "e4"]) == 0
+def test_experiment_e4_runs(capsys, tmp_path):
+    # `experiments e4 --root DIR` records exactly e4: its results file
+    # and its block of EXPERIMENTS.md, every other byte untouched.
+    document = tmp_path / "EXPERIMENTS.md"
+    stale = ("# prose stays\n\n```bash\npython -m repro experiments\n```\n\n"
+             "```\nE4: stale\nrow\n```\n\nmore prose\n\n"
+             "```\nE4b: other\nrow\n```\n")
+    document.write_text(stale, encoding="utf-8")
+    assert main(["experiments", "e4", "--root", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "local_primary_order" in out
     assert "zab" in out
+    results = tmp_path / "benchmarks" / "results"
+    assert os.listdir(results) == ["e4.txt"]
+    table = (results / "e4.txt").read_text(encoding="utf-8")
+    assert out == table + "\n"
+    assert document.read_text(encoding="utf-8") == stale.replace(
+        "E4: stale\nrow\n", table
+    )
+    assert table_blocks(document.read_text(encoding="utf-8")) == [
+        ("e4", table.rstrip("\n")), ("e4b", "E4b: other\nrow"),
+    ]
+
+
+def test_experiments_needs_a_block_to_publish_into(capsys, tmp_path):
+    # Checked before any simulation runs.
+    assert main(["experiments", "e1", "--root", str(tmp_path)]) == 2
+    assert "cannot read input" in capsys.readouterr().err
+    (tmp_path / "EXPERIMENTS.md").write_text("no tables here\n")
+    assert main(["experiments", "e1", "--root", str(tmp_path)]) == 2
+    assert "0 table blocks for e1" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["EXPERIMENTS.md"]
+
+
+def test_experiment_singular_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["experiment", "e4"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'experiment'" in capsys.readouterr().err
 
 
 def test_bench_prints_summary(capsys):
@@ -173,14 +215,14 @@ def test_health_exit_1_while_detector_firing(capsys):
 
 
 def test_health_offline_trace(capsys, tmp_path):
+    from repro.harness import ActionSchedule
     from repro.harness.scenarios import crash_recovery_timeline
     from repro.obs import Tracer, dump_jsonl
 
     tracer = Tracer()
     tracer.disable("net.")
     crash_recovery_timeline(n_voters=3, seed=1, rate=200, duration=0.5,
-                            tracer=tracer, follower_crash_at=None,
-                            leader_crash_at=None, recover_at=None)
+                            tracer=tracer, schedule=ActionSchedule())
     trace = str(tmp_path / "run.jsonl")
     dump_jsonl(tracer.events, trace)
     assert main(["health", "--trace", trace]) == 0

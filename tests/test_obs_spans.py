@@ -252,12 +252,13 @@ def test_causality_transaction_messages_in_time_order():
 
 @pytest.fixture(scope="module")
 def replayed_profile():
+    from repro.harness import ActionSchedule
     from repro.harness.scenarios import crash_recovery_timeline
 
     tracer = Tracer()
     crash_recovery_timeline(
         n_voters=5, seed=3, rate=400, duration=1.5, tracer=tracer,
-        follower_crash_at=None, leader_crash_at=None, recover_at=None,
+        schedule=ActionSchedule(),
     )
     buffer = io.StringIO()
     dump_jsonl(tracer, buffer)
