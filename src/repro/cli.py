@@ -537,7 +537,6 @@ def cmd_explore(args):
         max_states=args.max_states,
         max_violations=args.max_violations,
         interleave=args.interleave,
-        jitter=0.0 if args.interleave else None,
         leader_factory=leader_factory,
         dissemination=args.dissemination,
         recorder_dir=out_dir,

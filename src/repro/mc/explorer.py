@@ -66,13 +66,11 @@ class ExplorerConfig:
         Interleaving decisions are not expressible in an ActionSchedule,
         so violations found *only* under a non-default interleaving are
         reported as unconfirmed unless plain replay reproduces them.
-    jitter
-        Override the network's per-message jitter (``None`` keeps the
-        stock fabric).  Interleave mode wants ``0.0``: with jitter on,
+        Interleave mode also runs a zero-jitter fabric: with jitter on,
         two messages essentially never share a timestamp and the
-        delivery-order seam has nothing to branch on.  The override is
-        applied to the verification replay too, and recorded in the
-        emitted schedule's ``meta`` so a reproducer knows to match it.
+        delivery-order seam has nothing to branch on.  The verification
+        replay uses the same fabric, and the emitted schedule's ``meta``
+        records ``jitter: 0.0`` so a reproducer knows to match it.
     leader_factory
         Forwarded to the cluster — plant seeded bugs from
         :mod:`repro.harness.buggy` to point the explorer at known prey.
@@ -100,7 +98,7 @@ class ExplorerConfig:
     def __init__(self, peers=3, depth=8, seed=0, step_interval=0.25,
                  op_interval=0.02, settle=2.0, timeout=60.0,
                  max_schedules=256, max_states=4096, max_violations=1,
-                 interleave=False, jitter=None, leader_factory=None,
+                 interleave=False, leader_factory=None,
                  dissemination="leader-direct", recorder_dir=None,
                  ops_actions=False):
         self.peers = peers
@@ -114,7 +112,6 @@ class ExplorerConfig:
         self.max_states = max_states
         self.max_violations = max_violations
         self.interleave = interleave
-        self.jitter = jitter
         self.leader_factory = leader_factory
         self.dissemination = dissemination
         self.recorder_dir = recorder_dir
@@ -122,9 +119,7 @@ class ExplorerConfig:
 
     def cluster_config(self):
         """The ClusterConfig every explored execution and replay runs."""
-        net = None
-        if self.jitter is not None:
-            net = NetworkConfig(jitter=self.jitter)
+        net = NetworkConfig(jitter=0.0) if self.interleave else None
         return ClusterConfig(
             n_voters=self.peers, seed=self.seed, net=net,
             leader_factory=self.leader_factory,
@@ -419,8 +414,8 @@ class Explorer:
         }
         if config.dissemination != "leader-direct":
             meta["dissemination"] = config.dissemination
-        if config.jitter is not None:
-            meta["jitter"] = config.jitter
+        if config.interleave:
+            meta["jitter"] = 0.0
         schedule = ActionSchedule(meta=meta)
         try:
             t0 = stabilise_under_load(

@@ -17,6 +17,9 @@ Safety-critical details implemented here:
 - the follower abandons the leader and re-enters election if the
   handshake exceeds ``init_limit`` ticks or pings stop for ``sync_limit``
   ticks.
+
+Observers run the same learner with a different broadcast phase (see
+:class:`~repro.zab.observer.ObserverContext`).
 """
 
 from repro.zab import messages

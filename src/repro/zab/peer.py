@@ -387,15 +387,15 @@ class ZabPeer(Process):
         frontier (ZooKeeper's ``sync()`` + read idiom).
 
         On the leader this waits for the outstanding pipeline to drain;
-        on a follower it round-trips a sync barrier to the leader first.
-        *callback(result)* may fire with ``("error", ...)`` if the peer
-        cannot complete the sync (not serving, leader lost).
+        on a follower or observer it round-trips a sync barrier to the
+        leader first.  *callback(result)* may fire with ``("error", ...)``
+        if the peer cannot complete the sync (not serving, leader lost).
         """
         if self.state == messages.LEADING and self.ctx.established:
             self.ctx.sync_barrier(
                 lambda _frontier: callback(self.sm.read(query))
             )
-        elif self.state == messages.FOLLOWING and self.ctx.active:
+        elif self.is_active_follower:
             self.ctx.sync_read(query, callback)
         else:
             callback(("error", "not-serving"))
@@ -617,7 +617,7 @@ class ZabPeer(Process):
         return (
             self.state in (messages.FOLLOWING, messages.OBSERVING)
             and self.ctx is not None
-            and getattr(self.ctx, "active", False)
+            and self.ctx.active
         )
 
     def current_epoch(self):

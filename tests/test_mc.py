@@ -218,7 +218,7 @@ def test_deeper_exploration_stays_clean():
 def test_interleave_mode_branches_on_delivery_order():
     result = explore_schedules(
         peers=3, depth=1, max_violations=0, max_schedules=8,
-        interleave=True, jitter=0.0,
+        interleave=True,
     )
     assert result.ok
     assert result.por_skipped > 0, "POR never collapsed a commuting tie"

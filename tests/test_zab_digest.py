@@ -1,12 +1,14 @@
 """Tests for checkpoint-digest divergence detection."""
 
+import pytest
+
 from repro.app.kvstore import KVStateMachine
 from repro.harness import Cluster, ClusterConfig
 
 
-def digest_cluster(seed, every=5):
-    cluster = Cluster(ClusterConfig(n_voters=3, seed=seed,
-                      zab={"digest_every": every})).start()
+def digest_cluster(seed, every=5, n_observers=0):
+    cluster = Cluster(ClusterConfig(n_voters=3, n_observers=n_observers,
+                      seed=seed, zab={"digest_every": every})).start()
     cluster.run_until_stable(timeout=30)
     return cluster
 
@@ -31,10 +33,13 @@ def test_healthy_cluster_reports_no_divergence():
         assert peer._digests  # checkpoints were actually taken
 
 
-def test_corrupted_follower_is_detected():
-    cluster = digest_cluster(201)
+@pytest.mark.parametrize("observer", [False, True],
+                         ids=["follower", "observer"])
+def test_corrupted_follower_is_detected(observer):
+    cluster = digest_cluster(201, n_observers=int(observer))
     follower = next(
-        peer for peer in cluster.peers.values() if peer.is_active_follower
+        peer for peer in cluster.peers.values()
+        if peer.is_active_follower and peer.is_observer == observer
     )
     # Silent corruption: flip a value underneath the state machine
     # without going through the replication path.

@@ -1,7 +1,13 @@
 """Observer edge cases beyond the happy path."""
 
+import collections
+
+import pytest
+
 from repro.harness import Cluster, ClusterConfig
+from repro.obs.trace import Tracer
 from repro.zab import messages
+from repro.zab.dissemination import DISSEMINATION_TOPOLOGIES
 
 
 def observer_cluster(seed, **kwargs):
@@ -80,3 +86,60 @@ def test_observer_does_not_ack_proposals():
     # 2 follower acks per op; the observer contributes none.
     assert acks == 20
     assert informs == 10
+
+
+#: Messages per type each observer of test_observer_wire_traffic_is_pinned
+#: sent and received.  The same under every topology: INFORM and PING are
+#: leader-direct and observers sit in no relay plan.
+_OBSERVER_WIRE = {
+    (4, "sent"): {"AckEpoch": 1, "AckNewLeader": 1, "FollowerInfo": 1,
+                  "Notification": 6, "Pong": 34},
+    (4, "received"): {"Inform": 200, "NewEpoch": 1, "NewLeader": 1,
+                      "Notification": 3, "Ping": 34, "SyncStart": 1,
+                      "UpToDate": 1},
+    (5, "sent"): {"AckEpoch": 3, "AckNewLeader": 3, "FollowerInfo": 3,
+                  "Notification": 12, "Pong": 33},
+    (5, "received"): {"Inform": 148, "NewEpoch": 3, "NewLeader": 3,
+                      "Notification": 9, "Ping": 33, "SyncStart": 3,
+                      "SyncTxn": 54, "UpToDate": 3},
+}
+
+
+@pytest.mark.parametrize("topology", DISSEMINATION_TOPOLOGIES)
+def test_observer_wire_traffic_is_pinned(topology):
+    tracer = Tracer(kinds=("net.send", "net.deliver", "peer.looking"))
+    cluster = Cluster(ClusterConfig(
+        n_voters=3, n_observers=2, seed=215, dissemination=topology,
+        tracer=tracer)).start()
+    cluster.run_until_stable(timeout=30)
+    # 200 writes at 1 kHz.  Observer 5 is down for writes 50-99 and
+    # misses a commit while it re-syncs.  Writes then pause for ten
+    # pings: a relay-lag check (a follower's, not an observer's) would
+    # re-sync it there; instead the next INFORM's gap does (its one
+    # peer.looking).
+    for i in range(200):
+        if i == 50:
+            cluster.crash(5)
+        elif i == 100:
+            cluster.recover(5)
+        elif i == 102:
+            cluster.run(0.5)
+        cluster.submit(("put", "k%d" % (i % 10), i))
+        cluster.run(0.001)
+    cluster.run_until_stable(timeout=30)
+    cluster.run(1.0)
+    wire = collections.defaultdict(collections.Counter)
+    looking = collections.Counter()
+    for event in tracer.events:
+        if event.node not in (4, 5):
+            continue
+        if event.kind == "peer.looking":
+            looking[event.node] += 1
+        else:
+            way = "sent" if event.kind == "net.send" else "received"
+            wire[event.node, way][event.fields["type"]] += 1
+    assert wire == _OBSERVER_WIRE
+    assert looking == {5: 1}
+    for peer_id in (4, 5):
+        assert cluster.peers[peer_id].sm.read(("get", "k9")) == 199
+    cluster.assert_properties()

@@ -6,6 +6,8 @@ a sync-read observes at least every transaction the leader had committed
 when the sync was issued.
 """
 
+import pytest
+
 from repro.harness import Cluster, ClusterConfig
 from repro.net import NetworkConfig
 
@@ -90,9 +92,14 @@ def test_sync_read_fails_on_leader_loss():
     assert results == [("error", "connection-lost")]
 
 
-def test_sync_read_sees_prior_writes_after_quiesce():
-    cluster = stable_cluster(seed=123)
-    _leader, follower = lagging_follower(cluster)
+@pytest.mark.parametrize("observer", [False, True],
+                         ids=["follower", "observer"])
+def test_sync_read_sees_prior_writes_after_quiesce(observer):
+    cluster = stable_cluster(seed=123, n_observers=int(observer))
+    follower = next(
+        peer for peer in cluster.peers.values()
+        if peer.is_active_follower and peer.is_observer == observer
+    )
     for i in range(5):
         cluster.submit_and_wait(("incr", "x", 1))
     cluster.run(0.5)
