@@ -372,8 +372,7 @@ def apply_action(cluster, action):
             return "crash leader peer %d" % leader.peer_id
     elif action.kind == "crash_follower":
         for peer in cluster.peers.values():
-            if (not peer.crashed and not peer.is_observer
-                    and peer.is_active_follower):
+            if peer.is_active_voting_follower:
                 cluster.crash(peer.peer_id)
                 return "crash follower peer %d" % peer.peer_id
     elif action.kind == "recover_all":

@@ -500,9 +500,7 @@ class Explorer:
             if leader is not None:
                 options.append(("crash_leader", None))
             if any(
-                not peer.crashed and not peer.is_observer
-                and peer.is_active_follower
-                for peer in peers.values()
+                peer.is_active_voting_follower for peer in peers.values()
             ):
                 options.append(("crash_follower", None))
         if leader is not None and not partitioned:

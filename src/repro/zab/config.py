@@ -52,8 +52,8 @@ class ZabConfig:
         :data:`~repro.zab.dissemination.DISSEMINATION_TOPOLOGIES`
         (``"leader-direct"``, ``"chain"``, ``"tree"``, ``"ring"``) or a
         :class:`~repro.zab.dissemination.DisseminationStrategy`
-        instance.  ``leader-direct`` is the default and keeps the exact
-        pre-seam fast path.
+        instance.  ``leader-direct``, the default, is the empty relay
+        plan: the leader sends to every follower itself.
     """
 
     def __init__(
@@ -114,9 +114,6 @@ class ZabConfig:
     def all_peers(self):
         """Voters plus observers."""
         return self.voters + self.observers
-
-    def is_voter(self, peer_id):
-        return peer_id in self.voters
 
     def handshake_timeout(self):
         """Seconds a peer waits for discovery+sync to finish."""

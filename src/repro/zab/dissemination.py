@@ -6,22 +6,23 @@ follower directly, so its egress NIC is the bottleneck.  Ring Paxos and
 chain replication attack exactly this by making *followers* relay the
 stream onward, trading leader egress bandwidth for per-hop latency.
 
-A :class:`DisseminationStrategy` answers three questions for the
+A :class:`DisseminationStrategy` answers two questions for the
 broadcast phase:
 
 - who does the **leader** send a PROPOSAL/COMMIT to (the roots of the
   plan);
 - who **relays** it onward (the children below each root — carried as a
   source route inside :class:`~repro.zab.messages.Relay` so in-flight
-  messages never depend on the leader's *current* plan);
-- where do **ACKs** flow back (:meth:`ack_destination` — the leader for
-  every built-in strategy, so quorum accounting is unchanged).
+  messages never depend on the leader's *current* plan).
+
+ACKs always flow straight back to the leader, and observers are never
+plan members: their INFORM stream is leader-direct under every topology.
 
 Four implementations ship:
 
 ``leader-direct``
-    Today's behaviour and the default: the leader fans out to every
-    follower itself.  This path is bit-identical to the pre-seam code.
+    The paper's behaviour and the default: the leader fans out to every
+    follower itself.  The leader runs it as the empty relay plan.
 ``chain``
     Chain-replication style: one path through the followers in
     ascending id order; leader egress is one proposal per transaction
@@ -50,9 +51,9 @@ class DisseminationStrategy:
     """How broadcast-phase traffic propagates from the leader.
 
     Subclasses override :meth:`plan`.  ``name`` is the registry key;
-    ``direct`` marks the strategy as "leader sends to everyone itself",
-    which lets the leader keep the exact pre-seam fast path (no plan
-    computation, no Relay wrapping) when it is set.
+    ``direct`` marks a strategy whose plan never relays: the leader runs
+    it as the empty plan (no per-message plan computation, no Relay
+    wrapping) and its followers skip the relay-lag check.
     """
 
     name = None
@@ -68,16 +69,6 @@ class DisseminationStrategy:
         but may influence the shape (see ``ring``).
         """
         raise NotImplementedError
-
-    def ack_destination(self, leader_id, member_id):
-        """Where *member_id* sends its proposal ACKs.
-
-        Every built-in strategy returns *leader_id*: ACKs flow straight
-        back so quorum accounting is identical across topologies.  The
-        method exists as the seam for future aggregating topologies
-        (e.g. ACK-combining trees).
-        """
-        return leader_id
 
     def __repr__(self):
         return "<%s %r>" % (type(self).__name__, self.name)

@@ -46,7 +46,7 @@ class _FollowerHandle:
 
     __slots__ = (
         "peer_id",
-        "is_observer",
+        "voter",
         "last_contact",
         "last_ack",
         "epoch_sent",
@@ -55,14 +55,15 @@ class _FollowerHandle:
         "synced",
     )
 
-    def __init__(self, peer_id, is_observer, now):
+    def __init__(self, peer_id, voter, now):
         self.peer_id = peer_id
-        self.is_observer = is_observer
+        self.voter = voter       # counts in quorums, takes PROPOSE/COMMIT;
+                                 # else an observer: INFORM only
         self.last_contact = now
         self.last_ack = now      # last proposal acknowledgement
         self.epoch_sent = False
         self.ackepoch = None     # (current_epoch, last_zxid)
-        self.in_stream = False   # receives PROPOSE/COMMIT (or INFORM)
+        self.in_stream = False   # past NEWLEADER: in the Phase-3 fan-out
         self.synced = False      # acknowledged NEWLEADER
 
 
@@ -110,7 +111,9 @@ class LeaderContext:
             self._propose_batch,
         )
         self._strategy = self.config.dissemination
-        self._plan = ()            # relay forest (non-direct strategies)
+        # Leader-direct is the empty plan: every voter is fed directly.
+        self._relayed = not self._strategy.direct
+        self._plan = ()            # relay forest
         self._plan_members = ()    # sorted member ids the plan spans
         self._plan_member_set = frozenset()
         self._fetching_from = None
@@ -120,7 +123,7 @@ class LeaderContext:
         self.commits = 0
         self.acks_received = 0     # proposal ACKs counted (all voters)
         self.sync_modes = {}       # sync mode -> count of learners served
-        self._sync_waiters = []    # (barrier_zxid, peer_id, cookie)
+        self._sync_waiters = []    # (barrier_zxid, callback)
         # Propose times of recent zxids, kept past commit so ACKs that
         # arrive *after* the quorum already committed (the straggler
         # signature) can still be lag-attributed in the trace.  Only
@@ -181,8 +184,9 @@ class LeaderContext:
     def _on_follower_info(self, src, msg):
         handle = self.handles.get(src)
         if handle is None:
+            # The learner's role, fixed once: see _FollowerHandle.voter.
             handle = _FollowerHandle(
-                src, src in self.config.observers, self.peer.sim.now
+                src, src in self.config.quorum.voters, self.peer.sim.now
             )
             self.handles[src] = handle
         # A reconnecting learner restarts its handshake from scratch.
@@ -190,7 +194,7 @@ class LeaderContext:
         handle.ackepoch = None
         handle.in_stream = False
         handle.synced = False
-        if not handle.is_observer:
+        if handle.voter:
             self.followerinfos[src] = msg.accepted_epoch
         if self.epoch is None:
             self._try_decide_epoch()
@@ -222,7 +226,7 @@ class LeaderContext:
             return
         handle.ackepoch = (msg.current_epoch, msg.last_zxid or ZXID_ZERO)
         if self.phase == PHASE_DISCOVERY:
-            if not handle.is_observer:
+            if handle.voter:
                 self.ackepochs[src] = handle.ackepoch
             self._maybe_finish_discovery()
         elif self.phase in (PHASE_SYNC, PHASE_BROADCAST):
@@ -324,10 +328,11 @@ class LeaderContext:
                 self.epoch, last_zxid=self.committed_horizon()
             ),
         )
+        # In the Phase-3 fan-out from here on (FIFO: after NEWLEADER).  A
+        # voter gets the outstanding proposals again to acknowledge them;
+        # an observer gets each as INFORM when it commits.
         handle.in_stream = True
-        # Re-send outstanding (uncommitted) proposals so this follower can
-        # acknowledge them; FIFO guarantees they arrive after NEWLEADER.
-        if not handle.is_observer:
+        if handle.voter:
             for zxid, proposal in self.proposals.items():
                 self.peer.send(
                     dst, messages.Propose(zxid, proposal.txn, proposal.size)
@@ -338,7 +343,7 @@ class LeaderContext:
         if handle is None or msg.epoch != self.epoch:
             return
         handle.synced = True
-        if not handle.is_observer:
+        if handle.voter:
             self.acked_newleader.add(src)
         if self.established:
             self.peer.send(src, messages.UpToDate(self.epoch))
@@ -432,13 +437,7 @@ class LeaderContext:
             recent[zxid] = proposal.proposed_at
             if len(recent) > _RECENT_PROPOSE_CAP:
                 del recent[next(iter(recent))]
-        message = messages.Propose(zxid, txn, request.size)
-        if self._strategy.direct:
-            for handle in self.handles.values():
-                if handle.in_stream and not handle.is_observer:
-                    self.peer.send(handle.peer_id, message)
-        else:
-            self._disseminate(message)
+        self._disseminate(messages.Propose(zxid, txn, request.size))
         # The leader acknowledges its own proposal once it is durable.
         self.peer.storage.log.append(
             zxid, txn, request.size,
@@ -447,15 +446,18 @@ class LeaderContext:
         )
 
     def _on_ack(self, src, msg):
+        handle = self.handles.get(src)
+        if handle is not None and not handle.voter:
+            return  # a non-voting learner's ACK never counts
         zxid = msg.zxid
         proposal = self.proposals.get(zxid)
-        if proposal is None or not self.config.is_voter(src):
+        if proposal is None:
             # An ACK for an already-committed proposal: protocol-wise a
             # no-op, but a *late* ACK from a voter is exactly how a
             # straggling follower shows up at the leader, so it still
             # gets lag-attributed in the trace for the health monitor.
             tracer = self.peer.tracer
-            if tracer.active and self.config.is_voter(src):
+            if tracer.active:
                 proposed_at = self._recent_propose_t.get(zxid)
                 if proposed_at is not None:
                     tracer.emit(
@@ -464,7 +466,6 @@ class LeaderContext:
                         lag=self.peer.sim.now - proposed_at, late=True,
                     )
             return
-        handle = self.handles.get(src)
         if handle is not None:
             handle.last_ack = self.peer.sim.now
         self.acks_received += 1
@@ -512,37 +513,13 @@ class LeaderContext:
                 zxid=zxid.as_tuple(), acks=sorted(proposal.acks),
                 outstanding=len(self.proposals),
             )
-        commit = messages.Commit(zxid)
-        inform = None
-        if self._strategy.direct:
-            for handle in self.handles.values():
-                if not handle.in_stream:
-                    continue
-                if handle.is_observer:
-                    if handle.synced:
-                        if inform is None:
-                            inform = messages.Inform(
-                                zxid, proposal.txn, proposal.size
-                            )
-                        self.peer.send(handle.peer_id, inform)
-                else:
-                    self.peer.send(handle.peer_id, commit)
-        else:
-            # Observers are never relay-plan members; INFORM stays a
-            # direct leader->observer stream regardless of topology.
-            for handle in self.handles.values():
-                if handle.is_observer and handle.in_stream and handle.synced:
-                    if inform is None:
-                        inform = messages.Inform(
-                            zxid, proposal.txn, proposal.size
-                        )
-                    self.peer.send(handle.peer_id, inform)
-            self._disseminate(commit)
+        self._disseminate(messages.Commit(zxid), proposal)
         self.peer.commit_local(zxid, proposal.txn)
-        self._flush_sync_waiters(zxid)
+        if self._sync_waiters:
+            self._flush_sync_waiters(zxid)
 
     # ------------------------------------------------------------------
-    # Relay-plan dissemination (non-direct topologies)
+    # Phase-3 fan-out
     # ------------------------------------------------------------------
 
     def _refresh_plan(self):
@@ -559,7 +536,7 @@ class LeaderContext:
         members = tuple(sorted(
             handle.peer_id
             for handle in self.handles.values()
-            if handle.synced and not handle.is_observer
+            if handle.synced and handle.voter
             and handle.last_contact >= horizon
         ))
         if members != self._plan_members:
@@ -574,18 +551,29 @@ class LeaderContext:
                 )
         return self._plan
 
-    def _disseminate(self, message):
-        """Fan one broadcast-phase message out along the relay plan."""
-        plan = self._refresh_plan()
+    def _disseminate(self, message, committed=None):
+        """Send one PROPOSE or COMMIT to every learner in the stream.
+
+        In handle order: a voter outside the relay plan gets *message*,
+        an observer an INFORM of the *committed* proposal (none for a
+        PROPOSE); then the plan members get *message* along the plan.
+        """
+        plan = self._refresh_plan() if self._relayed else ()
         members = self._plan_member_set
         send = self.peer.send
+        inform = None
         for handle in self.handles.values():
-            if (
-                handle.in_stream
-                and not handle.is_observer
-                and handle.peer_id not in members
-            ):
-                send(handle.peer_id, message)
+            if not handle.in_stream:
+                continue
+            if handle.voter:
+                if handle.peer_id not in members:
+                    send(handle.peer_id, message)
+            elif committed is not None:
+                if inform is None:
+                    inform = messages.Inform(
+                        message.zxid, committed.txn, committed.size
+                    )
+                send(handle.peer_id, inform)
         for node, children in plan:
             if children:
                 send(node, messages.Relay(
@@ -600,37 +588,26 @@ class LeaderContext:
 
     def _on_sync_request(self, src, msg):
         """Answer once everything currently outstanding has committed."""
-        if not self.proposals:
-            frontier = self.peer.last_committed or ZXID_ZERO
-            self.peer.send(src, messages.SyncReply(msg.cookie, frontier))
-            return
-        barrier = next(reversed(self.proposals))  # newest outstanding
-        self._sync_waiters.append((barrier, src, msg.cookie))
+        self.sync_barrier(lambda frontier: self.peer.send(
+            src, messages.SyncReply(msg.cookie, frontier)
+        ))
 
     def sync_barrier(self, callback):
-        """Local flavour of sync: run *callback(frontier)* once every
-        currently-outstanding proposal has committed (leader-side
-        linearizable read point)."""
+        """Run *callback(frontier)* once every currently-outstanding
+        proposal has committed (the linearizable read point)."""
         if not self.proposals:
             callback(self.peer.last_committed or ZXID_ZERO)
             return
-        barrier = next(reversed(self.proposals))
-        self._sync_waiters.append((barrier, None, callback))
+        barrier = next(reversed(self.proposals))  # newest outstanding
+        self._sync_waiters.append((barrier, callback))
 
     def _flush_sync_waiters(self, committed_zxid):
-        if not self._sync_waiters:
-            return
         remaining = []
-        for barrier, dst, cookie in self._sync_waiters:
+        for barrier, callback in self._sync_waiters:
             if barrier <= committed_zxid:
-                if dst is None:
-                    cookie(committed_zxid)  # local callback
-                else:
-                    self.peer.send(
-                        dst, messages.SyncReply(cookie, committed_zxid)
-                    )
+                callback(committed_zxid)
             else:
-                remaining.append((barrier, dst, cookie))
+                remaining.append((barrier, callback))
         self._sync_waiters = remaining
 
     def _drain_pending(self):
@@ -676,15 +653,14 @@ class LeaderContext:
             > self.config.staleness_timeout()
             else None
         )
+        # Observers may land in *alive*: no quorum verifier counts them.
         for handle in self.handles.values():
-            if handle.is_observer or handle.last_contact < horizon:
-                continue
-            if (
+            if handle.last_contact < horizon or (
                 stalled_since is not None
                 and handle.in_stream
-                and handle.last_ack < stalled_since
+                and handle.last_ack < stalled_since   # no ACK progress
             ):
-                continue  # no progress on the stuck pipeline
+                continue
             alive.add(handle.peer_id)
         if not self.config.quorum.contains_quorum(alive):
             self.peer.go_looking("leader lost follower quorum")

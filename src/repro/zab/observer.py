@@ -48,9 +48,13 @@ class ObserverContext(FollowerContext):
             getattr(self, handler)(msg)
 
     def _on_inform(self, msg):
-        if not self.active:
+        # The leader streams INFORM from NEWLEADER on, like COMMIT to a
+        # follower: commits made while this observer finishes its sync
+        # are logged now and delivered at UPTODATE.
+        if not self._saw_newleader:
             return
-        last = self.peer.storage.log.last_appended()
+        log = self.peer.storage.log
+        last = log.last_appended()
         if last is not None and msg.zxid <= last:
             return  # duplicate
         if not _contiguous(last, msg.zxid):
@@ -60,8 +64,11 @@ class ObserverContext(FollowerContext):
                 "inform gap: got %r after %r" % (msg.zxid, last)
             )
             return
-        # INFORM carries a committed transaction: log and deliver at once.
-        self.peer.storage.log.install_record(msg.zxid, msg.txn, msg.size)
-        self.peer.commit_local(msg.zxid, msg.txn)
-        if self._sync_barriers:
-            self._serve_ready_sync_reads()
+        log.install_record(msg.zxid, msg.txn, msg.size)
+        if msg.zxid > self.commit_frontier:
+            self.commit_frontier = msg.zxid
+        if self.active:
+            # Committed already: deliver at once, no log re-read.
+            self.peer.commit_local(msg.zxid, msg.txn)
+            if self._sync_barriers:
+                self._serve_ready_sync_reads()

@@ -620,6 +620,15 @@ class ZabPeer(Process):
             and self.ctx.active
         )
 
+    @property
+    def is_active_voting_follower(self):
+        """An active learner whose ACKs count (never an observer)."""
+        return (
+            self.state == messages.FOLLOWING
+            and self.ctx is not None
+            and self.ctx.active
+        )
+
     def current_epoch(self):
         return self.storage.epochs.current_epoch
 

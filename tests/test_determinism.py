@@ -6,6 +6,8 @@ full scenarios twice and require bit-identical traces, states, and
 metrics.
 """
 
+import pytest
+
 from repro.harness import Cluster, ClusterConfig
 from repro.paxos import PaxosCluster
 
@@ -80,10 +82,25 @@ def test_paxos_scenario_bit_identical_across_runs():
 _SEED77_DIGEST = "ee2f6e5fc58fdfb5a01710803a097f3e6cfebf71f3faeb21ff063d2c4159dae7"
 
 
-def _zab_scenario_digest(seed, tracer=None):
+#: The same scenario with two observers, under each topology: pins the
+#: leader's Phase-3 fan-out (PROPOSE/COMMIT to voters, INFORM to
+#: observers, relay plans) down to the order of its sends.
+_SEED77_OBSERVER_DIGESTS = {
+    "leader-direct":
+        "c4117c196581193972391c3dfda4fa49b44eb136c0562749f15f30ca7bd4cab1",
+    "chain":
+        "c462893c9752c87fe8a4eecf5c174921f8e8258335aa26abc42f4420ae1b854e",
+    "tree":
+        "0c110a241346b154a47d2c19eeb384c6bbf2035eb5db3ec2a1ecc04c47c432fe",
+    "ring":
+        "c462893c9752c87fe8a4eecf5c174921f8e8258335aa26abc42f4420ae1b854e",
+}
+
+
+def _zab_scenario_digest(seed, **config):
     import hashlib
 
-    cluster = Cluster(ClusterConfig(n_voters=5, seed=seed, tracer=tracer)).start()
+    cluster = Cluster(ClusterConfig(n_voters=5, seed=seed, **config)).start()
     cluster.run_until_stable(timeout=30)
     for i in range(20):
         cluster.submit_and_wait(("incr", "x", 1))
@@ -108,6 +125,13 @@ def _zab_scenario_digest(seed, tracer=None):
 
 def test_fixed_seed_trace_pinned_across_fast_path_rewrites():
     assert _zab_scenario_digest(77) == _SEED77_DIGEST
+
+
+@pytest.mark.parametrize("topology", sorted(_SEED77_OBSERVER_DIGESTS))
+def test_fixed_seed_trace_with_observers_pinned(topology):
+    assert _zab_scenario_digest(
+        77, n_observers=2, dissemination=topology,
+    ) == _SEED77_OBSERVER_DIGESTS[topology]
 
 
 def test_tracer_attachment_does_not_perturb_the_execution():

@@ -12,8 +12,6 @@ def test_defaults():
     assert config.observers == ()
     assert isinstance(config.quorum, MajorityQuorum)
     assert config.all_peers == (1, 2, 3)
-    assert config.is_voter(2)
-    assert not config.is_voter(9)
 
 
 def test_timeouts_derive_from_ticks():

@@ -43,9 +43,10 @@ def seed_txn(epoch, counter):
     return Txn(name, name, None, 0, ("set", "seed", counter), 16)
 
 
-def leader_with_puppets(seed=260):
+def leader_with_puppets(seed=260, n_observers=0):
     """Peer 3 starts alone; peers 1 and 2 are puppets."""
-    cluster = Cluster(ClusterConfig(n_voters=3, seed=seed))
+    cluster = Cluster(ClusterConfig(
+        n_voters=3, n_observers=n_observers, seed=seed))
     cluster.peers[3].start()
     puppet1 = Puppet(cluster, 1)
     puppet2 = Puppet(cluster, 2)
@@ -163,3 +164,50 @@ def test_stale_acks_for_unknown_proposals_are_ignored():
     puppet1.send(3, messages.Ack(Zxid(epoch, 42)))
     cluster.run(0.05)
     assert leader.ctx.commits == 0
+
+
+def test_observer_never_counts_at_the_leader():
+    # Peer 4 is an observer.  It forges every message a voter would use
+    # to sway the leader; each one arrives before the voter's own and
+    # must change nothing.
+    cluster, leader, voter, _idle = leader_with_puppets(
+        seed=265, n_observers=1)
+    observer = Puppet(cluster, 4)
+    observer.send(3, messages.FollowerInfo(9, Zxid(9, 9)))
+    cluster.run(0.05)
+    voter.send(3, messages.FollowerInfo(0, ZXID_ZERO))
+    cluster.run(0.05)
+    epoch = voter.received(messages.NewEpoch)[0].epoch
+    assert epoch == 1                       # not 9 + 1
+    assert observer.received(messages.NewEpoch)[0].epoch == 1
+
+    observer.send(3, messages.AckEpoch(9, Zxid(9, 9)))
+    cluster.run(0.05)
+    voter.send(3, messages.AckEpoch(0, ZXID_ZERO))
+    cluster.run(0.05)
+    assert not observer.received(messages.HistoryRequest)
+    assert leader.ctx.phase == "synchronization"
+
+    observer.send(3, messages.AckNewLeader(epoch, ZXID_ZERO))
+    cluster.run(0.05)
+    assert not leader.ctx.established
+    voter.send(3, messages.AckNewLeader(epoch, ZXID_ZERO))
+    cluster.run(0.05)
+    assert leader.ctx.established
+    assert leader.ctx.acked_newleader == {1, 3}
+
+    leader.propose_op(("put", "k", 1))
+    cluster.run(0.05)
+    zxid = Zxid(epoch, 1)
+    proposal = leader.ctx.proposals[zxid]   # the leader's own ACK only
+    observer.send(3, messages.Ack(zxid))
+    cluster.run(0.05)
+    assert proposal.acks == {3}
+    assert leader.ctx.acks_received == 1
+    assert leader.ctx.commits == 0
+    assert not observer.received(messages.Propose)
+    voter.send(3, messages.Ack(zxid))
+    cluster.run(0.05)
+    assert leader.ctx.commits == 1
+    # The observer's Phase-3 stream: the commit, as INFORM.
+    assert [m.zxid for m in observer.received(messages.Inform)] == [zxid]

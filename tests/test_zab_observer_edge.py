@@ -88,6 +88,30 @@ def test_observer_does_not_ack_proposals():
     assert informs == 10
 
 
+def test_recovering_observer_joins_under_load():
+    # 5,000 writes/s leave no quiet sync window: commits land between
+    # the leader's NEWLEADER and the observer's UPTODATE every time.
+    # The observer must take them as INFORMs and join at its first
+    # sync, not find a gap and re-sync for as long as the load lasts.
+    tracer = Tracer(kinds=("peer.looking",))
+    cluster = Cluster(ClusterConfig(
+        n_voters=3, n_observers=2, seed=215, tracer=tracer)).start()
+    cluster.run_until_stable(timeout=30)
+    observer = cluster.peers[5]
+    for i in range(2000):
+        if i == 250:
+            cluster.crash(5)
+        elif i == 750:
+            cluster.recover(5)
+        cluster.submit(("put", "k%d" % (i % 10), i))
+        cluster.run(0.0002)
+    assert observer.is_active_follower
+    cluster.run(0.05)
+    assert observer.last_committed == cluster.leader().last_committed
+    assert [e for e in tracer.events if e.node == 5] == []
+    cluster.assert_properties()
+
+
 #: Messages per type each observer of test_observer_wire_traffic_is_pinned
 #: sent and received.  The same under every topology: INFORM and PING are
 #: leader-direct and observers sit in no relay plan.
@@ -97,11 +121,11 @@ _OBSERVER_WIRE = {
     (4, "received"): {"Inform": 200, "NewEpoch": 1, "NewLeader": 1,
                       "Notification": 3, "Ping": 34, "SyncStart": 1,
                       "UpToDate": 1},
-    (5, "sent"): {"AckEpoch": 3, "AckNewLeader": 3, "FollowerInfo": 3,
-                  "Notification": 12, "Pong": 33},
-    (5, "received"): {"Inform": 148, "NewEpoch": 3, "NewLeader": 3,
-                      "Notification": 9, "Ping": 33, "SyncStart": 3,
-                      "SyncTxn": 54, "UpToDate": 3},
+    (5, "sent"): {"AckEpoch": 2, "AckNewLeader": 2, "FollowerInfo": 2,
+                  "Notification": 9, "Pong": 33},
+    (5, "received"): {"Inform": 150, "NewEpoch": 2, "NewLeader": 2,
+                      "Notification": 6, "Ping": 33, "SyncStart": 2,
+                      "SyncTxn": 51, "UpToDate": 2},
 }
 
 
@@ -113,10 +137,10 @@ def test_observer_wire_traffic_is_pinned(topology):
         tracer=tracer)).start()
     cluster.run_until_stable(timeout=30)
     # 200 writes at 1 kHz.  Observer 5 is down for writes 50-99 and
-    # misses a commit while it re-syncs.  Writes then pause for ten
-    # pings: a relay-lag check (a follower's, not an observer's) would
-    # re-sync it there; instead the next INFORM's gap does (its one
-    # peer.looking).
+    # syncs once on recovery: the commits made during that sync reach it
+    # as INFORMs after NEWLEADER, so it joins with no gap and never goes
+    # back to LOOKING.  Writes then pause for ten pings, with both
+    # observers caught up.
     for i in range(200):
         if i == 50:
             cluster.crash(5)
@@ -139,7 +163,7 @@ def test_observer_wire_traffic_is_pinned(topology):
             way = "sent" if event.kind == "net.send" else "received"
             wire[event.node, way][event.fields["type"]] += 1
     assert wire == _OBSERVER_WIRE
-    assert looking == {5: 1}
+    assert looking == {}
     for peer_id in (4, 5):
         assert cluster.peers[peer_id].sm.read(("get", "k9")) == 199
     cluster.assert_properties()
