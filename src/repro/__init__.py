@@ -20,7 +20,7 @@ and EXPERIMENTS.md for the paper-vs-measured record of every reproduced
 table and figure.
 """
 
-from repro.bench.parallel import parallel_explore, run_parallel_campaign
+from repro.bench.campaign import run_adversarial_campaign
 from repro.bench.runner import run_broadcast_bench
 from repro.bench.workloads import AggregateOpenLoopDriver, SessionClass
 from repro.checker import CheckerState, Trace, check_all
@@ -74,8 +74,7 @@ __all__ = [
     "ExplorerConfig",
     "ExplorationResult",
     "run_broadcast_bench",
-    "run_parallel_campaign",
-    "parallel_explore",
+    "run_adversarial_campaign",
     "SessionClass",
     "AggregateOpenLoopDriver",
     "check_all",

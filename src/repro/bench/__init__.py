@@ -6,13 +6,12 @@ simulated seconds.  Absolute values depend on the network/disk models
 configured; the experiments in :mod:`repro.bench.experiments` are about
 *shapes* (scaling curves, knees, dips), per EXPERIMENTS.md.
 
-The exception is :mod:`repro.bench.parallel` (wall-clock scale-out of
-campaigns and exploration across processes); wall-clock cost of the
-simulation machinery itself is measured by ``benchmarks/e2e/run.py``.
+Wall-clock cost of the simulation machinery itself is measured by
+``benchmarks/e2e/run.py``.
 """
 
+from repro.bench.campaign import run_adversarial_campaign
 from repro.bench.metrics import Timeline
-from repro.bench.parallel import parallel_explore, run_parallel_campaign
 from repro.bench.runner import BenchResult, run_broadcast_bench
 from repro.bench.workloads import (
     AggregateOpenLoopDriver,
@@ -25,8 +24,7 @@ __all__ = [
     "Timeline",
     "BenchResult",
     "run_broadcast_bench",
-    "run_parallel_campaign",
-    "parallel_explore",
+    "run_adversarial_campaign",
     "ClosedLoopDriver",
     "OpenLoopDriver",
     "SessionClass",

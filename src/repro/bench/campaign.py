@@ -17,6 +17,7 @@ import json
 import time
 
 from repro.bench.formats import render_table
+from repro.common.pool import partition_items, process_pool
 from repro.harness.cluster import Cluster
 from repro.harness.config import ClusterConfig
 from repro.harness.opscenarios import run_ops_scenario
@@ -82,18 +83,42 @@ def run_adversarial_campaign(seeds, n_voters=3, steps=10,
     ``profile="ops"`` swaps the crash/partition adversary for the
     operational one (:meth:`ActionSchedule.generate_ops`): snapshots,
     retention-driven compaction, one-way cuts, and clock skews join
-    the fault mix.  ``workers > 1`` farms the seeds across processes
-    (:func:`repro.bench.parallel.run_parallel_campaign`); outcomes come
-    back in seed order either way, so reports are byte-identical.
+    the fault mix.  ``workers > 1`` deals the seeds round-robin to that
+    many processes; outcomes come back in seed order either way, each
+    stamped with the worker that ran it and its wall-clock ``elapsed``,
+    so reports are byte-identical.
     """
-    from repro.bench.parallel import run_parallel_campaign
-
-    return run_parallel_campaign(
-        seeds, workers=workers, n_voters=n_voters, steps=steps,
-        step_interval=step_interval, op_interval=op_interval,
-        leader_factory=leader_factory, with_health=with_health,
-        dissemination=dissemination, profile=profile,
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    kwargs = dict(
+        n_voters=n_voters, steps=steps, step_interval=step_interval,
+        op_interval=op_interval, leader_factory=leader_factory,
+        with_health=with_health, dissemination=dissemination,
+        profile=profile,
     )
+    seeds = list(seeds)
+    if workers == 1 or len(seeds) <= 1:
+        return [_one_run(seed, **kwargs) for seed in seeds]
+    chunks = [
+        chunk for chunk in partition_items(enumerate(seeds), workers)
+        if chunk
+    ]
+    with process_pool(len(chunks)) as pool:
+        per_chunk = pool.map(
+            _run_chunk, [(chunk, kwargs) for chunk in chunks]
+        )
+    outcomes = [None] * len(seeds)
+    for worker_id, chunk_outcomes in enumerate(per_chunk):
+        for index, outcome in chunk_outcomes:
+            outcome.worker = worker_id
+            outcomes[index] = outcome
+    return outcomes
+
+
+def _run_chunk(payload):
+    """Pool task: run one chunk of (index, seed) pairs serially."""
+    chunk, kwargs = payload
+    return [(index, _one_run(seed, **kwargs)) for index, seed in chunk]
 
 
 def _one_run(seed, n_voters=3, steps=10, step_interval=0.5,

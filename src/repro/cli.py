@@ -41,6 +41,22 @@ def _load(loader, path):
         raise _UnreadableInput("cannot read input: %s" % exc) from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors, like unreadable inputs, are one line and exit 2."""
+
+    def error(self, message):
+        self.exit(2, "%s: error: %s\n" % (self.prog, message))
+
+
+def _worker_count(text):
+    """``--workers`` type: a process count, at least 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            "must be an integer >= 1, not %r" % text
+        )
+    return int(text)
+
+
 # A table block of EXPERIMENTS.md is a bare fence whose first line is
 # "<Id>: <title>"; the prose around the blocks is hand-written.
 _TABLE_BLOCK = re.compile(
@@ -550,27 +566,7 @@ def cmd_explore(args):
                      len(result.violations), result.frontier_left),
                   file=sys.stderr)
 
-    if args.workers is not None:
-        # Partitioned subtree driver: byte-identical summary for every
-        # worker count (budgets per subtree).  No --workers keeps the
-        # legacy single-frontier search and its budget semantics.
-        from repro.bench.parallel import parallel_explore
-
-        result = parallel_explore(config, workers=args.workers,
-                                  progress=progress)
-        print("parallel: %d subtree units over %d workers"
-              % (len(result.unit_results), max(1, args.workers)))
-        for row in result.unit_rows():
-            print("  unit %-3d prefix=%-12s %3d runs, %4d states, "
-                  "%d violations, %s (worker %s, %.0f ms)"
-                  % (row["unit"], row["prefix"], row["runs"],
-                     row["states"], row["violations"], row["stopped"],
-                     row["worker"],
-                     0.0 if row["elapsed"] is None
-                     else row["elapsed"] * 1e3))
-    else:
-        result = Explorer(config, progress=progress).run()
-
+    result = Explorer(config, progress=progress).run(workers=args.workers)
     print("explored %d schedules over %d distinct states "
           "(depth %d, %d peers, seed %d)"
           % (result.runs, result.states_visited, args.depth, args.peers,
@@ -768,7 +764,7 @@ def cmd_info(_args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="Zab (DSN 2011) reproduction toolkit",
     )
@@ -937,13 +933,12 @@ def build_parser():
                            choices=list(DISSEMINATION_TOPOLOGIES),
                            help="broadcast propagation topology for "
                                 "every explored execution")
-    p_explore.add_argument("--workers", type=int, default=None,
+    p_explore.add_argument("--workers", type=_worker_count, default=1,
                            metavar="N",
-                           help="partition the search into root-sibling "
-                                "subtrees across N processes (budgets and "
-                                "pruning apply per subtree: the summary is "
-                                "byte-identical for every N, and differs "
-                                "from the search without --workers)")
+                           help="execute upcoming prefixes of the search "
+                                "on N processes (same search, same "
+                                "summary for every N; only wall-clock "
+                                "changes)")
     p_explore.add_argument("--json", default=None, metavar="PATH",
                            help="write the JSON exploration summary here")
     p_explore.add_argument("-o", "--out", default=None,
@@ -969,7 +964,7 @@ def build_parser():
                             help="adversary profile: 'ops' adds "
                                  "snapshots, compaction, one-way cuts "
                                  "and clock skew to the fault mix")
-    p_campaign.add_argument("--workers", type=int, default=1,
+    p_campaign.add_argument("--workers", type=_worker_count, default=1,
                             metavar="N",
                             help="farm seeds across N processes "
                                  "(reports are byte-identical for "

@@ -12,29 +12,6 @@ class ScenarioError(ReproError):
     """A scenario could not complete (e.g. stability never returned)."""
 
 
-def leader_churn(cluster, rounds, timeout=60.0, write_between=True):
-    """Crash each successive leader, recovering the previous victim.
-
-    Keeps a quorum alive throughout.  Returns the list of epochs
-    observed, which must be strictly increasing.
-    """
-    epochs = []
-    previous_victim = None
-    for _ in range(rounds):
-        leader = cluster.run_until_stable(timeout=timeout)
-        epochs.append(leader.current_epoch())
-        if write_between:
-            cluster.submit_and_wait(("incr", "churn", 1))
-        victim = leader.peer_id
-        cluster.crash(victim)
-        if previous_victim is not None:
-            cluster.recover(previous_victim)
-        previous_victim = victim
-    cluster.recover(previous_victim)
-    cluster.run_until_stable(timeout=timeout)
-    return epochs
-
-
 def crash_recovery_timeline(n_voters=5, seed=3, rate=2000, tracer=None,
                             metrics=None, schedule=None, duration=8.0,
                             bandwidth_bps=25e6, op_size=1024,

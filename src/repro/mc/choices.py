@@ -78,20 +78,8 @@ class DfsFrontier:
     still hot in the visited set).
     """
 
-    def __init__(self, roots=None):
-        """Start from *roots* (default: the single empty prefix).
-
-        Seeding the frontier with a non-empty prefix restricts the
-        search to that prefix's subtree: ``expand`` only ever queues
-        siblings at or beyond the popped prefix's length, and all of
-        those extend it.  ``repro.bench.parallel`` exploits this to
-        farm disjoint subtrees to worker processes.
-        """
-        if roots is None:
-            self._stack = [[]]
-        else:
-            self._stack = [list(root) for root in roots]
-        self.pushed = len(self._stack)
+    def __init__(self):
+        self._stack = [[]]
 
     def __len__(self):
         return len(self._stack)
@@ -99,9 +87,14 @@ class DfsFrontier:
     def pop(self):
         return self._stack.pop()
 
+    def peek(self, count):
+        """The top *count* prefixes, the one ``pop()`` yields next first."""
+        return self._stack[-count:][::-1]
+
     def expand(self, prefix, chooser):
         """Queue the untaken siblings discovered by one run.
 
+        *chooser* is anything with the run's ``taken``/``arities``.
         Only choice points at or beyond ``len(prefix)`` spawn siblings:
         everything shallower was scripted, and its alternatives were
         queued when the scripting run itself was expanded.
@@ -113,5 +106,4 @@ class DfsFrontier:
             for value in range(1, arity):
                 self._stack.append(base + [value])
                 added += 1
-        self.pushed += added
         return added

@@ -21,12 +21,20 @@ explorer vouches for it.
 Budgets are explicit and loud: when the run stops on ``max_schedules``
 or ``max_states`` the result says so and reports how many frontier
 prefixes were left unexplored — no silent caps.
+
+There is one search.  ``run(workers=N)`` only lets N processes execute
+the prefixes waiting on top of the DFS stack ahead of time: an
+execution depends on nothing but its prefix, and pruning only cuts it
+short, so a run made early elsewhere is the run the search would have
+made.  This process still pops in DFS order and settles every run
+against the one visited map, so the result is the same for every N.
 """
 
 import os
 import time
 
 from repro.checker import CheckerState
+from repro.common.pool import process_pool
 from repro.harness.cluster import Cluster
 from repro.harness.config import ClusterConfig
 from repro.harness.replay import (
@@ -36,7 +44,7 @@ from repro.harness.replay import (
     stabilise_under_load,
 )
 from repro.harness.schedule import Action, ActionSchedule, apply_action
-from repro.mc.choices import Chooser, DfsFrontier
+from repro.mc.choices import Chooser, DfsFrontier, DivergentReplayError
 from repro.mc.fingerprint import cluster_fingerprint
 from repro.mc.policy import InterleavingPolicy
 from repro.net import NetworkConfig
@@ -46,7 +54,9 @@ NOOP = ("noop", None)
 
 
 class ExplorerConfig:
-    """Knobs of one exploration run.
+    """Knobs of one exploration run: everything that decides *what* is
+    searched.  How many processes search it is ``Explorer.run(workers=)``,
+    which changes wall-clock only.
 
     peers / seed / op_interval / step_interval / settle / timeout
         Mirror :func:`~repro.harness.replay.replay_schedule` so every
@@ -168,11 +178,10 @@ class ExplorationResult:
         self.errors = []              # (prefix, error-string) pairs
         self.stopped_reason = "exhausted"
         self.frontier_left = 0
-        # Attribution stamps (wall-clock seconds / worker process id).
-        # Deliberately absent from to_json(): the canonical summary must
-        # stay byte-identical across machines and worker counts.
+        # Wall-clock seconds, deliberately absent from to_json(): the
+        # canonical summary must stay byte-identical across machines
+        # and worker counts.
         self.elapsed = None
-        self.worker = None
 
     @property
     def exhausted(self):
@@ -221,20 +230,31 @@ class _CheckerMismatch(Exception):
     """The incremental and post-hoc checkers disagreed on one history."""
 
 
-class _RunOutcome:
-    """What one execution of a decision prefix produced."""
+class _Run:
+    """What one execution of a decision prefix did: a plain record.
 
-    __slots__ = ("chooser", "schedule", "signature", "pruned", "error",
-                 "recorder")
+    ``taken``/``arities`` are the chooser's; ``trail`` holds one
+    ``(step, fingerprint, len(taken), (choice_points, por_skipped))``
+    entry per revisit check, in order, so :meth:`Explorer._settle` can
+    find where the search prunes the run without re-executing it.
+    """
 
-    def __init__(self, chooser, schedule=None, signature=(), pruned=False,
-                 error=None, recorder=None):
-        self.chooser = chooser
-        self.schedule = schedule
-        self.signature = signature
-        self.pruned = pruned
-        self.error = error
-        self.recorder = recorder
+    __slots__ = ("taken", "arities", "trail", "steps", "por", "error",
+                 "signature", "schedule", "recorder")
+
+    def __init__(self, chooser):
+        self.taken = chooser.taken
+        self.arities = chooser.arities
+        self.trail = []
+        self.steps = 0
+        self.por = {"choice_points": 0, "por_skipped": 0}
+        self.error = None
+        self.signature = ()
+        self.schedule = None
+        self.recorder = None
+
+    def por_counts(self):
+        return (self.por["choice_points"], self.por["por_skipped"])
 
 
 class Explorer:
@@ -246,84 +266,112 @@ class Explorer:
         self.progress = progress      # callable(ExplorationResult), per run
         # fingerprint -> shallowest decision step at which it was seen
         self._visited = {}
-        self._por_stats = {"choice_points": 0, "por_skipped": 0}
         self._signatures = set()
 
     # ------------------------------------------------------------------
     # Search driver
     # ------------------------------------------------------------------
 
-    def run(self, roots=None):
+    def run(self, workers=1):
         """Explore until the frontier drains or a budget trips.
 
-        *roots* seeds the frontier with explicit decision prefixes
-        instead of the empty one — the subtree-parallelism seam used by
-        :func:`repro.bench.parallel.parallel_explore`, where each worker
-        explores one disjoint subtree of the search.
+        With ``workers > 1`` a pool of that many processes executes the
+        top ``2 * workers`` prefixes of the DFS stack ahead of time.
+        Workers only execute: prefixes are still popped in DFS order and
+        settled here against the one visited map, so the result is the
+        ``workers=1`` result, byte for byte; only wall-clock changes.
         """
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
         started = time.perf_counter()
         config = self.config
         result = ExplorationResult(config)
-        frontier = DfsFrontier(roots)
-        while len(frontier):
-            if result.runs >= config.max_schedules:
-                result.stopped_reason = "max_schedules"
-                break
-            if len(self._visited) >= config.max_states:
-                result.stopped_reason = "max_states"
-                break
-            prefix = frontier.pop()
-            outcome = self._execute(prefix, result)
-            result.runs += 1
-            if outcome.error is not None:
-                result.errors.append((tuple(prefix), outcome.error))
-            elif outcome.signature and not outcome.pruned:
-                self._record_violation(prefix, outcome, result)
-                if (config.max_violations
-                        and len(result.violations) >= config.max_violations):
+        frontier = DfsFrontier()
+        pool = None
+        if workers > 1:
+            pool = process_pool(workers, _start_worker, (config,))
+        ahead = {}      # tuple(prefix) -> pending worker execution
+        try:
+            while len(frontier):
+                if result.runs >= config.max_schedules:
+                    result.stopped_reason = "max_schedules"
+                    break
+                if len(self._visited) >= config.max_states:
+                    result.stopped_reason = "max_states"
+                    break
+                if pool is not None:
+                    for waiting in frontier.peek(2 * workers):
+                        if tuple(waiting) not in ahead:
+                            ahead[tuple(waiting)] = pool.apply_async(
+                                _execute_ahead, (waiting,)
+                            )
+                prefix = frontier.pop()
+                if pool is None:
+                    run = self._execute(prefix, self._visited)
+                else:
+                    run = self._collect(prefix, ahead.pop(tuple(prefix)))
+                if self._settle(prefix, run, result):
                     result.stopped_reason = "max_violations"
                     break
-            frontier.expand(prefix, outcome.chooser)
-            self._note_progress(result, frontier)
+                frontier.expand(prefix, run)
+                self._note_progress(result, frontier)
+        finally:
+            if pool is not None:
+                pool.terminate()
+                pool.join()
         result.states_visited = len(self._visited)
-        result.por_skipped = self._por_stats["por_skipped"]
-        result.choice_points += self._por_stats["choice_points"]
         result.frontier_left = len(frontier)
         result.elapsed = time.perf_counter() - started
         self._publish_metrics(result)
         return result
 
-    def bootstrap(self):
-        """Execute only the root prefix; return (result, subtree roots).
+    def _collect(self, prefix, pending):
+        """A worker's run of *prefix*, or this process's if it raised.
 
-        The root run's recorded choice points define an exact partition
-        of the remaining search tree: every untaken sibling
-        ``taken[:depth] + [value]`` roots one disjoint subtree (the same
-        prefixes a serial :class:`DfsFrontier` would queue from the root
-        expansion).  :func:`repro.bench.parallel.parallel_explore` runs
-        the root here, then farms those subtree roots to workers.
+        A worker runs past points where this search may prune, so only
+        a divergent replay (raised inside the scripted prefix, which no
+        pruning can cut) is final; anything else is re-run here against
+        the visited map, where it either recurs or is pruned first.
         """
-        started = time.perf_counter()
-        result = ExplorationResult(self.config)
-        outcome = self._execute([], result)
-        result.runs = 1
-        if outcome.error is not None:
-            result.errors.append(((), outcome.error))
-        elif outcome.signature and not outcome.pruned:
-            self._record_violation([], outcome, result)
-        units = []
-        chooser = outcome.chooser
-        for depth in range(len(chooser.taken)):
-            for value in range(1, chooser.arities[depth]):
-                units.append(chooser.taken[:depth] + [value])
-        result.states_visited = len(self._visited)
-        result.por_skipped = self._por_stats["por_skipped"]
-        result.choice_points += self._por_stats["choice_points"]
-        result.elapsed = time.perf_counter() - started
-        self._publish_metrics(result)
-        return result, units
+        try:
+            return pending.get()
+        except DivergentReplayError:
+            raise
+        except Exception:
+            return self._execute(prefix, self._visited)
 
-    def _record_violation(self, prefix, outcome, result):
+    def _settle(self, prefix, run, result):
+        """Fold one run into the search, as if it had executed here.
+
+        Replays the run's trail against the visited map to find where
+        this search prunes it (never later than where the run stopped
+        itself), truncates the run there, and books its share of the
+        counters.  Returns True once ``max_violations`` is reached.
+        """
+        steps, por = run.steps, run.por_counts()
+        pruned = False
+        for step, fingerprint, taken, por_at in run.trail:
+            seen_at = self._visited.get(fingerprint)
+            if seen_at is not None and seen_at <= step:
+                pruned = True
+                steps, por = step + 1, por_at
+                del run.taken[taken:], run.arities[taken:]
+                break
+            self._visited[fingerprint] = step
+        result.runs += 1
+        result.choice_points += steps + por[0]
+        result.por_skipped += por[1]
+        if pruned:
+            result.states_pruned += 1
+        elif run.error is not None:
+            result.errors.append((tuple(prefix), run.error))
+        elif run.signature:
+            self._record_violation(prefix, run, result)
+            limit = self.config.max_violations
+            return bool(limit) and len(result.violations) >= limit
+        return False
+
+    def _record_violation(self, prefix, run, result):
         """Re-verify a violating run through the stock replay engine.
 
         A violation only counts once per signature; `confirmed` means a
@@ -332,39 +380,45 @@ class Explorer:
         signature — the bit-identical-replay guarantee the shrinker
         needs.
         """
-        if outcome.signature in self._signatures:
+        if run.signature in self._signatures:
             return
-        self._signatures.add(outcome.signature)
+        self._signatures.add(run.signature)
         replayed = replay_schedule(
-            outcome.schedule, self.config.cluster_config(),
+            run.schedule, self.config.cluster_config(),
             settle=self.config.settle, timeout=self.config.timeout,
         )
         result.violations.append(Violation(
-            schedule=outcome.schedule,
-            signature=outcome.signature,
-            confirmed=(replayed.signature == outcome.signature),
+            schedule=run.schedule,
+            signature=run.signature,
+            confirmed=(replayed.signature == run.signature),
             replay_signature=replayed.signature,
             prefix=tuple(prefix),
-            flight_path=self._dump_flight(outcome, len(result.violations)),
+            flight_path=self._dump_flight(prefix, run,
+                                          len(result.violations)),
         ))
 
-    def _dump_flight(self, outcome, index):
+    def _dump_flight(self, prefix, run, index):
         """Ship the violating execution's black box, if configured.
 
         The dump is the *explored* run's recorder (not the verification
         replay's), so its tail shows the exact execution whose
-        signature was recorded — even when replay fails to confirm.
+        signature was recorded — even when replay fails to confirm.  A
+        worker's recorder stays with its simulator; re-executing the
+        prefix here rebuilds the same box, event for event.
         """
         recorder_dir = self.config.recorder_dir
-        if recorder_dir is None or outcome.recorder is None:
+        if recorder_dir is None:
             return None
+        recorder = run.recorder
+        if recorder is None:
+            recorder = self._execute(prefix, {}).recorder
         os.makedirs(recorder_dir, exist_ok=True)
         path = os.path.join(
             recorder_dir, "violation-%d.flight.jsonl" % index
         )
-        outcome.recorder.dump(
+        recorder.dump(
             path, reason="explorer_violation",
-            signature=signature_json(outcome.signature),
+            signature=signature_json(run.signature),
         )
         return path
 
@@ -387,16 +441,19 @@ class Explorer:
     # One execution
     # ------------------------------------------------------------------
 
-    def _execute(self, prefix, result):
-        """Run one decision prefix end to end.
+    def _execute(self, prefix, visited):
+        """Run one decision prefix end to end; return its :class:`_Run`.
 
         Boot and quiesce are :func:`~repro.harness.replay.replay_schedule`'s
         own halves and each action lands on a step boundary, so the
         ActionSchedule assembled from the choices replays to the same
-        execution bit for bit.
+        execution bit for bit.  The run stops where *visited*
+        (fingerprint -> shallowest step) or its own trail would prune
+        it; it only reads *visited* — :meth:`_settle` writes it.
         """
         config = self.config
         chooser = Chooser(prefix)
+        run = _Run(chooser)
         cluster = Cluster(self.config.cluster_config()).start()
         # Incremental checker rides along with the execution, so the
         # terminal verdict is O(1) instead of a full check_all re-read
@@ -404,7 +461,7 @@ class Explorer:
         checker_state = CheckerState.attach(cluster.trace)
         if config.interleave:
             cluster.sim.set_policy(InterleavingPolicy(
-                chooser, cluster.network._deliver, self._por_stats
+                chooser, cluster.network._deliver, run.por
             ))
         meta = {
             "seed": config.seed,
@@ -416,23 +473,23 @@ class Explorer:
             meta["dissemination"] = config.dissemination
         if config.interleave:
             meta["jitter"] = 0.0
-        schedule = ActionSchedule(meta=meta)
+        run.schedule = schedule = ActionSchedule(meta=meta)
         try:
             t0 = stabilise_under_load(
                 cluster, config.timeout, config.op_interval
             )
         except TimeoutError as exc:
-            return _RunOutcome(
-                chooser, schedule, error="never stable: %s" % exc
-            )
+            run.error = "never stable: %s" % exc
+            return run
 
+        own = set()
         for step in range(config.depth):
             target = t0 + (step + 1) * config.step_interval
             if target > cluster.sim.now:
                 cluster.run(target - cluster.sim.now)
             options = self._step_options(cluster)
             pick = options[chooser.next(len(options), label="step%d" % step)]
-            result.choice_points += 1
+            run.steps = step + 1
             if pick is not NOOP:
                 action = Action(
                     (step + 1) * config.step_interval, pick[0], pick[1]
@@ -445,9 +502,23 @@ class Explorer:
             # as "revisited" would kill the exact branch the frontier
             # scheduled this run to explore.
             if len(chooser.taken) >= len(chooser.prefix):
-                if self._prune(cluster, step):
-                    result.states_pruned += 1
-                    return _RunOutcome(chooser, schedule, pruned=True)
+                # The first visitor of a fingerprint explores its whole
+                # remaining subtree; a later arrival with the same or
+                # less remaining depth can only rediscover a subset, so
+                # it stops.  (Heuristic, not exact: the fingerprint
+                # abstracts away RNG-stream positions.  See
+                # docs/TESTING.md.)
+                fingerprint = cluster_fingerprint(
+                    cluster, storage_state=config.ops_actions
+                )
+                run.trail.append(
+                    (step, fingerprint, len(chooser.taken), run.por_counts())
+                )
+                seen_at = visited.get(fingerprint)
+                if fingerprint in own or (
+                        seen_at is not None and seen_at <= step):
+                    return run
+                own.add(fingerprint)
 
         def check():
             report = checker_state.report()
@@ -467,19 +538,16 @@ class Explorer:
             return posthoc
 
         try:
-            _report, _converged, signature = quiesce_and_judge(
+            _report, _converged, run.signature = quiesce_and_judge(
                 cluster, config.settle, config.timeout, check=check
             )
         except TimeoutError as exc:
-            return _RunOutcome(
-                chooser, schedule, error="never re-stabilised: %s" % exc
-            )
+            run.error = "never re-stabilised: %s" % exc
         except _CheckerMismatch as exc:
-            return _RunOutcome(chooser, schedule, error=str(exc))
-        return _RunOutcome(
-            chooser, schedule, signature=signature,
-            recorder=cluster.recorder,
-        )
+            run.error = str(exc)
+        else:
+            run.recorder = cluster.recorder
+        return run
 
     def _step_options(self, cluster):
         """The fault menu at this decision point, gated by cluster state.
@@ -524,26 +592,22 @@ class Explorer:
         options.append(NOOP)
         return options
 
-    def _prune(self, cluster, step):
-        """True when this abstract state was already expanded no deeper.
 
-        The first visitor of a fingerprint explores its whole remaining
-        subtree; a later arrival at the same state with the same or less
-        remaining depth can only rediscover a subset, so it stops.
-        (Heuristic, not exact: the fingerprint abstracts away RNG-stream
-        positions, so two "equal" states can differ microscopically in
-        future message jitter.  See docs/TESTING.md.)
-        """
-        fingerprint = cluster_fingerprint(
-            cluster, storage_state=self.config.ops_actions
-        )
-        seen_at = self._visited.get(fingerprint)
-        if seen_at is not None and seen_at <= step:
-            return True
-        self._visited[fingerprint] = (
-            step if seen_at is None else min(seen_at, step)
-        )
-        return False
+# Pool side of ``Explorer.run(workers=N)``: each worker process holds one
+# Explorer for the run's config (inherited at fork, never pickled).
+_worker_explorer = None
+
+
+def _start_worker(config):
+    global _worker_explorer
+    _worker_explorer = Explorer(config)
+
+
+def _execute_ahead(prefix):
+    """Pool task: execute *prefix* against an empty visited map."""
+    run = _worker_explorer._execute(prefix, {})
+    run.recorder = None     # bound to this process's simulator clock
+    return run
 
 
 def explore_schedules(peers=3, depth=8, seed=0, leader_factory=None,

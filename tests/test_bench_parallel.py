@@ -1,12 +1,14 @@
-"""Tests for the scale-out drivers in ``repro.bench.parallel``.
+"""Tests for ``--workers``: campaigns and the explorer on a process pool.
 
-The contract under test is the module's one invariant: merged reports
-are **byte-identical** across worker counts — campaign JSON, explorer
-summary JSON, and the rendered tables must not depend on how the work
-was partitioned or which process ran it.
+The contract under test is that the worker count changes wall-clock
+only.  Campaign reports are **byte-identical** for every worker count,
+and the explorer's summary, violations and flight dumps are the serial
+search's own, byte for byte.
 """
 
 import json
+import multiprocessing
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,13 +19,9 @@ from repro.bench.campaign import (
     run_adversarial_campaign,
     write_campaign_report,
 )
-from repro.bench.parallel import (
-    parallel_explore,
-    partition_items,
-    run_parallel_campaign,
-    split_explore_units,
-)
-from repro.mc import ExplorerConfig
+from repro.common.pool import partition_items
+from repro.harness.buggy import SEEDED_BUGS
+from repro.mc import DivergentReplayError, Explorer, ExplorerConfig
 
 
 def small_campaign(workers):
@@ -38,6 +36,11 @@ def small_config(**kwargs):
     kwargs.setdefault("max_schedules", 256)
     kwargs.setdefault("max_violations", 0)
     return ExplorerConfig(**kwargs)
+
+
+def summary(config, workers):
+    result = Explorer(config).run(workers=workers)
+    return json.dumps(result.to_json(), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +82,7 @@ def test_campaign_serial_vs_parallel_byte_identical(tmp_path):
 
 
 def test_campaign_outcomes_come_back_in_seed_order():
-    outcomes = run_parallel_campaign(range(5), workers=3, steps=3)
+    outcomes = run_adversarial_campaign(range(5), workers=3, steps=3)
     assert [outcome.seed for outcome in outcomes] == [0, 1, 2, 3, 4]
     # Round-robin over 3 workers: seeds 0,3 on worker 0, 1,4 on 1, 2 on 2.
     assert [outcome.worker for outcome in outcomes] == [0, 1, 2, 0, 1]
@@ -127,79 +130,96 @@ def test_render_campaign_shows_worker_column_when_stamped():
 
 
 # ---------------------------------------------------------------------------
-# Explorer
+# Explorer: one search, whatever the worker count
 # ---------------------------------------------------------------------------
 
 def test_explore_workers_byte_identical_summary():
-    summaries = {}
-    for workers in (1, 2, 4):
-        result = parallel_explore(small_config(), workers=workers)
-        summaries[workers] = json.dumps(result.to_json(), sort_keys=True)
+    summaries = {
+        workers: summary(small_config(), workers) for workers in (1, 2, 4)
+    }
     assert summaries[1] == summaries[2] == summaries[4]
 
 
-def test_explore_subtree_units_cover_the_whole_search():
-    # Up to depth 3 the serial explorer's run count equals the root run
-    # plus every subtree's runs (deeper, per-unit visited maps cannot
-    # prune across subtrees and the partitioned search runs more).  The
-    # decomposition must never drift, so the counts are exact: seed 0,
-    # 7 units; a state straddling two subtrees counts once in each.
-    from repro.mc import Explorer
-
-    serial = Explorer(small_config(depth=3)).run()
-    parallel = parallel_explore(small_config(depth=3), workers=1)
-    assert (serial.runs, serial.states_visited) == (36, 47)
-    assert (len(parallel.unit_results), parallel.runs,
-            parallel.states_visited) == (7, 36, 51)
-    assert parallel.exhausted and serial.exhausted
-    assert parallel.ok and serial.ok
+def test_explore_pins_depth_3_for_every_worker_count():
+    # Pinned exactly: one visited map and one budget for the whole tree,
+    # whichever processes executed the prefixes.
+    for workers in (1, 2, 4):
+        result = Explorer(small_config(depth=3)).run(workers=workers)
+        assert (result.runs, result.states_visited) == (36, 47), workers
+        assert result.exhausted and result.ok
 
 
-def test_split_explore_units_are_disjoint_prefixes():
-    root, units = split_explore_units(small_config())
-    assert root.runs == 1
-    assert units, "depth-2 search must branch at the root"
-    seen = {tuple(unit) for unit in units}
-    assert len(seen) == len(units)
-    for one in seen:
-        for other in seen:
-            if one is other or len(one) > len(other):
-                continue
-            # No unit may be a prefix of another: subtrees are disjoint.
-            assert not (one != other and other[:len(one)] == one)
+_QUORUM_SKIP = SEEDED_BUGS["quorum_skip"].factory
+
+# The budget stops, the alternative branching alphabets and both
+# violation modes, each small enough to run three times in tier-1.
+_SEARCHES = {
+    "ops_actions": dict(depth=2, ops_actions=True),
+    "chain": dict(depth=2, dissemination="chain"),
+    "interleave": dict(depth=2, interleave=True, max_schedules=16),
+    "max_schedules": dict(depth=4, max_schedules=12),
+    "max_states": dict(depth=4, max_states=20),
+    "first_violation": dict(depth=4, max_violations=1,
+                            leader_factory=_QUORUM_SKIP),
+    "every_violation": dict(depth=2, leader_factory=_QUORUM_SKIP),
+}
+_serial = {}
 
 
-def test_parallel_explore_units_carry_attribution_stamps():
-    result = parallel_explore(small_config(), workers=2)
-    rows = result.unit_rows()
-    assert rows
-    assert all(row["elapsed"] is not None for row in rows)
-    assert {row["worker"] for row in rows} == {0, 1}
-    # Stamps never leak into the canonical summary.
-    blob = json.dumps(result.to_json())
-    assert "elapsed" not in blob and "worker" not in blob
+@pytest.mark.parametrize("workers", [2, 4])
+@pytest.mark.parametrize("search", sorted(_SEARCHES))
+def test_explore_workers_return_the_serial_search(search, workers):
+    if search not in _serial:
+        _serial[search] = summary(small_config(**_SEARCHES[search]), 1)
+    parallel = summary(small_config(**_SEARCHES[search]), workers)
+    assert parallel == _serial[search]
 
 
-def test_parallel_explore_finds_seeded_bug_and_dedupes():
-    from repro.harness.buggy import SEEDED_BUGS
-
-    bug = SEEDED_BUGS["quorum_skip"]
-    results = {}
+def test_parallel_explore_finds_seeded_bug_and_dedupes(tmp_path):
+    # The violation, its replay verdict and its flight-recorder dump are
+    # the serial search's own; a worker's recorder stays in the worker,
+    # so the dump comes from re-executing the prefix here.
+    dumps = {}
     for workers in (1, 2):
-        result = parallel_explore(ExplorerConfig(
-            peers=3, depth=4, max_schedules=64, max_violations=1,
-            leader_factory=bug.factory,
-        ), workers=workers)
+        out = tmp_path / ("w%d" % workers)
+        result = Explorer(small_config(
+            depth=4, max_schedules=64, max_violations=1,
+            leader_factory=_QUORUM_SKIP, recorder_dir=str(out),
+        )).run(workers=workers)
         assert result.violations, "seeded bug must be found"
-        signatures = [v.signature for v in result.violations]
-        assert len(set(signatures)) == len(signatures)
         assert result.violations[0].confirmed
-        results[workers] = json.dumps(
-            [v.to_json() for v in result.violations], sort_keys=True
+        assert result.violations[0].flight_path == str(
+            out / "violation-0.flight.jsonl"
         )
-    assert results[1] == results[2]
+        dumps[workers] = (out / "violation-0.flight.jsonl").read_bytes()
+    assert dumps[1] == dumps[2]
 
 
 def test_parallel_explore_rejects_zero_workers():
     with pytest.raises(ValueError):
-        parallel_explore(small_config(), workers=0)
+        Explorer(small_config()).run(workers=0)
+
+
+class _DivergesInWorkers:
+    """A chooser whose scripted prefixes diverge in any child process."""
+
+    def __init__(self, parent, chooser_class):
+        self.parent = parent
+        self.chooser_class = chooser_class
+
+    def __call__(self, prefix=()):
+        chooser = self.chooser_class(prefix)
+        if os.getpid() != self.parent and prefix:
+            raise DivergentReplayError("prefix %r diverged" % (prefix,))
+        return chooser
+
+
+def test_divergent_replay_in_a_worker_stops_the_search(monkeypatch):
+    import repro.mc.explorer as explorer_module
+
+    monkeypatch.setattr(explorer_module, "Chooser", _DivergesInWorkers(
+        os.getpid(), explorer_module.Chooser,
+    ))
+    with pytest.raises(DivergentReplayError):
+        Explorer(small_config()).run(workers=2)
+    assert multiprocessing.active_children() == []

@@ -171,18 +171,28 @@ def test_campaign_json_report_identical_across_workers(capsys, tmp_path):
     assert report["summary"]["passed"] == 2
 
 
-def test_explore_workers_flag_partitions_the_search(capsys, tmp_path):
+def test_explore_workers_flag_matches_the_default_search(capsys, tmp_path):
     import json
 
-    path = tmp_path / "explore.json"
-    assert main(["explore", "--depth", "2", "--max-violations", "0",
-                 "--workers", "2", "--json", str(path),
-                 "-o", str(tmp_path / "out")]) == 0
-    out = capsys.readouterr().out
-    assert "subtree units" in out
-    summary = json.loads(path.read_text())
-    assert summary["parallel"]["units"] > 0
-    assert summary["exhausted"] is True
+    default, pooled = tmp_path / "default.json", tmp_path / "pooled.json"
+    argv = ["explore", "--depth", "2", "--max-violations", "0",
+            "-o", str(tmp_path / "out")]
+    assert main(argv + ["--json", str(default)]) == 0
+    assert main(argv + ["--json", str(pooled), "--workers", "2"]) == 0
+    assert default.read_bytes() == pooled.read_bytes()
+    assert json.loads(pooled.read_text())["exhausted"] is True
+
+
+@pytest.mark.parametrize("command", ["explore", "campaign"])
+@pytest.mark.parametrize("workers", ["0", "-1", "two"])
+def test_workers_below_one_is_a_usage_error(capsys, command, workers):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--workers", workers])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "--workers" in captured.err and repr(workers) in captured.err
 
 
 def test_parser_requires_command():

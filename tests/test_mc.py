@@ -96,11 +96,13 @@ def test_frontier_does_not_requeue_scripted_prefix_siblings():
     assert frontier.pop() == [1, 1]
 
 
-def test_frontier_counts_total_pushes():
+def test_frontier_peek_lists_the_next_pops_in_order():
     frontier = DfsFrontier()
     prefix = frontier.pop()
-    frontier.expand(prefix, run_choices(prefix, [2, 2]))
-    assert frontier.pushed == 3  # root + two siblings
+    frontier.expand(prefix, run_choices(prefix, [3, 2]))
+    assert frontier.peek(2) == [[0, 1], [2]]
+    assert frontier.peek(8) == [[0, 1], [2], [1]]
+    assert len(frontier) == 3  # peeking pops nothing
 
 
 # ----------------------------------------------------------------------
@@ -187,6 +189,27 @@ def test_explorer_finds_seeded_bug_and_emits_replayable_schedule():
     assert violation.schedule.meta["explored_prefix"] == list(
         violation.prefix
     )
+
+
+def test_settle_cuts_a_run_where_the_search_prunes_it():
+    # A pool worker runs with no visited map, so it can run past the
+    # point where this search prunes; settling must cut it back there.
+    from repro.mc.explorer import ExplorationResult, _Run
+
+    explorer = Explorer(ExplorerConfig(depth=4))
+    explorer._visited["b"] = 1
+    run = _Run(run_choices([], [3, 2, 2, 2]))
+    run.steps = 4
+    run.trail = [(0, "a", 1, (0, 0)), (1, "b", 2, (5, 7)),
+                 (2, "c", 3, (6, 8)), (3, "d", 4, (9, 9))]
+    run.signature = (("integrity", None),)
+    result = ExplorationResult(explorer.config)
+    assert not explorer._settle([], run, result)
+    assert (run.taken, run.arities) == ([0, 0], [3, 2])
+    assert explorer._visited == {"a": 0, "b": 1}
+    assert (result.runs, result.states_pruned) == (1, 1)
+    assert (result.choice_points, result.por_skipped) == (2 + 5, 7)
+    assert not result.violations  # a pruned run reports nothing
 
 
 def test_explorer_publishes_metrics():
