@@ -13,10 +13,10 @@ Used by ``python -m repro campaign`` and by the long-running integration
 tests.
 """
 
-import json
 import time
 
 from repro.bench.formats import render_table
+from repro.bench.report import write_report
 from repro.common.pool import partition_items, process_pool
 from repro.harness.cluster import Cluster
 from repro.harness.config import ClusterConfig
@@ -66,20 +66,19 @@ class RunOutcome:
         return self.ok and self.converged and self.error is None
 
 
-def run_adversarial_campaign(seeds, n_voters=3, steps=10,
+def run_adversarial_campaign(seeds, config=None, steps=10,
                              step_interval=0.5, op_interval=0.02,
-                             leader_factory=None, with_health=False,
-                             dissemination="leader-direct",
-                             profile="default", workers=1):
+                             with_health=False, profile="default",
+                             workers=1):
     """Run one adversarial scenario per seed; returns [RunOutcome].
 
-    With ``with_health=True`` every run is traced (protocol events
-    only) and replayed through a
+    Each run replays its seed's schedule on a cluster built from
+    *config* (default ``ClusterConfig()``) at that seed; its
+    ``n_voters`` also sizes the adversary.  With ``with_health=True``
+    every run is traced (protocol events only) and replayed through a
     :class:`~repro.obs.health.HealthMonitor`, so each outcome carries
     a health summary alongside the property verdict — the campaign's
     answer to "it didn't violate anything, but was it *healthy*?".
-    ``dissemination`` runs the whole campaign under a non-default
-    propagation topology (``repro.DISSEMINATION_TOPOLOGIES``).
     ``profile="ops"`` swaps the crash/partition adversary for the
     operational one (:meth:`ActionSchedule.generate_ops`): snapshots,
     retention-driven compaction, one-way cuts, and clock skews join
@@ -91,10 +90,9 @@ def run_adversarial_campaign(seeds, n_voters=3, steps=10,
     if workers < 1:
         raise ValueError("workers must be >= 1")
     kwargs = dict(
-        n_voters=n_voters, steps=steps, step_interval=step_interval,
-        op_interval=op_interval, leader_factory=leader_factory,
-        with_health=with_health, dissemination=dissemination,
-        profile=profile,
+        config=config or ClusterConfig(), steps=steps,
+        step_interval=step_interval, op_interval=op_interval,
+        with_health=with_health, profile=profile,
     )
     seeds = list(seeds)
     if workers == 1 or len(seeds) <= 1:
@@ -121,24 +119,18 @@ def _run_chunk(payload):
     return [(index, _one_run(seed, **kwargs)) for index, seed in chunk]
 
 
-def _one_run(seed, n_voters=3, steps=10, step_interval=0.5,
-             op_interval=0.02, leader_factory=None, with_health=False,
-             dissemination="leader-direct", profile="default"):
+def _one_run(seed, config, steps, step_interval, op_interval, with_health,
+             profile):
     started = time.perf_counter()
     if profile == "ops":
-        schedule = ActionSchedule.generate_ops(
-            seed, n_voters=n_voters, steps=steps,
-            step_interval=step_interval, op_interval=op_interval,
-        )
+        generate = ActionSchedule.generate_ops
     elif profile == "default":
-        schedule = ActionSchedule.generate(
-            seed, n_voters=n_voters, steps=steps,
-            step_interval=step_interval, op_interval=op_interval,
-        )
+        generate = ActionSchedule.generate
     else:
         raise ValueError("unknown campaign profile: %r" % (profile,))
-    config = ClusterConfig(
-        leader_factory=leader_factory, dissemination=dissemination,
+    schedule = generate(
+        seed, n_voters=config.n_voters, steps=steps,
+        step_interval=step_interval, op_interval=op_interval,
     )
     latency = StreamingHistogram()
     health = None
@@ -170,15 +162,16 @@ def _one_run(seed, n_voters=3, steps=10, step_interval=0.5,
     )
 
 
-def run_partition_campaign_zab(seeds, n_voters=3, steps=10,
+def run_partition_campaign_zab(seeds, config=None, steps=10,
                                flap_period=0.4, op_interval=0.01):
     """Partition-only adversary against Zab (companion to the Paxos
-    variant below; same fault pattern, same load)."""
+    variant below; same fault pattern, same load), one run per seed on
+    a cluster built from *config* (default ``ClusterConfig()``) at that
+    seed."""
+    config = config or ClusterConfig()
     results = []
     for seed in seeds:
-        cluster = Cluster(
-            ClusterConfig(n_voters=n_voters, seed=seed)
-        ).start()
+        cluster = Cluster(config.replace(seed=seed)).start()
         cluster.run_until_stable(timeout=60)
         _drive_partitions(cluster, cluster.sim, seed, steps, flap_period,
                           op_interval, _zab_submit(cluster))
@@ -390,8 +383,4 @@ def campaign_report(outcomes, params=None):
 
 def write_campaign_report(outcomes, path, params=None):
     """Write :func:`campaign_report` as sorted, indented JSON."""
-    report = campaign_report(outcomes, params=params)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
+    return write_report(campaign_report(outcomes, params=params), path)

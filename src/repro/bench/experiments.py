@@ -24,17 +24,15 @@ from repro.bench.campaign import (
 )
 from repro.bench.formats import render_series, render_table
 from repro.bench.runner import (
-    default_op_factory,
+    EVAL_LINK,
     require_properties,
     run_broadcast_bench,
 )
-from repro.bench.workloads import OpenLoopDriver
 from repro.harness import ActionSchedule, Cluster, ClusterConfig
 from repro.harness.scenarios import (
     crash_recovery_timeline,
     measure_recovery_gap,
 )
-from repro.net import NetworkConfig
 from repro.zab.dissemination import DISSEMINATION_TOPOLOGIES
 from repro.paxos import PaxosCluster
 from repro.storage import Snapshot, TxnLog
@@ -43,10 +41,12 @@ from repro.zab.zxid import Zxid
 
 # Shared small-scale defaults: big enough for stable measurements, small
 # enough that the whole evaluation regenerates in minutes of wall time.
-_BANDWIDTH = 25e6          # bytes/s (a 200 Mb/s link)
+_BANDWIDTH = EVAL_LINK.bandwidth_bps   # bytes/s (a 200 Mb/s link)
 _OP_SIZE = 1024            # the paper's 1K operations
 _DURATION = 1.0
 _WARMUP = 0.3
+#: Every measured ensemble: the evaluation's link, ``replace``d per run.
+_EVAL = ClusterConfig(net=EVAL_LINK)
 
 #: id -> :class:`Experiment`, in the order EXPERIMENTS.md presents them.
 EXPERIMENTS = {}
@@ -106,12 +106,11 @@ def experiment(eid, title, artefact, columns):
     return register
 
 
-def _bench(n_voters, duration, seed, op_size=_OP_SIZE, **kwargs):
-    """``run_broadcast_bench`` on the evaluation's link, warm-up and
-    operation size (it raises unless the history passes the checker)."""
+def _bench(config, duration, op_size=_OP_SIZE, **load):
+    """``run_broadcast_bench`` at the evaluation's warm-up and operation
+    size (it raises unless the history passes the checker)."""
     return run_broadcast_bench(
-        n_voters, op_size=op_size, duration=duration, warmup=_WARMUP,
-        seed=seed, bandwidth_bps=_BANDWIDTH, **kwargs
+        config, op_size=op_size, duration=duration, warmup=_WARMUP, **load
     )
 
 
@@ -132,7 +131,8 @@ def e1_throughput_vs_servers(sizes=(3, 5, 7, 9, 11, 13), duration=_DURATION,
     throughput falls roughly as B/(n-1)."""
     rows = []
     for n in sizes:
-        result = _bench(n, duration, seed, outstanding=64)
+        result = _bench(_EVAL.replace(n_voters=n, seed=seed), duration,
+                        outstanding=64)
         ideal = _BANDWIDTH / (_OP_SIZE * (n - 1))
         rows.append({
             "servers": n,
@@ -166,8 +166,10 @@ def e1b_topology_scaling(sizes=(3, 5, 7, 9, 11, 13),
     rows = []
     for topology in topologies:
         for n in sizes:
-            result = _bench(n, duration, seed, outstanding=64,
-                            dissemination=topology)
+            result = _bench(
+                _EVAL.replace(n_voters=n, seed=seed, dissemination=topology),
+                duration, outstanding=64,
+            )
             stats = result.net_stats
             leader_id = result.params["leader"]
             leader_bytes = stats["bytes_sent"].get(
@@ -196,7 +198,8 @@ def e2_latency_vs_load(rates=(500, 1000, 2000, 4000, 8000, 12000),
     capacity, then queues blow up — the classic knee."""
     rows = []
     for rate in rates:
-        result = _bench(n_voters, duration, seed, open_loop_rate=rate)
+        result = _bench(_EVAL.replace(n_voters=n_voters, seed=seed),
+                        duration, open_loop_rate=rate)
         p50 = result.latency.get("p50")
         p99 = result.latency.get("p99")
         rows.append({
@@ -217,8 +220,8 @@ def e3_failure_timeline(n_voters=5, seed=3, rate=2000):
     """Follower crash barely dents throughput; a leader crash opens a
     visible gap (election + sync) before service resumes."""
     cluster, driver, events = crash_recovery_timeline(
-        n_voters=n_voters, seed=seed, rate=rate, duration=10.0,
-        bandwidth_bps=_BANDWIDTH, op_size=_OP_SIZE,
+        _EVAL.replace(n_voters=n_voters, seed=seed), rate=rate,
+        duration=10.0, op_size=_OP_SIZE,
         schedule=(
             ActionSchedule()
             .add(2.0, "crash_follower")
@@ -379,8 +382,11 @@ def e5_pipelining(window_sizes=(1, 2, 4, 8, 16, 32, 64), n_voters=5,
     NIC, not the RTT, is the bottleneck."""
     rows = []
     for window in window_sizes:
-        result = _bench(n_voters, duration, seed, outstanding=window,
-                        max_outstanding=max(window, 1))
+        result = _bench(
+            _EVAL.replace(n_voters=n_voters, seed=seed,
+                          zab={"max_outstanding": max(window, 1)}),
+            duration, outstanding=window,
+        )
         rows.append({
             "outstanding": window,
             "throughput": result.throughput,
@@ -448,9 +454,8 @@ def e6_end_to_end_resync(lag=5000, seed=6):
     """
     rows = []
     for mode, threshold in (("DIFF", 10 ** 6), ("SNAP", 10)):
-        cluster = Cluster(ClusterConfig(
+        cluster = Cluster(_EVAL.replace(
             n_voters=3, seed=seed,
-            net=NetworkConfig(bandwidth_bps=_BANDWIDTH),
             zab={"snap_sync_threshold": threshold,
                  "snapshot_every": 10 ** 6},
         )).start()
@@ -497,8 +502,11 @@ def e7_log_device(n_voters=3, duration=_DURATION, seed=7):
         ("shared device (contended)", "shared", 0.0005),
         ("dedicated, slow fsync", "model", 0.005),
     ):
-        result = _bench(n_voters, duration, seed, outstanding=64,
-                        disk=disk, fsync_latency=fsync)
+        result = _bench(
+            _EVAL.replace(n_voters=n_voters, seed=seed, disk=disk,
+                          fsync_latency=fsync),
+            duration, outstanding=64,
+        )
         rows.append({
             "config": label,
             "throughput": result.throughput,
@@ -520,7 +528,8 @@ def e8_latency_percentiles(sizes=(3, 5, 7), rate=1000, duration=_DURATION,
     bounded at moderate load."""
     rows = []
     for n in sizes:
-        latency = _bench(n, duration, seed, open_loop_rate=rate).latency
+        latency = _bench(_EVAL.replace(n_voters=n, seed=seed), duration,
+                         open_loop_rate=rate).latency
         rows.append({
             "servers": n,
             "p50_ms": latency["p50"] * 1000,
@@ -549,9 +558,12 @@ def e9_group_commit(fsyncs=(0.0005, 0.002), n_voters=3,
     for fsync in fsyncs:
         for group_commit in (True, False):
             result = _bench(
-                n_voters, duration, seed, outstanding=128, disk="model",
-                fsync_latency=fsync, group_commit=group_commit,
-                max_outstanding=128,
+                _EVAL.replace(
+                    n_voters=n_voters, seed=seed, disk="model",
+                    fsync_latency=fsync, group_commit=group_commit,
+                    zab={"max_outstanding": 128},
+                ),
+                duration, outstanding=128,
             )
             rows.append({
                 "fsync_ms": fsync * 1000,
@@ -566,7 +578,7 @@ def e9_group_commit(fsyncs=(0.0005, 0.002), n_voters=3,
 def _run_paxos_bench(n_replicas, outstanding, duration, seed):
     cluster = PaxosCluster(
         n_replicas, seed=seed,
-        net_config=NetworkConfig(bandwidth_bps=_BANDWIDTH, latency=0.0002),
+        net_config=EVAL_LINK,
         max_outstanding=outstanding,
     ).start()
     leader = cluster.run_until_leader(timeout=60)
@@ -611,9 +623,10 @@ def _run_paxos_bench(n_replicas, outstanding, duration, seed):
 def e10_zab_vs_paxos(n=3, duration=_DURATION, seed=10):
     """Paxos only matches Zab's throughput by pipelining, and pipelined
     Paxos forfeits primary order across leader changes (E4)."""
-    zab_pipelined = _bench(n, duration, seed, outstanding=64).throughput
-    zab_single = _bench(n, duration, seed, outstanding=1,
-                        max_outstanding=1).throughput
+    config = _EVAL.replace(n_voters=n, seed=seed)
+    zab_pipelined = _bench(config, duration, outstanding=64).throughput
+    zab_single = _bench(config.replace(zab={"max_outstanding": 1}),
+                        duration, outstanding=1).throughput
     paxos_single = _run_paxos_bench(n, 1, duration, seed)
     paxos_pipelined = _run_paxos_bench(n, 64, duration, seed)
     rows = [
@@ -646,10 +659,8 @@ def a1_recovery_time(ticks=(0.02, 0.05, 0.1, 0.2), n_voters=5, seed=11,
     for tick in ticks:
         gaps = []
         for trial in range(trials):
-            cluster = Cluster(ClusterConfig(
-                n_voters=n_voters, seed=seed + trial,
-                net=NetworkConfig(bandwidth_bps=_BANDWIDTH),
-                zab={"tick": tick},
+            cluster = Cluster(_EVAL.replace(
+                n_voters=n_voters, seed=seed + trial, zab={"tick": tick},
             )).start()
             cluster.run_until_stable(timeout=60)
             cluster.submit_and_wait(("put", "warm", 1))
@@ -686,20 +697,11 @@ def a2_observers(duration=_DURATION, seed=12, rate=1000):
     ]
     rows = []
     for label, n_voters, n_observers in configs:
-        cluster = Cluster(ClusterConfig(
-            n_voters=n_voters, n_observers=n_observers, seed=seed,
-            net=NetworkConfig(bandwidth_bps=_BANDWIDTH),
-        )).start()
-        cluster.run_until_stable(timeout=60)
-        driver = OpenLoopDriver(
-            cluster, rate, default_op_factory(_OP_SIZE), _OP_SIZE,
-            warmup=_WARMUP,
-        ).start()
-        cluster.run(duration + _WARMUP)
-        driver.stop()
-        cluster.run(0.3)
-        require_properties(cluster)
-        summary = driver.latency.snapshot()
+        summary = _bench(
+            _EVAL.replace(n_voters=n_voters, n_observers=n_observers,
+                          seed=seed),
+            duration, open_loop_rate=rate,
+        ).latency
         rows.append({
             "config": label,
             "replicas": n_voters + n_observers,
@@ -724,8 +726,8 @@ def a3_op_size(sizes=(128, 512, 1024, 4096, 16384), n_voters=3,
     per-message header overhead, which favours large operations)."""
     rows = []
     for size in sizes:
-        result = _bench(n_voters, duration, seed, op_size=size,
-                        outstanding=64)
+        result = _bench(_EVAL.replace(n_voters=n_voters, seed=seed),
+                        duration, op_size=size, outstanding=64)
         goodput = result.throughput * size
         rows.append({
             "op_bytes": size,

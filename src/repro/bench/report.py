@@ -28,6 +28,8 @@ diff against it.
 
 import json
 
+from repro.common.util import atomic_write
+
 SCHEMA = "repro-bench/v1"
 
 #: Bumped whenever the report layout changes incompatibly.  Readers
@@ -105,8 +107,9 @@ def make_report(name, metrics, params=None, health=None):
 
 
 def write_report(report, path):
-    """Write a report as pretty, key-sorted JSON; returns *path*."""
-    with open(path, "w", encoding="utf-8") as handle:
+    """Write a report (any JSON object) atomically as pretty, key-sorted
+    JSON; returns *path*."""
+    with atomic_write(path) as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return path

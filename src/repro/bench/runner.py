@@ -1,8 +1,8 @@
 """End-to-end experiment runner.
 
-``run_broadcast_bench`` builds a cluster with the requested network/disk
-models, drives it with a workload for a fixed stretch of simulated time,
-and returns a :class:`BenchResult` with throughput, latency percentiles,
+``run_broadcast_bench`` builds a cluster from one ``ClusterConfig``,
+drives it with a workload for a fixed stretch of simulated time, and
+returns a :class:`BenchResult` with throughput, latency percentiles,
 and traffic accounting.  Every experiment of
 :mod:`repro.bench.experiments` bottoms out here (or in a small variation
 of it).
@@ -14,12 +14,13 @@ from repro.bench.workloads import (
     OpenLoopDriver,
 )
 from repro.harness.cluster import Cluster
-from repro.harness.config import ClusterConfig
 from repro.net import NetworkConfig
 from repro.obs import MetricsRegistry
 
-# 1 gigabit/s expressed in bytes/s — the paper's testbed NIC class.
-GBE_BANDWIDTH = 125e6
+#: The evaluation's link: a 200 Mb/s (25 MB/s) NIC per node, 0.2 ms
+#: one-way latency.  The measured experiment tables and ``repro
+#: trace``/``profile``/``health`` build their ``ClusterConfig`` on it.
+EVAL_LINK = NetworkConfig(bandwidth_bps=25e6)
 
 
 class BenchResult:
@@ -68,25 +69,19 @@ def require_properties(cluster):
 
 
 def run_broadcast_bench(
-    n_voters,
+    config,
     op_size=1024,
     outstanding=64,
     duration=3.0,
     warmup=0.5,
-    seed=0,
-    bandwidth_bps=GBE_BANDWIDTH / 5,
-    latency=0.0002,
-    disk=None,
-    fsync_latency=0.0005,
-    group_commit=True,
     open_loop_rate=None,
     check_properties=True,
-    tracer=None,
-    dissemination="leader-direct",
     session_classes=None,
-    **config_overrides
 ):
-    """Run one saturated-broadcast (or open-loop) measurement.
+    """Run one saturated-broadcast (or open-loop) measurement on a
+    cluster built from *config* (a
+    :class:`~repro.harness.config.ClusterConfig`: ensemble shape, seed,
+    link, disk model, dissemination topology, tracer, ZabConfig knobs).
 
     Returns a :class:`BenchResult`.  ``open_loop_rate`` switches from the
     closed-loop saturation driver to Poisson arrivals at the given rate.
@@ -95,26 +90,15 @@ def run_broadcast_bench(
     aggregate population driver instead: offered load comes from
     arrival-rate models, the result carries per-class breakdowns in
     ``result.workload``, and per-class rates/latencies join the bench
-    metrics.  ``dissemination`` selects the broadcast propagation
-    topology (``repro.DISSEMINATION_TOPOLOGIES``).  An optional *tracer*
-    (:class:`repro.obs.Tracer`) records structured events from every
-    layer; the result always carries a
+    metrics.  The result always carries a
     :class:`repro.obs.MetricsRegistry` snapshot (commit counters, drop
-    reasons, streaming commit-latency percentiles).
+    reasons, streaming commit-latency percentiles): of
+    ``config.metrics`` when set, else of a fresh registry.
     """
-    registry = MetricsRegistry()
-    cluster = Cluster(ClusterConfig(
-        n_voters=n_voters,
-        seed=seed,
-        net=NetworkConfig(bandwidth_bps=bandwidth_bps, latency=latency),
-        disk=disk,
-        fsync_latency=fsync_latency,
-        group_commit=group_commit,
-        dissemination=dissemination,
-        tracer=tracer,
-        metrics=registry,
-        zab=config_overrides,
-    ))
+    registry = config.metrics
+    if registry is None:
+        registry = MetricsRegistry()
+    cluster = Cluster(config.replace(metrics=registry))
     cluster.start()
     cluster.run_until_stable(timeout=60.0)
 
@@ -148,14 +132,14 @@ def run_broadcast_bench(
 
     leader = cluster.leader()
     params = {
-        "n_voters": n_voters,
+        "n_voters": config.n_voters,
         "op_size": op_size,
         "outstanding": outstanding,
         "open_loop_rate": open_loop_rate,
-        "bandwidth_bps": bandwidth_bps,
-        "disk": disk,
-        "seed": seed,
-        "dissemination": dissemination,
+        "bandwidth_bps": cluster.network.config.bandwidth_bps,
+        "disk": config.disk,
+        "seed": config.seed,
+        "dissemination": config.dissemination,
         "leader": leader.peer_id if leader is not None else None,
     }
     workload = None

@@ -24,8 +24,12 @@ import sys
 from pathlib import Path
 
 from repro.bench import experiments
-from repro.bench.runner import run_broadcast_bench
+from repro.bench.report import write_report
+from repro.bench.runner import EVAL_LINK, run_broadcast_bench
+from repro.harness.config import ClusterConfig
 from repro.harness.opscenarios import OPS_SCENARIOS
+from repro.net import NetworkConfig
+from repro.obs.trace import kind_matches
 from repro.zab.dissemination import DISSEMINATION_TOPOLOGIES
 
 
@@ -115,15 +119,17 @@ def cmd_bench(args):
         tracer = obs.Tracer()
         tracer.disable("net.")
     result = run_broadcast_bench(
-        args.servers,
+        ClusterConfig(
+            n_voters=args.servers,
+            seed=args.seed,
+            net=NetworkConfig(bandwidth_bps=args.bandwidth * 1e6 / 8),
+            disk="model" if args.disk else None,
+            dissemination=args.dissemination,
+            tracer=tracer,
+        ),
         op_size=args.op_size,
         outstanding=args.outstanding,
         duration=args.duration,
-        seed=args.seed,
-        bandwidth_bps=args.bandwidth * 1e6 / 8,
-        disk="model" if args.disk else None,
-        tracer=tracer,
-        dissemination=args.dissemination,
     )
     print("servers:      %d" % args.servers)
     print("topology:     %s" % args.dissemination)
@@ -165,14 +171,6 @@ def _parse_kinds(spec):
     return [kind.strip() for kind in spec.split(",") if kind.strip()]
 
 
-def _kind_matches(kind, patterns):
-    return any(
-        kind == pattern
-        or (pattern.endswith(".") and kind.startswith(pattern))
-        for pattern in patterns
-    )
-
-
 def _cmd_trace_view(args):
     """Inspect an existing JSONL trace or flight-recorder dump."""
     from repro import obs
@@ -186,7 +184,7 @@ def _cmd_trace_view(args):
         patterns = _parse_kinds(args.kinds)
         events = [
             event for event in events
-            if _kind_matches(event.kind, patterns)
+            if kind_matches(event.kind, patterns)
         ]
     if args.limit > 0:
         events = events[-args.limit:]
@@ -251,12 +249,12 @@ def cmd_trace(args):
         )
     registry = obs.MetricsRegistry()
     cluster, driver, _fault_log = crash_recovery_timeline(
-        n_voters=args.servers,
-        seed=args.seed,
+        ClusterConfig(
+            n_voters=args.servers, seed=args.seed, net=EVAL_LINK,
+            tracer=tracer, metrics=registry,
+        ),
         rate=args.rate,
         duration=args.duration,
-        tracer=tracer,
-        metrics=registry,
     )
     events = tracer.events
     if args.limit > 0:
@@ -304,11 +302,12 @@ def cmd_profile(args):
             # events (~10 per op) are opt-in for the causality DAG.
             tracer.disable("net.")
         crash_recovery_timeline(
-            n_voters=args.servers,
-            seed=args.seed,
+            ClusterConfig(
+                n_voters=args.servers, seed=args.seed, net=EVAL_LINK,
+                tracer=tracer,
+            ),
             rate=args.rate,
             duration=args.duration,
-            tracer=tracer,
             schedule=ActionSchedule(),   # fault-free: a clean profile
         )
         # Round-trip through JSONL: the analysis below always runs on a
@@ -439,7 +438,6 @@ def cmd_shrink(args):
     import os
 
     from repro import obs
-    from repro.harness.config import ClusterConfig
     from repro.harness.replay import replay_schedule
     from repro.harness.schedule import ActionSchedule
     from repro.harness.shrink import make_reproducer, shrink_schedule
@@ -626,7 +624,7 @@ def cmd_campaign(args):
 
     seeds = range(args.first_seed, args.first_seed + args.seeds)
     outcomes = run_adversarial_campaign(
-        seeds, n_voters=args.servers, steps=args.steps,
+        seeds, ClusterConfig(n_voters=args.servers), steps=args.steps,
         with_health=args.health, profile=args.profile,
         workers=args.workers,
     )
@@ -647,8 +645,6 @@ def cmd_campaign(args):
 
 
 def cmd_ops(args):
-    import json
-
     from repro.harness.opscenarios import run_ops_scenario
     from repro.obs.health import render_health
 
@@ -687,17 +683,13 @@ def cmd_ops(args):
             "lost": [[peer, list(zxid)] for peer, zxid in result.lost],
             "actions_fired": len(replay.fired),
         }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_report(report, args.json)
         print()
         print("report: %s" % args.json)
     return 0 if result.passed else 1
 
 
 def cmd_health(args):
-    import json
-
     from repro import obs
     from repro.obs.health import (
         HealthMonitor, render_health, run_health_check,
@@ -712,7 +704,6 @@ def cmd_health(args):
     elif args.schedule:
         # Offline: replay a declarative fault schedule, then judge
         # its trace (same monitor semantics as a live run).
-        from repro.harness.config import ClusterConfig
         from repro.harness.replay import replay_schedule
         from repro.harness.schedule import ActionSchedule
 
@@ -727,9 +718,11 @@ def cmd_health(args):
     else:
         try:
             monitor = run_health_check(
-                scenario=args.scenario, servers=args.servers,
-                seed=args.seed, rate=args.rate, duration=args.duration,
-                window=args.window, monitor=monitor,
+                args.scenario,
+                ClusterConfig(
+                    n_voters=args.servers, seed=args.seed, net=EVAL_LINK,
+                ),
+                rate=args.rate, duration=args.duration, monitor=monitor,
             )
         except Exception as exc:
             print("health check failed: %s" % exc, file=sys.stderr)
@@ -744,10 +737,7 @@ def cmd_health(args):
         }
     print(render_health(monitor))
     if args.json:
-        report = monitor.report(params=params)
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_report(monitor.report(params=params), args.json)
         print()
         print("report: %s" % args.json)
     return 0 if monitor.healthy else 1

@@ -1,5 +1,10 @@
 """Small generic helpers shared by several subpackages."""
 
+import contextlib
+import io
+import os
+import tempfile
+
 
 def majority(n):
     """Smallest number of members that forms a majority of *n*."""
@@ -34,3 +39,30 @@ def fmt_bytes(n):
             return "%.1f%s" % (value, unit)
         value /= 1024.0
     raise AssertionError("unreachable")
+
+
+@contextlib.contextmanager
+def atomic_write(path):
+    """Open a text handle whose contents replace *path* all at once.
+
+    The lines go to a temporary file in *path*'s directory, renamed over
+    *path* (``os.replace``) only when the block exits cleanly, so an
+    interrupted run (crash, ^C, full disk) never leaves a truncated
+    file behind — the old one, if any, survives intact.
+    """
+    path = os.fspath(path)
+    fd, temp_path = tempfile.mkstemp(
+        dir=os.path.dirname(path) or ".",
+        prefix=os.path.basename(path) + ".",
+        suffix=".tmp",
+    )
+    try:
+        with io.open(fd, "w", encoding="utf-8") as handle:
+            yield handle
+        os.replace(temp_path, path)
+    except BaseException:
+        try:
+            os.unlink(temp_path)
+        except OSError:
+            pass
+        raise

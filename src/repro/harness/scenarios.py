@@ -12,14 +12,13 @@ class ScenarioError(ReproError):
     """A scenario could not complete (e.g. stability never returned)."""
 
 
-def crash_recovery_timeline(n_voters=5, seed=3, rate=2000, tracer=None,
-                            metrics=None, schedule=None, duration=8.0,
-                            bandwidth_bps=25e6, op_size=1024,
-                            monitor=None):
+def crash_recovery_timeline(config, rate=2000, schedule=None, duration=8.0,
+                            op_size=1024, monitor=None):
     """The E3 anatomy run: load, follower crash, leader crash, recovery.
 
-    Builds its own cluster (optionally instrumented with *tracer* /
-    *metrics* from :mod:`repro.obs`), drives it with an open-loop
+    Builds a cluster from *config* (a
+    :class:`~repro.harness.config.ClusterConfig`; instrument it with its
+    ``tracer`` / ``metrics`` fields), drives it with an open-loop
     workload and installs *schedule* (an
     :class:`~repro.harness.schedule.ActionSchedule` timed from
     stability; default: crash a follower at 2.0, the leader at 4.0,
@@ -27,7 +26,9 @@ def crash_recovery_timeline(n_voters=5, seed=3, rate=2000, tracer=None,
     This is the scenario behind ``repro trace`` and experiment E3: with
     the default schedule its event stream contains the
     full leader-crash anatomy — fault, election, sync strategy,
-    resumed commits.  Pass a :class:`~repro.obs.health.HealthMonitor`
+    resumed commits.  The gray-failure health drill is the same run on
+    a ``disk="model"`` config with a ``slow_disk``/``restore_disk``
+    schedule.  Pass a :class:`~repro.obs.health.HealthMonitor`
     as *monitor* to watch the run live (it is attached before the
     cluster boots, so window 0 starts at t=0).  Returns
     ``(cluster, driver, fault_log)`` — the log is
@@ -36,15 +37,9 @@ def crash_recovery_timeline(n_voters=5, seed=3, rate=2000, tracer=None,
     from repro.bench.runner import default_op_factory
     from repro.bench.workloads import OpenLoopDriver
     from repro.harness.cluster import Cluster
-    from repro.harness.config import ClusterConfig
     from repro.harness.schedule import ActionSchedule
-    from repro.net import NetworkConfig
 
-    cluster = Cluster(ClusterConfig(
-        n_voters=n_voters, seed=seed,
-        net=NetworkConfig(bandwidth_bps=bandwidth_bps, latency=0.0002),
-        tracer=tracer, metrics=metrics,
-    ))
+    cluster = Cluster(config)
     if monitor is not None:
         monitor.attach(cluster)
     cluster.start()
@@ -65,64 +60,6 @@ def crash_recovery_timeline(n_voters=5, seed=3, rate=2000, tracer=None,
     driver.stop()
     cluster.run(0.5)   # let in-flight operations finish
     return cluster, driver, fault_log
-
-
-def slow_fsync_gray_failure(n_voters=5, seed=11, rate=2000, tracer=None,
-                            metrics=None, monitor=None, victim=None,
-                            slow_at=2.0, restore_at=6.0,
-                            slow_factor=20.0, duration=8.0,
-                            bandwidth_bps=25e6, op_size=1024,
-                            fsync_latency=0.0005):
-    """Gray-failure drill: one follower's log device silently degrades.
-
-    Every peer gets its own disk model; under load, the victim
-    follower's fsync latency is multiplied by *slow_factor* at
-    *slow_at* and restored at *restore_at* (pass ``None`` to leave it
-    degraded).  No checker property ever trips — commits keep flowing
-    through the healthy quorum — but the victim's ACK lag and fsync
-    wait balloon, which is the signature the health monitor's
-    straggler and disk-stall detectors must attribute to the victim
-    and *only* the victim.  The victim defaults to the lowest-id
-    follower of the elected leader (seed-determined).  Returns
-    ``(cluster, driver, victim)``.
-    """
-    from repro.bench.runner import default_op_factory
-    from repro.bench.workloads import OpenLoopDriver
-    from repro.harness.cluster import Cluster
-    from repro.harness.config import ClusterConfig
-    from repro.net import NetworkConfig
-
-    cluster = Cluster(ClusterConfig(
-        n_voters=n_voters, seed=seed,
-        net=NetworkConfig(bandwidth_bps=bandwidth_bps, latency=0.0002),
-        disk="model", fsync_latency=fsync_latency,
-        tracer=tracer, metrics=metrics,
-    ))
-    if monitor is not None:
-        monitor.attach(cluster)
-    cluster.start()
-    leader = cluster.run_until_stable(timeout=60.0)
-    if victim is None:
-        victim = min(
-            peer_id for peer_id in cluster.config.voters
-            if peer_id != leader.peer_id
-        )
-    driver = OpenLoopDriver(
-        cluster, rate, default_op_factory(op_size), op_size, warmup=0.0,
-    )
-    t0 = cluster.sim.now
-    cluster.sim.schedule_at(
-        t0 + slow_at, cluster.slow_disk, victim, slow_factor
-    )
-    if restore_at is not None:
-        cluster.sim.schedule_at(
-            t0 + restore_at, cluster.restore_disk, victim
-        )
-    driver.start()
-    cluster.run(duration)
-    driver.stop()
-    cluster.run(0.5)   # let in-flight operations finish
-    return cluster, driver, victim
 
 
 def measure_recovery_gap(cluster, rate_probe_interval=0.01, timeout=60.0):

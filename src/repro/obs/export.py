@@ -26,11 +26,9 @@ Timestamps are virtual seconds scaled to microseconds (the unit the
 format mandates).  Output is deterministic for a deterministic trace.
 """
 
-import io
 import json
-import os
-import tempfile
 
+from repro.common.util import atomic_write
 from repro.obs.spans import build_spans
 from repro.obs.trace import Tracer
 
@@ -90,24 +88,8 @@ def dump_chrome_trace(events, destination):
     number of trace-event records written."""
     trace = to_chrome_trace(events)
     if isinstance(destination, (str, bytes)):
-        destination = os.fspath(destination)
-        directory = os.path.dirname(destination) or "."
-        fd, temp_path = tempfile.mkstemp(
-            dir=directory,
-            prefix=os.path.basename(destination) + ".",
-            suffix=".tmp",
-        )
-        try:
-            with io.open(fd, "w", encoding="utf-8") as handle:
-                json.dump(trace, handle, sort_keys=True)
-                handle.flush()
-            os.replace(temp_path, destination)
-        except BaseException:
-            try:
-                os.unlink(temp_path)
-            except OSError:
-                pass
-            raise
+        with atomic_write(destination) as handle:
+            json.dump(trace, handle, sort_keys=True)
     else:
         json.dump(trace, destination, sort_keys=True)
     return len(trace["traceEvents"])

@@ -753,41 +753,57 @@ def render_health(monitor, max_windows=160):
 # One-call entry point (CLI, tests, CI)
 # ---------------------------------------------------------------------------
 
-def run_health_check(scenario="crash-recovery", servers=5, seed=3,
-                     rate=2000.0, duration=8.0, window=0.25,
-                     monitor=None, tracer=None):
-    """Run a canned scenario under a live monitor; returns the
-    finished :class:`HealthMonitor` (cluster at ``monitor.cluster``).
+def run_health_check(scenario, config, rate=2000.0, duration=8.0,
+                     monitor=None):
+    """Run a drill on a cluster built from *config* under a live
+    monitor (default ``HealthMonitor()``); returns the finished
+    :class:`HealthMonitor` (cluster at ``monitor.cluster``).
 
-    *scenario* is ``"crash-recovery"`` (the E3 anatomy run) or
-    ``"slow-fsync"`` (one follower's log device silently degrades —
-    the gray-failure drill).  Per-message ``net.*`` events are
-    disabled on the default tracer; the detectors never need them.
+    Both drills are the E3 anatomy run
+    (:func:`~repro.harness.scenarios.crash_recovery_timeline`).
+    ``"crash-recovery"`` keeps its follower-crash / leader-crash /
+    recover-all schedule.  ``"slow-fsync"`` is the gray failure: on
+    per-peer disk models, the lowest-id follower of the stable leader
+    runs ``slow_disk`` (20x fsync latency) from t=2 s to t=6 s.  No
+    checker property trips — commits keep flowing through the healthy
+    quorum — but the victim's ACK lag and fsync wait balloon, which
+    the straggler and disk-stall detectors must pin on the victim
+    alone.  A config without a tracer gets one with per-message
+    ``net.*`` events disabled (the detectors never need them), and one
+    without a metrics registry gets a fresh one.
     """
-    from repro.harness import scenarios
+    from repro.harness.opscenarios import stable_leader_id
+    from repro.harness.scenarios import crash_recovery_timeline
+    from repro.harness.schedule import ActionSchedule
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.trace import Tracer
 
-    if monitor is None:
-        monitor = HealthMonitor(window=window)
-    if tracer is None:
-        tracer = Tracer()
-        tracer.disable("net.")
-    name = scenario.replace("_", "-")
-    if name in ("crash-recovery", "crash-recovery-timeline"):
-        scenarios.crash_recovery_timeline(
-            n_voters=servers, seed=seed, rate=rate, duration=duration,
-            tracer=tracer, metrics=MetricsRegistry(), monitor=monitor,
+    schedule = None
+    if scenario == "slow-fsync":
+        config = config.replace(disk="model")
+        leader = stable_leader_id(config.replace(tracer=None, metrics=None))
+        victim = min(p for p in config.voter_ids() if p != leader)
+        schedule = (
+            ActionSchedule()
+            .add(2.0, "slow_disk", victim)
+            .add(6.0, "restore_disk", victim)
         )
-    elif name in ("slow-fsync", "slow-fsync-gray-failure"):
-        scenarios.slow_fsync_gray_failure(
-            n_voters=servers, seed=seed, rate=rate, duration=duration,
-            tracer=tracer, metrics=MetricsRegistry(), monitor=monitor,
-        )
-    else:
+    elif scenario != "crash-recovery":
         raise ConfigError(
             "unknown health scenario: %r (expected 'crash-recovery' "
             "or 'slow-fsync')" % (scenario,)
         )
+    if config.tracer is None:
+        tracer = Tracer()
+        tracer.disable("net.")
+        config = config.replace(tracer=tracer)
+    if config.metrics is None:
+        config = config.replace(metrics=MetricsRegistry())
+    if monitor is None:
+        monitor = HealthMonitor()
+    crash_recovery_timeline(
+        config, rate=rate, schedule=schedule, duration=duration,
+        monitor=monitor,
+    )
     monitor.finish(monitor.cluster.sim.now)
     return monitor

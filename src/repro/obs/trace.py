@@ -54,8 +54,8 @@ Traces serialise to JSON Lines — one event object per line — via
 
 import io
 import json
-import os
-import tempfile
+
+from repro.common.util import atomic_write
 
 
 class TraceEvent:
@@ -215,7 +215,7 @@ class Tracer:
     def enabled(self, kind):
         """True if events of *kind* are currently recorded."""
         if self._only is not None:
-            verdict = _matches(kind, self._only)
+            verdict = kind_matches(kind, self._only)
         else:
             verdict = True
         best = -1
@@ -333,7 +333,7 @@ class NullTracer(Tracer):
 NULL_TRACER = NullTracer()
 
 
-def _matches(kind, patterns):
+def kind_matches(kind, patterns):
     """True if *kind* matches any pattern (exact, or ``"net."`` prefix)."""
     if kind in patterns:
         return True
@@ -431,25 +431,8 @@ def dump_jsonl(events, destination):
     if isinstance(events, Tracer):
         events = events.events
     if isinstance(destination, (str, bytes)):
-        destination = os.fspath(destination)
-        directory = os.path.dirname(destination) or "."
-        fd, temp_path = tempfile.mkstemp(
-            dir=directory,
-            prefix=os.path.basename(destination) + ".",
-            suffix=".tmp",
-        )
-        try:
-            with io.open(fd, "w", encoding="utf-8") as handle:
-                count = dump_jsonl(events, handle)
-                handle.flush()
-            os.replace(temp_path, destination)
-            return count
-        except BaseException:
-            try:
-                os.unlink(temp_path)
-            except OSError:
-                pass
-            raise
+        with atomic_write(destination) as handle:
+            return dump_jsonl(events, handle)
     count = 0
     for event in events:
         destination.write(json.dumps(event.to_dict(), sort_keys=True))

@@ -7,7 +7,8 @@ after it, a decision, synchronisation with a chosen strategy, and
 commits resuming under the new leader — all stamped with virtual time.
 """
 
-from repro.harness import ActionSchedule
+from repro.bench.runner import EVAL_LINK
+from repro.harness import ActionSchedule, ClusterConfig
 from repro.harness.scenarios import crash_recovery_timeline
 from repro.obs import MetricsRegistry, Tracer, phase_spans
 
@@ -17,14 +18,15 @@ def _run_traced(rate=300.0, duration=6.0):
     tracer.disable("net.")
     registry = MetricsRegistry()
     cluster, driver, schedule = crash_recovery_timeline(
-        n_voters=5, seed=3, rate=rate, duration=duration,
+        ClusterConfig(n_voters=5, seed=3, net=EVAL_LINK, tracer=tracer,
+                      metrics=registry),
+        rate=rate, duration=duration,
         schedule=(
             ActionSchedule()
             .add(1.0, "crash_follower")
             .add(2.0, "crash_leader")
             .add(4.0, "recover_all")
         ),
-        tracer=tracer, metrics=registry,
     )
     return cluster, driver, tracer, registry
 

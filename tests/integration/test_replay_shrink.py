@@ -100,7 +100,7 @@ def test_shrink_cli_passing_seed_exits_zero(capsys):
 
 
 def test_campaign_outcomes_carry_schedules():
-    outcomes = run_adversarial_campaign([0, 1], n_voters=3, steps=4)
+    outcomes = run_adversarial_campaign([0, 1], steps=4)
     for outcome in outcomes:
         assert isinstance(outcome.schedule, ActionSchedule)
         assert len(outcome.schedule) == 4
@@ -108,10 +108,7 @@ def test_campaign_outcomes_carry_schedules():
 
 
 def test_campaign_report_prints_schedule_for_failing_seed():
-    outcomes = run_adversarial_campaign(
-        [BUGGY_SEED], n_voters=3, steps=10,
-        leader_factory=BuggyLeaderContext,
-    )
+    outcomes = run_adversarial_campaign([BUGGY_SEED], BUGGY, steps=10)
     assert not outcomes[0].passed
     text = render_campaign(outcomes)
     assert "repro shrink --seed 6" in text

@@ -72,9 +72,10 @@ def test_load_report_rejects_wrong_schema(tmp_path, gate, capsys):
 
 
 def test_bench_metrics_flattens_result():
-    from repro.bench.runner import run_broadcast_bench
+    from repro.bench.runner import EVAL_LINK, run_broadcast_bench
+    from repro.harness import ClusterConfig
 
-    result = run_broadcast_bench(3, duration=0.3, seed=0)
+    result = run_broadcast_bench(ClusterConfig(net=EVAL_LINK), duration=0.3)
     metrics = bench_metrics(result)
     assert metrics["throughput_ops"] == pytest.approx(result.throughput)
     assert metrics["committed"] == result.committed
@@ -240,13 +241,13 @@ def test_validator_still_rejects_unknown_kinds(validator):
 
 
 def test_validator_accepts_real_profile_dump(tmp_path, validator):
-    from repro.harness import ActionSchedule
+    from repro.harness import ActionSchedule, ClusterConfig
     from repro.harness.scenarios import crash_recovery_timeline
     from repro.obs import Tracer, dump_jsonl
 
     tracer = Tracer()
     crash_recovery_timeline(
-        n_voters=3, seed=1, rate=200, duration=0.5, tracer=tracer,
+        ClusterConfig(seed=1, tracer=tracer), rate=200, duration=0.5,
         schedule=ActionSchedule(),
     )
     path = str(tmp_path / "profile.jsonl")

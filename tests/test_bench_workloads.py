@@ -8,7 +8,11 @@ from repro.bench import (
     OpenLoopDriver,
     SessionClass,
 )
-from repro.bench.runner import default_op_factory, run_broadcast_bench
+from repro.bench.runner import (
+    EVAL_LINK,
+    default_op_factory,
+    run_broadcast_bench,
+)
 from repro.harness import Cluster, ClusterConfig
 
 
@@ -98,7 +102,8 @@ def test_each_post_warmup_commit_is_recorded_exactly_once():
 
 def test_runner_registers_the_drivers_histogram():
     result = run_broadcast_bench(
-        3, op_size=256, outstanding=8, duration=0.3, warmup=0.1, seed=136,
+        ClusterConfig(seed=136, net=EVAL_LINK),
+        op_size=256, outstanding=8, duration=0.3, warmup=0.1,
     )
     sketch = result.metrics["histograms"]["bench.commit_latency_s"]
     assert sketch == result.latency
@@ -107,7 +112,8 @@ def test_runner_registers_the_drivers_histogram():
 
 def test_runner_end_to_end_smoke():
     result = run_broadcast_bench(
-        3, op_size=256, outstanding=8, duration=0.5, warmup=0.1, seed=136,
+        ClusterConfig(seed=136, net=EVAL_LINK),
+        op_size=256, outstanding=8, duration=0.5, warmup=0.1,
     )
     assert result.throughput > 0
     assert result.committed > 0
@@ -119,7 +125,8 @@ def test_runner_end_to_end_smoke():
 
 def test_runner_open_loop_mode():
     result = run_broadcast_bench(
-        3, duration=0.5, warmup=0.1, seed=137, open_loop_rate=300,
+        ClusterConfig(seed=137, net=EVAL_LINK),
+        duration=0.5, warmup=0.1, open_loop_rate=300,
     )
     assert 0 < result.throughput < 600
 
@@ -238,7 +245,8 @@ def test_runner_session_class_mode_reports_per_class_metrics():
     from repro.bench.report import bench_metrics
 
     result = run_broadcast_bench(
-        3, duration=0.5, warmup=0.1, seed=145,
+        ClusterConfig(seed=145, net=EVAL_LINK),
+        duration=0.5, warmup=0.1,
         session_classes=[
             SessionClass("web", sessions=500_000,
                          rate_per_session=0.0008, read_fraction=0.5),

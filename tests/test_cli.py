@@ -225,14 +225,14 @@ def test_health_exit_1_while_detector_firing(capsys):
 
 
 def test_health_offline_trace(capsys, tmp_path):
-    from repro.harness import ActionSchedule
+    from repro.harness import ActionSchedule, ClusterConfig
     from repro.harness.scenarios import crash_recovery_timeline
     from repro.obs import Tracer, dump_jsonl
 
     tracer = Tracer()
     tracer.disable("net.")
-    crash_recovery_timeline(n_voters=3, seed=1, rate=200, duration=0.5,
-                            tracer=tracer, schedule=ActionSchedule())
+    crash_recovery_timeline(ClusterConfig(seed=1, tracer=tracer), rate=200,
+                            duration=0.5, schedule=ActionSchedule())
     trace = str(tmp_path / "run.jsonl")
     dump_jsonl(tracer.events, trace)
     assert main(["health", "--trace", trace]) == 0

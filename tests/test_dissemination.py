@@ -24,7 +24,7 @@ This file pins that claim from four directions:
 import pytest
 
 from repro import Cluster, ClusterConfig, DISSEMINATION_TOPOLOGIES
-from repro.bench.runner import run_broadcast_bench
+from repro.bench.runner import EVAL_LINK, run_broadcast_bench
 from repro.checker import CheckerState
 from repro.common.errors import ConfigError
 from repro.harness import replay_schedule
@@ -285,9 +285,9 @@ def egress_curve():
     for topology in DISSEMINATION_TOPOLOGIES:
         for n in (3, 7):
             result = run_broadcast_bench(
-                n, op_size=1024, outstanding=64, duration=0.3,
-                warmup=0.2, seed=1, bandwidth_bps=25e6,
-                dissemination=topology,
+                ClusterConfig(n_voters=n, seed=1, net=EVAL_LINK,
+                              dissemination=topology),
+                op_size=1024, outstanding=64, duration=0.3, warmup=0.2,
             )
             leader = result.params["leader"]
             assert result.committed > 0, (topology, n)

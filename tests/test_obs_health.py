@@ -6,7 +6,9 @@ import json
 
 import pytest
 
+from repro.bench.runner import EVAL_LINK
 from repro.common.errors import ConfigError
+from repro.harness import ClusterConfig
 from repro.obs import TraceEvent
 from repro.obs.health import (
     HealthMonitor,
@@ -331,14 +333,18 @@ def test_monitor_rejects_bad_config():
 # Canned scenarios (live attach): the acceptance behaviors
 # ---------------------------------------------------------------------------
 
+#: `repro health`'s default ensemble: five voters, seed 3.
+DRILL = ClusterConfig(n_voters=5, seed=3, net=EVAL_LINK)
+
+
 @pytest.fixture(scope="module")
 def crash_monitor():
-    return run_health_check("crash-recovery", rate=400)
+    return run_health_check("crash-recovery", DRILL, rate=400)
 
 
 @pytest.fixture(scope="module")
 def slow_monitor():
-    return run_health_check("slow-fsync", rate=400)
+    return run_health_check("slow-fsync", DRILL, rate=400)
 
 
 def test_crash_recovery_has_exactly_one_dip(crash_monitor):
@@ -375,9 +381,36 @@ def test_slow_fsync_fires_on_victim_only(slow_monitor):
     assert slow_monitor.healthy
 
 
+def _firings(monitor):
+    return [
+        (f["detector"], f["node"], f["onset"], f["clear"])
+        for f in monitor.firings
+    ]
+
+
+def test_crash_recovery_drill_is_pinned(crash_monitor):
+    # Exact, not approximate: a one-window shift in any onset or clear
+    # (e.g. from re-plumbing how the scenario is built) must fail here.
+    assert _firings(crash_monitor) == [
+        ("leader_unavailable", None, 0.0, 0.02159278715874012),
+        ("leader_unavailable", None, 4.03, 4.293781559516578),
+        ("recovery_dip", None, 4.03, 4.297095832629893),
+    ]
+    assert crash_monitor.summary()["verdict"] == "healthy"
+
+
+def test_slow_fsync_drill_is_pinned(slow_monitor):
+    assert _firings(slow_monitor) == [
+        ("leader_unavailable", None, 0.0, 0.02159278715874012),
+        ("straggler", 1, 2.0, 6.5),
+        ("disk_stall", 1, 2.0, 6.5),
+    ]
+    assert slow_monitor.summary()["verdict"] == "healthy"
+
+
 def test_health_report_is_byte_deterministic():
     def blob():
-        monitor = run_health_check("crash-recovery", rate=400,
+        monitor = run_health_check("crash-recovery", DRILL, rate=400,
                                    duration=6.0)
         return json.dumps(monitor.report(params={"seed": 3}),
                           sort_keys=True)
@@ -420,4 +453,4 @@ def test_render_health_marks_lanes(crash_monitor, slow_monitor):
 
 def test_unknown_scenario_raises():
     with pytest.raises(ConfigError):
-        run_health_check("meteor-strike")
+        run_health_check("meteor-strike", DRILL)

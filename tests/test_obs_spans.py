@@ -252,13 +252,14 @@ def test_causality_transaction_messages_in_time_order():
 
 @pytest.fixture(scope="module")
 def replayed_profile():
-    from repro.harness import ActionSchedule
+    from repro.bench.runner import EVAL_LINK
+    from repro.harness import ActionSchedule, ClusterConfig
     from repro.harness.scenarios import crash_recovery_timeline
 
     tracer = Tracer()
     crash_recovery_timeline(
-        n_voters=5, seed=3, rate=400, duration=1.5, tracer=tracer,
-        schedule=ActionSchedule(),
+        ClusterConfig(n_voters=5, seed=3, net=EVAL_LINK, tracer=tracer),
+        rate=400, duration=1.5, schedule=ActionSchedule(),
     )
     buffer = io.StringIO()
     dump_jsonl(tracer, buffer)

@@ -8,17 +8,24 @@ The multi-seed sweeps, topology cross-products, and explorer interplay
 live in ``tests/integration/test_ops_scenarios.py`` under ``-m ops``.
 """
 
+import importlib.util
+import io
+from pathlib import Path
+
 import pytest
 
 from repro.common.errors import ConfigError
 from repro.harness import Cluster, ClusterConfig
+from repro.harness.buggy import SEEDED_BUGS
 from repro.harness.opscenarios import (
     OPS_SCENARIOS,
     committed_txn_loss,
     run_ops_scenario,
     stable_leader_id,
 )
+from repro.harness.replay import replay_schedule
 from repro.harness.schedule import ActionSchedule
+from repro.obs.trace import Tracer, dump_jsonl
 
 ALL_FAMILIES = sorted(OPS_SCENARIOS)
 
@@ -128,6 +135,45 @@ def test_snapshot_under_load_actually_compacts():
         boundary = peer.storage.log.purged_through()
         assert boundary is not None
         assert boundary <= peer.storage.snapshots.latest().last_zxid
+
+
+def _validator():
+    """``scripts/validate_trace.py`` (not a package), imported by path."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / (
+        "validate_trace.py"
+    )
+    spec = importlib.util.spec_from_file_location("validate_trace", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_snapshot_kinds_are_schema_valid_in_traces():
+    tracer = Tracer()
+    result = replay_schedule(
+        OPS_SCENARIOS["snapshot-under-load"](seed=1),
+        ClusterConfig(tracer=tracer),
+    )
+    assert result.passed, result
+    handle = io.StringIO()
+    dump_jsonl(tracer.events, handle)
+    handle.seek(0)
+    counts = _validator().validate(handle)
+    assert counts.get("snapshot.save") and counts.get("compact.purge")
+
+
+def test_seeded_snapshot_bug_fails_and_ships_a_black_box(tmp_path):
+    bug = SEEDED_BUGS["snapshot_skip"]
+    result = run_ops_scenario(
+        bug.canonical_schedule(), ClusterConfig(leader_factory=bug.factory),
+        recorder_dir=str(tmp_path),
+    )
+    assert not result.passed
+    flight = tmp_path / "flight.jsonl"
+    assert flight.stat().st_size > 0
+    with open(flight, encoding="utf-8") as handle:
+        counts = _validator().validate(handle)
+    assert counts.get("recorder.dump") == 1
 
 
 # ---------------------------------------------------------------------------
