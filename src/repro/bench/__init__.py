@@ -16,7 +16,6 @@ from repro.bench.runner import BenchResult, run_broadcast_bench
 from repro.bench.workloads import (
     AggregateOpenLoopDriver,
     ClosedLoopDriver,
-    OpenLoopDriver,
     SessionClass,
 )
 
@@ -26,7 +25,6 @@ __all__ = [
     "run_broadcast_bench",
     "run_adversarial_campaign",
     "ClosedLoopDriver",
-    "OpenLoopDriver",
     "SessionClass",
     "AggregateOpenLoopDriver",
 ]

@@ -173,8 +173,7 @@ def run_partition_campaign_zab(seeds, config=None, steps=10,
     for seed in seeds:
         cluster = Cluster(config.replace(seed=seed)).start()
         cluster.run_until_stable(timeout=60)
-        _drive_partitions(cluster, cluster.sim, seed, steps, flap_period,
-                          op_interval, _zab_submit(cluster))
+        _drive_partitions(cluster, steps, flap_period, op_interval)
         cluster.heal()
         cluster.run(3.0)
         report = cluster.check_properties()
@@ -205,8 +204,7 @@ def run_partition_campaign_paxos(seeds, n_replicas=3, steps=10,
             net_config=NetworkConfig(),
         ).start()
         cluster.run_until_leader(timeout=60)
-        _drive_partitions(cluster, cluster.sim, seed, steps, flap_period,
-                          op_interval, _paxos_submit(cluster))
+        _drive_partitions(cluster, steps, flap_period, op_interval)
         cluster.heal()
         cluster.run(3.0)
         report = cluster.check_properties()
@@ -214,34 +212,19 @@ def run_partition_campaign_paxos(seeds, n_replicas=3, steps=10,
     return results
 
 
-def _zab_submit(cluster):
-    def submit():
+def _drive_partitions(cluster, steps, flap_period, op_interval):
+    """Flap seeded one-peer partitions on *cluster* (Zab or Paxos) while
+    a counter increment goes to its leader every *op_interval*."""
+    sim = cluster.sim
+    rng = sim.random.stream("partition-adversary")
+
+    def load_tick():
         leader = cluster.leader()
         if leader is not None:
             try:
                 leader.propose_op(("incr", "counter", 1))
             except Exception:
                 pass
-    return submit
-
-
-def _paxos_submit(cluster):
-    def submit():
-        leader = cluster.leader()
-        if leader is not None:
-            try:
-                leader.submit_op(("incr", "counter", 1))
-            except Exception:
-                pass
-    return submit
-
-
-def _drive_partitions(cluster, sim, seed, steps, flap_period, op_interval,
-                      submit):
-    rng = sim.random.stream("partition-adversary")
-
-    def load_tick():
-        submit()
         sim.schedule(op_interval, load_tick)
 
     load_tick()

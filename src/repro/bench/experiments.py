@@ -25,14 +25,13 @@ from repro.bench.campaign import (
 from repro.bench.formats import render_series, render_table
 from repro.bench.runner import (
     EVAL_LINK,
+    default_op_factory,
     require_properties,
     run_broadcast_bench,
 )
+from repro.bench.workloads import ClosedLoopDriver, open_loop
 from repro.harness import ActionSchedule, Cluster, ClusterConfig
-from repro.harness.scenarios import (
-    crash_recovery_timeline,
-    measure_recovery_gap,
-)
+from repro.harness.scenarios import measure_recovery_gap
 from repro.zab.dissemination import DISSEMINATION_TOPOLOGIES
 from repro.paxos import PaxosCluster
 from repro.storage import Snapshot, TxnLog
@@ -199,7 +198,7 @@ def e2_latency_vs_load(rates=(500, 1000, 2000, 4000, 8000, 12000),
     rows = []
     for rate in rates:
         result = _bench(_EVAL.replace(n_voters=n_voters, seed=seed),
-                        duration, open_loop_rate=rate)
+                        duration, session_classes=open_loop(rate, _OP_SIZE))
         p50 = result.latency.get("p50")
         p99 = result.latency.get("p99")
         rows.append({
@@ -219,9 +218,9 @@ def e2_latency_vs_load(rates=(500, 1000, 2000, 4000, 8000, 12000),
 def e3_failure_timeline(n_voters=5, seed=3, rate=2000):
     """Follower crash barely dents throughput; a leader crash opens a
     visible gap (election + sync) before service resumes."""
-    cluster, driver, events = crash_recovery_timeline(
-        _EVAL.replace(n_voters=n_voters, seed=seed), rate=rate,
-        duration=10.0, op_size=_OP_SIZE,
+    result = run_broadcast_bench(
+        _EVAL.replace(n_voters=n_voters, seed=seed), duration=10.0,
+        warmup=0, session_classes=open_loop(rate, _OP_SIZE),
         schedule=(
             ActionSchedule()
             .add(2.0, "crash_follower")
@@ -230,8 +229,8 @@ def e3_failure_timeline(n_voters=5, seed=3, rate=2000):
             .add(8.0, "recover_all")
         ),
     )
-    t0 = driver.started_at
-    series = driver.timeline.series(start=t0, end=t0 + 10.0)
+    t0 = result.started_at
+    series = result.timeline.series(start=t0, end=t0 + 10.0)
 
     def window_rate(lo, hi):
         rates = [r for t, r in series if t0 + lo <= t < t0 + hi]
@@ -249,8 +248,8 @@ def e3_failure_timeline(n_voters=5, seed=3, rate=2000):
     ]
     return rows, {
         "series": series,
-        "events": events,
-        "report": require_properties(cluster),
+        "events": result.fault_log,
+        "report": result.check_report,
     }
 
 
@@ -260,12 +259,12 @@ def _paxos_counterexample(seed=4):
     r1.start_scout()
     cluster.run(0.1)
     cluster.partition({1}, {2, 3})
-    r1.submit_op(("put", "A", 1))
-    r1.submit_op(("incr", "A", 1))
+    r1.propose_op(("put", "A", 1))
+    r1.propose_op(("incr", "A", 1))
     cluster.run(0.2)
     r2.start_scout()
     cluster.run(0.2)
-    r2.submit_op(("put", "C", 100))
+    r2.propose_op(("put", "C", 100))
     cluster.run(0.2)
     cluster.crash(2)
     cluster.heal()
@@ -529,7 +528,7 @@ def e8_latency_percentiles(sizes=(3, 5, 7), rate=1000, duration=_DURATION,
     rows = []
     for n in sizes:
         latency = _bench(_EVAL.replace(n_voters=n, seed=seed), duration,
-                         open_loop_rate=rate).latency
+                         session_classes=open_loop(rate, _OP_SIZE)).latency
         rows.append({
             "servers": n,
             "p50_ms": latency["p50"] * 1000,
@@ -575,44 +574,6 @@ def e9_group_commit(fsyncs=(0.0005, 0.002), n_voters=3,
     return rows, {}
 
 
-def _run_paxos_bench(n_replicas, outstanding, duration, seed):
-    cluster = PaxosCluster(
-        n_replicas, seed=seed,
-        net_config=EVAL_LINK,
-        max_outstanding=outstanding,
-    ).start()
-    leader = cluster.run_until_leader(timeout=60)
-    committed = []
-    payload = "v" * _OP_SIZE
-    state = {"in_flight": 0}
-
-    def pump():
-        while state["in_flight"] < outstanding:
-            state["in_flight"] += 1
-            t0 = cluster.sim.now
-            leader.submit_op(
-                ("put", "key-%d" % (len(committed) % 64), payload),
-                callback=lambda r, t0=t0: on_commit(t0),
-                size=_OP_SIZE,
-            )
-
-    warmup_until = cluster.sim.now + _WARMUP
-    samples = []
-
-    def on_commit(t0):
-        state["in_flight"] -= 1
-        now = cluster.sim.now
-        if now >= warmup_until:
-            samples.append(now - t0)
-        committed.append(None)
-        pump()
-
-    pump()
-    cluster.run(duration + _WARMUP)
-    require_properties(cluster)
-    return len(samples) / duration
-
-
 @experiment(
     "e10", "Zab vs Paxos, identical network (n=3, 1KiB writes)",
     "Zab vs Paxos throughput (baseline comparison)",
@@ -627,16 +588,28 @@ def e10_zab_vs_paxos(n=3, duration=_DURATION, seed=10):
     zab_pipelined = _bench(config, duration, outstanding=64).throughput
     zab_single = _bench(config.replace(zab={"max_outstanding": 1}),
                         duration, outstanding=1).throughput
-    paxos_single = _run_paxos_bench(n, 1, duration, seed)
-    paxos_pipelined = _run_paxos_bench(n, 64, duration, seed)
+    paxos = {}
+    for outstanding in (1, 64):
+        # The same closed-loop driver as the Zab rows, on a PaxosCluster.
+        cluster = PaxosCluster(
+            n, seed=seed, net_config=EVAL_LINK, max_outstanding=outstanding,
+        ).start()
+        cluster.run_until_leader(timeout=60)
+        driver = ClosedLoopDriver(
+            cluster, outstanding, default_op_factory(_OP_SIZE), _OP_SIZE,
+            warmup=_WARMUP,
+        ).start()
+        cluster.run(duration + _WARMUP)
+        require_properties(cluster)
+        paxos[outstanding] = driver.latency.count / duration
     rows = [
         {"system": "zab, 64 outstanding", "throughput": zab_pipelined,
          "primary_order_safe": True},
-        {"system": "paxos, 64 outstanding", "throughput": paxos_pipelined,
+        {"system": "paxos, 64 outstanding", "throughput": paxos[64],
          "primary_order_safe": False},
         {"system": "zab, 1 outstanding", "throughput": zab_single,
          "primary_order_safe": True},
-        {"system": "paxos, 1 outstanding", "throughput": paxos_single,
+        {"system": "paxos, 1 outstanding", "throughput": paxos[1],
          "primary_order_safe": True},
     ]
     return rows, {}
@@ -700,7 +673,7 @@ def a2_observers(duration=_DURATION, seed=12, rate=1000):
         summary = _bench(
             _EVAL.replace(n_voters=n_voters, n_observers=n_observers,
                           seed=seed),
-            duration, open_loop_rate=rate,
+            duration, session_classes=open_loop(rate, _OP_SIZE),
         ).latency
         rows.append({
             "config": label,

@@ -1,18 +1,15 @@
 """End-to-end experiment runner.
 
 ``run_broadcast_bench`` builds a cluster from one ``ClusterConfig``,
-drives it with a workload for a fixed stretch of simulated time, and
-returns a :class:`BenchResult` with throughput, latency percentiles,
-and traffic accounting.  Every experiment of
-:mod:`repro.bench.experiments` bottoms out here (or in a small variation
-of it).
+drives it with a workload (and, optionally, a fault schedule) for a
+fixed stretch of simulated time, and returns a :class:`BenchResult`
+with throughput, latency percentiles, and traffic accounting.  Every
+bench-shaped experiment of :mod:`repro.bench.experiments`, E3's failure
+timeline, and ``repro bench``/``trace``/``profile``/``health`` run
+through it.
 """
 
-from repro.bench.workloads import (
-    AggregateOpenLoopDriver,
-    ClosedLoopDriver,
-    OpenLoopDriver,
-)
+from repro.bench.workloads import AggregateOpenLoopDriver, ClosedLoopDriver
 from repro.harness.cluster import Cluster
 from repro.net import NetworkConfig
 from repro.obs import MetricsRegistry
@@ -27,15 +24,19 @@ class BenchResult:
     """One experiment data point."""
 
     def __init__(self, params, throughput, latency, duration, committed,
-                 net_stats, timeline, check_report=None, metrics=None,
-                 workload=None):
+                 submitted, started_at, net_stats, timeline, fault_log,
+                 check_report, metrics, workload=None):
         self.params = params
         self.throughput = throughput      # committed ops / simulated second
         self.latency = latency            # summary dict (mean/p50/p95/p99)
         self.duration = duration
-        self.committed = committed
+        self.committed = committed        # commits after the warm-up
+        self.submitted = submitted        # ops the driver got proposed
+        self.started_at = started_at      # sim time the load started
         self.net_stats = net_stats
-        self.timeline = timeline
+        self.timeline = timeline          # commits per bucket, from t=0
+        # ActionSchedule.install's [(time, description)] of fired faults.
+        self.fault_log = fault_log
         self.check_report = check_report
         self.metrics = metrics            # repro.obs registry snapshot
         # AggregateOpenLoopDriver.results() dict (per-class breakdowns)
@@ -74,47 +75,54 @@ def run_broadcast_bench(
     outstanding=64,
     duration=3.0,
     warmup=0.5,
-    open_loop_rate=None,
-    check_properties=True,
     session_classes=None,
+    schedule=None,
+    monitor=None,
 ):
-    """Run one saturated-broadcast (or open-loop) measurement on a
-    cluster built from *config* (a
+    """Boot a cluster built from *config* (a
     :class:`~repro.harness.config.ClusterConfig`: ensemble shape, seed,
-    link, disk model, dissemination topology, tracer, ZabConfig knobs).
+    link, disk model, dissemination topology, tracer, ZabConfig knobs),
+    drive it with client load for ``warmup + duration`` simulated
+    seconds after stability, drain for 0.5 s, and return a
+    :class:`BenchResult`; raises unless the history passes the checker.
 
-    Returns a :class:`BenchResult`.  ``open_loop_rate`` switches from the
-    closed-loop saturation driver to Poisson arrivals at the given rate.
-    ``session_classes`` (a list of
-    :class:`~repro.bench.workloads.SessionClass`) switches to the
-    aggregate population driver instead: offered load comes from
-    arrival-rate models, the result carries per-class breakdowns in
-    ``result.workload``, and per-class rates/latencies join the bench
-    metrics.  The result always carries a
-    :class:`repro.obs.MetricsRegistry` snapshot (commit counters, drop
-    reasons, streaming commit-latency percentiles): of
+    The load is closed-loop by default: ``outstanding`` puts of
+    ``op_size`` bytes always in flight.  ``session_classes`` (a list of
+    :class:`~repro.bench.workloads.SessionClass`; ``open_loop(rate)``
+    for plain Poisson writes) switches to the open-loop aggregate
+    population driver: offered load comes from arrival-rate models, the
+    result carries per-class breakdowns in ``result.workload``, and
+    per-class rates/latencies join the bench metrics.  *schedule* (an
+    :class:`~repro.harness.schedule.ActionSchedule`) is installed at
+    stability, timed from there, and its fired actions come back as
+    ``result.fault_log``.  *monitor* (a
+    :class:`~repro.obs.health.HealthMonitor`) is attached before the
+    cluster boots, so its window 0 starts at t=0.  The result always
+    carries a :class:`repro.obs.MetricsRegistry` snapshot (commit
+    counters, drop reasons, streaming commit-latency percentiles): of
     ``config.metrics`` when set, else of a fresh registry.
     """
     registry = config.metrics
     if registry is None:
         registry = MetricsRegistry()
     cluster = Cluster(config.replace(metrics=registry))
+    if monitor is not None:
+        monitor.attach(cluster)
     cluster.start()
     cluster.run_until_stable(timeout=60.0)
 
-    op_factory = default_op_factory(op_size)
     if session_classes is not None:
         driver = AggregateOpenLoopDriver(
             cluster, session_classes, warmup=warmup,
         )
-    elif open_loop_rate is not None:
-        driver = OpenLoopDriver(
-            cluster, open_loop_rate, op_factory, op_size, warmup=warmup,
-        )
     else:
         driver = ClosedLoopDriver(
-            cluster, outstanding, op_factory, op_size, warmup=warmup,
+            cluster, outstanding, default_op_factory(op_size), op_size,
+            warmup=warmup,
         )
+    fault_log = []
+    if schedule is not None:
+        fault_log = schedule.install(cluster, start=cluster.sim.now)
     driver.start()
     cluster.run(duration + warmup)
     driver.stop()
@@ -128,14 +136,13 @@ def run_broadcast_bench(
     registry.counter("bench.committed").inc(committed)
     registry.counter("bench.submitted").inc(driver.submitted)
 
-    report = require_properties(cluster) if check_properties else None
+    report = require_properties(cluster)
 
     leader = cluster.leader()
     params = {
         "n_voters": config.n_voters,
         "op_size": op_size,
         "outstanding": outstanding,
-        "open_loop_rate": open_loop_rate,
         "bandwidth_bps": cluster.network.config.bandwidth_bps,
         "disk": config.disk,
         "seed": config.seed,
@@ -155,8 +162,11 @@ def run_broadcast_bench(
         latency=driver.latency.snapshot(),
         duration=measured_window,
         committed=committed,
+        submitted=driver.submitted,
+        started_at=driver.started_at,
         net_stats=cluster.network.stats.snapshot(),
         timeline=driver.timeline,
+        fault_log=fault_log,
         check_report=report,
         metrics=registry.snapshot(),
         workload=workload,

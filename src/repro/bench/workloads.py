@@ -1,26 +1,30 @@
 """Workload drivers.
 
-Three load models:
+Two load models:
 
 - :class:`ClosedLoopDriver` — a fixed number of outstanding operations;
   each commit immediately triggers the next submission.  With enough
   outstanding operations this *saturates* the leader, which is the
-  condition of the paper's throughput-vs-ensemble-size experiment.
-- :class:`OpenLoopDriver` — Poisson arrivals at a target rate,
-  independent of completions; used for the latency-vs-offered-load sweep
-  where the interesting feature is the saturation knee.
-- :class:`AggregateOpenLoopDriver` — *populations* of sessions modelled
-  as a single arrival process per :class:`SessionClass`.  Superposition
-  of N independent Poisson(r) processes is exactly Poisson(N·r), so a
+  condition of the paper's throughput-vs-ensemble-size experiment.  It
+  drives anything with ``sim``, ``leader()`` and a leader's
+  ``propose_op(op, callback(result, zxid), size)``: a Zab ``Cluster``
+  or the Paxos baseline's ``PaxosCluster``.
+- :class:`AggregateOpenLoopDriver` — open-loop arrivals, independent of
+  completions, from *populations* of sessions modelled as a single
+  arrival process per :class:`SessionClass`.  Superposition of N
+  independent Poisson(r) processes is exactly Poisson(N·r), so a
   million simulated clients cost one event stream instead of a million
-  driver objects — the scale-out seam for planetary-sized offered load.
+  driver objects.  :func:`open_loop` is the one-class write-only case:
+  Poisson writes at a target rate, used for the latency-vs-offered-load
+  sweep (where the interesting feature is the saturation knee) and the
+  failure timeline.
 
-All of them submit writes directly at the current leader
-(``propose_op``), measuring the broadcast layer itself rather than
-client networking, and survive leader changes by re-resolving the
-leader and retrying.  Each driver owns one
-:class:`~repro.obs.metrics.StreamingHistogram` (``driver.latency``)
-and observes every post-warm-up commit in it exactly once.
+Both submit writes directly at the current leader (``propose_op``),
+measuring the broadcast layer itself rather than client networking, and
+survive leader changes by re-resolving the leader and retrying.  Each
+driver owns one :class:`~repro.obs.metrics.StreamingHistogram`
+(``driver.latency``) and observes every post-warm-up commit in it
+exactly once.
 """
 
 from repro.bench.metrics import Timeline
@@ -28,63 +32,7 @@ from repro.common.errors import NotLeaderError
 from repro.obs.metrics import StreamingHistogram
 
 
-class _DriverBase:
-    def __init__(self, cluster, op_factory, op_size, warmup=0.0,
-                 timeline_bucket=0.1):
-        self.cluster = cluster
-        self.op_factory = op_factory
-        self.op_size = op_size
-        self.latency = StreamingHistogram()
-        # Warm-up and timeline windows (E3's phases) count from here.
-        self.started_at = cluster.sim.now
-        self._warmup_until = self.started_at + warmup
-        self.timeline = Timeline(bucket=timeline_bucket)
-        self.submitted = 0
-        self.committed = 0
-        self.stopped = False
-
-    def stop(self):
-        self.stopped = True
-
-    def _submit_one(self):
-        if self.stopped:
-            return False
-        leader = self.cluster.leader()
-        if leader is None:
-            return False
-        submit_time = self.cluster.sim.now
-
-        def on_commit(result, zxid, t0=submit_time):
-            now = self.cluster.sim.now
-            self.committed += 1
-            if now >= self._warmup_until:
-                self.latency.observe(now - t0)
-            self.timeline.add(now)
-            self._on_commit()
-
-        try:
-            leader.propose_op(
-                self.op_factory(self.submitted), callback=on_commit,
-                size=self.op_size,
-            )
-        except NotLeaderError:
-            return False
-        self.submitted += 1
-        return True
-
-    def _on_commit(self):
-        """Subclass hook fired after each commit is recorded."""
-
-    def results(self):
-        """Summary dict shared by the experiment tables."""
-        return {
-            "submitted": self.submitted,
-            "committed": self.committed,
-            "latency": self.latency.snapshot(),
-        }
-
-
-class ClosedLoopDriver(_DriverBase):
+class ClosedLoopDriver:
     """Keeps *outstanding* operations permanently in flight.
 
     Operations in flight at a leader that crashes lose their callbacks
@@ -97,13 +45,20 @@ class ClosedLoopDriver(_DriverBase):
     def __init__(self, cluster, outstanding, op_factory, op_size,
                  warmup=0.0, retry_interval=0.05, stall_timeout=0.5,
                  timeline_bucket=0.1):
-        _DriverBase.__init__(
-            self, cluster, op_factory, op_size, warmup=warmup,
-            timeline_bucket=timeline_bucket,
-        )
+        self.cluster = cluster
         self.outstanding = outstanding
+        self.op_factory = op_factory
+        self.op_size = op_size
         self.retry_interval = retry_interval
         self.stall_timeout = stall_timeout
+        self.latency = StreamingHistogram()
+        # Warm-up and timeline windows count from here.
+        self.started_at = cluster.sim.now
+        self._warmup_until = self.started_at + warmup
+        self.timeline = Timeline(bucket=timeline_bucket)
+        self.submitted = 0
+        self.committed = 0
+        self.stopped = False
         self._in_flight = 0
         self._last_activity = cluster.sim.now
 
@@ -112,6 +67,35 @@ class ClosedLoopDriver(_DriverBase):
             self._pump()
         self._arm_watchdog()
         return self
+
+    def stop(self):
+        self.stopped = True
+
+    def _submit_one(self):
+        leader = self.cluster.leader()
+        if leader is None:
+            return False
+        submit_time = self.cluster.sim.now
+
+        def on_commit(result, zxid, t0=submit_time):
+            now = self.cluster.sim.now
+            self.committed += 1
+            if now >= self._warmup_until:
+                self.latency.observe(now - t0)
+            self.timeline.add(now)
+            self._in_flight -= 1
+            self._last_activity = now
+            self._pump()
+
+        try:
+            leader.propose_op(
+                self.op_factory(self.submitted), callback=on_commit,
+                size=self.op_size,
+            )
+        except NotLeaderError:
+            return False
+        self.submitted += 1
+        return True
 
     def _pump(self):
         if self.stopped:
@@ -122,11 +106,6 @@ class ClosedLoopDriver(_DriverBase):
         else:
             # No leader right now (election in progress): retry shortly.
             self.cluster.sim.schedule(self.retry_interval, self._pump)
-
-    def _on_commit(self):
-        self._in_flight -= 1
-        self._last_activity = self.cluster.sim.now
-        self._pump()
 
     def _arm_watchdog(self):
         if self.stopped:
@@ -143,39 +122,6 @@ class ClosedLoopDriver(_DriverBase):
             for _ in range(self.outstanding):
                 self._pump()
         self._arm_watchdog()
-
-
-class OpenLoopDriver(_DriverBase):
-    """Poisson arrivals at *rate* operations per simulated second."""
-
-    def __init__(self, cluster, rate, op_factory, op_size, warmup=0.0,
-                 timeline_bucket=0.1):
-        _DriverBase.__init__(
-            self, cluster, op_factory, op_size, warmup=warmup,
-            timeline_bucket=timeline_bucket,
-        )
-        if rate <= 0:
-            raise ValueError("rate must be positive")
-        self.rate = rate
-        self.rejected = 0
-        self._rng = cluster.sim.random.stream("openloop")
-
-    def start(self):
-        self._schedule_next()
-        return self
-
-    def _schedule_next(self):
-        if self.stopped:
-            return
-        delay = self._rng.expovariate(self.rate)
-        self.cluster.sim.schedule(delay, self._arrival)
-
-    def _arrival(self):
-        if self.stopped:
-            return
-        if not self._submit_one():
-            self.rejected += 1
-        self._schedule_next()
 
 
 #: Arrival models a :class:`SessionClass` understands.
@@ -216,6 +162,17 @@ class SessionClass:
             raise ValueError(
                 "arrival must be one of %r" % (ARRIVAL_MODELS,)
             )
+        if isinstance(op_size, tuple) and op_size[:1] == ("uniform",):
+            bounds = op_size[1:]
+        else:
+            bounds = (op_size, op_size)
+        if not (len(bounds) == 2
+                and all(type(size) is int for size in bounds)
+                and 0 < bounds[0] <= bounds[1]):
+            raise ValueError(
+                "op_size must be a positive int or ('uniform', lo, hi) "
+                "with 0 < lo <= hi, not %r" % (op_size,)
+            )
         self.name = name
         self.sessions = sessions
         self.rate_per_session = rate_per_session
@@ -240,9 +197,7 @@ class SessionClass:
     def sample_size(self, rng):
         if isinstance(self.op_size, int):
             return self.op_size
-        kind, lo, hi = self.op_size
-        if kind != "uniform":
-            raise ValueError("unknown op_size distribution: %r" % (kind,))
+        _uniform, lo, hi = self.op_size
         return rng.randint(lo, hi)
 
     def to_json(self):
@@ -258,6 +213,15 @@ class SessionClass:
             ),
             "keys": self.keys,
         }
+
+
+def open_loop(rate, op_size=1024):
+    """Poisson writes at *rate* ops/s as ``session_classes``: one
+    write-only :class:`SessionClass`.  Every such run names it
+    ``open-loop``, which labels its PRNG stream (``aggload:open-loop``),
+    so one seed gives one arrival schedule whichever caller asks."""
+    return [SessionClass("open-loop", sessions=1, rate_per_session=rate,
+                         op_size=op_size)]
 
 
 class _ClassState:
@@ -290,9 +254,10 @@ class AggregateOpenLoopDriver:
     the read path this system actually has (reads never enter the
     broadcast pipeline).
 
-    The driver exposes the same surface the bench runner expects from
-    the per-client drivers — ``latency`` / ``timeline`` / ``submitted``
-    / ``committed`` / ``results()`` — plus per-class breakdowns.
+    The driver exposes the surface the bench runner reads from
+    :class:`ClosedLoopDriver` — ``latency`` / ``timeline`` /
+    ``started_at`` / ``submitted`` / ``committed`` — plus per-class
+    breakdowns in ``results()``.
     """
 
     def __init__(self, cluster, classes, warmup=0.0, timeline_bucket=0.1):
@@ -303,7 +268,8 @@ class AggregateOpenLoopDriver:
             raise ValueError("session class names must be unique")
         self.cluster = cluster
         self.latency = StreamingHistogram()
-        self._warmup_until = cluster.sim.now + warmup
+        self.started_at = cluster.sim.now
+        self._warmup_until = self.started_at + warmup
         self.timeline = Timeline(bucket=timeline_bucket)
         self.stopped = False
         self.classes = [

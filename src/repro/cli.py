@@ -26,6 +26,7 @@ from pathlib import Path
 from repro.bench import experiments
 from repro.bench.report import write_report
 from repro.bench.runner import EVAL_LINK, run_broadcast_bench
+from repro.bench.workloads import open_loop
 from repro.harness.config import ClusterConfig
 from repro.harness.opscenarios import OPS_SCENARIOS
 from repro.net import NetworkConfig
@@ -52,13 +53,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, "%s: error: %s\n" % (self.prog, message))
 
 
-def _worker_count(text):
-    """``--workers`` type: a process count, at least 1."""
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(
-            "must be an integer >= 1, not %r" % text
-        )
-    return int(text)
+def _positive(kind):
+    """An argparse type: a finite *kind* (``int`` or ``float``) > 0, so
+    ``--servers 0`` or ``--rate -5`` is a usage error, not a traceback."""
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not 0 < value < float("inf"):
+            raise argparse.ArgumentTypeError(
+                "must be a positive %s, not %r"
+                % ("integer" if kind is int else "number", text)
+            )
+        return value
+    return parse
+
+
+_positive_int = _positive(int)
+_positive_float = _positive(float)
 
 
 # A table block of EXPERIMENTS.md is a bare fence whose first line is
@@ -225,7 +238,7 @@ def cmd_trace(args):
     if args.view:
         return _cmd_trace_view(args)
 
-    from repro.harness.scenarios import crash_recovery_timeline
+    from repro.harness.scenarios import crash_recovery_schedule
 
     # Open the output first: a bad path should fail before the
     # scenario burns ten seconds of simulation.
@@ -248,13 +261,14 @@ def cmd_trace(args):
             "net.", "log.", "leader.", "follower.", "peer.",
         )
     registry = obs.MetricsRegistry()
-    cluster, driver, _fault_log = crash_recovery_timeline(
+    result = run_broadcast_bench(
         ClusterConfig(
             n_voters=args.servers, seed=args.seed, net=EVAL_LINK,
             tracer=tracer, metrics=registry,
         ),
-        rate=args.rate,
-        duration=args.duration,
+        duration=args.duration, warmup=0,
+        session_classes=open_loop(args.rate),
+        schedule=crash_recovery_schedule(),
     )
     events = tracer.events
     if args.limit > 0:
@@ -273,15 +287,15 @@ def cmd_trace(args):
              snapshot["net"]["messages_dropped"],
              snapshot["net"]["drops_by_reason"]))
     print("driver:     submitted=%d committed=%d"
-          % (driver.submitted, driver.committed))
+          % (result.submitted, result.committed))
     print("trace:      %d events -> %s" % (count, args.out))
     if args.perfetto:
         obs.dump_chrome_trace(events, args.perfetto)
         print("perfetto:   %d events -> %s (open in ui.perfetto.dev)"
               % (len(events), args.perfetto))
-    report = cluster.check_properties()
-    print("properties: %s" % ("OK" if report.ok else "VIOLATED"))
-    return 0 if report.ok else 1
+    # The runner raises on a violated property, so getting here means OK.
+    print("properties: OK")
+    return 0
 
 
 def cmd_profile(args):
@@ -293,22 +307,18 @@ def cmd_profile(args):
         events = _load(obs.load_jsonl, args.trace)
         params = {"trace": args.trace}
     else:
-        from repro.harness.scenarios import crash_recovery_timeline
-        from repro.harness.schedule import ActionSchedule
-
         tracer = obs.Tracer()
         if not args.net:
             # The span profile only needs protocol-level events; wire
             # events (~10 per op) are opt-in for the causality DAG.
             tracer.disable("net.")
-        crash_recovery_timeline(
+        run_broadcast_bench(   # fault-free: a clean profile
             ClusterConfig(
                 n_voters=args.servers, seed=args.seed, net=EVAL_LINK,
                 tracer=tracer,
             ),
-            rate=args.rate,
-            duration=args.duration,
-            schedule=ActionSchedule(),   # fault-free: a clean profile
+            duration=args.duration, warmup=0,
+            session_classes=open_loop(args.rate),
         )
         # Round-trip through JSONL: the analysis below always runs on a
         # replayed trace, so `repro profile --trace <file>` on the dump
@@ -773,10 +783,10 @@ def build_parser():
     p_exp.set_defaults(fn=cmd_experiments)
 
     p_bench = sub.add_parser("bench", help="one custom throughput run")
-    p_bench.add_argument("--servers", type=int, default=3)
+    p_bench.add_argument("--servers", type=_positive_int, default=3)
     p_bench.add_argument("--op-size", type=int, default=1024)
-    p_bench.add_argument("--outstanding", type=int, default=64)
-    p_bench.add_argument("--duration", type=float, default=1.0)
+    p_bench.add_argument("--outstanding", type=_positive_int, default=64)
+    p_bench.add_argument("--duration", type=_positive_float, default=1.0)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--bandwidth", type=float, default=200.0,
                          help="link speed in Mbit/s (default 200)")
@@ -796,11 +806,11 @@ def build_parser():
         "trace",
         help="traced crash/recovery scenario -> JSONL + phase summary",
     )
-    p_trace.add_argument("--servers", type=int, default=5)
+    p_trace.add_argument("--servers", type=_positive_int, default=5)
     p_trace.add_argument("--seed", type=int, default=3)
-    p_trace.add_argument("--rate", type=float, default=2000.0,
+    p_trace.add_argument("--rate", type=_positive_float, default=2000.0,
                          help="open-loop offered load in ops/s")
-    p_trace.add_argument("--duration", type=float, default=8.0,
+    p_trace.add_argument("--duration", type=_positive_float, default=8.0,
                          help="simulated seconds after stability")
     p_trace.add_argument("-o", "--out", default="trace.jsonl",
                          help="JSONL output path (default trace.jsonl)")
@@ -832,11 +842,11 @@ def build_parser():
         help="per-transaction commit-path profile: stage p50/p99, "
              "quorum-wait fractions, straggler/quorum-critical followers",
     )
-    p_profile.add_argument("--servers", type=int, default=5)
+    p_profile.add_argument("--servers", type=_positive_int, default=5)
     p_profile.add_argument("--seed", type=int, default=3)
-    p_profile.add_argument("--rate", type=float, default=800.0,
+    p_profile.add_argument("--rate", type=_positive_float, default=800.0,
                            help="open-loop offered load in ops/s")
-    p_profile.add_argument("--duration", type=float, default=3.0,
+    p_profile.add_argument("--duration", type=_positive_float, default=3.0,
                            help="simulated seconds after stability")
     p_profile.add_argument("--trace", default=None,
                            help="profile an existing JSONL trace instead "
@@ -858,7 +868,7 @@ def build_parser():
     p_fuzz = sub.add_parser(
         "fuzz", help="random crash/recover run + property check"
     )
-    p_fuzz.add_argument("--servers", type=int, default=5)
+    p_fuzz.add_argument("--servers", type=_positive_int, default=5)
     p_fuzz.add_argument("--seed", type=int, default=0)
     p_fuzz.add_argument("--steps", type=int, default=10)
     p_fuzz.set_defaults(fn=cmd_fuzz)
@@ -869,7 +879,7 @@ def build_parser():
              "into a repro artifact",
     )
     p_shrink.add_argument("--seed", type=int, default=0)
-    p_shrink.add_argument("--servers", type=int, default=3)
+    p_shrink.add_argument("--servers", type=_positive_int, default=3)
     p_shrink.add_argument("--steps", type=int, default=10)
     p_shrink.add_argument("--step-interval", type=float, default=0.5)
     p_shrink.add_argument("--schedule", default=None,
@@ -923,7 +933,7 @@ def build_parser():
                            choices=list(DISSEMINATION_TOPOLOGIES),
                            help="broadcast propagation topology for "
                                 "every explored execution")
-    p_explore.add_argument("--workers", type=_worker_count, default=1,
+    p_explore.add_argument("--workers", type=_positive_int, default=1,
                            metavar="N",
                            help="execute upcoming prefixes of the search "
                                 "on N processes (same search, same "
@@ -940,7 +950,7 @@ def build_parser():
         "campaign",
         help="batch of adversarial runs across seeds + verdict table",
     )
-    p_campaign.add_argument("--servers", type=int, default=3)
+    p_campaign.add_argument("--servers", type=_positive_int, default=3)
     p_campaign.add_argument("--seeds", type=int, default=10,
                             help="number of seeds (0..N-1)")
     p_campaign.add_argument("--first-seed", type=int, default=0)
@@ -954,7 +964,7 @@ def build_parser():
                             help="adversary profile: 'ops' adds "
                                  "snapshots, compaction, one-way cuts "
                                  "and clock skew to the fault mix")
-    p_campaign.add_argument("--workers", type=_worker_count, default=1,
+    p_campaign.add_argument("--workers", type=_positive_int, default=1,
                             metavar="N",
                             help="farm seeds across N processes "
                                  "(reports are byte-identical for "
@@ -973,7 +983,7 @@ def build_parser():
     p_ops.add_argument("--scenario", default="rolling-restart",
                        choices=sorted(OPS_SCENARIOS),
                        help="scenario family (default rolling-restart)")
-    p_ops.add_argument("--servers", type=int, default=3)
+    p_ops.add_argument("--servers", type=_positive_int, default=3)
     p_ops.add_argument("--seed", type=int, default=0)
     p_ops.add_argument("--save-schedule", default=None, metavar="PATH",
                        help="also write the generated ActionSchedule "
@@ -995,11 +1005,11 @@ def build_parser():
                           choices=["crash-recovery", "slow-fsync"],
                           help="canned scenario to run (default "
                                "crash-recovery)")
-    p_health.add_argument("--servers", type=int, default=5)
+    p_health.add_argument("--servers", type=_positive_int, default=5)
     p_health.add_argument("--seed", type=int, default=3)
-    p_health.add_argument("--rate", type=float, default=2000.0,
+    p_health.add_argument("--rate", type=_positive_float, default=2000.0,
                           help="open-loop offered load in ops/s")
-    p_health.add_argument("--duration", type=float, default=8.0,
+    p_health.add_argument("--duration", type=_positive_float, default=8.0,
                           help="simulated seconds after stability")
     p_health.add_argument("--window", type=float, default=0.25,
                           help="detector window in virtual seconds")

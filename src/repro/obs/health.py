@@ -759,27 +759,31 @@ def run_health_check(scenario, config, rate=2000.0, duration=8.0,
     monitor (default ``HealthMonitor()``); returns the finished
     :class:`HealthMonitor` (cluster at ``monitor.cluster``).
 
-    Both drills are the E3 anatomy run
-    (:func:`~repro.harness.scenarios.crash_recovery_timeline`).
-    ``"crash-recovery"`` keeps its follower-crash / leader-crash /
-    recover-all schedule.  ``"slow-fsync"`` is the gray failure: on
-    per-peer disk models, the lowest-id follower of the stable leader
-    runs ``slow_disk`` (20x fsync latency) from t=2 s to t=6 s.  No
+    Both drills are an open-loop
+    :func:`~repro.bench.runner.run_broadcast_bench` run with no warm-up.
+    ``"crash-recovery"`` installs the follower-crash / leader-crash /
+    recover-all schedule
+    (:func:`~repro.harness.scenarios.crash_recovery_schedule`).
+    ``"slow-fsync"`` is the gray failure: on per-peer disk models, the
+    lowest-id follower of the stable leader runs ``slow_disk`` (20x
+    fsync latency) from t=2 s to t=6 s.  No
     checker property trips — commits keep flowing through the healthy
     quorum — but the victim's ACK lag and fsync wait balloon, which
     the straggler and disk-stall detectors must pin on the victim
     alone.  A config without a tracer gets one with per-message
     ``net.*`` events disabled (the detectors never need them), and one
-    without a metrics registry gets a fresh one.
+    without a metrics registry gets a fresh one (the runner's).
     """
+    from repro.bench.runner import run_broadcast_bench
+    from repro.bench.workloads import open_loop
     from repro.harness.opscenarios import stable_leader_id
-    from repro.harness.scenarios import crash_recovery_timeline
+    from repro.harness.scenarios import crash_recovery_schedule
     from repro.harness.schedule import ActionSchedule
-    from repro.obs.metrics import MetricsRegistry
     from repro.obs.trace import Tracer
 
-    schedule = None
-    if scenario == "slow-fsync":
+    if scenario == "crash-recovery":
+        schedule = crash_recovery_schedule()
+    elif scenario == "slow-fsync":
         config = config.replace(disk="model")
         leader = stable_leader_id(config.replace(tracer=None, metrics=None))
         victim = min(p for p in config.voter_ids() if p != leader)
@@ -788,7 +792,7 @@ def run_health_check(scenario, config, rate=2000.0, duration=8.0,
             .add(2.0, "slow_disk", victim)
             .add(6.0, "restore_disk", victim)
         )
-    elif scenario != "crash-recovery":
+    else:
         raise ConfigError(
             "unknown health scenario: %r (expected 'crash-recovery' "
             "or 'slow-fsync')" % (scenario,)
@@ -797,13 +801,11 @@ def run_health_check(scenario, config, rate=2000.0, duration=8.0,
         tracer = Tracer()
         tracer.disable("net.")
         config = config.replace(tracer=tracer)
-    if config.metrics is None:
-        config = config.replace(metrics=MetricsRegistry())
     if monitor is None:
         monitor = HealthMonitor()
-    crash_recovery_timeline(
-        config, rate=rate, schedule=schedule, duration=duration,
-        monitor=monitor,
+    run_broadcast_bench(
+        config, duration=duration, warmup=0,
+        session_classes=open_loop(rate), schedule=schedule, monitor=monitor,
     )
     monitor.finish(monitor.cluster.sim.now)
     return monitor

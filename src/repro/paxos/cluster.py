@@ -66,7 +66,7 @@ class PaxosCluster:
         leader = self.leader()
         if leader is None:
             raise ConfigError("no leader")
-        leader.submit_op(op, callback=lambda result: outcome.update(
+        leader.propose_op(op, callback=lambda result, zxid: outcome.update(
             result=result
         ))
         if not self.run_until(lambda: "result" in outcome, timeout=timeout):

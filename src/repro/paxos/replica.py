@@ -111,8 +111,13 @@ class PaxosReplica(Process):
     # Client API
     # ------------------------------------------------------------------
 
-    def submit_op(self, op, callback=None, size=64):
-        """Propose a client operation; only valid while leading."""
+    def propose_op(self, op, callback=None, size=64):
+        """Propose a client operation; only valid while leading.
+
+        Same contract as :meth:`repro.zab.peer.ZabPeer.propose_op`:
+        *callback* is called as ``callback(result, zxid)`` when this
+        replica delivers the operation.
+        """
         if self.role != ROLE_LEADING:
             raise NotLeaderError("%s is not leading" % self.name)
         if len(self._inflight) >= self.config.max_outstanding:
@@ -220,7 +225,7 @@ class PaxosReplica(Process):
         self._arm_heartbeat()
         pending, self._pending_ops = self._pending_ops, []
         for op, callback, size in pending:
-            self.submit_op(op, callback, size)
+            self.propose_op(op, callback, size)
 
     def _make_noop(self):
         self._seq += 1
@@ -305,18 +310,19 @@ class PaxosReplica(Process):
             self.delivered_upto += 1
             txn = self.decided[self.delivered_upto]
             result = self.sm.apply(txn.body)
+            zxid = Zxid(txn.epoch, txn.seq)
             if self.trace is not None:
                 self.trace.record_delivery(
                     self.replica_id,
                     1,
                     self.delivered_upto,
-                    Zxid(txn.epoch, txn.seq),
+                    zxid,
                     txn.txn_id,
                     epoch=txn.epoch,
                 )
             callback = self._callbacks.pop(txn.txn_id, None)
             if callback is not None:
-                callback(result)
+                callback(result, zxid)
 
     # ------------------------------------------------------------------
     # Failure detection

@@ -7,9 +7,9 @@ after it, a decision, synchronisation with a chosen strategy, and
 commits resuming under the new leader — all stamped with virtual time.
 """
 
-from repro.bench.runner import EVAL_LINK
+from repro.bench.runner import EVAL_LINK, run_broadcast_bench
+from repro.bench.workloads import open_loop
 from repro.harness import ActionSchedule, ClusterConfig
-from repro.harness.scenarios import crash_recovery_timeline
 from repro.obs import MetricsRegistry, Tracer, phase_spans
 
 
@@ -17,10 +17,10 @@ def _run_traced(rate=300.0, duration=6.0):
     tracer = Tracer()
     tracer.disable("net.")
     registry = MetricsRegistry()
-    cluster, driver, schedule = crash_recovery_timeline(
+    result = run_broadcast_bench(
         ClusterConfig(n_voters=5, seed=3, net=EVAL_LINK, tracer=tracer,
                       metrics=registry),
-        rate=rate, duration=duration,
+        duration=duration, warmup=0, session_classes=open_loop(rate),
         schedule=(
             ActionSchedule()
             .add(1.0, "crash_follower")
@@ -28,11 +28,11 @@ def _run_traced(rate=300.0, duration=6.0):
             .add(4.0, "recover_all")
         ),
     )
-    return cluster, driver, tracer, registry
+    return result, tracer, registry
 
 
 def test_traced_leader_crash_events_in_causal_order():
-    cluster, driver, tracer, registry = _run_traced()
+    result, tracer, registry = _run_traced()
 
     crashes = [
         e for e in tracer.by_kind("fault.crash")
@@ -88,11 +88,11 @@ def test_traced_leader_crash_events_in_causal_order():
     )
 
     # And the run as a whole stayed correct.
-    assert cluster.check_properties().ok
+    assert result.check_report.ok
 
 
 def test_traced_crash_phase_spans_cover_failover():
-    cluster, driver, tracer, registry = _run_traced()
+    _result, tracer, registry = _run_traced()
     spans = phase_spans(tracer.events)
     assert len(spans) >= 2, "expected pre- and post-crash epochs"
     epochs = [span["epoch"] for span in spans]

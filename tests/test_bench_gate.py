@@ -241,14 +241,15 @@ def test_validator_still_rejects_unknown_kinds(validator):
 
 
 def test_validator_accepts_real_profile_dump(tmp_path, validator):
-    from repro.harness import ActionSchedule, ClusterConfig
-    from repro.harness.scenarios import crash_recovery_timeline
+    from repro.bench.runner import run_broadcast_bench
+    from repro.bench.workloads import open_loop
+    from repro.harness import ClusterConfig
     from repro.obs import Tracer, dump_jsonl
 
     tracer = Tracer()
-    crash_recovery_timeline(
-        ClusterConfig(seed=1, tracer=tracer), rate=200, duration=0.5,
-        schedule=ActionSchedule(),
+    run_broadcast_bench(
+        ClusterConfig(seed=1, tracer=tracer), duration=0.5, warmup=0,
+        session_classes=open_loop(200),
     )
     path = str(tmp_path / "profile.jsonl")
     dump_jsonl(tracer, path)

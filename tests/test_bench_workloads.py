@@ -5,7 +5,6 @@ import pytest
 from repro.bench import (
     AggregateOpenLoopDriver,
     ClosedLoopDriver,
-    OpenLoopDriver,
     SessionClass,
 )
 from repro.bench.runner import (
@@ -13,6 +12,7 @@ from repro.bench.runner import (
     default_op_factory,
     run_broadcast_bench,
 )
+from repro.bench.workloads import open_loop
 from repro.harness import Cluster, ClusterConfig
 
 
@@ -52,32 +52,15 @@ def test_closed_loop_survives_leader_crash():
 
 def test_open_loop_hits_target_rate():
     cluster = stable_cluster(seed=132)
-    driver = OpenLoopDriver(
-        cluster, rate=500, op_factory=default_op_factory(64), op_size=64,
+    driver = AggregateOpenLoopDriver(
+        cluster, open_loop(rate=500, op_size=64),
     ).start()
     cluster.run(2.0)
     driver.stop()
     achieved = driver.committed / 2.0
     assert 350 < achieved < 650  # Poisson noise around 500
-
-
-def test_open_loop_counts_rejections_without_leader():
-    cluster = stable_cluster(seed=133)
-    cluster.crash(cluster.leader().peer_id)
-    # Immediately generate load during the election gap.
-    driver = OpenLoopDriver(
-        cluster, rate=200, op_factory=default_op_factory(64), op_size=64,
-    ).start()
-    cluster.run(0.2)
-    driver.stop()
-    assert driver.rejected > 0
-
-
-def test_open_loop_validates_rate():
-    cluster = stable_cluster(seed=134)
-    with pytest.raises(ValueError):
-        OpenLoopDriver(cluster, rate=0,
-                       op_factory=default_op_factory(64), op_size=64)
+    assert driver.submitted == driver.results()["classes"]["open-loop"][
+        "submitted"]          # write-only: every arrival is a proposal
 
 
 def test_each_post_warmup_commit_is_recorded_exactly_once():
@@ -97,7 +80,6 @@ def test_each_post_warmup_commit_is_recorded_exactly_once():
     # (or a double observe) would push count past the commits seen.
     assert driver.latency.count == driver.committed - warmup_commits
     assert driver.timeline.total() == driver.committed
-    assert driver.results()["latency"] == driver.latency.snapshot()
 
 
 def test_runner_registers_the_drivers_histogram():
@@ -126,9 +108,14 @@ def test_runner_end_to_end_smoke():
 def test_runner_open_loop_mode():
     result = run_broadcast_bench(
         ClusterConfig(seed=137, net=EVAL_LINK),
-        duration=0.5, warmup=0.1, open_loop_rate=300,
+        duration=0.5, warmup=0.1, session_classes=open_loop(300),
     )
     assert 0 < result.throughput < 600
+    assert result.params["session_classes"] == [{
+        "name": "open-loop", "sessions": 1, "rate_per_session": 300,
+        "read_fraction": 0.0, "arrival": "poisson", "op_size": 1024,
+        "keys": 64,
+    }]
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +133,15 @@ def test_session_class_validates_inputs():
     with pytest.raises(ValueError):
         SessionClass("bad", sessions=1, rate_per_session=1.0,
                      arrival="bursty")
+    # An op_size the class could not sample fails here, not at the
+    # first arrival in the middle of a simulation.
+    for op_size in (("zipf", 1, 2), ("uniform", 9, 3), ("uniform", 0, 3),
+                    ("uniform", 1), -5, 0, 2.5, True, "big"):
+        with pytest.raises(ValueError):
+            SessionClass("bad", sessions=1, rate_per_session=1.0,
+                         op_size=op_size)
+    SessionClass("ok", sessions=1, rate_per_session=1.0,
+                 op_size=("uniform", 3, 3))
 
 
 def test_aggregate_rate_is_population_times_per_session():

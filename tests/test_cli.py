@@ -195,6 +195,28 @@ def test_workers_below_one_is_a_usage_error(capsys, command, workers):
     assert "--workers" in captured.err and repr(workers) in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["trace", "--rate", "0"],
+    ["trace", "--duration", "-1"],
+    ["profile", "--rate", "-5"],
+    ["health", "--rate", "nan"],
+    ["bench", "--outstanding", "0"],
+    ["bench", "--servers", "0"],
+    ["bench", "--duration", "inf"],
+    ["campaign", "--servers", "2.5"],
+])
+def test_non_positive_load_argument_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "error: argument %s: must be a positive" % argv[1] \
+        in captured.err
+    assert repr(argv[2]) in captured.err
+
+
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
@@ -225,14 +247,15 @@ def test_health_exit_1_while_detector_firing(capsys):
 
 
 def test_health_offline_trace(capsys, tmp_path):
-    from repro.harness import ActionSchedule, ClusterConfig
-    from repro.harness.scenarios import crash_recovery_timeline
+    from repro.bench.runner import run_broadcast_bench
+    from repro.bench.workloads import open_loop
+    from repro.harness import ClusterConfig
     from repro.obs import Tracer, dump_jsonl
 
     tracer = Tracer()
     tracer.disable("net.")
-    crash_recovery_timeline(ClusterConfig(seed=1, tracer=tracer), rate=200,
-                            duration=0.5, schedule=ActionSchedule())
+    run_broadcast_bench(ClusterConfig(seed=1, tracer=tracer), duration=0.5,
+                        warmup=0, session_classes=open_loop(200))
     trace = str(tmp_path / "run.jsonl")
     dump_jsonl(tracer.events, trace)
     assert main(["health", "--trace", trace]) == 0

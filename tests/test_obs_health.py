@@ -393,8 +393,8 @@ def test_crash_recovery_drill_is_pinned(crash_monitor):
     # (e.g. from re-plumbing how the scenario is built) must fail here.
     assert _firings(crash_monitor) == [
         ("leader_unavailable", None, 0.0, 0.02159278715874012),
-        ("leader_unavailable", None, 4.03, 4.293781559516578),
-        ("recovery_dip", None, 4.03, 4.297095832629893),
+        ("leader_unavailable", None, 4.03, 4.343495975873996),
+        ("recovery_dip", None, 4.03, 4.346217362202267),
     ]
     assert crash_monitor.summary()["verdict"] == "healthy"
 

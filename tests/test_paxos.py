@@ -33,8 +33,8 @@ def test_pipelined_commits_preserve_order():
     leader = cluster.leader()
     order = []
     for i in range(20):
-        leader.submit_op(("put", "k", i),
-                         callback=lambda r, i=i: order.append(i))
+        leader.propose_op(("put", "k", i),
+                         callback=lambda r, z, i=i: order.append(i))
     cluster.run_until(lambda: len(order) == 20, timeout=10)
     assert order == list(range(20))
 
@@ -46,7 +46,7 @@ def test_submit_on_non_leader_raises():
         if not replica.is_leading
     )
     with pytest.raises(NotLeaderError):
-        idle.submit_op(("put", "k", 1))
+        idle.propose_op(("put", "k", 1))
 
 
 def test_backpressure_queues_beyond_window():
@@ -54,10 +54,26 @@ def test_backpressure_queues_beyond_window():
     leader = cluster.leader()
     done = []
     for i in range(10):
-        leader.submit_op(("put", "k%d" % i, i),
-                         callback=lambda r: done.append(r))
+        leader.propose_op(("put", "k%d" % i, i),
+                         callback=lambda r, z: done.append(r))
     assert len(leader._inflight) <= 2
     cluster.run_until(lambda: len(done) == 10, timeout=10)
+
+
+def test_propose_op_calls_back_with_the_delivered_zxid():
+    # Zab's contract: callback(result, zxid), the zxid being the one the
+    # checker trace records for the proposer's own delivery.
+    cluster = stable()
+    leader = cluster.leader()
+    answers = []
+    for i in range(5):
+        leader.propose_op(("put", "k%d" % i, i),
+                          callback=lambda r, z: answers.append((r, z)))
+    cluster.run_until(lambda: len(answers) == 5, timeout=10)
+    delivered = cluster.trace.deliveries_by_process()[leader.replica_id]
+    assert [result for result, _zxid in answers] == list(range(5))
+    assert [zxid for _result, zxid in answers] \
+        == [event.zxid for event in delivered]
 
 
 def test_failover_elects_new_leader_and_keeps_state():
@@ -105,13 +121,13 @@ def run_paper_counterexample(seed=4):
     cluster.run(0.1)
     assert r1.is_leading
     cluster.partition({1}, {2, 3})
-    r1.submit_op(("put", "A", 1))
-    r1.submit_op(("incr", "A", 1))     # depends on the put
+    r1.propose_op(("put", "A", 1))
+    r1.propose_op(("incr", "A", 1))     # depends on the put
     cluster.run(0.2)
     r2.start_scout()
     cluster.run(0.2)
     assert r2.is_leading
-    r2.submit_op(("put", "C", 100))
+    r2.propose_op(("put", "C", 100))
     cluster.run(0.2)
     cluster.crash(2)
     cluster.heal()

@@ -30,8 +30,8 @@ def test_gap_filling_with_noops():
     # ordering at r1's acceptor matters, creating potential gaps after
     # takeover.
     cluster.partition({1}, {2, 3})
-    r1.submit_op(("put", "a", 1))
-    r1.submit_op(("put", "b", 2))
+    r1.propose_op(("put", "a", 1))
+    r1.propose_op(("put", "b", 2))
     cluster.run(0.2)
     cluster.heal()
     r3.start_scout()
@@ -87,7 +87,7 @@ def test_reproposal_keeps_original_txn_identity():
     r1.start_scout()
     cluster.run(0.2)
     cluster.partition({1}, {2, 3})
-    r1.submit_op(("put", "a", 1))
+    r1.propose_op(("put", "a", 1))
     cluster.run(0.2)
     cluster.heal()
     r3.start_scout()
