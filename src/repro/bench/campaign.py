@@ -162,13 +162,19 @@ def _one_run(seed, config, steps, step_interval, op_interval, with_health,
     )
 
 
-def run_partition_campaign_zab(seeds, config=None, steps=10,
-                               flap_period=0.4, op_interval=0.01):
-    """Partition-only adversary against Zab (companion to the Paxos
-    variant below; same fault pattern, same load), one run per seed on
-    a cluster built from *config* (default ``ClusterConfig()``) at that
-    seed."""
-    config = config or ClusterConfig()
+def run_partition_campaign(seeds, config, steps=10, flap_period=0.4,
+                           op_interval=0.01):
+    """Partition-only adversary, one run per seed on a cluster built
+    from *config* at that seed; returns ``[(seed, violated properties)]``.
+
+    Unlike the paper's hand-crafted counter-example (E4), nothing here
+    is scripted: leaders change because partitions trip the failure
+    detector.  Against pipelined Paxos (``protocol="paxos"``) a
+    fraction of seeds organically violate primary integrity — a fresh
+    Paxos leader starts broadcasting right after phase 1, *before* its
+    state covers the re-proposed suffix, which is exactly the barrier
+    Zab's synchronisation phase enforces.
+    """
     results = []
     for seed in seeds:
         cluster = Cluster(config.replace(seed=seed)).start()
@@ -181,40 +187,9 @@ def run_partition_campaign_zab(seeds, config=None, steps=10,
     return results
 
 
-def run_partition_campaign_paxos(seeds, n_replicas=3, steps=10,
-                                 flap_period=0.4, op_interval=0.01,
-                                 max_outstanding=8):
-    """Partition-only adversary against pipelined Paxos.
-
-    Unlike the paper's hand-crafted counter-example (E4), nothing here
-    is scripted: leaders change because partitions trip the failure
-    detector.  A fraction of seeds organically violate primary
-    integrity — a fresh Paxos leader starts broadcasting right after
-    phase 1, *before* its state covers the re-proposed suffix, which is
-    exactly the barrier Zab's synchronisation phase enforces.
-    """
-    from repro.net import NetworkConfig
-    from repro.paxos import PaxosCluster
-
-    results = []
-    for seed in seeds:
-        cluster = PaxosCluster(
-            n_replicas, seed=seed, max_outstanding=max_outstanding,
-            leader_timeout_ticks=3,
-            net_config=NetworkConfig(),
-        ).start()
-        cluster.run_until_leader(timeout=60)
-        _drive_partitions(cluster, steps, flap_period, op_interval)
-        cluster.heal()
-        cluster.run(3.0)
-        report = cluster.check_properties()
-        results.append((seed, sorted(report.violated_properties())))
-    return results
-
-
 def _drive_partitions(cluster, steps, flap_period, op_interval):
-    """Flap seeded one-peer partitions on *cluster* (Zab or Paxos) while
-    a counter increment goes to its leader every *op_interval*."""
+    """Flap seeded one-peer partitions on *cluster* while a counter
+    increment goes to its leader every *op_interval*."""
     sim = cluster.sim
     rng = sim.random.stream("partition-adversary")
 
@@ -228,9 +203,7 @@ def _drive_partitions(cluster, steps, flap_period, op_interval):
         sim.schedule(op_interval, load_tick)
 
     load_tick()
-    members = list(
-        getattr(cluster, "peers", getattr(cluster, "replicas", {}))
-    )
+    members = list(cluster.peers)
     for _step in range(steps):
         cluster.run(flap_period)
         roll = rng.random()

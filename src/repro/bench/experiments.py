@@ -18,10 +18,7 @@ the byte-equality of a fresh run with the committed table, live in
 import inspect
 
 from repro.app.statemachine import Txn
-from repro.bench.campaign import (
-    run_partition_campaign_paxos,
-    run_partition_campaign_zab,
-)
+from repro.bench.campaign import run_partition_campaign
 from repro.bench.formats import render_series, render_table
 from repro.bench.runner import (
     EVAL_LINK,
@@ -33,7 +30,6 @@ from repro.bench.workloads import ClosedLoopDriver, open_loop
 from repro.harness import ActionSchedule, Cluster, ClusterConfig
 from repro.harness.scenarios import measure_recovery_gap
 from repro.zab.dissemination import DISSEMINATION_TOPOLOGIES
-from repro.paxos import PaxosCluster
 from repro.storage import Snapshot, TxnLog
 from repro.zab.sync import make_sync_plan
 from repro.zab.zxid import Zxid
@@ -254,8 +250,12 @@ def e3_failure_timeline(n_voters=5, seed=3, rate=2000):
 
 
 def _paxos_counterexample(seed=4):
-    cluster = PaxosCluster(3, seed=seed, auto_scout=False).start()
-    r1, r2, r3 = (cluster.replicas[i] for i in (1, 2, 3))
+    # Scripted leader changes: a silence budget no run reaches keeps the
+    # failure detector from scouting on its own.
+    cluster = Cluster(ClusterConfig(
+        seed=seed, protocol="paxos", zab={"sync_limit": 10 ** 6},
+    )).start()
+    r1, r2, r3 = (cluster.peers[i] for i in (1, 2, 3))
     r1.start_scout()
     cluster.run(0.1)
     cluster.partition({1}, {2, 3})
@@ -350,11 +350,13 @@ def e4b_organic_violations(seeds=range(20)):
     the re-proposed suffix — the barrier Zab's Phase 2 enforces), Zab on
     none.  Like E4, the checker verdicts are the result."""
     rows = []
-    for system, campaign in (
-        ("zab", run_partition_campaign_zab),
-        ("paxos (8 outstanding)", run_partition_campaign_paxos),
+    for system, config in (
+        ("zab", ClusterConfig()),
+        ("paxos (8 outstanding)", ClusterConfig(
+            protocol="paxos", zab={"max_outstanding": 8, "sync_limit": 3},
+        )),
     ):
-        results = campaign(seeds)
+        results = run_partition_campaign(seeds, config)
         bad = sorted(seed for seed, violations in results if violations)
         rows.append({
             "system": system,
@@ -590,11 +592,11 @@ def e10_zab_vs_paxos(n=3, duration=_DURATION, seed=10):
                         duration, outstanding=1).throughput
     paxos = {}
     for outstanding in (1, 64):
-        # The same closed-loop driver as the Zab rows, on a PaxosCluster.
-        cluster = PaxosCluster(
-            n, seed=seed, net_config=EVAL_LINK, max_outstanding=outstanding,
-        ).start()
-        cluster.run_until_leader(timeout=60)
+        # The same closed-loop driver as the Zab rows, on Paxos peers.
+        cluster = Cluster(config.replace(
+            protocol="paxos", zab={"max_outstanding": outstanding},
+        )).start()
+        cluster.run_until_stable(timeout=60)
         driver = ClosedLoopDriver(
             cluster, outstanding, default_op_factory(_OP_SIZE), _OP_SIZE,
             warmup=_WARMUP,

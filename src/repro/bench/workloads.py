@@ -7,8 +7,8 @@ Two load models:
   outstanding operations this *saturates* the leader, which is the
   condition of the paper's throughput-vs-ensemble-size experiment.  It
   drives anything with ``sim``, ``leader()`` and a leader's
-  ``propose_op(op, callback(result, zxid), size)``: a Zab ``Cluster``
-  or the Paxos baseline's ``PaxosCluster``.
+  ``propose_op(op, callback(result, zxid), size)``: a ``Cluster`` of
+  either protocol (Zab, or ``ClusterConfig(protocol="paxos")``).
 - :class:`AggregateOpenLoopDriver` — open-loop arrivals, independent of
   completions, from *populations* of sessions modelled as a single
   arrival process per :class:`SessionClass`.  Superposition of N

@@ -27,6 +27,7 @@ from repro.bench import experiments
 from repro.bench.report import write_report
 from repro.bench.runner import EVAL_LINK, run_broadcast_bench
 from repro.bench.workloads import open_loop
+from repro.common.util import atomic_write
 from repro.harness.config import ClusterConfig
 from repro.harness.opscenarios import OPS_SCENARIOS
 from repro.net import NetworkConfig
@@ -240,10 +241,12 @@ def cmd_trace(args):
 
     from repro.harness.scenarios import crash_recovery_schedule
 
-    # Open the output first: a bad path should fail before the
-    # scenario burns ten seconds of simulation.
+    # Check the output first, without truncating it: a bad path should
+    # fail before ten seconds of simulation, and a run that dies keeps
+    # an existing trace (the dump below replaces it atomically).
     try:
-        out = open(args.out, "w", encoding="utf-8")
+        with open(args.out, "a", encoding="utf-8"):
+            pass
     except OSError as exc:
         print("cannot write %s: %s" % (args.out, exc), file=sys.stderr)
         return 2
@@ -273,8 +276,7 @@ def cmd_trace(args):
     events = tracer.events
     if args.limit > 0:
         events = events[-args.limit:]
-    with out:
-        count = obs.dump_jsonl(events, out)
+    count = obs.dump_jsonl(events, args.out)
     print(obs.render_summary(obs.summarize(events)))
     print()
     snapshot = registry.snapshot()
@@ -514,7 +516,7 @@ def cmd_shrink(args):
     )
     obs.dump_jsonl(tracer, os.path.join(out_dir, "trace.jsonl"))
     test_path = os.path.join(out_dir, "test_seed_%s.py" % seed)
-    with open(test_path, "w", encoding="utf-8") as f:
+    with atomic_write(test_path) as f:
         f.write(_REPRO_TEST_TEMPLATE % {
             "seed": seed,
             "n_actions": len(result.schedule),
@@ -616,7 +618,7 @@ def cmd_explore(args):
         print("violations: none")
 
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as f:
+        with atomic_write(args.json) as f:
             json.dump(result.to_json(), f, indent=2)
             f.write("\n")
         print("summary: %s" % args.json)
@@ -784,11 +786,11 @@ def build_parser():
 
     p_bench = sub.add_parser("bench", help="one custom throughput run")
     p_bench.add_argument("--servers", type=_positive_int, default=3)
-    p_bench.add_argument("--op-size", type=int, default=1024)
+    p_bench.add_argument("--op-size", type=_positive_int, default=1024)
     p_bench.add_argument("--outstanding", type=_positive_int, default=64)
     p_bench.add_argument("--duration", type=_positive_float, default=1.0)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--bandwidth", type=float, default=200.0,
+    p_bench.add_argument("--bandwidth", type=_positive_float, default=200.0,
                          help="link speed in Mbit/s (default 200)")
     p_bench.add_argument("--disk", action="store_true",
                          help="enable the fsync/disk model")
@@ -904,8 +906,8 @@ def build_parser():
         help="bounded exhaustive model checking: every fault schedule "
              "to a depth bound, PO properties checked on each",
     )
-    p_explore.add_argument("--peers", type=int, default=3)
-    p_explore.add_argument("--depth", type=int, default=8,
+    p_explore.add_argument("--peers", type=_positive_int, default=3)
+    p_explore.add_argument("--depth", type=_positive_int, default=8,
                            help="fault decision points per execution")
     p_explore.add_argument("--seed", type=int, default=0)
     p_explore.add_argument("--step-interval", type=float, default=0.25)
@@ -1011,7 +1013,7 @@ def build_parser():
                           help="open-loop offered load in ops/s")
     p_health.add_argument("--duration", type=_positive_float, default=8.0,
                           help="simulated seconds after stability")
-    p_health.add_argument("--window", type=float, default=0.25,
+    p_health.add_argument("--window", type=_positive_float, default=0.25,
                           help="detector window in virtual seconds")
     p_health.add_argument("--trace", default=None, metavar="PATH",
                           help="judge an existing JSONL trace instead "

@@ -15,6 +15,7 @@ from repro.harness.config import ClusterConfig
 from repro.net import Network, NetworkConfig
 from repro.obs import NULL_TRACER
 from repro.obs.recorder import FlightRecorder
+from repro.paxos.replica import PaxosReplica
 from repro.sim import Simulator
 from repro.storage.disk import DiskModel
 from repro.storage.retention import RetentionPolicy
@@ -28,6 +29,9 @@ class Cluster:
     and nothing else::
 
         Cluster(ClusterConfig(n_voters=5, seed=7, dissemination="tree"))
+
+    ``protocol="paxos"`` builds :class:`~repro.paxos.PaxosReplica` peers
+    instead; they answer the same role, crash and clock-skew questions.
 
     See :class:`~repro.harness.config.ClusterConfig` for every knob:
     ensemble shape, network/disk models, dissemination topology,
@@ -82,6 +86,12 @@ class Cluster:
         self.disks = {}
         self._disk_baseline = {}
         for peer_id in voters + observers:
+            if spec.protocol == "paxos":
+                self.peers[peer_id] = PaxosReplica(
+                    self.sim, self.network, peer_id, self.config,
+                    app_factory=spec.app_factory, trace=self.trace,
+                )
+                continue
             if spec.disk == "model":
                 device = DiskModel(
                     self.sim, fsync_latency=spec.fsync_latency,
@@ -354,14 +364,17 @@ class Cluster:
     def snapshot_now(self, peer_id=None):
         """Take an operator fuzzy snapshot on one peer (or all).
 
-        Tolerant by design: crashed or still-syncing peers simply skip
-        (the shrinker drops schedule actions one at a time, so every
-        surviving action must stay applicable on its own).  Returns
+        Tolerant by design: crashed, still-syncing or storage-less
+        (Paxos) peers simply skip (the shrinker drops schedule actions
+        one at a time, so every surviving action must stay applicable
+        on its own).  Returns
         ``{peer_id: Snapshot}`` for the peers that actually saved one.
         """
         targets = [peer_id] if peer_id is not None else sorted(self.peers)
         taken = {}
         for pid in targets:
+            if pid not in self.storages:
+                continue
             snapshot = self.peers[pid].take_snapshot()
             if snapshot is not None:
                 taken[pid] = snapshot
@@ -373,16 +386,16 @@ class Cluster:
         Keeps the newest *retain_snapshots* snapshots per peer and
         purges each log through the oldest retained snapshot's zxid
         (see :class:`repro.storage.retention.RetentionPolicy`).  Peers
-        with no snapshots are untouched; crashed peers are skipped —
-        an operator cannot compact a machine that is down.  Returns
-        ``{peer_id: CompactionReport}``.
+        with no snapshots or no stable storage are untouched; crashed
+        peers are skipped — an operator cannot compact a machine that
+        is down.  Returns ``{peer_id: CompactionReport}``.
         """
         policy = RetentionPolicy(retain_snapshots)
         targets = [peer_id] if peer_id is not None else sorted(self.peers)
         reports = {}
         for pid in targets:
             peer = self.peers[pid]
-            if peer.crashed:
+            if peer.crashed or pid not in self.storages:
                 continue
             report = policy.apply(peer.storage)
             if report.purged_to is not None:

@@ -16,8 +16,10 @@ import dataclasses
 
 from repro.app.kvstore import KVStateMachine
 from repro.common.errors import ConfigError
+from repro.zab.dissemination import resolve_dissemination
 
 _DISK_MODES = (None, "model", "shared")
+_PROTOCOLS = ("zab", "paxos")
 
 
 @dataclasses.dataclass
@@ -64,6 +66,12 @@ class ClusterConfig:
     zab
         Extra keyword arguments for :class:`~repro.zab.config.ZabConfig`
         (``tick``, ``max_outstanding``, ``max_batch``, ...).
+    protocol
+        ``"zab"`` (default) or ``"paxos"``: the multi-Paxos baseline,
+        which reads ``tick``, ``sync_limit`` (leader silence budget, in
+        ticks) and ``max_outstanding`` from *zab*.  Observers, ``disk``,
+        relay topologies, ``metrics`` and ``leader_factory`` are Zab's
+        alone: Paxos refuses them here.
     """
 
     n_voters: int = 3
@@ -82,6 +90,7 @@ class ClusterConfig:
     metrics: object = None
     leader_factory: object = None
     zab: dict = dataclasses.field(default_factory=dict)
+    protocol: str = "zab"
 
     def __post_init__(self):
         if self.n_voters < 1:
@@ -95,6 +104,20 @@ class ClusterConfig:
                 "pass dissemination as a ClusterConfig field, not inside "
                 "zab overrides"
             )
+        if self.protocol not in _PROTOCOLS:
+            raise ConfigError("unknown protocol: %r" % (self.protocol,))
+        if self.protocol == "paxos":
+            refused = [name for name, zab_only in (
+                ("n_observers", self.n_observers),
+                ("disk", self.disk is not None),
+                ("dissemination",
+                 not resolve_dissemination(self.dissemination).direct),
+                ("metrics", self.metrics is not None),
+                ("leader_factory", self.leader_factory is not None),
+            ) if zab_only]
+            if refused:
+                raise ConfigError("the paxos baseline cannot honour %s"
+                                  % ", ".join(refused))
 
     def voter_ids(self):
         return tuple(range(1, self.n_voters + 1))

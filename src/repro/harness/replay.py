@@ -154,9 +154,9 @@ def replay_schedule(schedule, config=None, op_interval=None, settle=2.0,
     The cluster is built from *config* (default ``ClusterConfig()``:
     leader factory, tracer, metrics, network and disk models, ZabConfig
     overrides) overlaid with the schedule's own ``meta`` — ``n_voters``,
-    ``seed``, ``dissemination`` — and ``op_interval`` defaults to the
-    meta's too (else 20 ms), so a schedule loaded from a repro artifact
-    replays with no extra arguments.
+    ``seed``, ``dissemination``, ``protocol`` — and ``op_interval``
+    defaults to the meta's too (else 20 ms), so a schedule loaded from a
+    repro artifact replays with no extra arguments.
 
     With *recorder_dir* set, any failing replay (checker violation,
     divergence, or a run that never stabilised) dumps the cluster's
@@ -170,7 +170,8 @@ def replay_schedule(schedule, config=None, op_interval=None, settle=2.0,
         op_interval = meta.get("op_interval", 0.02)
     spec = (config or ClusterConfig()).replace(**{
         key: meta[key]
-        for key in ("n_voters", "seed", "dissemination") if key in meta
+        for key in ("n_voters", "seed", "dissemination", "protocol")
+        if key in meta
     })
     cluster = Cluster(spec).start()
     try:

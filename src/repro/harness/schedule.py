@@ -47,6 +47,7 @@ like ``heal``, it resets link state cluster-wide.
 import json
 
 from repro.common.errors import ConfigError
+from repro.common.util import atomic_write
 from repro.sim.random import SplitRandom
 
 KINDS = frozenset([
@@ -198,7 +199,7 @@ class ActionSchedule:
         return cls.from_json(json.loads(text))
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as f:
+        with atomic_write(path) as f:
             f.write(self.dumps(indent=2) + "\n")
         return path
 

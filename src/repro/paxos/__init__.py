@@ -10,12 +10,14 @@ chain of incremental state deltas.
 This package implements that baseline faithfully enough to *measure*:
 ballots, phase-1 promise/recovery over instance ranges, phase-2
 accept/accepted, gap filling with no-ops, in-order delivery, leader
-heartbeats and scouting.  Experiment E4 reproduces the paper's
-counter-example run and shows the PO checker flagging it; experiment E10
-compares its throughput against Zab's under identical conditions.
+heartbeats and scouting.  It runs on the Zab harness —
+``Cluster(ClusterConfig(protocol="paxos"))`` — so replay, the shrinker
+and the flight recorder drive it unchanged.  Experiment E4 reproduces the
+paper's counter-example run and shows the PO checker flagging it;
+experiment E10 compares its throughput against Zab's under identical
+conditions.
 """
 
-from repro.paxos.cluster import PaxosCluster
-from repro.paxos.replica import PaxosConfig, PaxosReplica
+from repro.paxos.replica import PaxosReplica
 
-__all__ = ["PaxosCluster", "PaxosConfig", "PaxosReplica"]
+__all__ = ["PaxosReplica"]

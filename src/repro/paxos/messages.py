@@ -2,7 +2,7 @@
 
 Classic nomenclature: phase 1a/1b (prepare/promise), phase 2a/2b
 (accept/accepted), plus a learner-side DECIDE broadcast and leader
-heartbeats.  Ballots are ``(round, replica_id)`` tuples, totally ordered.
+heartbeats.  Ballots are ``(round, peer_id)`` tuples, totally ordered.
 """
 
 from repro.net.message import HEADER_BYTES
@@ -22,13 +22,12 @@ class P1a:
 class P1b:
     """Promise (or rejection, when *promised* > the scout's ballot)."""
 
-    __slots__ = ("ballot", "promised", "accepted", "decided_upto")
+    __slots__ = ("ballot", "promised", "accepted")
 
-    def __init__(self, ballot, promised, accepted, decided_upto):
+    def __init__(self, ballot, promised, accepted):
         self.ballot = ballot        # the ballot this replies to
         self.promised = promised    # acceptor's current promise
         self.accepted = accepted    # {instance: (ballot, txn)}
-        self.decided_upto = decided_upto
 
     def wire_size(self):
         return HEADER_BYTES + 24 + 48 * len(self.accepted)

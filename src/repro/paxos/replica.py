@@ -18,7 +18,6 @@ is still a total order; what Paxos lacks is *primary* order.)
 from repro.common.errors import NotLeaderError
 from repro.paxos import messages
 from repro.sim.process import Process
-from repro.zab.quorum import MajorityQuorum
 from repro.zab.zxid import Zxid
 
 ROLE_IDLE = "idle"
@@ -28,45 +27,24 @@ ROLE_LEADING = "leading"
 _NO_BALLOT = (0, 0)
 
 
-class PaxosConfig:
-    """Ensemble parameters for the Paxos baseline."""
-
-    def __init__(self, peers, tick=0.05, leader_timeout_ticks=4,
-                 max_outstanding=64, auto_scout=True):
-        self.peers = tuple(sorted(peers))
-        self.quorum = MajorityQuorum(self.peers)
-        self.tick = tick
-        self.leader_timeout_ticks = leader_timeout_ticks
-        self.max_outstanding = max_outstanding
-        self.auto_scout = auto_scout
-
-    def leader_timeout(self):
-        return self.tick * self.leader_timeout_ticks
-
-
-class _InFlight:
-    """Leader-side bookkeeping for one proposed instance."""
-
-    __slots__ = ("txn", "acks", "reproposal")
-
-    def __init__(self, txn, reproposal):
-        self.txn = txn
-        self.acks = set()
-        self.reproposal = reproposal
-
-
 class PaxosReplica(Process):
-    """One member of the Paxos ensemble."""
+    """One member of the Paxos ensemble, configured by a ``ZabConfig``.
 
-    def __init__(self, sim, network, replica_id, config, app_factory,
+    ``state`` is ``None`` while down, else a ``ROLE_*`` name.  Acceptor
+    and learner state is stable storage: it survives a crash, and a
+    recovered replica catches up from the leader's heartbeats.
+    """
+
+    def __init__(self, sim, network, peer_id, config, app_factory,
                  trace=None):
-        Process.__init__(self, sim, "paxos-%d" % replica_id)
+        Process.__init__(self, sim, "paxos-%d" % peer_id)
         self.network = network
-        self.replica_id = replica_id
+        self.peer_id = peer_id
         self.config = config
         self.app_factory = app_factory
         self.trace = trace
-        self.rng = sim.random.stream("paxos-%d" % replica_id)
+        self.rng = sim.random.stream("paxos-%d" % peer_id)
+        self.clock_skew = 1.0        # multiplier on the watchdog timer
 
         # Acceptor state.
         self.promised = _NO_BALLOT
@@ -79,12 +57,12 @@ class PaxosReplica(Process):
         self._callbacks = {}          # txn_id -> callable(result)
 
         # Proposer state.
-        self.role = ROLE_IDLE
-        self.ballot = (0, replica_id)
+        self.state = None
+        self.ballot = (0, peer_id)
         self.current_leader_ballot = None
         self._last_leader_contact = 0.0
         self._promises = {}
-        self._inflight = {}           # instance -> _InFlight
+        self._inflight = {}           # instance -> (txn, acked peers)
         self._next_instance = 1
         self._pending_ops = []
         self._seq = 0
@@ -97,15 +75,34 @@ class PaxosReplica(Process):
     # ------------------------------------------------------------------
 
     def start(self):
-        self.network.register(self.replica_id, self._on_message)
+        self.network.register(self.peer_id, self._on_message)
+        self.state = ROLE_IDLE
         self._last_leader_contact = self.sim.now
-        if self.config.auto_scout:
-            self._arm_watchdog()
+        self._arm_watchdog()
         return self
 
+    def on_crash(self):
+        self.network.set_alive(self.peer_id, False)
+        self.state = None
+        self._inflight = {}
+        self._pending_ops = []
+        self._callbacks = {}
+
+    def on_recover(self):
+        self.start()
+
     @property
-    def is_leading(self):
-        return self.role == ROLE_LEADING
+    def is_established_leader(self):
+        return self.state == ROLE_LEADING
+
+    @property
+    def is_active_follower(self):
+        """Up and not leading.  A scout's acceptor and learner keep
+        serving whichever ballot leads, so it follows too."""
+        return self.state in (ROLE_IDLE, ROLE_SCOUTING)
+
+    #: Every Paxos replica votes.
+    is_active_voting_follower = is_active_follower
 
     # ------------------------------------------------------------------
     # Client API
@@ -118,7 +115,7 @@ class PaxosReplica(Process):
         *callback* is called as ``callback(result, zxid)`` when this
         replica delivers the operation.
         """
-        if self.role != ROLE_LEADING:
+        if self.state != ROLE_LEADING:
             raise NotLeaderError("%s is not leading" % self.name)
         if len(self._inflight) >= self.config.max_outstanding:
             self._pending_ops.append((op, callback, size))
@@ -137,11 +134,11 @@ class PaxosReplica(Process):
             self._callbacks[txn.txn_id] = callback
         if self.trace is not None:
             self.trace.record_broadcast(
-                self.replica_id, epoch, Zxid(epoch, self._seq), txn.txn_id
+                self.peer_id, epoch, Zxid(epoch, self._seq), txn.txn_id
             )
         instance = self._next_instance
         self._next_instance += 1
-        self._send_p2a(instance, txn, reproposal=False)
+        self._send_p2a(instance, txn)
 
     # ------------------------------------------------------------------
     # Scouting (phase 1)
@@ -152,17 +149,17 @@ class PaxosReplica(Process):
         round_floor = max(self.promised[0], self.ballot[0])
         if self.current_leader_ballot is not None:
             round_floor = max(round_floor, self.current_leader_ballot[0])
-        self.ballot = (round_floor + 1, self.replica_id)
-        self.role = ROLE_SCOUTING
+        self.ballot = (round_floor + 1, self.peer_id)
+        self.state = ROLE_SCOUTING
         self._promises = {}
         self._inflight = {}
         low = self.delivered_upto + 1
         message = messages.P1a(self.ballot, low)
-        for peer in self.config.peers:
-            if peer == self.replica_id:
-                self._accept_p1a(self.replica_id, message)
+        for peer in self.config.voters:
+            if peer == self.peer_id:
+                self._accept_p1a(self.peer_id, message)
             else:
-                self.network.send(self.replica_id, peer, message)
+                self.network.send(self.peer_id, peer, message)
 
     def _accept_p1a(self, src, msg):
         if msg.ballot >= self.promised:
@@ -175,19 +172,18 @@ class PaxosReplica(Process):
                 for instance, entry in self.accepted.items()
                 if instance >= msg.low_instance
             },
-            self.delivered_upto,
         )
-        if src == self.replica_id:
+        if src == self.peer_id:
             self._on_p1b(src, reply)
         else:
-            self.network.send(self.replica_id, src, reply)
+            self.network.send(self.peer_id, src, reply)
 
     def _on_p1b(self, src, msg):
-        if self.role != ROLE_SCOUTING or msg.ballot != self.ballot:
+        if self.state != ROLE_SCOUTING or msg.ballot != self.ballot:
             return
         if msg.promised > self.ballot:
             # Preempted: someone holds a higher ballot.
-            self.role = ROLE_IDLE
+            self.state = ROLE_IDLE
             self.current_leader_ballot = max(
                 self.current_leader_ballot or _NO_BALLOT, msg.promised
             )
@@ -197,7 +193,7 @@ class PaxosReplica(Process):
             self._become_leader()
 
     def _become_leader(self):
-        self.role = ROLE_LEADING
+        self.state = ROLE_LEADING
         self.current_leader_ballot = self.ballot
         self._seq = 0
         # Merge accepted values: highest ballot wins per instance.
@@ -220,7 +216,7 @@ class PaxosReplica(Process):
                 txn = self._make_noop()
             if txn.body[0] != "noop":
                 self.spec_sm.apply(txn.body)
-            self._send_p2a(instance, txn, reproposal=True)
+            self._send_p2a(instance, txn)
         self._next_instance = top + 1
         self._arm_heartbeat()
         pending, self._pending_ops = self._pending_ops, []
@@ -235,7 +231,7 @@ class PaxosReplica(Process):
         )
         if self.trace is not None:
             self.trace.record_broadcast(
-                self.replica_id, epoch, Zxid(epoch, txn.seq), txn.txn_id
+                self.peer_id, epoch, Zxid(epoch, txn.seq), txn.txn_id
             )
         return txn
 
@@ -243,57 +239,58 @@ class PaxosReplica(Process):
     # Phase 2
     # ------------------------------------------------------------------
 
-    def _send_p2a(self, instance, txn, reproposal):
-        self._inflight[instance] = _InFlight(txn, reproposal)
+    def _send_p2a(self, instance, txn):
+        self._inflight[instance] = (txn, set())
         message = messages.P2a(self.ballot, instance, txn, txn.size)
-        for peer in self.config.peers:
-            if peer == self.replica_id:
-                self._accept_p2a(self.replica_id, message)
+        for peer in self.config.voters:
+            if peer == self.peer_id:
+                self._accept_p2a(self.peer_id, message)
             else:
-                self.network.send(self.replica_id, peer, message)
+                self.network.send(self.peer_id, peer, message)
 
     def _accept_p2a(self, src, msg):
         if msg.ballot >= self.promised:
             self.promised = msg.ballot
             self.accepted[msg.instance] = (msg.ballot, msg.txn)
         reply = messages.P2b(msg.ballot, msg.instance, self.promised)
-        if src == self.replica_id:
+        if src == self.peer_id:
             self._on_p2b(src, reply)
         else:
-            self.network.send(self.replica_id, src, reply)
+            self.network.send(self.peer_id, src, reply)
         if msg.ballot > (self.current_leader_ballot or _NO_BALLOT):
             self.current_leader_ballot = msg.ballot
         self._last_leader_contact = self.sim.now
 
     def _on_p2b(self, src, msg):
-        if self.role != ROLE_LEADING or msg.ballot != self.ballot:
+        if self.state != ROLE_LEADING or msg.ballot != self.ballot:
             return
         if msg.promised > self.ballot:
-            self.role = ROLE_IDLE
+            self.state = ROLE_IDLE
             self._inflight = {}
             self._cancel_heartbeat()
             return
         flight = self._inflight.get(msg.instance)
         if flight is None:
             return
-        flight.acks.add(src)
-        if self.config.quorum.contains_quorum(flight.acks):
+        txn, acks = flight
+        acks.add(src)
+        if self.config.quorum.contains_quorum(acks):
             del self._inflight[msg.instance]
-            self._decide(msg.instance, flight.txn)
+            self._decide(msg.instance, txn)
             self._drain_pending()
 
     def _decide(self, instance, txn):
         message = messages.Decide(instance, txn, txn.size)
-        for peer in self.config.peers:
-            if peer == self.replica_id:
+        for peer in self.config.voters:
+            if peer == self.peer_id:
                 self._on_decide(message)
             else:
-                self.network.send(self.replica_id, peer, message)
+                self.network.send(self.peer_id, peer, message)
 
     def _drain_pending(self):
         while (
             self._pending_ops
-            and self.role == ROLE_LEADING
+            and self.state == ROLE_LEADING
             and len(self._inflight) < self.config.max_outstanding
         ):
             op, callback, size = self._pending_ops.pop(0)
@@ -313,7 +310,7 @@ class PaxosReplica(Process):
             zxid = Zxid(txn.epoch, txn.seq)
             if self.trace is not None:
                 self.trace.record_delivery(
-                    self.replica_id,
+                    self.peer_id,
                     1,
                     self.delivered_upto,
                     zxid,
@@ -334,12 +331,12 @@ class PaxosReplica(Process):
 
     def _beat(self):
         self._hb_timer = None
-        if self.role != ROLE_LEADING:
+        if self.state != ROLE_LEADING:
             return
         message = messages.Heartbeat(self.ballot, self.delivered_upto)
-        for peer in self.config.peers:
-            if peer != self.replica_id:
-                self.network.send(self.replica_id, peer, message)
+        for peer in self.config.voters:
+            if peer != self.peer_id:
+                self.network.send(self.peer_id, peer, message)
         self._arm_heartbeat()
 
     def _cancel_heartbeat(self):
@@ -351,14 +348,14 @@ class PaxosReplica(Process):
         if msg.ballot >= (self.current_leader_ballot or _NO_BALLOT):
             self.current_leader_ballot = msg.ballot
             self._last_leader_contact = self.sim.now
-            if self.role == ROLE_LEADING and msg.ballot > self.ballot:
-                self.role = ROLE_IDLE
+            if self.state == ROLE_LEADING and msg.ballot > self.ballot:
+                self.state = ROLE_IDLE
                 self._inflight = {}
                 self._cancel_heartbeat()
         if msg.decided_upto > self.delivered_upto:
             # Learner catch-up: ask for the decided instances we missed.
             self.network.send(
-                self.replica_id, src,
+                self.peer_id, src,
                 messages.LearnRequest(self.delivered_upto + 1),
             )
 
@@ -370,7 +367,7 @@ class PaxosReplica(Process):
         while instance in self.decided and sent < self._LEARN_BATCH:
             txn = self.decided[instance]
             self.network.send(
-                self.replica_id, src,
+                self.peer_id, src,
                 messages.Decide(instance, txn, txn.size),
             )
             instance += 1
@@ -379,15 +376,15 @@ class PaxosReplica(Process):
     def _arm_watchdog(self):
         jitter = self.rng.uniform(0, self.config.tick)
         self._watchdog = self.set_timer(
-            self.config.tick + jitter, self._check_leader
+            (self.config.tick + jitter) * self.clock_skew, self._check_leader
         )
 
     def _check_leader(self):
         self._watchdog = None
         silence = self.sim.now - self._last_leader_contact
         if (
-            self.role == ROLE_IDLE
-            and silence > self.config.leader_timeout()
+            self.state == ROLE_IDLE
+            and silence > self.config.staleness_timeout()
         ):
             self.start_scout()
         self._arm_watchdog()
@@ -413,8 +410,3 @@ class PaxosReplica(Process):
             self._on_heartbeat(src, msg)
         elif isinstance(msg, messages.LearnRequest):
             self._on_learn_request(src, msg)
-
-    def on_crash(self):
-        self.network.set_alive(self.replica_id, False)
-        self.role = ROLE_IDLE
-        self._inflight = {}

@@ -204,6 +204,12 @@ def test_workers_below_one_is_a_usage_error(capsys, command, workers):
     ["bench", "--servers", "0"],
     ["bench", "--duration", "inf"],
     ["campaign", "--servers", "2.5"],
+    ["explore", "--peers", "0"],
+    ["explore", "--depth", "-1"],
+    ["health", "--window", "0"],
+    ["health", "--window", "-1"],
+    ["bench", "--bandwidth", "0"],
+    ["bench", "--op-size", "-5"],
 ])
 def test_non_positive_load_argument_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as excinfo:
@@ -329,6 +335,32 @@ def test_trace_perfetto_export(capsys, tmp_path):
     assert exported["traceEvents"]
     phases = {record["ph"] for record in exported["traceEvents"]}
     assert "M" in phases and "X" in phases
+
+
+def test_trace_run_that_dies_leaves_an_existing_trace_intact(
+    monkeypatch, tmp_path
+):
+    import repro.cli
+
+    def dies(*_args, **_kwargs):
+        raise KeyboardInterrupt
+
+    path = tmp_path / "trace.jsonl"
+    path.write_text(_GOOD_LINE)
+    monkeypatch.setattr(repro.cli, "run_broadcast_bench", dies)
+    with pytest.raises(KeyboardInterrupt):
+        _run_trace(str(path))
+    assert path.read_text() == _GOOD_LINE
+
+
+def test_trace_unwritable_output_fails_before_simulating(
+    capsys, monkeypatch, tmp_path
+):
+    import repro.cli
+
+    monkeypatch.setattr(repro.cli, "run_broadcast_bench", None)
+    assert _run_trace(str(tmp_path / "missing-dir" / "trace.jsonl")) == 2
+    assert "cannot write" in capsys.readouterr().err
 
 
 def test_trace_view_round_trips_a_capture(capsys, tmp_path):

@@ -9,7 +9,6 @@ metrics.
 import pytest
 
 from repro.harness import Cluster, ClusterConfig
-from repro.paxos import PaxosCluster
 
 
 def run_zab_scenario(seed):
@@ -56,8 +55,8 @@ def test_different_seeds_differ():
 
 def test_paxos_scenario_bit_identical_across_runs():
     def run(seed):
-        cluster = PaxosCluster(3, seed=seed).start()
-        cluster.run_until_leader(timeout=30)
+        cluster = Cluster(ClusterConfig(seed=seed, protocol="paxos")).start()
+        cluster.run_until_stable(timeout=30)
         for i in range(10):
             cluster.submit_and_wait(("incr", "x", 1))
         cluster.run(0.5)

@@ -2,19 +2,31 @@
 
 import pytest
 
-from repro.common.errors import NotLeaderError
-from repro.paxos import PaxosCluster
+from repro import (
+    ActionSchedule,
+    run_adversarial_campaign,
+    replay_schedule,
+    shrink_schedule,
+)
+from repro.common.errors import ConfigError, NotLeaderError
+from repro.harness import Cluster, ClusterConfig
 
 
-def stable(n=3, seed=50, **kwargs):
-    cluster = PaxosCluster(n, seed=seed, **kwargs).start()
-    cluster.run_until_leader(timeout=30)
+def paxos(n=3, seed=50, **zab):
+    return Cluster(ClusterConfig(
+        n_voters=n, seed=seed, protocol="paxos", zab=zab,
+    )).start()
+
+
+def stable(n=3, seed=50, **zab):
+    cluster = paxos(n, seed, **zab)
+    cluster.run_until_stable(timeout=30)
     return cluster
 
 
 def test_leader_emerges_and_commits():
     cluster = stable()
-    assert cluster.submit_and_wait(("put", "k", "v")) == "v"
+    assert cluster.submit_and_wait(("put", "k", "v"))[0] == "v"
     cluster.run(0.5)
     assert all(s == {"k": "v"} for s in cluster.states().values())
 
@@ -42,8 +54,8 @@ def test_pipelined_commits_preserve_order():
 def test_submit_on_non_leader_raises():
     cluster = stable()
     idle = next(
-        replica for replica in cluster.replicas.values()
-        if not replica.is_leading
+        replica for replica in cluster.peers.values()
+        if not replica.is_established_leader
     )
     with pytest.raises(NotLeaderError):
         idle.propose_op(("put", "k", 1))
@@ -70,7 +82,7 @@ def test_propose_op_calls_back_with_the_delivered_zxid():
         leader.propose_op(("put", "k%d" % i, i),
                           callback=lambda r, z: answers.append((r, z)))
     cluster.run_until(lambda: len(answers) == 5, timeout=10)
-    delivered = cluster.trace.deliveries_by_process()[leader.replica_id]
+    delivered = cluster.trace.deliveries_by_process()[leader.peer_id]
     assert [result for result, _zxid in answers] == list(range(5))
     assert [zxid for _result, zxid in answers] \
         == [event.zxid for event in delivered]
@@ -81,9 +93,9 @@ def test_failover_elects_new_leader_and_keeps_state():
     for _ in range(5):
         cluster.submit_and_wait(("incr", "x", 1))
     old = cluster.leader()
-    cluster.crash(old.replica_id)
-    new = cluster.run_until_leader(timeout=30)
-    assert new.replica_id != old.replica_id
+    cluster.crash(old.peer_id)
+    new = cluster.run_until_stable(timeout=30)
+    assert new.peer_id != old.peer_id
     for _ in range(5):
         cluster.submit_and_wait(("incr", "x", 1))
     cluster.run(1.0)
@@ -94,12 +106,12 @@ def test_failover_elects_new_leader_and_keeps_state():
 def test_lagging_learner_catches_up_via_heartbeat():
     cluster = stable(seed=52)
     lagger = next(
-        replica for replica in cluster.replicas.values()
-        if not replica.is_leading
+        replica for replica in cluster.peers.values()
+        if not replica.is_established_leader
     )
     cluster.partition(
-        {lagger.replica_id},
-        {r for r in cluster.replicas if r != lagger.replica_id},
+        {lagger.peer_id},
+        {r for r in cluster.peers if r != lagger.peer_id},
     )
     for _ in range(5):
         cluster.submit_and_wait(("incr", "x", 1))
@@ -112,21 +124,90 @@ def test_lagging_learner_catches_up_via_heartbeat():
     assert lagger.sm.as_dict()["x"] == 5
 
 
+def test_recovered_replica_rejoins_and_catches_up():
+    # Acceptor and learner state are stable storage; a restart must put
+    # the replica back on the network and re-arm its watchdog.
+    cluster = stable(seed=5)
+    follower = next(
+        replica for replica in cluster.peers.values()
+        if not replica.is_established_leader
+    )
+    cluster.crash(follower.peer_id)
+    for _ in range(5):
+        cluster.submit_and_wait(("incr", "x", 1))
+    cluster.recover(follower.peer_id)
+    cluster.run(1.0)
+    assert cluster.network.is_alive(follower.peer_id)
+    assert follower.is_active_follower
+    assert follower.sm.as_dict() == {"x": 5}
+    assert cluster.check_properties().ok
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n_observers", 1),
+    ("disk", "model"),
+    ("dissemination", "chain"),
+    ("metrics", object()),
+    ("leader_factory", object),
+])
+def test_paxos_refuses_what_only_zab_honours(field, value):
+    with pytest.raises(ConfigError, match=field):
+        ClusterConfig(protocol="paxos", **{field: value})
+
+
+def test_unknown_protocol_is_refused():
+    with pytest.raises(ConfigError, match="unknown protocol"):
+        ClusterConfig(protocol="raft")
+
+
+#: Primary order is what Paxos lacks; it stays a correct atomic broadcast.
+_PO_ONLY = {"local_primary_order", "global_primary_order",
+            "primary_integrity"}
+
+
+def test_stock_adversary_breaks_paxos_on_pinned_seeds_and_zab_on_none():
+    failing = {}
+    for protocol in ("paxos", "zab"):
+        outcomes = run_adversarial_campaign(
+            range(40), ClusterConfig(protocol=protocol),
+        )
+        failing[protocol] = [o.seed for o in outcomes if not o.passed]
+        for outcome in outcomes:
+            assert outcome.error is None and outcome.converged
+            assert set(outcome.violations) <= _PO_ONLY
+    assert failing == {"paxos": [17, 29], "zab": []}
+
+
+def test_stock_shrinker_reduces_the_unscripted_counterexample():
+    schedule = ActionSchedule.generate(17, n_voters=3, steps=10)
+    config = ClusterConfig(protocol="paxos")
+    baseline = replay_schedule(schedule, config)
+    assert baseline.error is None
+    assert baseline.violations and set(baseline.violations) <= _PO_ONLY
+    result = shrink_schedule(schedule, baseline=baseline, config=config)
+    assert len(result.schedule) <= 6
+    first = replay_schedule(result.schedule, config)
+    second = replay_schedule(result.schedule, config)
+    assert not first.passed
+    assert first.signature == second.signature == result.signature
+    assert replay_schedule(result.schedule, ClusterConfig()).passed
+
+
 def run_paper_counterexample(seed=4):
     """The paper's Paxos run: primaries P1(e1: A,B), P2(e2: C), then a
     recovery that commits [C, B] — breaking B's dependency on A."""
-    cluster = PaxosCluster(3, seed=seed, auto_scout=False).start()
-    r1, r2, r3 = (cluster.replicas[i] for i in (1, 2, 3))
+    cluster = paxos(seed=seed, sync_limit=10 ** 6)
+    r1, r2, r3 = (cluster.peers[i] for i in (1, 2, 3))
     r1.start_scout()
     cluster.run(0.1)
-    assert r1.is_leading
+    assert r1.is_established_leader
     cluster.partition({1}, {2, 3})
     r1.propose_op(("put", "A", 1))
     r1.propose_op(("incr", "A", 1))     # depends on the put
     cluster.run(0.2)
     r2.start_scout()
     cluster.run(0.2)
-    assert r2.is_leading
+    assert r2.is_established_leader
     r2.propose_op(("put", "C", 100))
     cluster.run(0.2)
     cluster.crash(2)
