@@ -4,18 +4,20 @@
 The full ZooKeeper idiom in one scene: workers register in a group
 (ephemeral membership), rendezvous at a double barrier before starting,
 and take turns on a shared resource guarded by a distributed lock.  One
-worker "crashes" mid-run; its session expiry removes it from the group
-and releases anything it held — no operator intervention.
+worker "crashes" mid-run; closing its session removes it from the group
+and releases anything it held — no operator intervention.  The three
+recipes live next to this file, in ``recipes.py``.
 
 Run with::
 
     python examples/worker_pool.py
 """
 
+from recipes import DistributedLock, DoubleBarrier, GroupMembership
+
 from repro.app import DataTreeStateMachine
 from repro.client import Client
 from repro.harness import Cluster, ClusterConfig
-from repro.recipes import DistributedLock, DoubleBarrier, GroupMembership
 
 WORKERS = 3
 
@@ -68,7 +70,7 @@ def main():
     print("worker %d holds the lock; roster: %s"
           % (work_log[0], rosters[-1]))
 
-    # The lock holder crashes; its session closes (expiry service role).
+    # The lock holder crashes; its session is closed.
     victim = work_log[0]
     print("\nworker %d crashes mid-critical-section ..." % victim)
     cluster.submit_and_wait(("close_session", "worker-%d" % victim))

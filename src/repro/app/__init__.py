@@ -15,7 +15,6 @@ with sessions, ephemerals, sequentials, and watches.
 
 from repro.app.datatree import DataTreeStateMachine, ZNode
 from repro.app.kvstore import KVStateMachine
-from repro.app.sessions import SessionTracker
 from repro.app.statemachine import StateMachine, Txn
 from repro.app.watches import WatchManager
 
@@ -25,6 +24,5 @@ __all__ = [
     "KVStateMachine",
     "DataTreeStateMachine",
     "ZNode",
-    "SessionTracker",
     "WatchManager",
 ]

@@ -31,6 +31,14 @@ from repro.bench.metrics import Timeline
 from repro.common.errors import NotLeaderError
 from repro.obs.metrics import StreamingHistogram
 
+#: Simulated seconds a closed-loop slot waits before retrying a
+#: submission that found no leader.
+RETRY_INTERVAL = 0.05
+
+#: Simulated seconds without a commit after which the closed loop
+#: assumes its window died with a crashed leader and refills it.
+STALL_TIMEOUT = 0.5
+
 
 class ClosedLoopDriver:
     """Keeps *outstanding* operations permanently in flight.
@@ -43,19 +51,16 @@ class ClosedLoopDriver:
     """
 
     def __init__(self, cluster, outstanding, op_factory, op_size,
-                 warmup=0.0, retry_interval=0.05, stall_timeout=0.5,
-                 timeline_bucket=0.1):
+                 warmup=0.0):
         self.cluster = cluster
         self.outstanding = outstanding
         self.op_factory = op_factory
         self.op_size = op_size
-        self.retry_interval = retry_interval
-        self.stall_timeout = stall_timeout
         self.latency = StreamingHistogram()
         # Warm-up and timeline windows count from here.
         self.started_at = cluster.sim.now
         self._warmup_until = self.started_at + warmup
-        self.timeline = Timeline(bucket=timeline_bucket)
+        self.timeline = Timeline()
         self.submitted = 0
         self.committed = 0
         self.stopped = False
@@ -105,18 +110,18 @@ class ClosedLoopDriver:
             self._last_activity = self.cluster.sim.now
         else:
             # No leader right now (election in progress): retry shortly.
-            self.cluster.sim.schedule(self.retry_interval, self._pump)
+            self.cluster.sim.schedule(RETRY_INTERVAL, self._pump)
 
     def _arm_watchdog(self):
         if self.stopped:
             return
-        self.cluster.sim.schedule(self.stall_timeout, self._watchdog)
+        self.cluster.sim.schedule(STALL_TIMEOUT, self._watchdog)
 
     def _watchdog(self):
         if self.stopped:
             return
         silent = self.cluster.sim.now - self._last_activity
-        if silent >= self.stall_timeout and self.cluster.leader() is not None:
+        if silent >= STALL_TIMEOUT and self.cluster.leader() is not None:
             # The previous window died with a crashed leader; refill.
             self._in_flight = 0
             for _ in range(self.outstanding):
@@ -260,7 +265,7 @@ class AggregateOpenLoopDriver:
     breakdowns in ``results()``.
     """
 
-    def __init__(self, cluster, classes, warmup=0.0, timeline_bucket=0.1):
+    def __init__(self, cluster, classes, warmup=0.0):
         if not classes:
             raise ValueError("need at least one SessionClass")
         names = [cls.name for cls in classes]
@@ -270,7 +275,7 @@ class AggregateOpenLoopDriver:
         self.latency = StreamingHistogram()
         self.started_at = cluster.sim.now
         self._warmup_until = self.started_at + warmup
-        self.timeline = Timeline(bucket=timeline_bucket)
+        self.timeline = Timeline()
         self.stopped = False
         self.classes = [
             _ClassState(

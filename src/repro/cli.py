@@ -872,7 +872,7 @@ def build_parser():
     )
     p_fuzz.add_argument("--servers", type=_positive_int, default=5)
     p_fuzz.add_argument("--seed", type=int, default=0)
-    p_fuzz.add_argument("--steps", type=int, default=10)
+    p_fuzz.add_argument("--steps", type=_positive_int, default=10)
     p_fuzz.set_defaults(fn=cmd_fuzz)
 
     p_shrink = sub.add_parser(
@@ -882,8 +882,9 @@ def build_parser():
     )
     p_shrink.add_argument("--seed", type=int, default=0)
     p_shrink.add_argument("--servers", type=_positive_int, default=3)
-    p_shrink.add_argument("--steps", type=int, default=10)
-    p_shrink.add_argument("--step-interval", type=float, default=0.5)
+    p_shrink.add_argument("--steps", type=_positive_int, default=10)
+    p_shrink.add_argument("--step-interval", type=_positive_float,
+                          default=0.5)
     p_shrink.add_argument("--schedule", default=None,
                           help="shrink a schedule JSON file instead of "
                                "generating one from --seed")
@@ -910,7 +911,8 @@ def build_parser():
     p_explore.add_argument("--depth", type=_positive_int, default=8,
                            help="fault decision points per execution")
     p_explore.add_argument("--seed", type=int, default=0)
-    p_explore.add_argument("--step-interval", type=float, default=0.25)
+    p_explore.add_argument("--step-interval", type=_positive_float,
+                           default=0.25)
     p_explore.add_argument("--op-interval", type=float, default=0.02,
                            help="client load period (0 disables load)")
     p_explore.add_argument("--max-schedules", type=int, default=256,
@@ -953,10 +955,10 @@ def build_parser():
         help="batch of adversarial runs across seeds + verdict table",
     )
     p_campaign.add_argument("--servers", type=_positive_int, default=3)
-    p_campaign.add_argument("--seeds", type=int, default=10,
+    p_campaign.add_argument("--seeds", type=_positive_int, default=10,
                             help="number of seeds (0..N-1)")
     p_campaign.add_argument("--first-seed", type=int, default=0)
-    p_campaign.add_argument("--steps", type=int, default=10)
+    p_campaign.add_argument("--steps", type=_positive_int, default=10)
     p_campaign.add_argument("--health", action="store_true",
                             help="also run each trace through the "
                                  "health monitor (adds a verdict "

@@ -9,7 +9,6 @@ from repro.common.errors import (
     ConfigError,
     CrashedProcessError,
     NotLeaderError,
-    SessionExpiredError,
     StorageError,
 )
 from repro.common.ids import NodeId, format_node, parse_node
@@ -19,7 +18,6 @@ __all__ = [
     "ConfigError",
     "CrashedProcessError",
     "NotLeaderError",
-    "SessionExpiredError",
     "StorageError",
     "NodeId",
     "format_node",

@@ -22,17 +22,5 @@ class NotLeaderError(ReproError):
     """A leader-only operation was invoked on a non-leader peer."""
 
 
-class SessionExpiredError(ReproError):
-    """A client session has expired and can no longer be used."""
-
-
 class StorageError(ReproError):
     """The persistence layer detected corruption or an invalid operation."""
-
-
-class QuorumLostError(ReproError):
-    """A leader lost contact with a quorum of followers."""
-
-
-class ProtocolViolationError(ReproError):
-    """A peer received a message that is illegal in its current state."""

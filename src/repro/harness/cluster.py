@@ -437,9 +437,9 @@ class Cluster:
             )
         return report
 
-    def dump_flight(self, recorder_dir, reason, filename="flight.jsonl",
-                    **fields):
-        """Dump the black box into *recorder_dir*; None disables.
+    def dump_flight(self, recorder_dir, reason, **fields):
+        """Dump the black box to ``<recorder_dir>/flight.jsonl``; None
+        disables.
 
         Returns the dump path, or None when there is no recorder or no
         directory was given.  The directory is created on demand.
@@ -447,6 +447,6 @@ class Cluster:
         if recorder_dir is None or self.recorder is None:
             return None
         os.makedirs(recorder_dir, exist_ok=True)
-        path = os.path.join(recorder_dir, filename)
+        path = os.path.join(recorder_dir, "flight.jsonl")
         self.recorder.dump(path, reason=reason, **fields)
         return path

@@ -29,8 +29,8 @@ A :class:`HealthMonitor` consumes the structured event stream (live via
     hysteresis).
 
 Windowed detectors judge each window *bad*, *good*, or *no data*; a
-firing opens after ``fire_after`` consecutive bad windows (onset
-backdated to the first bad window) and clears after ``clear_after``
+firing opens after :data:`FIRE_AFTER` consecutive bad windows (onset
+backdated to the first bad window) and clears after :data:`CLEAR_AFTER`
 consecutive good ones.  No-data windows freeze the streaks, so an idle
 cluster neither fires nor spuriously clears anything.
 
@@ -39,7 +39,7 @@ rates: windowed p99 commit latency, and leader availability (the
 complement of ``leader_unavailable`` time).
 
 Everything is a pure function of the (virtual-time-ordered) event
-stream plus construction parameters: two runs of the same seed render
+stream plus the window width: two runs of the same seed render
 byte-identical ``health.json``, which CI asserts.
 """
 
@@ -54,6 +54,32 @@ HEALTH_SCHEMA_VERSION = 1
 DETECTORS = (
     "leader_unavailable", "recovery_dip", "disk_stall", "straggler",
 )
+
+#: Ring capacity of every retained :class:`TimeSeries`.
+SERIES_CAPACITY = 4096
+
+#: A node's per-window median ACK lag must exceed *both*
+#: ``STRAGGLER_RATIO x (median of the other nodes' medians)`` and the
+#: absolute ``STRAGGLER_FLOOR`` (seconds) to count as a bad window.
+STRAGGLER_RATIO = 4.0
+STRAGGLER_FLOOR = 0.002
+
+#: The same thresholds for the fsync-wait (``log.durable``) detector.
+STALL_RATIO = 4.0
+STALL_FLOOR = 0.005
+
+#: Hysteresis: consecutive bad windows before a firing opens, and
+#: consecutive good windows before it clears.
+FIRE_AFTER = 2
+CLEAR_AFTER = 2
+
+#: Per-window p99 commit-latency target (seconds) and its tolerated
+#: bad-window fraction.
+SLO_COMMIT_P99 = 0.05
+SLO_COMMIT_BUDGET = 0.10
+
+#: Leader-availability target as a fraction of the run.
+SLO_AVAILABILITY = 0.99
 
 
 def _median(values):
@@ -120,50 +146,18 @@ class HealthMonitor:
     clock) or replay a finished trace with :meth:`feed`.  Call
     :meth:`finish` once, then :meth:`report` / :func:`render_health`.
 
-    Parameters
-    ----------
-    window:
-        Width of each judgement window in virtual seconds.
-    capacity:
-        Ring capacity of every retained :class:`TimeSeries`.
-    straggler_ratio / straggler_floor:
-        A node's per-window median ACK lag must exceed *both*
-        ``ratio × (median of the other nodes' medians)`` and the
-        absolute *floor* (seconds) to count as a bad window.
-    stall_ratio / stall_floor:
-        Same thresholds for the fsync-wait (``log.durable``) detector.
-    fire_after / clear_after:
-        Hysteresis: consecutive bad windows before a firing opens,
-        consecutive good windows before it clears.
-    slo_commit_p99 / slo_commit_budget:
-        Per-window p99 commit-latency target (seconds) and tolerated
-        bad-window fraction.
-    slo_availability:
-        Leader-availability target as a fraction of the run.
+    *window* is the width of each judgement window in virtual seconds;
+    the thresholds, hysteresis and SLO targets are the module
+    constants above.
     """
 
-    def __init__(self, window=0.25, capacity=4096, *,
-                 straggler_ratio=4.0, straggler_floor=0.002,
-                 stall_ratio=4.0, stall_floor=0.005,
-                 fire_after=2, clear_after=2,
-                 slo_commit_p99=0.05, slo_commit_budget=0.10,
-                 slo_availability=0.99, recorder_dir=None):
+    def __init__(self, window=0.25):
         if window <= 0:
             raise ConfigError("window must be > 0: %r" % (window,))
-        if fire_after < 1 or clear_after < 1:
-            raise ConfigError("hysteresis counts must be >= 1")
         self.window = float(window)
-        self.bank = SeriesBank(capacity)
-        self.straggler_ratio = straggler_ratio
-        self.straggler_floor = straggler_floor
-        self.stall_ratio = stall_ratio
-        self.stall_floor = stall_floor
-        self.fire_after = fire_after
-        self.clear_after = clear_after
-        self.slo_commit = Slo("commit_p99", slo_commit_p99,
-                              slo_commit_budget)
-        self.slo_availability_target = slo_availability
-        self.recorder_dir = recorder_dir
+        self.bank = SeriesBank(SERIES_CAPACITY)
+        self.slo_commit = Slo("commit_p99", SLO_COMMIT_P99,
+                              SLO_COMMIT_BUDGET)
         self.firings = []            # every firing ever, in onset order
         self.voters = None
         self.cluster = None
@@ -336,7 +330,6 @@ class HealthMonitor:
             }
             self._open["leader_unavailable"] = firing
             self.firings.append(firing)
-            self._on_firing(firing)
 
     def _leader_lost(self, t, reason):
         self._open_unavailable(t, reason)
@@ -351,30 +344,8 @@ class HealthMonitor:
             }
             self._open["recovery_dip"] = dip
             self.firings.append(dip)
-            self._on_firing(dip)
         self._leader = None
         self._propose_t.clear()
-
-    def _on_firing(self, firing):
-        """Ship the black box the instant a detector opens.
-
-        Only when monitoring live (``attach``) with ``recorder_dir``
-        set and the cluster carrying a flight recorder; one file per
-        (detector, node), overwritten — atomically — if the same
-        detector re-fires with more context.  Purely a side effect:
-        report contents and determinism are untouched.
-        """
-        if self.recorder_dir is None or self.cluster is None:
-            return
-        node = firing.get("node")
-        filename = "flight-%s%s.jsonl" % (
-            firing["detector"], "" if node is None else "-%s" % (node,)
-        )
-        self.cluster.dump_flight(
-            self.recorder_dir, reason="health_firing", filename=filename,
-            detector=firing["detector"], node=node,
-            onset=firing["onset"],
-        )
 
     def _set_leader(self, t, node, epoch):
         self._leader = node
@@ -410,11 +381,11 @@ class HealthMonitor:
             )
         self._judge_windowed(
             "straggler", self._win_acks, "ack_lag_p50",
-            self.straggler_ratio, self.straggler_floor, start, end,
+            STRAGGLER_RATIO, STRAGGLER_FLOOR, start, end,
         )
         self._judge_windowed(
             "disk_stall", self._win_waits, "fsync_wait_p50",
-            self.stall_ratio, self.stall_floor, start, end,
+            STALL_RATIO, STALL_FLOOR, start, end,
         )
         if self._win_latency:
             p99 = nearest_rank(self._win_latency, 0.99)
@@ -473,7 +444,7 @@ class HealthMonitor:
             if state["bad"] == 0:
                 state["since"] = start
             state["bad"] += 1
-            if state["firing"] is None and state["bad"] >= self.fire_after:
+            if state["firing"] is None and state["bad"] >= FIRE_AFTER:
                 firing = {
                     "detector": detector, "node": node,
                     "onset": state["since"], "clear": None,
@@ -481,15 +452,11 @@ class HealthMonitor:
                 firing.update(extra)
                 state["firing"] = firing
                 self.firings.append(firing)
-                self._on_firing(firing)
         else:
             state["bad"] = 0
             state["since"] = None
             state["good"] += 1
-            if (
-                state["firing"] is not None
-                and state["good"] >= self.clear_after
-            ):
+            if state["firing"] is not None and state["good"] >= CLEAR_AFTER:
                 state["firing"]["clear"] = end
                 state["firing"] = None
                 state["good"] = 0
@@ -537,7 +504,7 @@ class HealthMonitor:
             unavailable += (clear if clear is not None else t_end)
             unavailable -= firing["onset"]
         unavailable = min(max(unavailable, 0.0), duration)
-        target = self.slo_availability_target
+        target = SLO_AVAILABILITY
         budget = (1.0 - target) * duration
         availability = (
             (duration - unavailable) / duration if duration else 1.0

@@ -151,14 +151,6 @@ class Tracer:
         self._observers.append(fn)
         return self
 
-    def remove_observer(self, fn):
-        """Detach a previously added observer (no-op if absent)."""
-        try:
-            self._observers.remove(fn)
-        except ValueError:
-            pass
-        return self
-
     # ------------------------------------------------------------------
     # Per-kind filtering
     # ------------------------------------------------------------------

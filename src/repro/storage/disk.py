@@ -20,10 +20,6 @@ class NullDisk:
         """Complete the write synchronously."""
         callback()
 
-    def busy_until(self):
-        """Time at which the device becomes idle (always: now)."""
-        return 0.0
-
 
 class DiskModel:
     """A bandwidth- and latency-limited storage device.
@@ -75,7 +71,3 @@ class DiskModel:
         self.writes += 1
         self.bytes_written += nbytes
         self.sim.schedule_at(done, callback)
-
-    def busy_until(self):
-        """Virtual time at which all queued writes will have completed."""
-        return self._free_at

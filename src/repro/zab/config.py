@@ -28,11 +28,6 @@ class ZabConfig:
     sync_limit
         Ticks of silence after which leader/follower declare each other
         dead.
-    election_finalize_wait
-        Grace period after reaching quorum agreement in leader election,
-        allowing a straggling better vote to arrive.
-    notification_interval
-        Resend period for election notifications while LOOKING.
     max_outstanding
         Maximum broadcast proposals in flight (not yet committed) at the
         leader.  1 emulates a conservative one-at-a-time sequencer; the
@@ -64,8 +59,6 @@ class ZabConfig:
         tick=0.05,
         init_limit=10,
         sync_limit=4,
-        election_finalize_wait=0.02,
-        notification_interval=0.1,
         max_outstanding=64,
         max_batch=1,
         batch_delay=0.0,
@@ -97,8 +90,6 @@ class ZabConfig:
         self.tick = tick
         self.init_limit = init_limit
         self.sync_limit = sync_limit
-        self.election_finalize_wait = election_finalize_wait
-        self.notification_interval = notification_interval
         self.max_outstanding = max_outstanding
         self.max_batch = max_batch
         self.batch_delay = batch_delay

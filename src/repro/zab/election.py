@@ -17,6 +17,14 @@ winner.
 from repro.zab import messages
 from repro.zab.zxid import ZXID_ZERO
 
+#: Grace period after reaching quorum agreement, allowing a straggling
+#: better vote to arrive before the winner is committed to (seconds).
+FINALIZE_WAIT = 0.02
+
+#: Resend period for notifications while LOOKING (plus up to 20 %
+#: jitter), and an observer's probe period (seconds).
+NOTIFICATION_INTERVAL = 0.1
+
 
 def _vote_key(peer_epoch, zxid, leader):
     """Total order on votes: epoch, then zxid, then server id."""
@@ -91,8 +99,7 @@ class FastLeaderElection:
         self.peer.send(dst, self._notification())
 
     def _arm_resend(self):
-        interval = self.peer.config.notification_interval
-        jitter = self.peer.rng.uniform(0.0, interval * 0.2)
+        jitter = self.peer.rng.uniform(0.0, NOTIFICATION_INTERVAL * 0.2)
 
         def resend():
             self._resend_timer = None
@@ -101,7 +108,7 @@ class FastLeaderElection:
                 self._arm_resend()
 
         self._resend_timer = self.peer.election_timer(
-            interval + jitter, resend
+            NOTIFICATION_INTERVAL + jitter, resend
         )
 
     # ------------------------------------------------------------------
@@ -215,7 +222,7 @@ class FastLeaderElection:
                 self._decide(self.vote[2])
 
         self._finalize_timer = self.peer.election_timer(
-            self.peer.config.election_finalize_wait, finalize
+            FINALIZE_WAIT, finalize
         )
 
     def _cancel_finalize(self):

@@ -14,7 +14,7 @@ from repro.obs.trace import NULL_TRACER
 from repro.sim.process import Process
 from repro.storage import EpochStore, Snapshot, SnapshotStore, TxnLog
 from repro.zab import messages
-from repro.zab.election import FastLeaderElection
+from repro.zab.election import NOTIFICATION_INTERVAL, FastLeaderElection
 from repro.zab.follower import FollowerContext
 from repro.zab.leader import LeaderContext
 from repro.zab.observer import ObserverContext
@@ -254,7 +254,7 @@ class ZabPeer(Process):
         for voter in self.config.voters:
             self.send(voter, note)
         self._probe_timer = self.set_timer(
-            self.config.notification_interval, self._arm_probe
+            NOTIFICATION_INTERVAL, self._arm_probe
         )
 
     def on_follower_active(self):

@@ -1,9 +1,8 @@
 """End-to-end tests of the data-tree service on a live ensemble:
-locks, watches, sessions with expiry, and failover."""
+locks, watches, session close, and failover."""
 
 from repro.app import DataTreeStateMachine, WatchManager
 from repro.harness import Cluster, ClusterConfig
-from repro.harness.session_service import SessionExpiryService
 
 
 def tree_cluster(seed, **kwargs):
@@ -41,27 +40,6 @@ def test_sequential_nodes_are_globally_unique_under_contention():
     cluster.run_until(lambda: len(done) == 20, timeout=10)
     assert len(set(paths)) == 20
     assert paths == sorted(paths)  # commit order == sequence order
-
-
-def test_session_expiry_removes_ephemerals_cluster_wide():
-    cluster = tree_cluster(92)
-    service = SessionExpiryService(cluster, check_interval=0.1)
-    cluster.submit_and_wait(("create", "/workers", b"", "", None))
-    service.open_session("w1", timeout=1.0)
-    service.open_session("w2", timeout=1.0)
-    cluster.run(0.3)
-    cluster.submit_and_wait(("create", "/workers/w1", b"", "e", "w1"))
-    cluster.submit_and_wait(("create", "/workers/w2", b"", "e", "w2"))
-
-    # w1 heartbeats for a while; w2 goes silent and must expire.
-    for _ in range(20):
-        cluster.run(0.1)
-        service.heartbeat("w1")
-    cluster.run(0.5)
-    leader = cluster.leader()
-    assert leader.sm.read(("children", "/workers")) == ["w1"]
-    assert [sid for _t, sid in service.expired_log] == ["w2"]
-    cluster.assert_properties()
 
 
 def test_watches_fire_on_every_replica_independently():

@@ -28,7 +28,9 @@ EXAMPLES = [
 ]
 
 
-def load_example(name):
+def load_example(name, monkeypatch):
+    # Like ``python examples/<name>.py``: sibling modules are importable.
+    monkeypatch.syspath_prepend(EXAMPLES_DIR)
     path = os.path.join(EXAMPLES_DIR, name + ".py")
     spec = importlib.util.spec_from_file_location(
         "example_" + name, path
@@ -40,8 +42,8 @@ def load_example(name):
 
 
 @pytest.mark.parametrize("name", EXAMPLES)
-def test_example_runs(name, capsys):
-    module = load_example(name)
+def test_example_runs(name, capsys, monkeypatch):
+    module = load_example(name, monkeypatch)
     module.main()   # examples assert their own claims internally
     out = capsys.readouterr().out
     assert out.strip()  # every example narrates what it shows

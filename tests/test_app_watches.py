@@ -1,6 +1,6 @@
-"""Unit tests for replica-local watches and leader-side session tracking."""
+"""Unit tests for replica-local watches."""
 
-from repro.app import DataTreeStateMachine, SessionTracker, WatchManager
+from repro.app import DataTreeStateMachine, WatchManager
 
 
 def do(sm, op):
@@ -81,35 +81,3 @@ def test_ephemeral_cleanup_fires_watches():
     watches.watch_data("/e", lambda event, path: fired.append(event))
     do(sm, ("close_session", "s1"))
     assert fired == ["deleted"]
-
-
-# --- SessionTracker -----------------------------------------------------------
-
-def test_session_tracker_expiry():
-    clock = {"now": 0.0}
-    tracker = SessionTracker(lambda: clock["now"])
-    tracker.register("s1", timeout=1.0)
-    tracker.register("s2", timeout=5.0)
-    assert tracker.expired() == []
-    clock["now"] = 2.0
-    assert tracker.expired() == ["s1"]
-    clock["now"] = 6.0
-    assert tracker.expired() == ["s1", "s2"]
-
-
-def test_session_touch_resets_expiry():
-    clock = {"now": 0.0}
-    tracker = SessionTracker(lambda: clock["now"])
-    tracker.register("s1", timeout=1.0)
-    clock["now"] = 0.9
-    assert tracker.touch("s1")
-    clock["now"] = 1.5
-    assert tracker.expired() == []
-
-
-def test_session_tracker_remove_and_unknown_touch():
-    tracker = SessionTracker(lambda: 0.0)
-    tracker.register("s1", timeout=1.0)
-    tracker.remove("s1")
-    assert not tracker.touch("s1")
-    assert tracker.live_sessions() == []

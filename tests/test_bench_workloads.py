@@ -39,7 +39,7 @@ def test_closed_loop_survives_leader_crash():
     cluster = stable_cluster(seed=131)
     driver = ClosedLoopDriver(
         cluster, outstanding=4, op_factory=default_op_factory(64),
-        op_size=64, retry_interval=0.05,
+        op_size=64,
     ).start()
     cluster.run(0.5)
     mid = driver.committed

@@ -210,6 +210,14 @@ def test_workers_below_one_is_a_usage_error(capsys, command, workers):
     ["health", "--window", "-1"],
     ["bench", "--bandwidth", "0"],
     ["bench", "--op-size", "-5"],
+    ["campaign", "--seeds", "0"],
+    ["campaign", "--seeds", "-2", "--json", "c.json"],
+    ["campaign", "--steps", "0"],
+    ["fuzz", "--steps", "-3"],
+    ["shrink", "--steps", "0"],
+    ["shrink", "--step-interval", "-1"],
+    ["explore", "--step-interval", "-0.25"],
+    ["explore", "--step-interval", "0"],
 ])
 def test_non_positive_load_argument_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as excinfo:

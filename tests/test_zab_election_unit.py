@@ -2,6 +2,7 @@
 
 from repro.harness import Cluster, ClusterConfig
 from repro.zab import messages
+from repro.zab.election import FINALIZE_WAIT
 from repro.zab.zxid import Zxid, ZXID_ZERO
 
 
@@ -76,7 +77,7 @@ def test_quorum_agreement_decides_after_finalize_wait():
     puppet3.vote(leader=3, zxid=ZXID_ZERO, peer_epoch=0)
     cluster.run(0.005)
     assert peer.state == messages.LOOKING  # finalize wait pending
-    cluster.run(cluster.config.election_finalize_wait + 0.01)
+    cluster.run(FINALIZE_WAIT + 0.01)
     assert peer.state == messages.FOLLOWING
     assert peer.leader_id == 3
 
