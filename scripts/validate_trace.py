@@ -18,6 +18,9 @@ Checks every line against the format in docs/OBSERVABILITY.md:
 - commit-path kinds carry a well-formed ``zxid`` correlation field
   (``[epoch, counter]``, two non-negative integers) so the span
   builder (``repro profile``) can always correlate them;
+- cumulative ACK kinds (``leader.ack``, ``follower.ack``) also carry
+  ``first``, the oldest zxid the ACK newly covers: same epoch as
+  ``zxid`` and no later than it;
 - wire-level ``net.*`` kinds carry a positive integer ``msg_id`` so
   send/deliver/drop events pair up in the causality DAG;
 - node-scoped kinds (everything except the cluster-wide
@@ -47,7 +50,8 @@ KNOWN_KINDS = {
     "leader.phase", "leader.newepoch", "leader.sync",
     "leader.established", "leader.propose",
     "leader.ack", "leader.quorum", "leader.commit", "leader.batch",
-    "follower.sync", "follower.active", "follower.ack",
+    "leader.plan",
+    "follower.sync", "follower.active", "follower.ack", "follower.relay",
     "peer.state", "peer.looking", "peer.epoch", "peer.commit",
     "log.append", "log.durable", "log.flush",
     "fault.crash", "fault.recover", "fault.partition", "fault.heal",
@@ -70,6 +74,9 @@ ZXID_REQUIRED = {
     "follower.ack", "log.append", "log.durable", "peer.commit",
     "snapshot.save", "compact.purge",
 }
+
+# Cumulative ACKs name the range they cover: first .. zxid.
+RANGE_REQUIRED = {"leader.ack", "follower.ack"}
 
 # Wire-level kinds must carry the message id that pairs send/deliver.
 MSG_ID_REQUIRED = {"net.send", "net.deliver", "net.drop"}
@@ -163,6 +170,17 @@ def validate(handle):
                 "line %d: %s needs zxid=[epoch, counter], got %r"
                 % (lineno, kind, fields.get("zxid"))
             )
+        if kind in RANGE_REQUIRED:
+            first, last = fields.get("first"), fields["zxid"]
+            if not (
+                _is_zxid(first) and first[0] == last[0]
+                and first[1] <= last[1]
+            ):
+                raise ValueError(
+                    "line %d: %s needs first=[epoch, counter] in zxid's "
+                    "epoch and <= zxid %r, got %r"
+                    % (lineno, kind, last, first)
+                )
         if kind == "recorder.dump":
             marker_line = lineno
             reason = fields.get("reason")

@@ -31,24 +31,16 @@ class BuggyLeaderContext(LeaderContext):
     """A leader that commits without waiting for a quorum of ACKs.
 
     Identical to :class:`~repro.zab.leader.LeaderContext` except that
-    the commit loop treats one acknowledgement as enough — the classic
-    "forgot the quorum check" bug.  Everything else (discovery,
+    a proposal counts as quorate once *any* voter acknowledged it — the
+    classic "forgot the quorum check" bug.  Everything else (discovery,
     synchronisation, ordering) is untouched, so violations only surface
     when the premature commits get lost: a leader crash or an isolating
     partition with writes in flight.
     """
 
-    def _try_commit(self):
-        committed_any = False
-        while self.proposals:
-            zxid, proposal = self.proposals.head()
-            if not proposal.acks:   # BUG: should be a quorum check
-                break
-            del self.proposals[zxid]
-            self._commit(zxid, proposal)
-            committed_any = True
-        if committed_any:
-            self._drain_pending()
+    def _quorate(self, zxid):
+        # BUG: should be a quorum check
+        return any(mark >= zxid for mark in self.acked.values())
 
 
 class _RelabelingTrace:
@@ -88,15 +80,13 @@ class RelabelingLeaderContext(LeaderContext):
 
 
 class CommitSkipLeaderContext(LeaderContext):
-    """A leader that silently drops every k-th commit notification.
+    """A leader that silently skips every k-th local commit.
 
-    The proposal reaches quorum and leaves the outstanding window, but
-    neither the COMMIT fan-out nor the leader's own local delivery
-    happens.  Followers self-heal — the *next* commit moves their
-    frontier past the gap and they deliver the skipped transaction from
-    their logs — but the leader's own delivered sequence is forever
-    missing one entry, so its positions disagree with everyone else's
-    from that point on.
+    The proposal reaches quorum, leaves the outstanding window and is
+    covered by the cumulative COMMIT, so followers deliver it; only the
+    leader's own local delivery is dropped.  Its delivered sequence is
+    forever missing one entry, so its positions disagree with everyone
+    else's from that point on.
     """
 
     skip_every = 5
@@ -108,7 +98,7 @@ class CommitSkipLeaderContext(LeaderContext):
     def _commit(self, zxid, proposal):
         self._commit_calls += 1
         if self._commit_calls % self.skip_every == 0:
-            return  # BUG: quorum reached, commit never announced
+            return  # BUG: quorum reached, never delivered locally
         LeaderContext._commit(self, zxid, proposal)
 
 
@@ -237,9 +227,9 @@ SEEDED_BUGS = {
             "commit_skip",
             CommitSkipLeaderContext,
             expected={"local_primary_order", "total_order"},
-            description="every 5th COMMIT is swallowed; followers "
-                        "self-heal via the commit frontier but the "
-                        "leader's history keeps a hole",
+            description="every 5th local commit is skipped; the "
+                        "cumulative COMMIT still reaches the followers, "
+                        "so only the leader's history keeps a hole",
         ),
         SeededBug(
             "position_skip",

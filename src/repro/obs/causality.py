@@ -24,7 +24,7 @@ work from the protocol-level span data; only the per-hop message
 chains need the wire events.
 """
 
-from repro.obs.spans import build_spans
+from repro.obs.spans import build_spans, covered_zxids
 
 
 class CausalityGraph:
@@ -174,19 +174,19 @@ class CausalityGraph:
         return hops
 
     def _find_message(self, zxid, type_name, src, dst):
-        """(send, deliver-or-None) of the first matching message."""
-        best = None
+        """(send, deliver-or-None) of the first matching message; for a
+        cumulative ACK, the first from *src* that covers *zxid*."""
         for msg_id in sorted(self._sends):
             event = self._sends[msg_id]
             raw = event.fields.get("zxid")
             if (
-                raw is not None and tuple(raw) == zxid
-                and event.fields.get("type") == type_name
+                raw is not None and event.fields.get("type") == type_name
                 and event.node == src and event.fields.get("dst") == dst
+                and (tuple(raw) == zxid or type_name == "Ack"
+                     and raw[0] == zxid[0] and raw[1] > zxid[1])
             ):
-                best = (event, self._delivers.get(msg_id))
-                break
-        return best
+                return event, self._delivers.get(msg_id)
+        return None
 
     def _relay_path(self, zxid, src, dst):
         """The (send, deliver) hop chain routing *zxid* from *src* to
@@ -222,7 +222,7 @@ class CausalityGraph:
         for event in self.events:
             if (
                 event.kind == "follower.ack" and event.node == follower
-                and tuple(event.fields.get("zxid", ())) == zxid
+                and zxid in covered_zxids(event.fields)
             ):
                 return event.t
         return None

@@ -12,7 +12,8 @@ anatomy:
 - ``leader_durable_t`` — the leader's own log fsync completed
   (``log.durable`` at the leader node);
 - ``acks`` — per-peer ACK arrival times at the leader (``leader.ack``,
-  including the leader's self-ack);
+  including the leader's self-ack).  ACKs are cumulative: one event
+  covers ``first`` through ``zxid``, and counts for every span in it;
 - ``quorum_t``/``quorum_src`` — the instant the ACK quorum formed and
   the peer whose ACK completed it (``leader.quorum``);
 - ``commit_t`` — COMMIT fan-out started and the leader delivered
@@ -188,16 +189,19 @@ def build_spans(events):
         if kind not in _CORRELATED_KINDS:
             continue
         zxid = _zxid_key(event.fields.get("zxid"))
+        if kind == "leader.ack":
+            src = event.fields.get("src")
+            for key in covered_zxids(event.fields):
+                span = spans.get(key)
+                if span is not None and src not in span.acks:
+                    span.acks[src] = event.t
+            continue
         span = spans.get(zxid)
         if span is None:
             continue
         if kind == "log.durable":
             if event.node == span.leader and span.leader_durable_t is None:
                 span.leader_durable_t = event.t
-        elif kind == "leader.ack":
-            src = event.fields.get("src")
-            if src is not None and src not in span.acks:
-                span.acks[src] = event.t
         elif kind == "leader.quorum":
             if span.quorum_t is None:
                 span.quorum_t = event.t
@@ -215,6 +219,16 @@ _CORRELATED_KINDS = frozenset((
     "log.durable", "leader.ack", "leader.quorum", "leader.commit",
     "peer.commit",
 ))
+
+
+def covered_zxids(fields):
+    """The zxids a cumulative ACK event covers: ``first`` .. ``zxid``
+    of one epoch (just ``zxid`` when ``first`` is absent)."""
+    last = _zxid_key(fields.get("zxid"))
+    if last is None:
+        return []
+    first = _zxid_key(fields.get("first")) or last
+    return [(last[0], counter) for counter in range(first[1], last[1] + 1)]
 
 
 def _zxid_key(raw):

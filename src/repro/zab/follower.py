@@ -4,7 +4,7 @@ A :class:`FollowerContext` handles one attempt to follow a specific
 leader: the discovery/synchronisation handshake (FOLLOWERINFO → NEWEPOCH →
 ACKEPOCH → sync stream → NEWLEADER → ACK → UPTODATE) and then the
 broadcast phase (log + ACK proposals, deliver on COMMIT, answer PINGs,
-forward client writes).
+forward client writes).  One ACK covers a whole flush (ACKs are cumulative).
 
 Safety-critical details implemented here:
 
@@ -21,6 +21,8 @@ Safety-critical details implemented here:
 Observers run the same learner with a different broadcast phase (see
 :class:`~repro.zab.observer.ObserverContext`).
 """
+
+import functools
 
 from repro.zab import messages
 from repro.zab.zxid import ZXID_ZERO
@@ -88,6 +90,7 @@ class FollowerContext:
         # the relayed stream really broke, not just in flight).
         self._relayed = not peer.config.dissemination.direct
         self._relay_lag = None
+        self._unacked = None       # oldest durable record not yet ACKed
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -304,8 +307,11 @@ class FollowerContext:
         log = self.peer.storage.log
         last = log.last_appended()
         if last is not None and msg.zxid <= last:
-            # Duplicate from a re-sync; it is already durable.
-            self.peer.send(self.leader_id, messages.Ack(msg.zxid))
+            # Duplicate from a re-sync: ACK it only if durable; a copy
+            # still queued for fsync is covered by its flush's own ACK.
+            durable = log.last_durable()
+            if durable is not None and msg.zxid <= durable:
+                self.peer.send(self.leader_id, messages.Ack(msg.zxid))
             return
         if not _contiguous(last, msg.zxid):
             # A proposal went missing: the supposedly-FIFO-reliable
@@ -318,15 +324,23 @@ class FollowerContext:
             return
         log.append(
             msg.zxid, msg.txn, msg.size,
-            callback=lambda z=msg.zxid: self._on_durable(z),
+            callback=functools.partial(self._on_durable, msg.zxid),
         )
 
     def _on_durable(self, zxid):
+        if self._unacked is None:
+            self._unacked = zxid
+        # A flush installs its whole batch before any callback runs: the
+        # newest record's callback sends the one ACK that covers them all.
+        if zxid != self.peer.storage.log.last_durable():
+            return
+        first, self._unacked = self._unacked, None
         tracer = self.peer.tracer
         if tracer.active:
             tracer.emit(
                 "follower.ack", node=self.peer.peer_id,
-                zxid=zxid.as_tuple(), leader=self.leader_id,
+                zxid=zxid.as_tuple(), first=first.as_tuple(),
+                leader=self.leader_id,
             )
         self.peer.send(self.leader_id, messages.Ack(zxid))
         self._deliver_committed()

@@ -10,18 +10,21 @@ One :class:`LeaderContext` exists per leadership attempt.  Life cycle:
    history (DIFF / TRUNC / SNAP), send NEWLEADER(e'), and establish once a
    quorum has acknowledged.
 3. **Broadcast** — pipelined two-phase commit: assign zxids ``(e', n)``,
-   log + PROPOSE, count quorum ACKs, COMMIT in order.  Late followers are
+   log + PROPOSE, count quorum ACKs, COMMIT in order; ACK(z) and COMMIT(z)
+   are cumulative (every zxid <= z of the epoch).  Late followers are
    synchronised individually and join the broadcast stream.
 
 The leader abdicates (peer returns to LOOKING) if it cannot establish
 within ``init_limit`` ticks or later loses contact with a quorum.
 """
 
+import functools
+
 from repro.app.statemachine import Txn
 from repro.zab import messages
 from repro.zab.pipeline import Batcher, OutstandingWindow, PendingRequest
 from repro.zab.sync import make_sync_plan
-from repro.zab.zxid import Zxid, ZXID_ZERO
+from repro.zab.zxid import Zxid, ZXID_ZERO, max_zxid
 
 PHASE_DISCOVERY = "discovery"
 PHASE_FETCH = "fetch-history"
@@ -70,16 +73,12 @@ class _FollowerHandle:
 class _Proposal:
     """An outstanding broadcast transaction awaiting quorum ACKs."""
 
-    __slots__ = ("txn", "size", "acks", "proposed_at", "quorum_at",
-                 "quorum_src")
+    __slots__ = ("txn", "size", "proposed_at")
 
     def __init__(self, txn, size, proposed_at):
         self.txn = txn
         self.size = size
-        self.acks = set()
         self.proposed_at = proposed_at
-        self.quorum_at = None    # when the ACK quorum formed
-        self.quorum_src = None   # the peer whose ACK completed it
 
 
 #: How many propose timestamps a leader retains for late-ACK
@@ -121,7 +120,8 @@ class LeaderContext:
         self._ping_timer = None
         self._snapshot_cache = None
         self.commits = 0
-        self.acks_received = 0     # proposal ACKs counted (all voters)
+        self.acked = {}            # voter -> newest zxid it acknowledged
+        self.acks_received = 0     # ACKs that advanced a voter's mark
         self.sync_modes = {}       # sync mode -> count of learners served
         self._sync_waiters = []    # (barrier_zxid, callback)
         # Propose times of recent zxids, kept past commit so ACKs that
@@ -333,6 +333,9 @@ class LeaderContext:
         # an observer gets each as INFORM when it commits.
         handle.in_stream = True
         if handle.voter:
+            horizon = self.committed_horizon()
+            if horizon.epoch == self.epoch:  # the sync covered it
+                self.acked[dst] = max_zxid(self.acked.get(dst), horizon)
             for zxid, proposal in self.proposals.items():
                 self.peer.send(
                     dst, messages.Propose(zxid, proposal.txn, proposal.size)
@@ -438,82 +441,91 @@ class LeaderContext:
             if len(recent) > _RECENT_PROPOSE_CAP:
                 del recent[next(iter(recent))]
         self._disseminate(messages.Propose(zxid, txn, request.size))
-        # The leader acknowledges its own proposal once it is durable.
         self.peer.storage.log.append(
             zxid, txn, request.size,
-            callback=lambda ack=messages.Ack(zxid): self._on_ack(
-                self.peer.peer_id, ack),
+            callback=functools.partial(self._on_own_durable, zxid),
         )
 
+    def _on_own_durable(self, zxid):
+        # Like a follower, the leader acknowledges once per flush.
+        if zxid == self.peer.storage.log.last_durable():
+            self._on_ack(self.peer.peer_id, messages.Ack(zxid))
+
     def _on_ack(self, src, msg):
+        """Advance *src*'s mark: ACK(z) covers every zxid <= z."""
         handle = self.handles.get(src)
         if handle is not None and not handle.voter:
             return  # a non-voting learner's ACK never counts
         zxid = msg.zxid
-        proposal = self.proposals.get(zxid)
-        if proposal is None:
-            # An ACK for an already-committed proposal: protocol-wise a
-            # no-op, but a *late* ACK from a voter is exactly how a
-            # straggling follower shows up at the leader, so it still
-            # gets lag-attributed in the trace for the health monitor.
-            tracer = self.peer.tracer
-            if tracer.active:
-                proposed_at = self._recent_propose_t.get(zxid)
-                if proposed_at is not None:
-                    tracer.emit(
-                        "leader.ack", node=self.peer.peer_id,
-                        zxid=zxid.as_tuple(), src=src,
-                        lag=self.peer.sim.now - proposed_at, late=True,
-                    )
-            return
+        prev = self.acked.get(src)
+        if (
+            zxid.epoch != self.epoch or zxid.counter > self.counter
+            or (prev is not None and zxid <= prev)
+        ):
+            return  # stale, never proposed, or covers nothing new
+        self.acked[src] = zxid
         if handle is not None:
             handle.last_ack = self.peer.sim.now
         self.acks_received += 1
-        proposal.acks.add(src)
         tracer = self.peer.tracer
         if tracer.active:
-            tracer.emit(
-                "leader.ack", node=self.peer.peer_id,
-                zxid=zxid.as_tuple(), src=src,
-                lag=self.peer.sim.now - proposal.proposed_at,
-            )
-        if (
-            proposal.quorum_at is None
-            and self.config.quorum.contains_quorum(proposal.acks)
-        ):
-            proposal.quorum_at = self.peer.sim.now
-            proposal.quorum_src = src
+            # Lag runs from the oldest newly covered proposal; an ACK
+            # whose whole range already committed is *late* (a straggler).
+            first = prev.next() if prev is not None else Zxid(self.epoch, 1)
+            proposed_at = self._recent_propose_t.get(first)
+            if proposed_at is not None:
+                tracer.emit(
+                    "leader.ack", node=self.peer.peer_id,
+                    zxid=zxid.as_tuple(), first=first.as_tuple(), src=src,
+                    lag=self.peer.sim.now - proposed_at,
+                    late=zxid not in self.proposals,
+                )
+        if self.proposals and zxid >= next(iter(self.proposals)):
+            self._try_commit(src)   # the head may have become quorate
+
+    def _quorate(self, zxid):
+        """True once the voters whose mark covers *zxid* hold a quorum."""
+        return self.config.quorum.contains_quorum(
+            [voter for voter, mark in self.acked.items() if mark >= zxid]
+        )
+
+    def _try_commit(self, src):
+        """Commit the quorate run at the head; one COMMIT, naming the
+        newest zxid delivered locally, then covers the whole run."""
+        proposals = self.proposals
+        before = self.peer.last_committed
+        tracer = self.peer.tracer
+        committed = []
+        while proposals and self._quorate(next(iter(proposals))):
+            zxid, proposal = proposals.popitem(last=False)
+            committed.append((zxid, proposal))
             if tracer.active:
                 tracer.emit(
                     "leader.quorum", node=self.peer.peer_id,
                     zxid=zxid.as_tuple(), src=src,
-                    acks=len(proposal.acks),
-                    lag=proposal.quorum_at - proposal.proposed_at,
+                    acks=sum(1 for m in self.acked.values() if m >= zxid),
+                    lag=self.peer.sim.now - proposal.proposed_at,
                 )
-        self._try_commit()
-
-    def _try_commit(self):
-        committed_any = False
-        while self.proposals:
-            zxid, proposal = self.proposals.head()
-            if proposal.quorum_at is None:
-                break
-            del self.proposals[zxid]
             self._commit(zxid, proposal)
-            committed_any = True
-        if committed_any:
-            self._drain_pending()
+        if not committed:
+            return
+        if self.peer.last_committed != before:
+            self._disseminate(
+                messages.Commit(self.peer.last_committed), committed
+            )
+        self._drain_pending()
 
     def _commit(self, zxid, proposal):
+        """Deliver one committed proposal locally (the COMMIT follows)."""
         self.commits += 1
         tracer = self.peer.tracer
         if tracer.active:
             tracer.emit(
                 "leader.commit", node=self.peer.peer_id,
-                zxid=zxid.as_tuple(), acks=sorted(proposal.acks),
+                zxid=zxid.as_tuple(),
+                acks=sorted(p for p, m in self.acked.items() if m >= zxid),
                 outstanding=len(self.proposals),
             )
-        self._disseminate(messages.Commit(zxid), proposal)
         self.peer.commit_local(zxid, proposal.txn)
         if self._sync_waiters:
             self._flush_sync_waiters(zxid)
@@ -551,29 +563,29 @@ class LeaderContext:
                 )
         return self._plan
 
-    def _disseminate(self, message, committed=None):
+    def _disseminate(self, message, committed=()):
         """Send one PROPOSE or COMMIT to every learner in the stream.
 
         In handle order: a voter outside the relay plan gets *message*,
-        an observer an INFORM of the *committed* proposal (none for a
-        PROPOSE); then the plan members get *message* along the plan.
+        an observer an INFORM per *committed* ``(zxid, proposal)``; then
+        the plan members get *message* along the plan.
         """
         plan = self._refresh_plan() if self._relayed else ()
         members = self._plan_member_set
         send = self.peer.send
-        inform = None
+        informs = None
         for handle in self.handles.values():
             if not handle.in_stream:
                 continue
             if handle.voter:
                 if handle.peer_id not in members:
                     send(handle.peer_id, message)
-            elif committed is not None:
-                if inform is None:
-                    inform = messages.Inform(
-                        message.zxid, committed.txn, committed.size
-                    )
-                send(handle.peer_id, inform)
+            elif committed:
+                if informs is None:
+                    informs = [messages.Inform(z, p.txn, p.size)
+                               for z, p in committed]
+                for inform in informs:
+                    send(handle.peer_id, inform)
         for node, children in plan:
             if children:
                 send(node, messages.Relay(

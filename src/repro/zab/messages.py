@@ -189,7 +189,7 @@ class Propose:
 
 
 class Ack:
-    """Follower -> leader: the proposal is durable in my log."""
+    """Follower -> leader: everything up to (and incl.) zxid is durable."""
 
     __slots__ = ("zxid",)
 

@@ -178,13 +178,15 @@ def shape_e6b(rows, extras):
 
 
 def shape_e7(rows, extras):
-    """Network-only is the ceiling; group commit keeps a dedicated device
-    near it; a contended or slow device falls behind."""
+    """Group commit keeps a dedicated device at the network-only rate or
+    a little above it (ACK and COMMIT are cumulative, so one of each
+    covers a whole flush, while the no-disk run commits one record at a
+    time); a contended or slow device falls behind."""
     by_config = {row["config"]: row["throughput"] for row in rows}
     net_only = by_config["network only (no disk)"]
     dedicated = by_config["dedicated log device"]
-    assert dedicated <= net_only * 1.05
-    assert dedicated > net_only * 0.5
+    assert dedicated <= net_only * 1.10
+    assert dedicated >= net_only * 0.95
     assert by_config["shared device (contended)"] <= dedicated * 1.02
     # A 10x slower fsync costs real throughput even with group commit.
     assert by_config["dedicated, slow fsync"] < dedicated * 0.9

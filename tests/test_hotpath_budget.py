@@ -16,6 +16,7 @@ Measured with this file's driver, identical on CPython 3.10, 3.11 and
 
     PR 12 (parent of the hot-path PR)   355.0 frames per committed op
     hot-path PR                         197.9
+    cumulative ACK and COMMIT           138.0
 
 The count is deterministic, so the gate is tight: 10 % head-room over
 the recorded value, and never more than two thirds of the parent's.  A
@@ -24,11 +25,16 @@ it) or added protocol work on purpose (re-measure and re-record).
 
 The same ruler holds the always-on flight recorder to its budget.  A
 wall-clock "recorder within 5 % of tracing off" reading flips sign from
-round to round on any shared box; in frames it is exact: 197.907 armed
-(the default control-plane posture) vs 197.895 with ``recorder=False``
-— the difference is the ``snapshot.save`` emits — and 406.4 with
+round to round on any shared box; in frames it is exact: 138.012 armed
+(the default control-plane posture) vs 138.001 with ``recorder=False``
+— the difference is the ``snapshot.save`` emits — and 278.8 with
 ``FlightRecorder(capture="all")``, so a recorder that starts building
 per-message events trips the half-frame gate with a 2x signal.
+
+The same window also pins the message economy of Phase 3 exactly: ACK
+and COMMIT are cumulative, so each follower sends one ACK per flush
+(not per record) and the leader one COMMIT per commit advance (not per
+proposal).  Per-txn ACK/COMMIT would send 2.0 of each per committed op.
 """
 
 import functools
@@ -38,7 +44,7 @@ from repro import Cluster, ClusterConfig
 from repro.net import NetworkConfig
 
 PARENT_FRAMES_PER_OP = 355.0
-FRAMES_PER_OP = 197.9
+FRAMES_PER_OP = 138.0
 
 KEYS = 1000
 OUTSTANDING = 64
@@ -63,7 +69,8 @@ def _put(cluster, leader, state):
 
 
 @functools.lru_cache(maxsize=None)   # deterministic: measure each once
-def measure_frames_per_op(recorder=True):
+def _measure(recorder=True):
+    """(frames, commits, sends by payload type) over the window."""
     cluster = Cluster(ClusterConfig(
         n_voters=3, seed=11, disk="model", group_commit=True,
         recorder=recorder,
@@ -90,6 +97,7 @@ def measure_frames_per_op(recorder=True):
             frames[0] += 1
 
     commits_before = state["commits"]
+    sent_before = cluster.network.stats.by_type
     previous = sys.getprofile()
     sys.setprofile(count)
     try:
@@ -98,13 +106,27 @@ def measure_frames_per_op(recorder=True):
         sys.setprofile(previous)
     commits = state["commits"] - commits_before
     assert commits > 1000, commits
-    return frames[0] / commits
+    return frames[0], commits, cluster.network.stats.by_type - sent_before
+
+
+def measure_frames_per_op(recorder=True):
+    frames, commits, _sent = _measure(recorder)
+    return frames / commits
 
 
 def test_frames_per_committed_op_within_budget():
     frames_per_op = measure_frames_per_op()
     assert frames_per_op <= FRAMES_PER_OP * 1.10, frames_per_op
     assert frames_per_op <= PARENT_FRAMES_PER_OP * 0.67, frames_per_op
+
+
+def test_cumulative_ack_and_commit_message_economy():
+    _frames, commits, sent = _measure()
+    assert (commits, sent["Propose"], sent["Ack"], sent["Commit"]) == (
+        3188, 6376, 1134, 1366)
+    # Per committed op: 2 PROPOSEs, 0.36 ACKs and 0.43 COMMITs.
+    assert sent["Ack"] / commits < 0.4, sent["Ack"] / commits
+    assert sent["Commit"] / commits < 0.5, sent["Commit"] / commits
 
 
 def test_flight_recorder_adds_under_half_a_frame_per_op():

@@ -38,6 +38,33 @@ def test_duplicate_propose_is_acked_not_relogged():
     assert after_acks == before_acks + 1                  # but re-acked
 
 
+def test_duplicate_propose_mid_flush_waits_for_the_fsync():
+    # A re-sent proposal still queued for fsync is not durable yet, so
+    # it must not be acknowledged (a cumulative ACK would overclaim the
+    # whole prefix); the flush's own ACK covers it once it lands.
+    cluster = stable_cluster(224, disk="model", fsync_latency=0.01)
+    cluster.submit_and_wait(("put", "k", 1))
+    cluster.run(0.3)
+    follower = active_follower(cluster)
+    leader_id = cluster.leader().peer_id
+    log = follower.storage.log
+    record = log.all_entries()[-1]
+    zxid = record.zxid.next()
+    propose = messages.Propose(zxid, record.txn, record.size)
+
+    def acks_sent():
+        return cluster.network.stats.by_type.get("Ack", 0)
+
+    before = acks_sent()
+    follower.ctx.on_message(leader_id, propose)    # queued for fsync
+    follower.ctx.on_message(leader_id, propose)    # the duplicate
+    assert log.last_appended() == zxid
+    assert log.last_durable() < zxid
+    assert acks_sent() == before
+    assert cluster.run_until(lambda: log.last_durable() == zxid, timeout=1)
+    assert acks_sent() == before + 1
+
+
 def test_messages_from_non_leader_are_ignored():
     cluster = stable_cluster(221)
     follower = active_follower(cluster)

@@ -199,10 +199,10 @@ def test_observer_never_counts_at_the_leader():
     leader.propose_op(("put", "k", 1))
     cluster.run(0.05)
     zxid = Zxid(epoch, 1)
-    proposal = leader.ctx.proposals[zxid]   # the leader's own ACK only
+    assert leader.ctx.acked == {3: zxid}    # the leader's own ACK only
     observer.send(3, messages.Ack(zxid))
     cluster.run(0.05)
-    assert proposal.acks == {3}
+    assert leader.ctx.acked == {3: zxid}
     assert leader.ctx.acks_received == 1
     assert leader.ctx.commits == 0
     assert not observer.received(messages.Propose)

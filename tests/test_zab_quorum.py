@@ -1,9 +1,12 @@
 """Unit and property tests for quorum verifiers."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.common.errors import ConfigError
+from repro.zab.leader import LeaderContext
 from repro.zab.quorum import (
     HierarchicalQuorum,
     MajorityQuorum,
@@ -157,3 +160,58 @@ def test_verdict_on_a_list_is_the_verdict_on_its_set(weights, members):
         assert (quorum.contains_quorum(members)
                 == quorum.contains_quorum(set(members))), quorum
         assert quorum.validate_intersection(), quorum
+
+
+# --- Cumulative ACKs: high-water counting == per-proposal counting ---------------
+
+def _per_proposal_commits(quorum, n, arrivals):
+    """Reference: an ACK(c) from v stands for v's per-txn ACKs of every
+    proposal <= c; commit the head while its ACK set holds a quorum."""
+    acks = {z: set() for z in range(1, n + 1)}
+    head, trail = 1, []
+    for voter, counter in arrivals:
+        for z in range(1, counter + 1):
+            acks[z].add(voter)
+        while head <= n and quorum.contains_quorum(acks[head]):
+            head += 1
+        trail.append(head - 1)
+    return trail
+
+
+def _high_water_commits(quorum, n, arrivals):
+    """The leader's rule: one mark per voter, and the head commits while
+    ``LeaderContext._quorate`` holds for it."""
+    leader = SimpleNamespace(acked={}, config=SimpleNamespace(quorum=quorum))
+    head, trail = 1, []
+    for voter, counter in arrivals:
+        leader.acked[voter] = max(leader.acked.get(voter, 0), counter)
+        while head <= n and LeaderContext._quorate(leader, head):
+            head += 1
+        trail.append(head - 1)
+    return trail
+
+
+@given(_weights, st.integers(min_value=1, max_value=12), st.data())
+def test_high_water_marks_commit_what_per_proposal_sets_commit(
+        weights, n, data):
+    voters = sorted(weights)
+    # Each voter acknowledges an increasing run of counters (its flush
+    # boundaries); FIFO links keep each voter's order, and the
+    # interleaving across voters is arbitrary.
+    streams = {
+        voter: sorted(data.draw(st.sets(
+            st.integers(min_value=1, max_value=n)), label="acks %d" % voter))
+        for voter in voters
+    }
+    arrivals = []
+    while any(streams.values()):
+        voter = data.draw(st.sampled_from(
+            [v for v in voters if streams[v]]))
+        arrivals.append((voter, streams[voter].pop(0)))
+    for quorum in (
+        MajorityQuorum(weights),
+        WeightedQuorum(weights),
+        HierarchicalQuorum(_split_in_groups(weights)),
+    ):
+        assert (_high_water_commits(quorum, n, arrivals)
+                == _per_proposal_commits(quorum, n, arrivals)), quorum
