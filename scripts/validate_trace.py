@@ -18,9 +18,9 @@ Checks every line against the format in docs/OBSERVABILITY.md:
 - commit-path kinds carry a well-formed ``zxid`` correlation field
   (``[epoch, counter]``, two non-negative integers) so the span
   builder (``repro profile``) can always correlate them;
-- cumulative ACK kinds (``leader.ack``, ``follower.ack``) also carry
-  ``first``, the oldest zxid the ACK newly covers: same epoch as
-  ``zxid`` and no later than it;
+- ``leader.ack`` (ACKs are cumulative) also carries ``first``, the
+  oldest zxid the ACK newly covers: same epoch as ``zxid`` and no later
+  than it;
 - wire-level ``net.*`` kinds carry a positive integer ``msg_id`` so
   send/deliver/drop events pair up in the causality DAG;
 - node-scoped kinds (everything except the cluster-wide
@@ -75,8 +75,8 @@ ZXID_REQUIRED = {
     "snapshot.save", "compact.purge",
 }
 
-# Cumulative ACKs name the range they cover: first .. zxid.
-RANGE_REQUIRED = {"leader.ack", "follower.ack"}
+# A cumulative ACK at the leader names the range it covers: first .. zxid.
+RANGE_REQUIRED = {"leader.ack"}
 
 # Wire-level kinds must carry the message id that pairs send/deliver.
 MSG_ID_REQUIRED = {"net.send", "net.deliver", "net.drop"}

@@ -490,12 +490,14 @@ def e6_end_to_end_resync(lag=5000, seed=6):
 @experiment(
     "e7", "log-device configuration (n=3, 1KiB writes)",
     "Ablation: dedicated vs shared log device (paper's testbed note)",
-    {"config": "log device", "throughput": "ops/s", "p50_ms": "p50 (ms)"},
+    {"config": "log device", "throughput": "ops/s",
+     "leader_egress_bytes_per_txn": "leader B/txn", "p50_ms": "p50 (ms)"},
 )
 def e7_log_device(n_voters=3, duration=_DURATION, seed=7):
     """The paper's testbed used dedicated log devices.  With the disk
     model enabled, a dedicated device (group commit amortising fsyncs)
-    clearly beats a shared, contended one."""
+    clearly beats a shared, contended one.  Leader egress per op shows
+    what the leader's NIC, the bottleneck, pays for each commit."""
     rows = []
     for label, disk, fsync in (
         ("network only (no disk)", None, 0.0),
@@ -511,6 +513,10 @@ def e7_log_device(n_voters=3, duration=_DURATION, seed=7):
         rows.append({
             "config": label,
             "throughput": result.throughput,
+            "leader_egress_bytes_per_txn": (
+                result.net_stats["bytes_sent"][result.params["leader"]]
+                / max(result.committed, 1)
+            ),
             "p50_ms": result.latency["p50"] * 1000,
         })
     return rows, {}

@@ -24,7 +24,7 @@ work from the protocol-level span data; only the per-hop message
 chains need the wire events.
 """
 
-from repro.obs.spans import build_spans, covered_zxids
+from repro.obs.spans import build_spans
 
 
 class CausalityGraph:
@@ -182,8 +182,8 @@ class CausalityGraph:
             if (
                 raw is not None and event.fields.get("type") == type_name
                 and event.node == src and event.fields.get("dst") == dst
-                and (tuple(raw) == zxid or type_name == "Ack"
-                     and raw[0] == zxid[0] and raw[1] > zxid[1])
+                and (tuple(raw) == zxid
+                     or type_name == "Ack" and _covers(raw, zxid))
             ):
                 return event, self._delivers.get(msg_id)
         return None
@@ -222,7 +222,7 @@ class CausalityGraph:
         for event in self.events:
             if (
                 event.kind == "follower.ack" and event.node == follower
-                and zxid in covered_zxids(event.fields)
+                and _covers(event.fields.get("zxid"), zxid)
             ):
                 return event.t
         return None
@@ -256,3 +256,9 @@ class CausalityGraph:
                 for peer, count in sorted(self.straggler_counts().items())
             },
         }
+
+
+def _covers(raw, zxid):
+    """True if a cumulative ACK of *raw* covers *zxid*: same epoch, and
+    no older (the first such ACK from a peer is the one that counted)."""
+    return raw is not None and raw[0] == zxid[0] and raw[1] >= zxid[1]

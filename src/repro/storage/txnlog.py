@@ -62,6 +62,9 @@ class TxnLog:
     def append(self, zxid, txn, size=64, callback=None):
         """Append a proposal; *callback* fires once it is durable.
 
+        A flush that makes several records durable runs only the newest
+        record's callback, which covers the older ones too.
+
         zxids must be strictly increasing across the whole log (durable
         tail plus any pending appends).
         """
@@ -124,7 +127,7 @@ class TxnLog:
                 records=len(batch),
                 bytes=sum(record.size for record, _cb, _t in batch),
             )
-        for record, callback, appended_at in batch:
+        for record, _cb, appended_at in batch:
             self._install(record)
             if tracer.active:
                 tracer.emit(
@@ -132,9 +135,11 @@ class TxnLog:
                     zxid=record.zxid.as_tuple(),
                     wait=now - appended_at,
                 )
-        for _record, callback, _t in batch:
-            if callback is not None:
-                callback()
+        # Records are durable in order, so the newest one's callback
+        # stands for the whole flush: it is the only one that runs.
+        callback = batch[-1][1] if batch else None
+        if callback is not None:
+            callback()
         if self._pending:
             self._start_flush()
 

@@ -90,7 +90,6 @@ class FollowerContext:
         # the relayed stream really broke, not just in flight).
         self._relayed = not peer.config.dissemination.direct
         self._relay_lag = None
-        self._unacked = None       # oldest durable record not yet ACKed
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -328,19 +327,12 @@ class FollowerContext:
         )
 
     def _on_durable(self, zxid):
-        if self._unacked is None:
-            self._unacked = zxid
-        # A flush installs its whole batch before any callback runs: the
-        # newest record's callback sends the one ACK that covers them all.
-        if zxid != self.peer.storage.log.last_durable():
-            return
-        first, self._unacked = self._unacked, None
+        # The log runs one callback per flush, for its newest record.
         tracer = self.peer.tracer
         if tracer.active:
             tracer.emit(
                 "follower.ack", node=self.peer.peer_id,
-                zxid=zxid.as_tuple(), first=first.as_tuple(),
-                leader=self.leader_id,
+                zxid=zxid.as_tuple(), leader=self.leader_id,
             )
         self.peer.send(self.leader_id, messages.Ack(zxid))
         self._deliver_committed()

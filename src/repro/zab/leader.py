@@ -443,13 +443,9 @@ class LeaderContext:
         self._disseminate(messages.Propose(zxid, txn, request.size))
         self.peer.storage.log.append(
             zxid, txn, request.size,
-            callback=functools.partial(self._on_own_durable, zxid),
+            callback=functools.partial(
+                self._on_ack, self.peer.peer_id, messages.Ack(zxid)),
         )
-
-    def _on_own_durable(self, zxid):
-        # Like a follower, the leader acknowledges once per flush.
-        if zxid == self.peer.storage.log.last_durable():
-            self._on_ack(self.peer.peer_id, messages.Ack(zxid))
 
     def _on_ack(self, src, msg):
         """Advance *src*'s mark: ACK(z) covers every zxid <= z."""
@@ -469,10 +465,14 @@ class LeaderContext:
         self.acks_received += 1
         tracer = self.peer.tracer
         if tracer.active:
-            # Lag runs from the oldest newly covered proposal; an ACK
-            # whose whole range already committed is *late* (a straggler).
+            # Lag runs from the oldest newly covered proposal (the oldest
+            # outstanding one if *first* predates the retained times); an
+            # ACK whose whole range already committed is *late*.
             first = prev.next() if prev is not None else Zxid(self.epoch, 1)
             proposed_at = self._recent_propose_t.get(first)
+            if proposed_at is None and zxid in self.proposals:
+                oldest = max(first, next(iter(self.proposals)))
+                proposed_at = self.proposals[oldest].proposed_at
             if proposed_at is not None:
                 tracer.emit(
                     "leader.ack", node=self.peer.peer_id,

@@ -202,8 +202,7 @@ def test_validator_accepts_new_commit_path_kinds(validator):
         _line("log.append", {"zxid": [1, 1], "size": 64, "queued": 0}),
         _line("log.durable", {"zxid": [1, 1]}),
         _line("log.flush", {"records": 1, "bytes": 64}),
-        _line("follower.ack", {"zxid": [1, 1], "first": [1, 1],
-                               "leader": 1}, node=2),
+        _line("follower.ack", {"zxid": [1, 1], "leader": 1}, node=2),
         _line("leader.ack", {"zxid": [1, 1], "first": [1, 1], "src": 2}),
         _line("leader.quorum", {"zxid": [1, 1], "src": 2, "acks": 2}),
         _line("leader.commit", {"zxid": [1, 1], "acks": [1, 2]}),
@@ -231,7 +230,7 @@ def test_validator_accepts_new_commit_path_kinds(validator):
     ("net.drop", {"reason": "x", "msg_id": True}),      # bool is not int
     ("leader.ack", {"zxid": [1, 3], "src": 2}),         # first missing
     ("leader.ack", {"zxid": [1, 3], "first": [1, 4]}),  # first after zxid
-    ("follower.ack", {"zxid": [2, 3], "first": [1, 1]}),  # two epochs
+    ("leader.ack", {"zxid": [2, 3], "first": [1, 1]}),  # two epochs
 ])
 def test_validator_rejects_bad_correlation_fields(validator, kind, fields):
     with pytest.raises(ValueError):

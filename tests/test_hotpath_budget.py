@@ -17,6 +17,7 @@ Measured with this file's driver, identical on CPython 3.10, 3.11 and
     PR 12 (parent of the hot-path PR)   355.0 frames per committed op
     hot-path PR                         197.9
     cumulative ACK and COMMIT           138.0
+    one durability callback per flush   133.2
 
 The count is deterministic, so the gate is tight: 10 % head-room over
 the recorded value, and never more than two thirds of the parent's.  A
@@ -25,9 +26,9 @@ it) or added protocol work on purpose (re-measure and re-record).
 
 The same ruler holds the always-on flight recorder to its budget.  A
 wall-clock "recorder within 5 % of tracing off" reading flips sign from
-round to round on any shared box; in frames it is exact: 138.012 armed
-(the default control-plane posture) vs 138.001 with ``recorder=False``
-— the difference is the ``snapshot.save`` emits — and 278.8 with
+round to round on any shared box; in frames it is exact: 133.199 armed
+(the default control-plane posture) vs 133.188 with ``recorder=False``
+— the difference is the ``snapshot.save`` emits — and 273.7 with
 ``FlightRecorder(capture="all")``, so a recorder that starts building
 per-message events trips the half-frame gate with a 2x signal.
 
@@ -44,7 +45,7 @@ from repro import Cluster, ClusterConfig
 from repro.net import NetworkConfig
 
 PARENT_FRAMES_PER_OP = 355.0
-FRAMES_PER_OP = 138.0
+FRAMES_PER_OP = 133.2
 
 KEYS = 1000
 OUTSTANDING = 64
@@ -125,8 +126,6 @@ def test_cumulative_ack_and_commit_message_economy():
     assert (commits, sent["Propose"], sent["Ack"], sent["Commit"]) == (
         3188, 6376, 1134, 1366)
     # Per committed op: 2 PROPOSEs, 0.36 ACKs and 0.43 COMMITs.
-    assert sent["Ack"] / commits < 0.4, sent["Ack"] / commits
-    assert sent["Commit"] / commits < 0.5, sent["Commit"] / commits
 
 
 def test_flight_recorder_adds_under_half_a_frame_per_op():

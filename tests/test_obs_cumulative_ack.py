@@ -15,6 +15,7 @@ import os
 import pytest
 
 from repro.harness import Cluster, ClusterConfig
+from repro.zab import leader as leader_module
 from repro.obs.causality import CausalityGraph
 from repro.obs.export import to_chrome_trace
 from repro.obs.spans import profile_trace
@@ -52,8 +53,10 @@ def _batched_run(topology, ops=60, seed=5):
 def test_one_ack_covers_a_flush_and_every_txn_keeps_its_span(topology):
     cluster, events = _batched_run(topology)
     acks = [e for e in events if e.kind == "follower.ack"]
-    assert any(tuple(e.fields["first"]) < tuple(e.fields["zxid"])
-               for e in acks), "no flush held more than one record"
+    assert any(
+        tuple(e.fields["first"]) < tuple(e.fields["zxid"])
+        for e in events if e.kind == "leader.ack" and e.fields["src"] != e.node
+    ), "no follower flush held more than one record"
 
     graph = CausalityGraph.from_events(events)
     committed = [span for span in graph.spans if span.committed]
@@ -108,3 +111,33 @@ def test_late_ack_lag_is_taken_from_the_oldest_covered_proposal():
             event.t - proposed[first])
         late += bool(event.fields["late"])
     assert late, "a 5-voter run always has straggler ACKs"
+
+
+def test_every_quorum_ack_is_traced_past_the_retained_propose_times(
+        monkeypatch):
+    # With the table of recent propose times cut to one entry, the oldest
+    # proposal an ACK newly covers has usually aged out of it.  Every ACK
+    # that covers an outstanding proposal is still traced (its lag taken
+    # from the oldest covered one still outstanding), so every quorum
+    # names a traced ACK.
+    def on_time(events):
+        return [(e.t, e.fields["src"], tuple(e.fields["zxid"]))
+                for e in events
+                if e.kind == "leader.ack" and not e.fields["late"]]
+
+    full = on_time(_batched_run("leader-direct")[1])
+    monkeypatch.setattr(leader_module, "_RECENT_PROPOSE_CAP", 1)
+    _cluster, events = _batched_run("leader-direct")
+    assert on_time(events) == full
+    proposed = {tuple(e.fields["zxid"]): e.t
+                for e in events if e.kind == "leader.propose"}
+    for event in events:
+        if event.kind == "leader.ack" and not event.fields["late"]:
+            first = tuple(event.fields["first"])
+            assert 0 <= event.fields["lag"] <= event.t - proposed[first]
+
+    committed = [span for span in CausalityGraph.from_events(events).spans
+                 if span.committed]
+    assert len(committed) == 60
+    for span in committed:
+        assert span.quorum_src in span.acks, span

@@ -164,27 +164,28 @@ def test_verdict_on_a_list_is_the_verdict_on_its_set(weights, members):
 
 # --- Cumulative ACKs: high-water counting == per-proposal counting ---------------
 
-def _per_proposal_commits(quorum, n, arrivals):
-    """Reference: an ACK(c) from v stands for v's per-txn ACKs of every
-    proposal <= c; commit the head while its ACK set holds a quorum."""
+def _per_proposal_commits(quorum, n, flushes):
+    """Reference: one ACK per record, each counting only for its own
+    proposal; the head commits while its ACK set holds a quorum."""
     acks = {z: set() for z in range(1, n + 1)}
     head, trail = 1, []
-    for voter, counter in arrivals:
-        for z in range(1, counter + 1):
+    for voter, records in flushes:
+        for z in records:
             acks[z].add(voter)
-        while head <= n and quorum.contains_quorum(acks[head]):
-            head += 1
+            while head <= n and quorum.contains_quorum(acks[head]):
+                head += 1
         trail.append(head - 1)
     return trail
 
 
-def _high_water_commits(quorum, n, arrivals):
-    """The leader's rule: one mark per voter, and the head commits while
-    ``LeaderContext._quorate`` holds for it."""
+def _high_water_commits(quorum, n, flushes):
+    """The leader's rule on the coalesced stream: one ACK per flush, for
+    its newest record, advances the voter's mark, and the head commits
+    while ``LeaderContext._quorate`` holds for it."""
     leader = SimpleNamespace(acked={}, config=SimpleNamespace(quorum=quorum))
     head, trail = 1, []
-    for voter, counter in arrivals:
-        leader.acked[voter] = max(leader.acked.get(voter, 0), counter)
+    for voter, records in flushes:
+        leader.acked[voter] = records[-1]
         while head <= n and LeaderContext._quorate(leader, head):
             head += 1
         trail.append(head - 1)
@@ -195,23 +196,25 @@ def _high_water_commits(quorum, n, arrivals):
 def test_high_water_marks_commit_what_per_proposal_sets_commit(
         weights, n, data):
     voters = sorted(weights)
-    # Each voter acknowledges an increasing run of counters (its flush
-    # boundaries); FIFO links keep each voter's order, and the
-    # interleaving across voters is arbitrary.
-    streams = {
-        voter: sorted(data.draw(st.sets(
-            st.integers(min_value=1, max_value=n)), label="acks %d" % voter))
-        for voter in voters
-    }
-    arrivals = []
+    # Each voter logs a prefix 1..k of the proposals and acknowledges
+    # every record; its flush boundaries cut that stream into runs, and
+    # the cumulative side sees one ACK per run.  FIFO links keep each
+    # voter's order; the interleaving across voters is arbitrary.
+    streams = {}
+    for voter in voters:
+        ends = sorted(data.draw(st.sets(
+            st.integers(min_value=1, max_value=n)), label="flushes %d" % voter))
+        streams[voter] = [list(range(start + 1, end + 1))
+                          for start, end in zip([0] + ends, ends)]
+    flushes = []
     while any(streams.values()):
         voter = data.draw(st.sampled_from(
             [v for v in voters if streams[v]]))
-        arrivals.append((voter, streams[voter].pop(0)))
+        flushes.append((voter, streams[voter].pop(0)))
     for quorum in (
         MajorityQuorum(weights),
         WeightedQuorum(weights),
         HierarchicalQuorum(_split_in_groups(weights)),
     ):
-        assert (_high_water_commits(quorum, n, arrivals)
-                == _per_proposal_commits(quorum, n, arrivals)), quorum
+        assert (_high_water_commits(quorum, n, flushes)
+                == _per_proposal_commits(quorum, n, flushes)), quorum
