@@ -9,8 +9,8 @@ seed is more than a verdict: its schedule is attached to the outcome,
 serializable to JSON, replayable bit for bit, and shrinkable to a
 minimal repro with ``python -m repro shrink``.
 
-Used by ``python -m repro campaign`` and by the long-running integration
-tests.
+Used by ``python -m repro campaign``, by E4b (the ``"partition"``
+profile) and by the long-running integration tests.
 """
 
 import time
@@ -18,11 +18,10 @@ import time
 from repro.bench.formats import render_table
 from repro.bench.report import write_report
 from repro.common.pool import partition_items, process_pool
-from repro.harness.cluster import Cluster
 from repro.harness.config import ClusterConfig
 from repro.harness.opscenarios import run_ops_scenario
 from repro.harness.replay import replay_schedule, signature_json
-from repro.harness.schedule import ActionSchedule
+from repro.harness.schedule import PROFILES
 from repro.obs.metrics import StreamingHistogram
 
 #: Schema tag of the machine-readable campaign report.  The report is
@@ -79,13 +78,14 @@ def run_adversarial_campaign(seeds, config=None, steps=10,
     :class:`~repro.obs.health.HealthMonitor`, so each outcome carries
     a health summary alongside the property verdict — the campaign's
     answer to "it didn't violate anything, but was it *healthy*?".
-    ``profile="ops"`` swaps the crash/partition adversary for the
-    operational one (:meth:`ActionSchedule.generate_ops`): snapshots,
-    retention-driven compaction, one-way cuts, and clock skews join
-    the fault mix.  ``workers > 1`` deals the seeds round-robin to that
-    many processes; outcomes come back in seed order either way, each
-    stamped with the worker that ran it and its wall-clock ``elapsed``,
-    so reports are byte-identical.
+    *profile* names the adversary in
+    :data:`~repro.harness.schedule.PROFILES`: ``"default"`` crashes and
+    partitions, ``"ops"`` adds snapshots, retention-driven compaction,
+    one-way cuts and clock skews to the mix, and ``"partition"`` only
+    partitions (E4b).  ``workers > 1`` deals the seeds round-robin to
+    that many processes; outcomes come back in seed order either way,
+    each stamped with the worker that ran it and its wall-clock
+    ``elapsed``, so reports are byte-identical.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -122,13 +122,9 @@ def _run_chunk(payload):
 def _one_run(seed, config, steps, step_interval, op_interval, with_health,
              profile):
     started = time.perf_counter()
-    if profile == "ops":
-        generate = ActionSchedule.generate_ops
-    elif profile == "default":
-        generate = ActionSchedule.generate
-    else:
+    if profile not in PROFILES:
         raise ValueError("unknown campaign profile: %r" % (profile,))
-    schedule = generate(
+    schedule = PROFILES[profile](
         seed, n_voters=config.n_voters, steps=steps,
         step_interval=step_interval, op_interval=op_interval,
     )
@@ -160,60 +156,6 @@ def _one_run(seed, config, steps, step_interval, op_interval, with_health,
         elapsed=time.perf_counter() - started,
         worker=0,
     )
-
-
-def run_partition_campaign(seeds, config, steps=10, flap_period=0.4,
-                           op_interval=0.01):
-    """Partition-only adversary, one run per seed on a cluster built
-    from *config* at that seed; returns ``[(seed, violated properties)]``.
-
-    Unlike the paper's hand-crafted counter-example (E4), nothing here
-    is scripted: leaders change because partitions trip the failure
-    detector.  Against pipelined Paxos (``protocol="paxos"``) a
-    fraction of seeds organically violate primary integrity — a fresh
-    Paxos leader starts broadcasting right after phase 1, *before* its
-    state covers the re-proposed suffix, which is exactly the barrier
-    Zab's synchronisation phase enforces.
-    """
-    results = []
-    for seed in seeds:
-        cluster = Cluster(config.replace(seed=seed)).start()
-        cluster.run_until_stable(timeout=60)
-        _drive_partitions(cluster, steps, flap_period, op_interval)
-        cluster.heal()
-        cluster.run(3.0)
-        report = cluster.check_properties()
-        results.append((seed, sorted(report.violated_properties())))
-    return results
-
-
-def _drive_partitions(cluster, steps, flap_period, op_interval):
-    """Flap seeded one-peer partitions on *cluster* while a counter
-    increment goes to its leader every *op_interval*."""
-    sim = cluster.sim
-    rng = sim.random.stream("partition-adversary")
-
-    def load_tick():
-        leader = cluster.leader()
-        if leader is not None:
-            try:
-                leader.propose_op(("incr", "counter", 1))
-            except Exception:
-                pass
-        sim.schedule(op_interval, load_tick)
-
-    load_tick()
-    members = list(cluster.peers)
-    for _step in range(steps):
-        cluster.run(flap_period)
-        roll = rng.random()
-        if roll < 0.6 and len(members) > 2:
-            victim = rng.choice(members)
-            cluster.partition({victim})
-            cluster.run(flap_period)
-            cluster.heal()
-        else:
-            cluster.heal()
 
 
 def render_campaign(outcomes):

@@ -18,7 +18,7 @@ the byte-equality of a fresh run with the committed table, live in
 import inspect
 
 from repro.app.statemachine import Txn
-from repro.bench.campaign import run_partition_campaign
+from repro.bench.campaign import run_adversarial_campaign
 from repro.bench.formats import render_series, render_table
 from repro.bench.runner import (
     EVAL_LINK,
@@ -341,14 +341,17 @@ def e4_paxos_violation(seed=4):
            "(unscripted)",
     "Organic PO violations (unscripted strengthening of E4)",
     {"system": "system", "seeds": "seeds", "violating": "violating seeds",
-     "which": ("which", _listed), "properties": ("properties", _listed)},
+     "which": ("which", _listed), "properties": ("properties", _listed),
+     "stuck": ("never re-stabilised", _listed)},
 )
 def e4b_organic_violations(seeds=range(20)):
     """Identical partition-only adversaries and load against both
     systems: pipelined Paxos violates primary integrity on a visible
     fraction of seeds (a fresh leader broadcasts before its state covers
     the re-proposed suffix — the barrier Zab's Phase 2 enforces), Zab on
-    none.  Like E4, the checker verdicts are the result."""
+    none.  Each run is a ``"partition"`` campaign profile schedule, so
+    any failing seed replays and shrinks with the stock tools.  Like E4,
+    the checker verdicts are the result."""
     rows = []
     for system, config in (
         ("zab", ClusterConfig()),
@@ -356,16 +359,22 @@ def e4b_organic_violations(seeds=range(20)):
             protocol="paxos", zab={"max_outstanding": 8, "sync_limit": 3},
         )),
     ):
-        results = run_partition_campaign(seeds, config)
-        bad = sorted(seed for seed, violations in results if violations)
+        outcomes = run_adversarial_campaign(
+            seeds, config, steps=10, step_interval=0.4, op_interval=0.01,
+            profile="partition",
+        )
         rows.append({
             "system": system,
-            "seeds": len(results),
-            "violating": len(bad),
-            "which": bad,
+            "seeds": len(outcomes),
+            "violating": sum(1 for run in outcomes if run.violations),
+            "which": [run.seed for run in outcomes if run.violations],
             "properties": sorted({
-                prop for _seed, violations in results for prop in violations
+                prop for run in outcomes for prop in run.violations
             }),
+            "stuck": [
+                run.seed for run in outcomes
+                if (run.error or "").startswith("never re-stabilised")
+            ],
         })
     return rows, {}
 

@@ -30,6 +30,7 @@ from repro.bench.workloads import open_loop
 from repro.common.util import atomic_write
 from repro.harness.config import ClusterConfig
 from repro.harness.opscenarios import OPS_SCENARIOS
+from repro.harness.schedule import PROFILES
 from repro.net import NetworkConfig
 from repro.obs.trace import kind_matches
 from repro.zab.dissemination import DISSEMINATION_TOPOLOGIES
@@ -964,10 +965,11 @@ def build_parser():
                                  "health monitor (adds a verdict "
                                  "column)")
     p_campaign.add_argument("--profile", default="default",
-                            choices=["default", "ops"],
+                            choices=sorted(PROFILES),
                             help="adversary profile: 'ops' adds "
                                  "snapshots, compaction, one-way cuts "
-                                 "and clock skew to the fault mix")
+                                 "and clock skew to the fault mix; "
+                                 "'partition' only partitions (E4b)")
     p_campaign.add_argument("--workers", type=_positive_int, default=1,
                             metavar="N",
                             help="farm seeds across N processes "

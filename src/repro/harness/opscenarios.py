@@ -152,10 +152,13 @@ def flapping_partition_schedule(seed=0, n_voters=3, victim=None, flaps=3,
                                 config=None):
     """A victim's connectivity flaps — fully, or outbound-only.
 
-    The flap cycles run inline as one ``flap`` action (each cycle:
-    partition, dwell, heal, dwell).  The victim defaults to the stable
-    leader — flapping the leader forces repeated re-elections, the
-    worst case for the availability SLO.
+    From 0.5 s on, each of the *flaps* cycles cuts the victim off from
+    the other voters (with *oneway*, one ``partition_oneway`` per
+    voter), dwells *period*, restores its links, and dwells again; a
+    closing ``heal`` (or ``restore_links``) marks the end of the last
+    dwell.  The victim defaults to the stable leader — flapping the
+    leader forces repeated re-elections, the worst case for the
+    availability SLO.
     """
     if victim is None:
         victim = stable_leader_id(_shaped(config, seed, n_voters))
@@ -164,12 +167,17 @@ def flapping_partition_schedule(seed=0, n_voters=3, victim=None, flaps=3,
                    config),
         victim=victim, oneway=oneway,
     ))
-    schedule.add(0.5, "flap", {
-        "victim": victim, "flaps": flaps, "period": period,
-        "oneway": oneway,
-    })
-    if oneway:
-        schedule.add(0.5 + 2.0 * flaps * period, "restore_links")
+    others = [pid for pid in range(1, n_voters + 1) if pid != victim]
+    restore = "restore_links" if oneway else "heal"
+    for i in range(flaps):
+        start = 0.5 + 2.0 * i * period
+        if oneway:
+            for other in others:
+                schedule.add(start, "partition_oneway", [victim, other])
+        else:
+            schedule.add(start, "partition", [[victim], others])
+        schedule.add(start + period, restore)
+    schedule.add(0.5 + 2.0 * flaps * period, restore)
     return schedule
 
 

@@ -199,9 +199,13 @@ def replay_schedule(schedule, config=None, op_interval=None, settle=2.0,
             cluster, settle, timeout
         )
     except TimeoutError as exc:
+        # The delivered history is still judged, but the signature stays
+        # empty: a liveness failure is not a violation to shrink towards.
         cluster.dump_flight(recorder_dir, reason="never_restabilised")
+        report = cluster.check_properties()
         return ReplayResult(
-            schedule, False, False, [], (), cluster=cluster, fired=fired,
+            schedule, False, False, sorted(report.violated_properties()),
+            (), report=report, cluster=cluster, fired=fired,
             error="never re-stabilised: %s" % exc,
         )
     if signature:

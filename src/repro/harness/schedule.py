@@ -29,19 +29,15 @@ Action kinds and their targets:
 ``compact_log``      target = snapshots to retain (default 2)
 ``partition_oneway`` target = ``[src, dst]`` (src can no longer reach dst)
 ``restore_links``    target = None (undo every one-way cut)
-``flap``             target = ``{"victim": id, "flaps": n, "period": s,
-                     "oneway": bool}`` — partition/heal cycles run inline
 ``clock_skew``       target = ``[peer id, factor]`` (election timers ×factor)
 ==================== ===================================================
 
 ``slow_disk`` / ``restore_disk`` require a cluster built with
 ``disk="model"``; on clusters without per-peer disk models they are
 tolerated as no-ops, so shrunk or replayed schedules stay applicable
-everywhere.  ``flap`` advances virtual time itself (each flap is a
-partition, a dwell of *period*, a heal, and another dwell); with
-``oneway`` it cuts the victim's outbound links instead of fully
-partitioning it, and its heal phase restores *all* one-way cuts —
-like ``heal``, it resets link state cluster-wide.
+everywhere.  Every action is an instant: none advances virtual time,
+so the replay loop alone moves the clock and each action fires exactly
+at its scheduled time.
 """
 
 import json
@@ -55,7 +51,7 @@ KINDS = frozenset([
     "recover_all", "partition", "heal", "submit",
     "slow_disk", "restore_disk",
     "snapshot", "compact_log", "partition_oneway", "restore_links",
-    "flap", "clock_skew",
+    "clock_skew",
 ])
 
 #: Multiplier ``slow_disk`` applies to the victim's fsync latency.
@@ -69,6 +65,11 @@ ADVERSARY_STREAM = "campaign-adversary"
 #: so :meth:`ActionSchedule.generate` keeps producing the exact decision
 #: sequences the campaign corpus has pinned since PR 2.
 OPS_ADVERSARY_STREAM = "campaign-ops-adversary"
+
+#: Partition adversary stream label: the stream E4b's live adversary
+#: drew from, so :meth:`ActionSchedule.generate_partitions` redraws the
+#: exact partitions behind every E4b verdict.
+PARTITION_ADVERSARY_STREAM = "partition-adversary"
 
 
 class Action:
@@ -93,12 +94,6 @@ class Action:
             if not float(target[1]) > 0:
                 raise ConfigError("clock skew factor must be > 0")
             target = [int(target[0]), float(target[1])]
-        elif kind == "flap":
-            if not isinstance(target, dict) or "victim" not in target:
-                raise ConfigError(
-                    'flap needs {"victim": peer_id, ...}'
-                )
-            target = dict(target)
         self.time = float(time)
         self.kind = kind
         self.target = target
@@ -348,6 +343,45 @@ class ActionSchedule:
                 schedule.add(time, "heal")
         return schedule
 
+    @classmethod
+    def generate_partitions(cls, seed, n_voters=3, steps=10,
+                            step_interval=0.4, op_interval=0.01):
+        """A partition-only adversary as a pure function of *seed*.
+
+        Each step dwells one *step_interval*; then, with 60 % odds, one
+        random voter is partitioned away for one more interval and
+        healed, else the cluster is healed.  No crashes, so leaders
+        change only because a partition trips the failure detector —
+        the unscripted E4b run that convicts pipelined Paxos.
+        """
+        rng = SplitRandom(seed).stream(PARTITION_ADVERSARY_STREAM)
+        members = list(range(1, n_voters + 1))
+        schedule = cls(meta={
+            "seed": seed,
+            "n_voters": n_voters,
+            "steps": steps,
+            "step_interval": step_interval,
+            "op_interval": op_interval,
+            "profile": "partition",
+        })
+        time = 0.0
+        for _step in range(steps):
+            time += step_interval
+            if rng.random() < 0.6 and n_voters > 2:
+                schedule.add(time, "partition", [[rng.choice(members)]])
+                time += step_interval
+            schedule.add(time, "heal")
+        return schedule
+
+
+#: Campaign adversary profile -> schedule generator, each called as
+#: ``generate(seed, n_voters=, steps=, step_interval=, op_interval=)``.
+PROFILES = {
+    "default": ActionSchedule.generate,
+    "ops": ActionSchedule.generate_ops,
+    "partition": ActionSchedule.generate_partitions,
+}
+
 
 def apply_action(cluster, action):
     """Execute one :class:`Action` against a live cluster, now.
@@ -433,31 +467,4 @@ def apply_action(cluster, action):
         peer_id, factor = action.target
         cluster.set_clock_skew(peer_id, factor)
         return "clock skew %.2fx on peer %d" % (factor, peer_id)
-    elif action.kind == "flap":
-        spec = action.target
-        victim = spec["victim"]
-        if victim not in cluster.peers:
-            return None
-        flaps = int(spec.get("flaps", 3))
-        period = float(spec.get("period", 0.4))
-        oneway = bool(spec.get("oneway", False))
-        others = sorted(pid for pid in cluster.peers if pid != victim)
-        # The flap cycles run inline — each is partition, dwell, heal,
-        # dwell — so a flap is one schedule action the shrinker can
-        # drop atomically, and no timers outlive the action.
-        for _ in range(flaps):
-            if oneway:
-                for other in others:
-                    cluster.partition_oneway(victim, other)
-            else:
-                cluster.partition({victim}, set(others))
-            cluster.run(period)
-            if oneway:
-                cluster.restore_links()
-            else:
-                cluster.heal()
-            cluster.run(period)
-        return "flap %s partition on peer %d x%d" % (
-            "one-way" if oneway else "full", victim, flaps,
-        )
     return None

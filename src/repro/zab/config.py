@@ -64,7 +64,6 @@ class ZabConfig:
         batch_delay=0.0,
         snapshot_every=1000,
         snap_sync_threshold=500,
-        purge_logs_on_snapshot=False,
         digest_every=0,
         dissemination="leader-direct",
     ):
@@ -95,7 +94,6 @@ class ZabConfig:
         self.batch_delay = batch_delay
         self.snapshot_every = snapshot_every
         self.snap_sync_threshold = snap_sync_threshold
-        self.purge_logs_on_snapshot = purge_logs_on_snapshot
         if digest_every < 0:
             raise ConfigError("digest_every must be >= 0")
         self.digest_every = digest_every

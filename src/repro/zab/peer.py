@@ -470,14 +470,14 @@ class ZabPeer(Process):
         due = self.position - self._last_snapshot_position
         if due < self.config.snapshot_every:
             return
-        self._snapshot(purge=self.config.purge_logs_on_snapshot)
+        self._snapshot()
 
     def take_snapshot(self):
         """Operator-initiated fuzzy snapshot (the ``snapshot`` action).
 
         Serialises the application state at the current delivery
-        frontier and saves it.  Unlike the periodic path this never
-        purges the log — compaction is a separate, explicit
+        frontier and saves it.  Like the periodic path it never purges
+        the log — compaction is a separate, explicit
         ``compact_log`` action driven by the retention policy
         (:mod:`repro.storage.retention`).  Returns the saved
         :class:`~repro.storage.snapshot.Snapshot`, or None when there
@@ -486,9 +486,9 @@ class ZabPeer(Process):
         """
         if self.crashed or self.sm is None or self.last_committed is None:
             return None
-        return self._snapshot(purge=False)
+        return self._snapshot()
 
-    def _snapshot(self, purge):
+    def _snapshot(self):
         blob, nbytes = self.sm.serialize()
         snapshot = self.storage.snapshots.save(
             self.last_committed, (blob, self.position), nbytes
@@ -501,8 +501,6 @@ class ZabPeer(Process):
             zxid=self.last_committed.as_tuple(),
             position=self.position, size=nbytes,
         )
-        if purge:
-            self.storage.log.purge_through(self.last_committed)
         return snapshot
 
     # ------------------------------------------------------------------

@@ -90,8 +90,7 @@ def test_lock_service_failover_keeps_holder():
 
 def test_tree_state_survives_snap_sync():
     cluster = tree_cluster(
-        95, zab={"snapshot_every": 20, "snap_sync_threshold": 10,
-                 "purge_logs_on_snapshot": True},
+        95, zab={"snapshot_every": 20, "snap_sync_threshold": 10},
     )
     follower = next(
         peer for peer in cluster.peers.values() if peer.is_active_follower
@@ -102,6 +101,7 @@ def test_tree_state_survives_snap_sync():
         cluster.submit_and_wait(
             ("create", "/data/n%02d" % i, bytes([i]), "", None)
         )
+    cluster.compact_logs(retain_snapshots=1)
     cluster.recover(follower.peer_id)
     cluster.run_until_stable(timeout=30)
     cluster.run(1.0)

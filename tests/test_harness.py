@@ -138,7 +138,7 @@ def test_install_offsets_by_start_and_skips_noops():
 
 def test_install_fires_every_kind_like_replay():
     # Times sit off the 20 ms load-tick grid so no action ties with a
-    # tick, and nothing is scheduled inside the inline flap (4.0-4.4).
+    # tick.
     schedule = (
         ActionSchedule(meta={"seed": 70, "n_voters": 3})
         .add(0.307, "submit", 5)
@@ -157,7 +157,6 @@ def test_install_fires_every_kind_like_replay():
         .add(3.207, "partition", [[1]])
         .add(3.407, "heal")
         .add(3.607, "crash_leader")
-        .add(4.007, "flap", {"victim": 2, "flaps": 1, "period": 0.2})
     )
     assert {action.kind for action in schedule} == set(KINDS)
     config = ClusterConfig(disk="model")
@@ -173,8 +172,7 @@ def test_install_fires_every_kind_like_replay():
         text for _t, text in replayed.fired
     ]
     for (fired_at, _text), action in zip(log, schedule):
-        if action.kind != "flap":       # logged after its inline dwell
-            assert fired_at == start + action.time
+        assert fired_at == start + action.time
 
 
 def test_states_excludes_crashed_and_unbuilt():

@@ -24,7 +24,13 @@ from repro.harness.opscenarios import (
     stable_leader_id,
 )
 from repro.harness.replay import replay_schedule
-from repro.harness.schedule import ActionSchedule
+from repro.harness.schedule import (
+    ADVERSARY_STREAM,
+    OPS_ADVERSARY_STREAM,
+    PARTITION_ADVERSARY_STREAM,
+    PROFILES,
+    ActionSchedule,
+)
 from repro.obs.trace import Tracer, dump_jsonl
 
 ALL_FAMILIES = sorted(OPS_SCENARIOS)
@@ -74,6 +80,18 @@ def test_generate_ops_is_deterministic_and_separate_from_legacy():
         "crash", "recover", "snapshot", "compact_log",
         "partition_oneway", "restore_links", "clock_skew", "heal",
     }
+    # The partition profile is a third, equally deterministic stream.
+    partition = ActionSchedule.generate_partitions(7, steps=8)
+    assert partition.dumps() == (
+        ActionSchedule.generate_partitions(7, steps=8).dumps()
+    )
+    assert partition.meta["profile"] == "partition"
+    assert {a.kind for a in partition} == {"partition", "heal"}
+    assert len({
+        ADVERSARY_STREAM, OPS_ADVERSARY_STREAM, PARTITION_ADVERSARY_STREAM,
+    }) == 3
+    assert partition != first and partition != legacy
+    assert set(PROFILES) == {"default", "ops", "partition"}
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,27 @@ def test_stock_adversary_breaks_paxos_on_pinned_seeds_and_zab_on_none():
     assert failing == {"paxos": [17, 29], "zab": []}
 
 
+def test_partition_profile_strands_paxos_seed_3_in_scouting():
+    """Witness of the scout hole: a Paxos scout that hears no quorum
+    never scouts again, so after E4b's seed-3 partitions all three
+    replicas stay ``scouting`` for good.  The replay still judges the
+    delivered history.  ROADMAP I step 4 (a scout that retries with a
+    higher ballot) is the change that must flip this error."""
+    schedule = ActionSchedule.generate_partitions(
+        3, n_voters=3, steps=10, step_interval=0.4, op_interval=0.01,
+    )
+    schedule.meta["protocol"] = "paxos"
+    result = replay_schedule(schedule, ClusterConfig(
+        zab={"max_outstanding": 8, "sync_limit": 3},
+    ))
+    assert result.error.startswith("never re-stabilised"), result.error
+    assert {peer.state for peer in result.cluster.peers.values()} == {
+        "scouting",
+    }
+    assert result.violations == ["primary_integrity"]
+    assert result.signature == ()
+
+
 def test_stock_shrinker_reduces_the_unscripted_counterexample():
     schedule = ActionSchedule.generate(17, n_voters=3, steps=10)
     config = ClusterConfig(protocol="paxos")

@@ -34,12 +34,12 @@ def test_observer_crash_and_recover_catches_up():
 
 def test_observer_snap_syncs_when_far_behind():
     cluster = observer_cluster(
-        211, zab={"snapshot_every": 20, "snap_sync_threshold": 10,
-                  "purge_logs_on_snapshot": True},
+        211, zab={"snapshot_every": 20, "snap_sync_threshold": 10},
     )
     cluster.crash(4)
     for i in range(50):
         cluster.submit_and_wait(("put", "k%d" % i, i))
+    cluster.compact_logs(retain_snapshots=1)
     cluster.recover(4)
     cluster.run_until_stable(timeout=30)
     cluster.run(1.0)

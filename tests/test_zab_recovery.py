@@ -84,8 +84,7 @@ def test_epoch_advances_and_zxids_restart():
 
 def test_snap_sync_for_far_behind_follower():
     cluster = stable_cluster(
-        n=3, zab={"snapshot_every": 20, "snap_sync_threshold": 10,
-                  "purge_logs_on_snapshot": True},
+        n=3, zab={"snapshot_every": 20, "snap_sync_threshold": 10},
     )
     follower = next(
         peer for peer in cluster.peers.values() if peer.is_active_follower
@@ -95,6 +94,7 @@ def test_snap_sync_for_far_behind_follower():
         cluster.submit_and_wait(("put", "k%d" % i, i))
     leader = cluster.leader()
     assert leader.storage.snapshots.latest() is not None
+    cluster.compact_logs(retain_snapshots=1)
     cluster.recover(follower.peer_id)
     cluster.run_until_stable(timeout=30)
     cluster.run(1.0)
