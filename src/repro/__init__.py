@@ -30,9 +30,7 @@ from repro.harness import (
     ActionSchedule,
     Cluster,
     ClusterConfig,
-    OpsScenarioResult,
     replay_schedule,
-    run_ops_scenario,
     shrink_schedule,
 )
 from repro.mc import ExplorationResult, ExplorerConfig, explore_schedules
@@ -67,8 +65,6 @@ __all__ = [
     "replay_schedule",
     "shrink_schedule",
     "OPS_SCENARIOS",
-    "OpsScenarioResult",
-    "run_ops_scenario",
     "RetentionPolicy",
     "explore_schedules",
     "ExplorerConfig",

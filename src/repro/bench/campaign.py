@@ -4,10 +4,12 @@ A campaign is the poor man's model checker: for each seed it *generates*
 a declarative :class:`~repro.harness.schedule.ActionSchedule` from the
 seed, *replays* it against a fresh cluster under client load, then
 quiesces and checks the six PO broadcast properties plus replica-state
-convergence.  Because generation and execution are decoupled, a failing
-seed is more than a verdict: its schedule is attached to the outcome,
-serializable to JSON, replayable bit for bit, and shrinkable to a
-minimal repro with ``python -m repro shrink``.
+convergence.  Each run's outcome is that replay's
+:class:`~repro.harness.replay.ReplayResult`.  Because generation and
+execution are decoupled, a failing seed is more than a verdict: its
+schedule is attached to the outcome, serializable to JSON, replayable
+bit for bit, and shrinkable to a minimal repro with
+``python -m repro shrink``.
 
 Used by ``python -m repro campaign``, by E4b (the ``"partition"``
 profile) and by the long-running integration tests.
@@ -19,7 +21,6 @@ from repro.bench.formats import render_table
 from repro.bench.report import write_report
 from repro.common.pool import partition_items, process_pool
 from repro.harness.config import ClusterConfig
-from repro.harness.opscenarios import run_ops_scenario
 from repro.harness.replay import replay_schedule, signature_json
 from repro.harness.schedule import PROFILES
 from repro.obs.metrics import StreamingHistogram
@@ -31,53 +32,19 @@ from repro.obs.metrics import StreamingHistogram
 CAMPAIGN_SCHEMA = "repro-campaign/v1"
 
 
-class RunOutcome:
-    """Result of one seeded adversarial run."""
-
-    __slots__ = ("seed", "ok", "violations", "converged", "epochs",
-                 "deliveries", "error", "schedule", "signature",
-                 "health", "latency", "elapsed", "worker")
-
-    def __init__(self, seed, ok, violations, converged, epochs,
-                 deliveries, schedule, error=None, signature=(),
-                 health=None, latency=None, elapsed=None, worker=None):
-        self.seed = seed
-        self.ok = ok
-        self.violations = violations
-        self.converged = converged
-        self.epochs = epochs
-        self.deliveries = deliveries
-        self.error = error
-        self.schedule = schedule
-        self.signature = signature
-        self.health = health    # HealthMonitor.summary() dict, or None
-        # Commit-latency sketch of the run's client load (a
-        # StreamingHistogram); campaign reports merge these across runs.
-        self.latency = latency
-        # Attribution stamps: wall-clock seconds this run took and which
-        # parallel worker executed it (0 for in-process serial runs).
-        # Deliberately excluded from campaign_report() JSON.
-        self.elapsed = elapsed
-        self.worker = worker
-
-    @property
-    def passed(self):
-        return self.ok and self.converged and self.error is None
-
-
 def run_adversarial_campaign(seeds, config=None, steps=10,
                              step_interval=0.5, op_interval=0.02,
                              with_health=False, profile="default",
                              workers=1):
-    """Run one adversarial scenario per seed; returns [RunOutcome].
+    """Run one adversarial scenario per seed; returns [ReplayResult].
 
     Each run replays its seed's schedule on a cluster built from
     *config* (default ``ClusterConfig()``) at that seed; its
     ``n_voters`` also sizes the adversary.  With ``with_health=True``
-    every run is traced (protocol events only) and replayed through a
-    :class:`~repro.obs.health.HealthMonitor`, so each outcome carries
-    a health summary alongside the property verdict — the campaign's
-    answer to "it didn't violate anything, but was it *healthy*?".
+    every run is ``replay_schedule(..., health=True)``, so each outcome
+    carries a finished health monitor and a loss audit alongside the
+    property verdict — the campaign's answer to "it didn't violate
+    anything, but was it *healthy*?".
     *profile* names the adversary in
     :data:`~repro.harness.schedule.PROFILES`: ``"default"`` crashes and
     partitions, ``"ops"`` adds snapshots, retention-driven compaction,
@@ -85,7 +52,9 @@ def run_adversarial_campaign(seeds, config=None, steps=10,
     partitions (E4b).  ``workers > 1`` deals the seeds round-robin to
     that many processes; outcomes come back in seed order either way,
     each stamped with the worker that ran it and its wall-clock
-    ``elapsed``, so reports are byte-identical.
+    ``elapsed``, so reports are byte-identical.  Outcomes drop their
+    ``cluster`` and ``report``: they pickle across workers, and a
+    serial campaign does not keep every cluster alive.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -128,34 +97,13 @@ def _one_run(seed, config, steps, step_interval, op_interval, with_health,
         seed, n_voters=config.n_voters, steps=steps,
         step_interval=step_interval, op_interval=op_interval,
     )
-    latency = StreamingHistogram()
-    health = None
-    if with_health:
-        ops = run_ops_scenario(
-            schedule, config, op_interval=op_interval,
-            latency_histogram=latency,
-        )
-        result, health = ops.replay, ops.health
-    else:
-        result = replay_schedule(
-            schedule, config, op_interval=op_interval,
-            latency_histogram=latency,
-        )
-    return RunOutcome(
-        seed=seed,
-        ok=result.ok,
-        violations=result.violations,
-        converged=result.converged,
-        epochs=result.epochs,
-        deliveries=result.deliveries,
-        error=result.error,
-        schedule=schedule,
-        signature=result.signature,
-        health=health,
-        latency=latency,
-        elapsed=time.perf_counter() - started,
-        worker=0,
+    result = replay_schedule(
+        schedule, config, op_interval=op_interval, health=with_health,
     )
+    result.cluster = result.report = None
+    result.elapsed = time.perf_counter() - started
+    result.worker = 0
+    return result
 
 
 def render_campaign(outcomes):
@@ -180,7 +128,8 @@ def render_campaign(outcomes):
         )
         + (
             (
-                outcome.health["verdict"] if outcome.health is not None
+                outcome.health.summary()["verdict"]
+                if outcome.health is not None
                 else "-",
             )
             if with_health else ()
@@ -234,7 +183,7 @@ def campaign_report(outcomes, params=None):
     the bucket level, so the merged percentiles equal a single
     histogram that observed every run's samples).  Wall-clock elapsed
     and worker stamps are deliberately left out — they live on the
-    :class:`RunOutcome` objects and the rendered table — which is what
+    outcomes and the rendered table — which is what
     makes serial and N-worker reports byte-identical.
     """
     runs = []
@@ -253,7 +202,7 @@ def campaign_report(outcomes, params=None):
             "error": outcome.error,
         }
         if outcome.health is not None:
-            row["health"] = outcome.health
+            row["health"] = outcome.health.summary()
         if outcome.latency is not None:
             merged_latency.merge(outcome.latency)
             row["latency"] = outcome.latency.snapshot()

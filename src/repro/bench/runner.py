@@ -77,7 +77,6 @@ def run_broadcast_bench(
     warmup=0.5,
     session_classes=None,
     schedule=None,
-    monitor=None,
 ):
     """Boot a cluster built from *config* (a
     :class:`~repro.harness.config.ClusterConfig`: ensemble shape, seed,
@@ -95,20 +94,16 @@ def run_broadcast_bench(
     per-class rates/latencies join the bench metrics.  *schedule* (an
     :class:`~repro.harness.schedule.ActionSchedule`) is installed at
     stability, timed from there, and its fired actions come back as
-    ``result.fault_log``.  *monitor* (a
-    :class:`~repro.obs.health.HealthMonitor`) is attached before the
-    cluster boots, so its window 0 starts at t=0.  The result always
-    carries a :class:`repro.obs.MetricsRegistry` snapshot (commit
-    counters, drop reasons, streaming commit-latency percentiles): of
-    ``config.metrics`` when set, else of a fresh registry.
+    ``result.fault_log``.  The result always carries a
+    :class:`repro.obs.MetricsRegistry` snapshot (commit counters, drop
+    reasons, streaming commit-latency percentiles, ``sim.now`` at the
+    end of the run): of ``config.metrics`` when set, else of a fresh
+    registry.
     """
     registry = config.metrics
     if registry is None:
         registry = MetricsRegistry()
-    cluster = Cluster(config.replace(metrics=registry))
-    if monitor is not None:
-        monitor.attach(cluster)
-    cluster.start()
+    cluster = Cluster(config.replace(metrics=registry)).start()
     cluster.run_until_stable(timeout=60.0)
 
     if session_classes is not None:

@@ -658,43 +658,53 @@ def cmd_campaign(args):
 
 
 def cmd_ops(args):
-    from repro.harness.opscenarios import run_ops_scenario
+    from repro.harness.replay import replay_schedule
+    from repro.harness.schedule import ActionSchedule
     from repro.obs.health import render_health
 
-    generate = OPS_SCENARIOS[args.scenario]
-    schedule = generate(seed=args.seed, n_voters=args.servers)
+    if args.schedule:
+        schedule = _load(ActionSchedule.load, args.schedule)
+        what = "schedule %s" % args.schedule
+        params = {"schedule": args.schedule}
+    else:
+        generate = OPS_SCENARIOS[args.scenario]
+        schedule = generate(seed=args.seed, n_voters=args.servers)
+        what = "scenario %s seed=%d servers=%d" % (
+            args.scenario, args.seed, args.servers,
+        )
+        params = {
+            "scenario": args.scenario,
+            "seed": args.seed,
+            "servers": args.servers,
+        }
     if args.save_schedule:
         schedule.save(args.save_schedule)
         print("schedule: %s" % args.save_schedule)
-    result = run_ops_scenario(schedule, recorder_dir=args.recorder_dir)
-    replay = result.replay
-    print("scenario %s seed=%d servers=%d: %d actions fired, "
-          "%d deliveries, epochs %s"
-          % (args.scenario, args.seed, args.servers, len(replay.fired),
-             replay.deliveries, list(replay.epochs)))
-    print(render_health(result.monitor))
-    if replay.error is not None:
-        print("replay error: %s" % replay.error)
-    if replay.violations:
-        print("violations: %s" % ", ".join(replay.violations))
-    if not replay.converged:
+    result = replay_schedule(
+        schedule, recorder_dir=args.recorder_dir, health=True,
+    )
+    print("%s: %d actions fired, %d deliveries, epochs %s"
+          % (what, len(result.fired), result.deliveries,
+             list(result.epochs)))
+    print(render_health(result.health))
+    if result.error is not None:
+        print("replay error: %s" % result.error)
+    if result.violations:
+        print("violations: %s" % ", ".join(result.violations))
+    if not result.converged:
         print("replica states DIVERGED")
     if result.lost:
         print("committed-txn LOSS: %s" % result.lost[:10])
     print("verdict: %s" % ("OK" if result.passed else "FAIL"))
     if args.json:
-        report = result.monitor.report(params={
-            "scenario": args.scenario,
-            "seed": args.seed,
-            "servers": args.servers,
-        })
+        report = result.health.report(params=params)
         report["ops"] = {
             "passed": result.passed,
-            "deliveries": replay.deliveries,
-            "violations": list(replay.violations),
-            "converged": replay.converged,
+            "deliveries": result.deliveries,
+            "violations": list(result.violations),
+            "converged": result.converged,
             "lost": [[peer, list(zxid)] for peer, zxid in result.lost],
-            "actions_fired": len(replay.fired),
+            "actions_fired": len(result.fired),
         }
         write_report(report, args.json)
         print()
@@ -708,26 +718,11 @@ def cmd_health(args):
         HealthMonitor, render_health, run_health_check,
     )
 
-    monitor = HealthMonitor(window=args.window)
     if args.trace:
         # Offline: judge an existing JSONL capture.
         events = _load(obs.load_jsonl, args.trace)
-        monitor.feed(events).finish()
+        monitor = HealthMonitor(window=args.window).feed(events).finish()
         params = {"trace": args.trace, "window": args.window}
-    elif args.schedule:
-        # Offline: replay a declarative fault schedule, then judge
-        # its trace (same monitor semantics as a live run).
-        from repro.harness.replay import replay_schedule
-        from repro.harness.schedule import ActionSchedule
-
-        schedule = _load(ActionSchedule.load, args.schedule)
-        tracer = obs.Tracer()
-        tracer.disable("net.")
-        replay_schedule(
-            schedule, ClusterConfig(tracer=tracer, disk="model")
-        )
-        monitor.feed(tracer.events).finish()
-        params = {"schedule": args.schedule, "window": args.window}
     else:
         try:
             monitor = run_health_check(
@@ -735,7 +730,7 @@ def cmd_health(args):
                 ClusterConfig(
                     n_voters=args.servers, seed=args.seed, net=EVAL_LINK,
                 ),
-                rate=args.rate, duration=args.duration, monitor=monitor,
+                rate=args.rate, duration=args.duration, window=args.window,
             )
         except Exception as exc:
             print("health check failed: %s" % exc, file=sys.stderr)
@@ -986,15 +981,20 @@ def build_parser():
              "rolling restart, flapping partition, ...) with checker, "
              "health, and loss-audit verdicts",
     )
-    p_ops.add_argument("--scenario", default="rolling-restart",
-                       choices=sorted(OPS_SCENARIOS),
-                       help="scenario family (default rolling-restart)")
+    ops_source = p_ops.add_mutually_exclusive_group()
+    ops_source.add_argument("--scenario", default="rolling-restart",
+                            choices=sorted(OPS_SCENARIOS),
+                            help="scenario family (default "
+                                 "rolling-restart)")
+    ops_source.add_argument("--schedule", default=None, metavar="PATH",
+                            help="replay this ActionSchedule JSON file "
+                                 "instead (its meta sets seed and size)")
     p_ops.add_argument("--servers", type=_positive_int, default=3)
     p_ops.add_argument("--seed", type=int, default=0)
     p_ops.add_argument("--save-schedule", default=None, metavar="PATH",
-                       help="also write the generated ActionSchedule "
-                            "JSON here (replayable via `repro health "
-                            "--schedule` or `repro shrink`)")
+                       help="also write the ActionSchedule JSON here "
+                            "(replayable via `repro ops --schedule` or "
+                            "`repro shrink`)")
     p_ops.add_argument("--recorder-dir", default=None, metavar="DIR",
                        help="dump the flight recorder here on failure")
     p_ops.add_argument("--json", default=None, metavar="PATH",
@@ -1022,9 +1022,6 @@ def build_parser():
     p_health.add_argument("--trace", default=None, metavar="PATH",
                           help="judge an existing JSONL trace instead "
                                "of running a scenario")
-    p_health.add_argument("--schedule", default=None, metavar="PATH",
-                          help="replay an ActionSchedule JSON file and "
-                               "judge its trace")
     p_health.add_argument("--json", default=None, metavar="PATH",
                           help="write the machine-readable health.json "
                                "here")

@@ -2,15 +2,10 @@
 
 from repro.harness.cluster import Cluster
 from repro.harness.config import ClusterConfig
-from repro.harness.opscenarios import (
-    OPS_SCENARIOS,
-    OpsScenarioResult,
-    committed_txn_loss,
-    run_ops_scenario,
-    stable_leader_id,
-)
+from repro.harness.opscenarios import OPS_SCENARIOS, stable_leader_id
 from repro.harness.replay import (
     ReplayResult,
+    committed_txn_loss,
     replay_schedule,
     violation_signature,
 )
@@ -32,9 +27,7 @@ __all__ = [
     "replay_schedule",
     "violation_signature",
     "OPS_SCENARIOS",
-    "OpsScenarioResult",
     "committed_txn_loss",
-    "run_ops_scenario",
     "stable_leader_id",
     "ShrinkResult",
     "ddmin",

@@ -31,15 +31,14 @@ Scenario families (the :data:`OPS_SCENARIOS` catalog):
     A follower's election timers stretched, then the leader killed:
     elections must still converge with heterogeneous timeouts.
 
-:func:`run_ops_scenario` replays a schedule with tracing on (wire
-events off, like the campaign), feeds the trace to the offline
+``replay_schedule(schedule, health=True)`` replays a schedule with
+tracing on (wire events off), judges the trace with a
 :class:`~repro.obs.health.HealthMonitor`, and runs an explicit
 committed-transaction-loss audit on top of the property checker.
 """
 
 from repro.harness.cluster import Cluster
 from repro.harness.config import ClusterConfig
-from repro.harness.replay import replay_schedule
 from repro.harness.schedule import ActionSchedule
 
 
@@ -213,99 +212,3 @@ OPS_SCENARIOS = {
     "flapping-partition": flapping_partition_schedule,
     "clock-skew-election": clock_skew_election_schedule,
 }
-
-
-class OpsScenarioResult:
-    """One operational scenario's replay + health + loss-audit verdicts."""
-
-    __slots__ = ("schedule", "replay", "monitor", "health", "lost")
-
-    def __init__(self, schedule, replay, monitor, health, lost):
-        self.schedule = schedule
-        self.replay = replay      # harness.replay.ReplayResult
-        self.monitor = monitor    # obs.health.HealthMonitor (finished)
-        self.health = health      # monitor.summary() dict
-        self.lost = lost          # committed txns missing from a live peer
-
-    @property
-    def passed(self):
-        """Checker + convergence + zero committed-transaction loss."""
-        return self.replay.passed and not self.lost
-
-    def __repr__(self):
-        return "<OpsScenarioResult %s %s lost=%d health=%s>" % (
-            self.schedule.meta.get("scenario", "?"),
-            "OK" if self.passed else "FAIL",
-            len(self.lost),
-            self.health.get("verdict"),
-        )
-
-
-def committed_txn_loss(cluster):
-    """Committed transactions beyond some live peer's final frontier.
-
-    The explicit zero-loss audit behind the rolling-restart guarantee:
-    after quiesce every live peer's delivery frontier must have reached
-    the newest committed (delivered-anywhere) zxid.  Convergence says
-    the live peers agree byte-for-byte; this says what they agree on is
-    the *complete* committed history, not a mutually-agreed rollback.
-    A peer's cumulative history may legitimately start at a snapshot
-    base (SNAP sync replays nothing below it), so the audit compares
-    frontiers, not per-txn delivery records.  Returns
-    ``[(peer_id, zxid_tuple), ...]`` of committed zxids a live peer
-    never reached; crashed peers are excused.
-    """
-    trace = cluster.trace
-    if trace is None or not trace.deliveries:
-        return []
-    committed = sorted({
-        event.zxid.as_tuple() for event in trace.deliveries
-    })
-    frontier = committed[-1]
-    lost = []
-    for peer_id, peer in sorted(cluster.peers.items()):
-        if peer.crashed:
-            continue
-        last = (
-            peer.last_committed.as_tuple()
-            if peer.last_committed is not None else (0, 0)
-        )
-        if last < frontier:
-            lost.extend(
-                (peer_id, zxid) for zxid in committed if zxid > last
-            )
-    return lost
-
-
-def run_ops_scenario(schedule, config=None, recorder_dir=None,
-                     **replay_kwargs):
-    """Replay an operational schedule with full verdicts attached.
-
-    Traces the run (wire-level ``net.*`` events disabled, exactly like
-    the campaign — the health monitor never reads them), replays the
-    schedule on a cluster built from *config* (default
-    ``ClusterConfig()``; its ``tracer`` is replaced by the scenario's
-    own), feeds the trace to an offline
-    :class:`~repro.obs.health.HealthMonitor`, and audits committed-
-    transaction loss.  Returns an :class:`OpsScenarioResult`; the same
-    (schedule, seed) pair always produces the same one — health
-    summary included — which is what the CI ops-smoke job's
-    byte-determinism comparison rides on.
-    """
-    from repro.obs.health import HealthMonitor
-    from repro.obs.trace import Tracer
-
-    tracer = Tracer()
-    tracer.disable("net.")
-    replay = replay_schedule(
-        schedule, (config or ClusterConfig()).replace(tracer=tracer),
-        recorder_dir=recorder_dir, **replay_kwargs
-    )
-    monitor = HealthMonitor()
-    monitor.feed(tracer.events).finish()
-    lost = []
-    if replay.cluster is not None and replay.error is None:
-        lost = committed_txn_loss(replay.cluster)
-    return OpsScenarioResult(
-        schedule, replay, monitor, monitor.summary(), lost,
-    )

@@ -7,12 +7,17 @@ checks the six PO broadcast properties plus replica convergence.  The
 whole run lives in simulated time, so the same ``(schedule, seed)`` pair
 always yields the same :class:`ReplayResult` — including the exact
 violation signature when the run is bad, which is what makes delta
-debugging (:mod:`repro.harness.shrink`) sound.
+debugging (:mod:`repro.harness.shrink`) sound.  With ``health=True``
+the result also carries the health monitor's verdict and a
+committed-transaction-loss audit.
 """
 
 from repro.harness.cluster import Cluster
 from repro.harness.config import ClusterConfig
 from repro.harness.schedule import apply_action
+from repro.obs.health import HealthMonitor
+from repro.obs.metrics import StreamingHistogram
+from repro.obs.trace import Tracer
 
 
 def violation_signature(report, converged=True):
@@ -46,15 +51,23 @@ def signature_json(signature):
 
 
 class ReplayResult:
-    """Outcome of replaying one schedule."""
+    """Outcome of replaying one schedule.
+
+    ``latency`` is the client load's submit-to-commit
+    :class:`~repro.obs.metrics.StreamingHistogram`.  ``health`` (the
+    finished :class:`~repro.obs.health.HealthMonitor`) and ``lost``
+    (:func:`committed_txn_loss`) are filled by ``replay_schedule(...,
+    health=True)``; campaigns stamp ``elapsed`` (wall-clock seconds)
+    and ``worker`` (which pool worker ran it, 0 when serial).
+    """
 
     __slots__ = ("schedule", "ok", "converged", "violations", "signature",
                  "report", "error", "cluster", "deliveries", "epochs",
-                 "fired")
+                 "fired", "latency", "health", "lost", "elapsed", "worker")
 
     def __init__(self, schedule, ok, converged, violations, signature,
                  report=None, error=None, cluster=None, deliveries=0,
-                 epochs=(), fired=()):
+                 epochs=(), fired=(), latency=None):
         self.schedule = schedule
         self.ok = ok
         self.converged = converged
@@ -66,10 +79,25 @@ class ReplayResult:
         self.deliveries = deliveries
         self.epochs = epochs
         self.fired = fired
+        self.latency = latency
+        self.health = None
+        self.lost = []
+        self.elapsed = None
+        self.worker = None
+
+    @property
+    def seed(self):
+        """The seed the schedule's ``meta`` replays at (``None`` when
+        it does not say, i.e. the config's)."""
+        return self.schedule.meta.get("seed")
 
     @property
     def passed(self):
-        return self.ok and self.converged and self.error is None
+        """Checker + convergence + no error + zero committed-txn loss."""
+        return (
+            self.ok and self.converged and self.error is None
+            and not self.lost
+        )
 
     def __repr__(self):
         if self.passed:
@@ -146,9 +174,45 @@ def quiesce_and_judge(cluster, settle, timeout, check=None):
     return report, converged, violation_signature(report, converged)
 
 
+def committed_txn_loss(cluster):
+    """Committed transactions beyond some live peer's final frontier.
+
+    The explicit zero-loss audit behind the rolling-restart guarantee:
+    after quiesce every live peer's delivery frontier (its
+    ``last_committed`` zxid, which Zab peers and Paxos replicas both
+    expose) must have reached the newest committed (delivered-anywhere)
+    zxid.  Convergence says the live peers agree byte-for-byte; this
+    says what they agree on is the *complete* committed history, not a
+    mutually-agreed rollback.  A peer's cumulative history may
+    legitimately start at a snapshot base (SNAP sync replays nothing
+    below it), so the audit compares frontiers, not per-txn delivery
+    records.  Returns ``[(peer_id, zxid_tuple), ...]`` of committed
+    zxids a live peer never reached; crashed peers are excused.
+    """
+    trace = cluster.trace
+    if trace is None or not trace.deliveries:
+        return []
+    committed = sorted({
+        event.zxid.as_tuple() for event in trace.deliveries
+    })
+    frontier = committed[-1]
+    lost = []
+    for peer_id, peer in sorted(cluster.peers.items()):
+        if peer.crashed:
+            continue
+        last = (
+            peer.last_committed.as_tuple()
+            if peer.last_committed is not None else (0, 0)
+        )
+        if last < frontier:
+            lost.extend(
+                (peer_id, zxid) for zxid in committed if zxid > last
+            )
+    return lost
+
+
 def replay_schedule(schedule, config=None, op_interval=None, settle=2.0,
-                    timeout=60.0, recorder_dir=None,
-                    latency_histogram=None):
+                    timeout=60.0, recorder_dir=None, health=False):
     """Run *schedule* against a fresh cluster; returns a ReplayResult.
 
     The cluster is built from *config* (default ``ClusterConfig()``:
@@ -164,6 +228,12 @@ def replay_schedule(schedule, config=None, op_interval=None, settle=2.0,
     returning, so the failure ships its black box even with tracing
     off.  The dump is deterministic: replaying the same schedule on
     the same seed writes byte-identical flight files.
+
+    With *health* the run is traced (wire-level ``net.*`` events off;
+    the config's own ``tracer`` is replaced), the trace is judged by a
+    :class:`~repro.obs.health.HealthMonitor` into ``result.health``,
+    and a run that ended without error is audited for
+    committed-transaction loss into ``result.lost``.
     """
     meta = schedule.meta
     if op_interval is None:
@@ -173,16 +243,31 @@ def replay_schedule(schedule, config=None, op_interval=None, settle=2.0,
         for key in ("n_voters", "seed", "dissemination", "protocol")
         if key in meta
     })
-    cluster = Cluster(spec).start()
+    if health:
+        tracer = Tracer()
+        tracer.disable("net.")
+        spec = spec.replace(tracer=tracer)
+    result = _replay(
+        schedule, Cluster(spec).start(), op_interval, settle, timeout,
+        recorder_dir,
+    )
+    if health:
+        result.health = HealthMonitor().feed(tracer.events).finish()
+        if result.error is None:
+            result.lost = committed_txn_loss(result.cluster)
+    return result
+
+
+def _replay(schedule, cluster, op_interval, settle, timeout,
+            recorder_dir):
+    latency = StreamingHistogram()
     try:
-        t0 = stabilise_under_load(
-            cluster, timeout, op_interval, latency_histogram
-        )
+        t0 = stabilise_under_load(cluster, timeout, op_interval, latency)
     except TimeoutError as exc:
         cluster.dump_flight(recorder_dir, reason="never_stable")
         return ReplayResult(
             schedule, False, False, [], (), cluster=cluster,
-            error="never stable: %s" % exc,
+            error="never stable: %s" % exc, latency=latency,
         )
 
     fired = []
@@ -205,8 +290,10 @@ def replay_schedule(schedule, config=None, op_interval=None, settle=2.0,
         report = cluster.check_properties()
         return ReplayResult(
             schedule, False, False, sorted(report.violated_properties()),
-            (), report=report, cluster=cluster, fired=fired,
-            error="never re-stabilised: %s" % exc,
+            (), report=report, cluster=cluster,
+            deliveries=report.stats["deliveries"],
+            epochs=report.stats["epochs"], fired=fired,
+            error="never re-stabilised: %s" % exc, latency=latency,
         )
     if signature:
         cluster.dump_flight(
@@ -224,4 +311,5 @@ def replay_schedule(schedule, config=None, op_interval=None, settle=2.0,
         deliveries=report.stats["deliveries"],
         epochs=report.stats["epochs"],
         fired=fired,
+        latency=latency,
     )

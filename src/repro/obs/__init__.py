@@ -30,9 +30,9 @@ The measurement substrate for every layer of the reproduction:
 - :mod:`repro.obs.series` — :class:`TimeSeries` ring buffers and the
   :class:`SeriesBank` registry: windowed per-node samples over virtual
   time, the substrate of the health layer.
-- :mod:`repro.obs.health` — :class:`HealthMonitor` consumes the live
-  event stream (``Tracer.add_observer``) and maintains rolling
-  cluster health: leader availability, recovery-dip detection,
+- :mod:`repro.obs.health` — :class:`HealthMonitor` folds a finished
+  event stream into windowed cluster health: leader availability,
+  recovery-dip detection,
   straggler/disk-stall gray-failure detectors, and SLO error budgets;
   drives the ``repro health`` CLI via :func:`run_health_check`.
 

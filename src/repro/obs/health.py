@@ -1,14 +1,13 @@
 """Rolling cluster health: detectors and SLOs over virtual time.
 
 The trace/span/causality layers (``repro.obs.trace``,
-``repro.obs.timeline``) explain a run *after the fact*.  This module
-answers the operational question — *is the cluster healthy right now,
-and if not, which node and why?* — while the run is happening, in
-virtual time, and therefore bit-deterministically.
+``repro.obs.timeline``) explain *how* a run went.  This module answers
+the operational question — *was the cluster healthy at each moment,
+and if not, which node and why?* — window by window in virtual time,
+and therefore bit-deterministically.
 
-A :class:`HealthMonitor` consumes the structured event stream (live via
-:meth:`~repro.obs.trace.Tracer.add_observer`, or offline via
-:meth:`HealthMonitor.feed`), folds it into per-node
+A :class:`HealthMonitor` reads a finished structured event stream
+(:meth:`HealthMonitor.feed`), folds it into per-node
 :class:`~repro.obs.series.TimeSeries` windows, and runs four detectors:
 
 ``leader_unavailable``
@@ -141,10 +140,9 @@ class Slo:
 class HealthMonitor:
     """Detector engine over the structured event stream.
 
-    Attach live with :meth:`attach` (records series, samples the
-    metrics registry, and arms a per-window tick on the simulated
-    clock) or replay a finished trace with :meth:`feed`.  Call
-    :meth:`finish` once, then :meth:`report` / :func:`render_health`.
+    :meth:`feed` a finished trace, call :meth:`finish` once, then
+    :meth:`report` / :func:`render_health`.  Window 0 starts at the
+    first event.
 
     *window* is the width of each judgement window in virtual seconds;
     the thresholds, hysteresis and SLO targets are the module
@@ -159,10 +157,6 @@ class HealthMonitor:
         self.slo_commit = Slo("commit_p99", SLO_COMMIT_P99,
                               SLO_COMMIT_BUDGET)
         self.firings = []            # every firing ever, in onset order
-        self.voters = None
-        self.cluster = None
-        self._sim = None
-        self._registry = None
         # windowing
         self._t0 = None              # origin of window 0
         self._index = 0              # next window to close
@@ -183,32 +177,8 @@ class HealthMonitor:
         self._t_end = None
         self._finished = False
 
-    # ------------------------------------------------------------------
-    # Wiring
-    # ------------------------------------------------------------------
-
-    def attach(self, cluster):
-        """Subscribe to *cluster*'s tracer and sample it every window.
-
-        Must be called before the run (typically before
-        ``cluster.start()``) so the origin of window 0 is the attach
-        time.  The per-window tick reads the cluster's
-        :class:`~repro.obs.metrics.MetricsRegistry` (when present)
-        into cluster-level series; it never mutates protocol state, so
-        the run's trajectory for a given seed is unchanged.
-        """
-        self.cluster = cluster
-        self.voters = sorted(cluster.config.voters)
-        self._nodes.update(self.voters)
-        self._sim = cluster.sim
-        self._registry = cluster.metrics
-        cluster.tracer.add_observer(self.observe)
-        self._origin(cluster.sim.now)
-        self._arm_tick()
-        return self
-
     def feed(self, events):
-        """Offline mode: replay *events* (a finished trace) through
+        """Fold *events* (a finished trace, in time order) through
         :meth:`observe`."""
         for event in events:
             self.observe(event)
@@ -218,35 +188,13 @@ class HealthMonitor:
         if self._t0 is None:
             self._t0 = t
 
-    def _arm_tick(self):
-        target = self._t0 + (self._index + 1) * self.window
-        self._sim.schedule_at(target, self._tick)
-
-    def _tick(self):
-        if self._finished:
-            return
-        now = self._sim.now
-        self._advance(now)
-        self._sample_registry(now)
-        self._arm_tick()
-
-    def _sample_registry(self, t):
-        if self._registry is None:
-            return
-        zab = self._registry.snapshot().get("zab") or {}
-        if "live_peers" in zab:
-            self.bank.series("live_peers").add(t, zab["live_peers"])
-        self.bank.series("outstanding").add(
-            t, zab.get("leader_outstanding", 0)
-        )
-
     # ------------------------------------------------------------------
     # Event intake
     # ------------------------------------------------------------------
 
     def observe(self, event):
         """Fold one :class:`~repro.obs.trace.TraceEvent` into the
-        monitor (the ``Tracer.add_observer`` callback)."""
+        monitor."""
         if self._finished:
             return
         t = event.t
@@ -541,8 +489,7 @@ class HealthMonitor:
             "t_end": self._t_end if self._t_end is not None else 0.0,
             "windows": self._index,
             "nodes": sorted(self._nodes),
-            "voters": self.voters if self.voters is not None
-            else sorted(self._nodes),
+            "voters": sorted(self._nodes),
             "leader": self._leader,
             "epoch": self._epoch,
             "commits": self._commits_total,
@@ -721,10 +668,10 @@ def render_health(monitor, max_windows=160):
 # ---------------------------------------------------------------------------
 
 def run_health_check(scenario, config, rate=2000.0, duration=8.0,
-                     monitor=None):
-    """Run a drill on a cluster built from *config* under a live
-    monitor (default ``HealthMonitor()``); returns the finished
-    :class:`HealthMonitor` (cluster at ``monitor.cluster``).
+                     window=0.25):
+    """Run a drill on a cluster built from *config*, then judge its
+    trace; returns the finished :class:`HealthMonitor` (*window*
+    seconds wide, over ``[first event, final simulated time]``).
 
     Both drills are an open-loop
     :func:`~repro.bench.runner.run_broadcast_bench` run with no warm-up.
@@ -738,8 +685,7 @@ def run_health_check(scenario, config, rate=2000.0, duration=8.0,
     quorum — but the victim's ACK lag and fsync wait balloon, which
     the straggler and disk-stall detectors must pin on the victim
     alone.  A config without a tracer gets one with per-message
-    ``net.*`` events disabled (the detectors never need them), and one
-    without a metrics registry gets a fresh one (the runner's).
+    ``net.*`` events disabled (the detectors never need them).
     """
     from repro.bench.runner import run_broadcast_bench
     from repro.bench.workloads import open_loop
@@ -768,11 +714,10 @@ def run_health_check(scenario, config, rate=2000.0, duration=8.0,
         tracer = Tracer()
         tracer.disable("net.")
         config = config.replace(tracer=tracer)
-    if monitor is None:
-        monitor = HealthMonitor()
-    run_broadcast_bench(
+    result = run_broadcast_bench(
         config, duration=duration, warmup=0,
-        session_classes=open_loop(rate), schedule=schedule, monitor=monitor,
+        session_classes=open_loop(rate), schedule=schedule,
     )
-    monitor.finish(monitor.cluster.sim.now)
-    return monitor
+    return HealthMonitor(window).feed(config.tracer.events).finish(
+        result.metrics["gauges"]["sim.now"]
+    )

@@ -1,18 +1,16 @@
 """Windowed per-node time-series over virtual time.
 
 A :class:`TimeSeries` is a fixed-capacity ring buffer of ``(t, value)``
-samples — the raw material of the live health layer.  A
+samples — the raw material of the health layer.  A
 :class:`SeriesBank` keys many of them by ``(name, node)`` so per-node
 streams (commit rate, ACK lag, fsync wait) and cluster-level streams
-(live peers, outstanding proposals) live side by side and snapshot into
-one deterministic dict.
+(commit rate, commit p99, leader presence) live side by side and
+snapshot into one deterministic dict.
 
-Everything here is driven by *virtual* time: samples come from
-:meth:`~repro.obs.trace.Tracer.add_observer` callbacks and from
-:class:`~repro.obs.metrics.MetricsRegistry` providers read on a
-simulated-clock schedule, never from the wall clock.  Two runs of the
-same seed therefore produce bit-identical series, which is what lets
-CI assert that ``health.json`` does not drift.
+Everything here is driven by *virtual* time: samples come from trace
+events, never from the wall clock.  Two runs of the same seed
+therefore produce bit-identical series, which is what lets CI assert
+that ``health.json`` does not drift.
 """
 
 from repro.common.errors import ConfigError

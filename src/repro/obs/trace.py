@@ -41,8 +41,7 @@ a kept transaction keeps *every* sampled event it produced: 1-in-N
 commit paths survive at full span fidelity instead of as random
 shreds.
 
-Live consumers (the :mod:`repro.obs.series` sampler, the
-:class:`~repro.obs.health.HealthMonitor`) subscribe with
+Live consumers (the cluster's flight recorder) subscribe with
 :meth:`Tracer.add_observer`: every recorded event is handed to each
 observer synchronously, in registration order, so derived state is a
 pure function of the (virtual-time-ordered) event stream and stays
@@ -145,8 +144,8 @@ class Tracer:
         Observers run synchronously at emit time, in registration
         order, *after* the event has been appended — so an observer
         sees exactly the recorded stream (filtered kinds never reach
-        it).  This is the live-feed seam the time-series and health
-        layers attach to.
+        it).  This is the live-feed seam the flight recorder attaches
+        to.
         """
         self._observers.append(fn)
         return self

@@ -104,6 +104,15 @@ class PaxosReplica(Process):
     #: Every Paxos replica votes.
     is_active_voting_follower = is_active_follower
 
+    @property
+    def last_committed(self):
+        """Zxid of the newest delivered transaction (``None`` before
+        the first): the delivered frontier ``ZabPeer`` also exposes."""
+        if not self.delivered_upto:
+            return None
+        txn = self.decided[self.delivered_upto]
+        return Zxid(txn.epoch, txn.seq)
+
     # ------------------------------------------------------------------
     # Client API
     # ------------------------------------------------------------------

@@ -5,7 +5,9 @@ outstanding** (Phase 3 is a pipelined two-phase commit).  The leader
 additionally batches incoming requests before handing them to the
 proposal path, so consecutive proposals coalesce into one log flush
 (group commit) and back-to-back network sends.  ``max_batch=1`` (the
-default) disables batching; experiment E9 sweeps it.
+default) disables batching, and only tests raise it.  Experiment E9
+sweeps fsync latency x group commit, which
+:class:`~repro.storage.txnlog.TxnLog` does whatever the batch size.
 """
 
 import collections

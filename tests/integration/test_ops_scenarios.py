@@ -22,13 +22,17 @@ from repro.harness.opscenarios import (
     OPS_SCENARIOS,
     retention_churn_schedule,
     rolling_restart_schedule,
-    run_ops_scenario,
 )
+from repro.harness.replay import replay_schedule
 from repro.mc import explore_schedules
 from repro.zab.dissemination import DISSEMINATION_TOPOLOGIES
 from repro.zab.zxid import Zxid
 
 pytestmark = pytest.mark.ops
+
+
+def ops_run(schedule):
+    return replay_schedule(schedule, health=True)
 
 
 def converged_states(cluster):
@@ -44,37 +48,37 @@ def test_rolling_restart_zero_loss_across_topologies(topology):
         seed=0, config=ClusterConfig(dissemination=topology)
     )
     assert schedule.meta["dissemination"] == topology
-    result = run_ops_scenario(schedule)
-    assert result.replay.passed, result.replay.violations
+    result = ops_run(schedule)
+    assert result.passed, result.violations
     assert result.lost == [], "committed txns lost under %s" % topology
     # All replicas end byte-identical.
-    assert len(converged_states(result.replay.cluster)) == 1
+    assert len(converged_states(result.cluster)) == 1
     # Bounded recovery dips: every detector that fired also cleared.
-    assert result.health["verdict"] == "healthy"
-    assert result.health["active"] == []
+    assert result.health.healthy
+    assert result.health.active() == []
     # And the whole run is replay-deterministic, health included.
-    again = run_ops_scenario(rolling_restart_schedule(
+    again = ops_run(rolling_restart_schedule(
         seed=0, config=ClusterConfig(dissemination=topology)
     ))
-    assert again.replay.deliveries == result.replay.deliveries
-    assert again.health == result.health
+    assert again.deliveries == result.deliveries
+    assert again.health.summary() == result.health.summary()
 
 
 def test_rolling_restart_dips_are_bounded_not_absent():
     # The monitor must actually see the bounces: a rolling restart that
     # produces zero dip/leader firings would mean the scenario is not
     # exercising anything.
-    result = run_ops_scenario(rolling_restart_schedule(seed=0))
-    firings = result.monitor.firings
+    result = ops_run(rolling_restart_schedule(seed=0))
+    firings = result.health.firings
     assert firings, "no detector ever fired during a rolling restart"
     assert all(f["clear"] is not None for f in firings), firings
 
 
 def test_retention_churn_recovers_from_snapshot_plus_suffix():
     schedule = retention_churn_schedule(seed=0, retain_snapshots=1)
-    result = run_ops_scenario(schedule)
-    assert result.passed, (result.replay.violations, result.lost)
-    cluster = result.replay.cluster
+    result = ops_run(schedule)
+    assert result.passed, (result.violations, result.lost)
+    cluster = result.cluster
     for peer in cluster.peers.values():
         storage = peer.storage
         # The full log is gone: replaying from (1, 1) is impossible, so
@@ -94,20 +98,20 @@ def test_retention_churn_recovers_from_snapshot_plus_suffix():
 @pytest.mark.parametrize("oneway", [False, True])
 def test_flapping_partition_reconverges(seed, oneway):
     schedule = OPS_SCENARIOS["flapping-partition"](seed=seed, oneway=oneway)
-    result = run_ops_scenario(schedule)
-    assert result.passed, (seed, oneway, result.replay.violations)
-    cluster = result.replay.cluster
+    result = ops_run(schedule)
+    assert result.passed, (seed, oneway, result.violations)
+    cluster = result.cluster
     assert not cluster.network.partitions.has_cut_links()
     assert cluster.leader() is not None
-    assert result.health["verdict"] == "healthy"
+    assert result.health.healthy
 
 
 @pytest.mark.parametrize("skew", [0.25, 4.0])
 def test_clock_skewed_election_converges(skew):
     schedule = OPS_SCENARIOS["clock-skew-election"](seed=0, skew=skew)
-    result = run_ops_scenario(schedule)
-    assert result.passed, result.replay.violations
-    cluster = result.replay.cluster
+    result = ops_run(schedule)
+    assert result.passed, result.violations
+    cluster = result.cluster
     # The skew was lifted mid-schedule; nothing lingers.
     assert all(p.clock_skew == 1.0 for p in cluster.peers.values())
     assert cluster.leader() is not None
@@ -122,7 +126,7 @@ def test_ops_campaign_profile_passes_across_seeds():
     for outcome in outcomes:
         assert outcome.passed, (outcome.seed, outcome.violations,
                                 outcome.error)
-        assert outcome.health["verdict"] == "healthy"
+        assert outcome.health.healthy
 
 
 def test_explorer_finds_no_snapshot_commit_race_in_stock_zab():

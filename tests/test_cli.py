@@ -289,6 +289,33 @@ def test_campaign_health_column(capsys):
     assert "health" in out
 
 
+def test_ops_schedule_replays_a_saved_scenario(capsys, tmp_path):
+    import json
+
+    schedule = str(tmp_path / "rolling.schedule.json")
+    generated = tmp_path / "ops-rolling.json"
+    replayed = tmp_path / "ops-replayed.json"
+    assert main(["ops", "--scenario", "rolling-restart",
+                 "--save-schedule", schedule,
+                 "--json", str(generated)]) == 0
+    assert main(["ops", "--schedule", schedule,
+                 "--json", str(replayed)]) == 0
+    first = json.loads(generated.read_text())
+    second = json.loads(replayed.read_text())
+    assert first["ops"]["passed"] and first["ops"]["actions_fired"]
+    assert first.pop("params") == {
+        "scenario": "rolling-restart", "seed": 0, "servers": 3,
+    }
+    assert second.pop("params") == {"schedule": schedule}
+    assert first == second
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["ops", "--scenario", "rolling-restart",
+              "--schedule", schedule])
+    assert exit_info.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
 def _run_trace(path, *extra):
     return main(["trace", "--servers", "3", "--rate", "300",
                  "--duration", "2", "-o", path] + list(extra))
@@ -425,7 +452,7 @@ _BAD_INPUTS = [
     pytest.param(argv, text, id="%s-%s" % ("".join(argv), case))
     for argv, cases in (
         (["shrink", "--schedule"], _BAD_SCHEDULES),
-        (["health", "--schedule"], _BAD_SCHEDULES),
+        (["ops", "--schedule"], _BAD_SCHEDULES),
         (["health", "--trace"], _BAD_TRACES),
         (["profile", "--trace"], _BAD_TRACES),
         (["trace", "--view"], _BAD_TRACES),

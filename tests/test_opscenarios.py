@@ -17,13 +17,8 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.harness import Cluster, ClusterConfig
 from repro.harness.buggy import SEEDED_BUGS
-from repro.harness.opscenarios import (
-    OPS_SCENARIOS,
-    committed_txn_loss,
-    run_ops_scenario,
-    stable_leader_id,
-)
-from repro.harness.replay import replay_schedule
+from repro.harness.opscenarios import OPS_SCENARIOS, stable_leader_id
+from repro.harness.replay import committed_txn_loss, replay_schedule
 from repro.harness.schedule import (
     ADVERSARY_STREAM,
     OPS_ADVERSARY_STREAM,
@@ -34,6 +29,11 @@ from repro.harness.schedule import (
 from repro.obs.trace import Tracer, dump_jsonl
 
 ALL_FAMILIES = sorted(OPS_SCENARIOS)
+
+
+def ops_run(schedule, config=None, **kwargs):
+    """An operational scenario's replay with health and loss verdicts."""
+    return replay_schedule(schedule, config, health=True, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -100,54 +100,53 @@ def test_generate_ops_is_deterministic_and_separate_from_legacy():
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_family_smoke_run_passes(family):
-    result = run_ops_scenario(OPS_SCENARIOS[family](seed=0))
-    assert result.replay.error is None
-    assert result.replay.passed, result.replay.violations
+    result = ops_run(OPS_SCENARIOS[family](seed=0))
+    assert result.error is None
+    assert result.passed, result.violations
     assert result.lost == []
-    assert result.passed
-    assert result.health["verdict"] == "healthy", result.health
+    assert result.health.healthy, result.health.summary()
 
 
 def test_rolling_restart_five_voters_loses_nothing():
-    result = run_ops_scenario(
+    result = ops_run(
         OPS_SCENARIOS["rolling-restart"](seed=141, n_voters=5, gap=1.0)
     )
-    assert result.passed, (result.replay.violations, result.lost)
-    assert len(result.replay.fired) == 10    # every voter down and back
+    assert result.passed, (result.violations, result.lost)
+    assert len(result.fired) == 10    # every voter down and back
 
 
 def test_flapping_a_follower_is_survivable_and_needs_no_election():
     leader = stable_leader_id(ClusterConfig(n_voters=5, seed=142))
     follower = leader % 5 + 1
-    result = run_ops_scenario(OPS_SCENARIOS["flapping-partition"](
+    result = ops_run(OPS_SCENARIOS["flapping-partition"](
         seed=142, n_voters=5, victim=follower, flaps=4, period=0.3,
     ))
-    assert result.passed, (result.replay.violations, result.lost)
-    assert result.replay.cluster.leader().peer_id == leader
+    assert result.passed, (result.violations, result.lost)
+    assert result.cluster.leader().peer_id == leader
 
 
 def test_flapping_the_leader_forces_reelection():
-    result = run_ops_scenario(
+    result = ops_run(
         OPS_SCENARIOS["flapping-partition"](seed=143, n_voters=5)
     )
-    assert result.passed, (result.replay.violations, result.lost)
-    assert len(result.replay.epochs) > 1
+    assert result.passed, (result.violations, result.lost)
+    assert len(result.epochs) > 1
 
 
 def test_scenario_results_are_deterministic():
     schedule = OPS_SCENARIOS["snapshot-under-load"](seed=2)
-    first = run_ops_scenario(schedule)
-    second = run_ops_scenario(OPS_SCENARIOS["snapshot-under-load"](seed=2))
-    assert first.replay.deliveries == second.replay.deliveries
-    assert first.health == second.health
+    first = ops_run(schedule)
+    second = ops_run(OPS_SCENARIOS["snapshot-under-load"](seed=2))
+    assert first.deliveries == second.deliveries
+    assert first.health.summary() == second.health.summary()
 
 
 def test_snapshot_under_load_actually_compacts():
-    result = run_ops_scenario(
+    result = ops_run(
         OPS_SCENARIOS["snapshot-under-load"](seed=0, retain_snapshots=1)
     )
     assert result.passed
-    cluster = result.replay.cluster
+    cluster = result.cluster
     for peer in cluster.peers.values():
         assert len(peer.storage.snapshots) == 1
         boundary = peer.storage.log.purged_through()
@@ -182,7 +181,7 @@ def test_snapshot_kinds_are_schema_valid_in_traces():
 
 def test_seeded_snapshot_bug_fails_and_ships_a_black_box(tmp_path):
     bug = SEEDED_BUGS["snapshot_skip"]
-    result = run_ops_scenario(
+    result = ops_run(
         bug.canonical_schedule(), ClusterConfig(leader_factory=bug.factory),
         recorder_dir=str(tmp_path),
     )
@@ -278,16 +277,16 @@ def test_committed_txn_loss_flags_a_stale_live_peer():
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_family_multi_seed(family, seed):
-    result = run_ops_scenario(OPS_SCENARIOS[family](seed=seed))
-    assert result.passed, (family, seed, result.replay.violations,
+    result = ops_run(OPS_SCENARIOS[family](seed=seed))
+    assert result.passed, (family, seed, result.violations,
                            result.lost)
-    assert result.health["verdict"] == "healthy"
+    assert result.health.healthy
 
 
 @pytest.mark.ops
 def test_flapping_partition_oneway_variant():
-    result = run_ops_scenario(
+    result = ops_run(
         OPS_SCENARIOS["flapping-partition"](seed=0, oneway=True)
     )
     assert result.passed
-    assert not result.replay.cluster.network.partitions.has_cut_links()
+    assert not result.cluster.network.partitions.has_cut_links()

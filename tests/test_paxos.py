@@ -197,6 +197,22 @@ def test_partition_profile_strands_paxos_seed_3_in_scouting():
     }
     assert result.violations == ["primary_integrity"]
     assert result.signature == ()
+    # The stranded run still reports what it delivered.
+    assert result.deliveries > 0
+    assert result.epochs
+
+
+def test_health_replay_audits_paxos_for_committed_txn_loss():
+    """The loss audit reads the delivered frontier both protocols
+    expose, so a Paxos replay with health on is judged like Zab's."""
+    schedule = ActionSchedule.generate(0, n_voters=3, steps=4)
+    result = replay_schedule(
+        schedule, ClusterConfig(protocol="paxos"), health=True,
+    )
+    assert result.error is None and result.deliveries > 0
+    assert result.lost == []
+    assert result.passed
+    assert result.health is not None
 
 
 def test_stock_shrinker_reduces_the_unscripted_counterexample():
