@@ -27,6 +27,7 @@ from repro.bench import experiments
 from repro.bench.report import write_report
 from repro.bench.runner import EVAL_LINK, run_broadcast_bench
 from repro.bench.workloads import open_loop
+from repro.common.errors import ConfigError
 from repro.common.util import atomic_write
 from repro.harness.config import ClusterConfig
 from repro.harness.opscenarios import OPS_SCENARIOS
@@ -1036,7 +1037,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except _UnreadableInput as exc:
+    except (_UnreadableInput, ConfigError) as exc:
         print(exc, file=sys.stderr)
         return 2
 

@@ -83,7 +83,7 @@ class Cluster:
             )
         self.storages = {}
         self.peers = {}
-        self.disks = {}
+        self.disks = {}              # per-peer devices (disk="model") only
         self._disk_baseline = {}
         for peer_id in voters + observers:
             if spec.protocol == "paxos":
@@ -93,15 +93,12 @@ class Cluster:
                 )
                 continue
             if spec.disk == "model":
-                device = DiskModel(
+                device = self.disks[peer_id] = DiskModel(
                     self.sim, fsync_latency=spec.fsync_latency,
                     bandwidth_bps=spec.disk_bandwidth,
                 )
-            elif spec.disk == "shared":
-                device = shared_disk
             else:
-                device = None
-            self.disks[peer_id] = device
+                device = shared_disk
             storage = PeerStorage(device, group_commit=spec.group_commit)
             self.storages[peer_id] = storage
             self.peers[peer_id] = ZabPeer(
@@ -247,11 +244,23 @@ class Cluster:
     # Fault injection
     # ------------------------------------------------------------------
 
-    def crash(self, peer_id):
+    def crash(self, peer_id, torn=False):
+        """Crash *peer_id*; *torn* crashes it mid-flush.
+
+        A torn crash (:meth:`~repro.storage.txnlog.TxnLog.tear`) counts
+        in its ``fault.crash`` event the records the torn flush wrote:
+        0 when nothing was in flight, as without a disk model or on a
+        Paxos replica, and then it is a plain crash.
+        """
         peer = self.peers[peer_id]
+        fields = {}
+        if torn:
+            storage = self.storages.get(peer_id)
+            fields["torn"] = 0 if storage is None else storage.log.tear()
         self.tracer.emit(
             "fault.crash", node=peer_id,
             was_leader=(not peer.crashed and peer.is_established_leader),
+            **fields
         )
         peer.crash()
 
@@ -273,12 +282,12 @@ class Cluster:
     def slow_disk(self, peer_id, factor=20.0):
         """Gray failure: silently multiply one peer's fsync latency.
 
-        Requires a per-peer disk model (``disk="model"``); under
-        ``disk="shared"`` every peer shares the device, so slowing it
-        would not be a *gray* failure.  The peer keeps serving — only
-        its durability latency (and hence ACK lag) degrades, which is
-        exactly what the health monitor's straggler/disk-stall
-        detectors exist to catch.
+        Requires a per-peer disk model (``disk="model"``) and raises
+        :class:`ConfigError` otherwise: under ``disk="shared"`` every
+        peer shares the device, so slowing it would not be a *gray*
+        failure.  The peer keeps serving — only its durability latency
+        (and hence ACK lag) degrades, which is exactly what the health
+        monitor's straggler/disk-stall detectors exist to catch.
         """
         device = self.disks.get(peer_id)
         if device is None:

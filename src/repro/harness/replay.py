@@ -12,6 +12,7 @@ the result also carries the health monitor's verdict and a
 committed-transaction-loss audit.
 """
 
+from repro.common.errors import ConfigError
 from repro.harness.cluster import Cluster
 from repro.harness.config import ClusterConfig
 from repro.harness.schedule import apply_action
@@ -234,6 +235,9 @@ def replay_schedule(schedule, config=None, op_interval=None, settle=2.0,
     :class:`~repro.obs.health.HealthMonitor` into ``result.health``,
     and a run that ended without error is audited for
     committed-transaction loss into ``result.lost``.
+
+    A schedule that names a peer the cluster lacks raises
+    :class:`~repro.common.errors.ConfigError` before anything runs.
     """
     meta = schedule.meta
     if op_interval is None:
@@ -243,6 +247,14 @@ def replay_schedule(schedule, config=None, op_interval=None, settle=2.0,
         for key in ("n_voters", "seed", "dissemination", "protocol")
         if key in meta
     })
+    members = set(spec.voter_ids() + spec.observer_ids())
+    for action in schedule:
+        for peer_id in action.peers():
+            if peer_id not in members:
+                raise ConfigError(
+                    "%r names peer %r; the cluster has peers %s"
+                    % (action, peer_id, sorted(members))
+                )
     if health:
         tracer = Tracer()
         tracer.disable("net.")

@@ -16,6 +16,8 @@ Action kinds and their targets:
 
 ==================== ===================================================
 ``crash``            target = peer id
+``torn_write``       target = peer id (crash mid-flush: the last record
+                     of the flush in flight lands torn)
 ``recover``          target = peer id
 ``crash_leader``     target = None (whoever leads when the action fires)
 ``crash_follower``   target = None (first live non-leader voter)
@@ -47,7 +49,7 @@ from repro.common.util import atomic_write
 from repro.sim.random import SplitRandom
 
 KINDS = frozenset([
-    "crash", "recover", "crash_leader", "crash_follower",
+    "crash", "torn_write", "recover", "crash_leader", "crash_follower",
     "recover_all", "partition", "heal", "submit",
     "slow_disk", "restore_disk",
     "snapshot", "compact_log", "partition_oneway", "restore_links",
@@ -97,6 +99,20 @@ class Action:
         self.time = float(time)
         self.kind = kind
         self.target = target
+
+    def peers(self):
+        """The peer ids this action names (none for cluster-wide kinds)."""
+        if self.kind == "partition":
+            return [peer for group in self.target for peer in group]
+        if self.kind == "partition_oneway":
+            return list(self.target)
+        if self.kind == "clock_skew":
+            return self.target[:1]
+        if self.target is not None and self.kind in (
+                "crash", "torn_write", "recover", "slow_disk",
+                "restore_disk", "snapshot"):
+            return [self.target]
+        return []
 
     def __eq__(self, other):
         return (
@@ -396,6 +412,10 @@ def apply_action(cluster, action):
         if not cluster.peers[action.target].crashed:
             cluster.crash(action.target)
             return "crash peer %d" % action.target
+    elif action.kind == "torn_write":
+        if not cluster.peers[action.target].crashed:
+            cluster.crash(action.target, torn=True)
+            return "torn write crashes peer %d" % action.target
     elif action.kind == "recover":
         if cluster.peers[action.target].crashed:
             cluster.recover(action.target)

@@ -6,15 +6,17 @@ batched into the next flush (*group commit*), which is how ZooKeeper
 amortises fsync latency under load.
 
 Crash semantics: records whose flush had not completed when the peer
-crashed are lost; completed flushes survive.  The protocol layer re-reads
-the durable suffix on recovery.
+crashed are lost; completed flushes survive.  A crash *mid*-flush
+(:meth:`TxnLog.tear`) lands the flush's records but tears the last one,
+and recovery drops that torn tail (:meth:`TxnLog.drop_torn_tail`) before
+the protocol layer re-reads the durable suffix.
 """
 
 import bisect
 
 from repro.common.errors import StorageError
 from repro.obs.trace import NULL_TRACER
-from repro.storage.records import LogRecord
+from repro.storage.records import LogRecord, Torn
 
 
 class TxnLog:
@@ -292,6 +294,34 @@ class TxnLog:
         self._inflight = []
         self._flushing = False
         self._generation += 1
+
+    def tear(self):
+        """Crash mid-flush: the flush lands, but its last record is torn.
+
+        Every record of the in-flight flush but the last becomes durable
+        intact; the last lands as a :class:`Torn` txn.  Pending appends
+        are lost as in :meth:`crash`, and no callback runs.  Returns how
+        many records the torn flush wrote (0 when none was in flight).
+        """
+        batch = self._inflight
+        self.crash()
+        for record, _cb, _t in batch:
+            self._install(record)
+        if batch:
+            self._records[-1] = self._records[-1]._replace(
+                txn=Torn(self._records[-1].txn)
+            )
+        return len(batch)
+
+    def drop_torn_tail(self):
+        """Recovery's tail check: drop a torn last record, if any.
+
+        Only a tail can tear, since a flush starts only after the one
+        before it landed, so no record before the last is checked.
+        """
+        if self._records and isinstance(self._records[-1].txn, Torn):
+            del self._records[-1]
+            del self._zxids[-1]
 
     def abort_pending(self):
         """Discard not-yet-durable appends without a crash.

@@ -40,22 +40,12 @@ class PeerState:
 
 
 class PeerStorage:
-    """The stable-storage bundle of one peer; survives crashes.
+    """The stable-storage bundle of one peer; survives crashes."""
 
-    Pass pre-built components (e.g. the file-backed variants from
-    :mod:`repro.storage.persist`) to override the in-memory defaults.
-    """
-
-    def __init__(self, disk=None, group_commit=True, epochs=None,
-                 log=None, snapshots=None):
-        self.epochs = epochs if epochs is not None else EpochStore()
-        self.log = (
-            log if log is not None
-            else TxnLog(disk, group_commit=group_commit)
-        )
-        self.snapshots = (
-            snapshots if snapshots is not None else SnapshotStore()
-        )
+    def __init__(self, disk=None, group_commit=True):
+        self.epochs = EpochStore()
+        self.log = TxnLog(disk, group_commit=group_commit)
+        self.snapshots = SnapshotStore()
 
     def crash(self):
         """Lose in-flight (not yet fsynced) log appends."""
@@ -170,6 +160,9 @@ class ZabPeer(Process):
         self._local_callbacks = {}
 
     def on_recover(self):
+        # This peer never acknowledged a record the crash tore mid-write:
+        # drop it, and the sync restores it if the leader's history has it.
+        self.storage.log.drop_torn_tail()
         self.start()
 
     def election_timer(self, delay, fn):

@@ -19,7 +19,7 @@ state equality is exact and order-sensitive.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage import RetentionPolicy, SnapshotStore, TxnLog
+from repro.storage import RetentionPolicy
 from repro.zab.peer import PeerStorage
 from repro.zab.zxid import Zxid
 
@@ -37,7 +37,7 @@ STEPS = st.lists(
 
 def _run_schedule(steps):
     """Apply *steps*; returns (storage, reference list of all txns)."""
-    storage = PeerStorage(log=TxnLog(), snapshots=SnapshotStore())
+    storage = PeerStorage()
     reference = []
     counter = 0
     applied = 0

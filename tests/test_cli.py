@@ -6,6 +6,7 @@ import pytest
 
 from repro.bench.experiments import EXPERIMENTS
 from repro.cli import build_parser, main, table_blocks
+from repro.harness.schedule import ActionSchedule
 
 
 def test_info_lists_experiments(capsys):
@@ -459,6 +460,17 @@ _BAD_INPUTS = [
     )
     for case, text in cases.items()
 ]
+
+
+def test_schedule_naming_a_missing_peer_is_one_line_and_exit_2(
+    capsys, tmp_path
+):
+    path = tmp_path / "input.json"
+    ActionSchedule(meta={"n_voters": 3}).add(0.5, "crash", 9).save(str(path))
+    assert main(["ops", "--schedule", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "names peer 9" in captured.err
 
 
 @pytest.mark.parametrize("argv,text", _BAD_INPUTS)

@@ -11,7 +11,7 @@ from repro.harness import (
     replay_schedule,
 )
 from repro.harness.replay import stabilise_under_load
-from repro.harness.schedule import KINDS
+from repro.harness.schedule import KINDS, Action, apply_action
 
 
 def test_checker_trace_via_cluster_config():
@@ -62,6 +62,34 @@ def test_shared_disk_mode_contends():
         is not dedicated.storages[2].log._disk
     )
     assert shared.storages[1].log._disk is shared.storages[2].log._disk
+
+
+def test_shared_disk_cannot_be_slowed_for_one_peer():
+    # Slowing the one shared device per peer compounded (two slow_disk
+    # calls gave 400x) and restoring left it slow for ever.
+    cluster = Cluster(ClusterConfig(n_voters=3, seed=63, disk="shared"))
+    device = cluster.storages[1].log._disk
+    with pytest.raises(ConfigError, match="no disk model"):
+        cluster.slow_disk(1)
+    for peer_id in (1, 2, 1, 2):
+        for kind in ("slow_disk", "restore_disk"):
+            assert apply_action(cluster, Action(0.0, kind, peer_id)) is None
+    assert device.fsync_latency == ClusterConfig().fsync_latency
+
+
+@pytest.mark.parametrize("kind, target", [
+    ("crash", 9), ("torn_write", 9), ("partition", [[1, 9]]),
+    ("partition_oneway", [9, 1]), ("clock_skew", [9, 2.0]),
+])
+def test_replay_rejects_a_schedule_naming_a_missing_peer(kind, target):
+    schedule = ActionSchedule(meta={"n_voters": 3}).add(0.5, kind, target)
+    with pytest.raises(ConfigError, match="names peer 9"):
+        replay_schedule(schedule, ClusterConfig(n_observers=1))
+
+
+def test_replay_accepts_a_schedule_naming_an_observer():
+    schedule = ActionSchedule(meta={"n_voters": 3}).add(0.5, "crash", 4)
+    assert replay_schedule(schedule, ClusterConfig(n_observers=1)).passed
 
 
 def test_install_records_events():
@@ -157,6 +185,7 @@ def test_install_fires_every_kind_like_replay():
         .add(3.207, "partition", [[1]])
         .add(3.407, "heal")
         .add(3.607, "crash_leader")
+        .add(3.807, "torn_write", 3)
     )
     assert {action.kind for action in schedule} == set(KINDS)
     config = ClusterConfig(disk="model")

@@ -14,8 +14,6 @@ ENTRY_POINTS = ("repro", "repro.cli", "repro.__main__")
 #: Unreached modules kept on purpose, each with the ROADMAP item owning it.
 OWNED = {
     "repro.app.dedup": "C: the client-visible exactly-once property",
-    "repro.storage.persist": "item 5: the storage integrity seam",
-    "repro.storage.journal": "item 5: the storage integrity seam",
 }
 
 

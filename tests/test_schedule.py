@@ -1,9 +1,16 @@
 """Unit tests for declarative action schedules (repro.harness.schedule)."""
 
+import pathlib
+import re
+
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.harness.schedule import Action, ActionSchedule
+from repro.harness.schedule import KINDS, Action, ActionSchedule
+
+FAULT_REPRO = (
+    pathlib.Path(__file__).resolve().parent.parent / "docs" / "FAULT_REPRO.md"
+)
 
 
 def test_unknown_kind_rejected():
@@ -88,3 +95,8 @@ def test_replace_actions_preserves_meta():
     assert len(trimmed) == 0
     assert trimmed.meta == {"seed": 4}
     assert len(schedule) == 1  # original untouched
+
+
+def test_fault_repro_action_table_lists_every_kind():
+    rows = re.findall(r"^\| `(\w+)` +\|", FAULT_REPRO.read_text(), re.M)
+    assert sorted(rows) == sorted(KINDS)

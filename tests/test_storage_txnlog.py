@@ -5,6 +5,7 @@ import pytest
 from repro.common.errors import StorageError
 from repro.sim import Simulator
 from repro.storage import DiskModel, TxnLog
+from repro.storage.records import Torn
 from repro.zab.zxid import Zxid
 
 
@@ -225,3 +226,39 @@ def test_purge_never_regresses_watermark():
     log.purge_through(z(1, 2))  # stale retention plan replayed late
     assert log.purged_through() == z(1, 4)
     assert log.first_durable() == z(1, 5)
+
+
+@pytest.mark.parametrize("inflight", [0, 1, 5])
+def test_tear_lands_the_flush_with_a_torn_tail_that_recovery_drops(
+        inflight):
+    sim = Simulator()
+    disk = DiskModel(sim, fsync_latency=0.05, bandwidth_bps=1e9)
+    log = TxnLog(disk)
+    acked = []
+    log.append(z(1, 1), "t1")  # flush 1 carries this record alone
+    for i in range(2, inflight + 2):
+        log.append(z(1, i), "t%d" % i, callback=lambda: acked.append(1))
+    sim.run(until=0.06)  # flush 1 landed; flush 2 holds the rest
+    if inflight:
+        log.append(z(1, inflight + 2), "queued behind flush 2")
+    assert log.tear() == inflight
+    sim.run()
+    assert acked == [] and log.last_appended() == log.last_durable()
+    # Every record of the torn flush but its last lands intact.
+    txns = [record.txn for record in log.all_entries()]
+    assert txns[:-1] == ["t%d" % i for i in range(1, len(txns))]
+    tail = txns[-1]
+    if inflight:
+        assert isinstance(tail, Torn) and tail.txn_id == "torn"
+        assert tail.body == "t%d" % (inflight + 1)
+    else:
+        assert tail == "t1"
+    log.drop_torn_tail()
+    survivors = max(1, inflight)
+    assert log.last_durable() == z(1, survivors)
+    # Appends continue past the dropped tail, retaking its zxid.
+    log.append(z(1, survivors + 1), "retaken")
+    sim.run()
+    assert [record.txn for record in log.all_entries()] == (
+        ["t%d" % i for i in range(1, survivors + 1)] + ["retaken"]
+    )

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.net.message import payload_size
-from repro.storage.journal import FileJournal
 from repro.zab.zxid import Zxid, ZXID_ZERO, max_zxid
 
 epochs = st.integers(min_value=0, max_value=2**31 - 1)
@@ -133,18 +132,6 @@ def test_copy_and_pickle_roundtrip():
                   pickle.loads(pickle.dumps(z, pickle.HIGHEST_PROTOCOL)),
                   pickle.loads(pickle.dumps(z, 0))):
         assert type(clone) is Zxid and clone == z
-
-
-def test_journal_roundtrip_carries_zxids(tmp_path):
-    path = str(tmp_path / "txn.journal")
-    written = [(Zxid(1, 1), "a"), (Zxid(1, 2), "b"), (Zxid(2, 1), "c")]
-    with FileJournal(path) as journal:
-        for zxid, txn in written:
-            journal.append(zxid, txn)
-    with FileJournal(path) as journal:
-        replayed = journal.replay()
-    assert replayed == written
-    assert all(type(zxid) is Zxid for zxid, _txn in replayed)
 
 
 def test_wire_size_is_declared_not_walked():
