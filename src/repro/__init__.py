@@ -44,7 +44,6 @@ from repro.obs import (
     FlightRecorder,
     HealthMonitor,
     MetricsRegistry,
-    TimeSeries,
     Tracer,
     TxnSpan,
     build_spans,
@@ -84,7 +83,6 @@ __all__ = [
     "build_spans",
     "profile_trace",
     "CausalityGraph",
-    "TimeSeries",
     "HealthMonitor",
     "run_health_check",
     "__version__",

@@ -9,13 +9,13 @@ The measurement substrate for every layer of the reproduction:
 - :mod:`repro.obs.metrics` — :class:`MetricsRegistry` holds counters,
   gauges, and streaming (bucketed) latency histograms, plus providers
   that adapt existing stats objects into one snapshot.
-- :mod:`repro.obs.timeline` — reconstructs per-epoch
-  ``election -> sync -> broadcast`` phase spans from a trace (the
-  ``repro trace`` CLI output).
-- :mod:`repro.obs.spans` — correlates commit-path events by zxid into
-  per-transaction :class:`TxnSpan` records with stage durations
-  (fsync, quorum wait, commit fan-out, per-node deliver); drives the
-  ``repro profile`` CLI.
+- :mod:`repro.obs.spans` — the one reconstruction of a finished
+  trace: per transaction, commit-path events correlated by zxid into
+  :class:`TxnSpan` records with stage durations (fsync, quorum wait,
+  commit fan-out, per-node deliver; the ``repro profile`` CLI), and
+  per epoch, ``election -> sync -> broadcast`` phase spans
+  (:func:`phase_spans`; the ``repro trace`` CLI output and the health
+  monitor's leader detectors).
 - :mod:`repro.obs.causality` — joins ``net.send``/``net.deliver``
   pairs by ``msg_id`` into a happens-before DAG and answers
   straggler / quorum-critical-follower questions.
@@ -27,12 +27,9 @@ The measurement substrate for every layer of the reproduction:
   :func:`dump_chrome_trace` map traces onto the Chrome trace-event
   JSON that ui.perfetto.dev renders (per-node tracks, commit-path
   slices, async wire/relay hops).
-- :mod:`repro.obs.series` — :class:`TimeSeries` ring buffers and the
-  :class:`SeriesBank` registry: windowed per-node samples over virtual
-  time, the substrate of the health layer.
 - :mod:`repro.obs.health` — :class:`HealthMonitor` folds a finished
-  event stream into windowed cluster health: leader availability,
-  recovery-dip detection,
+  event stream into windowed cluster health: leader availability and
+  recovery-dip detection read off the phase spans,
   straggler/disk-stall gray-failure detectors, and SLO error budgets;
   drives the ``repro health`` CLI via :func:`run_health_check`.
 
@@ -55,19 +52,16 @@ from repro.obs.metrics import (
 )
 from repro.obs.export import dump_chrome_trace, to_chrome_trace
 from repro.obs.recorder import FlightRecorder
-from repro.obs.series import SeriesBank, TimeSeries
 from repro.obs.spans import (
     STAGE_KEYS,
     TxnSpan,
     build_spans,
-    profile_trace,
-    render_profile,
-    stage_histograms,
-)
-from repro.obs.timeline import (
     fault_events,
     phase_spans,
+    profile_trace,
+    render_profile,
     render_summary,
+    stage_histograms,
     summarize,
 )
 from repro.obs.trace import (
@@ -104,8 +98,6 @@ __all__ = [
     "render_profile",
     "stage_histograms",
     "CausalityGraph",
-    "TimeSeries",
-    "SeriesBank",
     "HealthMonitor",
     "Slo",
     "render_health",

@@ -10,18 +10,13 @@ into a happens-before DAG:
   message (annotated with the wire latency);
 - **program-order edges** — consecutive events at the same node.
 
-On top of the DAG it answers the questions the DSN'11 commit-path
-analysis asks: which follower's ACK actually formed each quorum
-(*quorum-critical*), which follower is systematically last
-(*straggler*), and — for one transaction — the concrete causal chain
-``PROPOSE send -> deliver -> follower fsync/ACK -> ACK deliver ->
-quorum`` whose hop durations explain the commit latency
-(:meth:`critical_path`).
-
-The graph degrades gracefully: without ``net.*`` events (they are
-off by default in ``repro trace``) the straggler/quorum analyses still
-work from the protocol-level span data; only the per-hop message
-chains need the wire events.
+On top of the DAG it answers the per-transaction question the DSN'11
+commit-path analysis asks: the concrete causal chain ``PROPOSE send ->
+deliver -> follower fsync/ACK -> ACK deliver -> quorum`` whose hop
+durations explain one transaction's commit latency
+(:meth:`critical_path`).  Which follower completed each quorum and
+which was the straggler are per-follower counts of
+:func:`~repro.obs.spans.profile_trace`, which need no wire events.
 """
 
 from repro.obs.spans import build_spans
@@ -88,26 +83,6 @@ class CausalityGraph:
     # ------------------------------------------------------------------
     # Transaction-level questions
     # ------------------------------------------------------------------
-
-    def quorum_critical_counts(self):
-        """{follower: times its ACK completed an ACK quorum}."""
-        counts = {}
-        for span in self.spans:
-            src = span.quorum_src
-            if src is not None and src != span.leader:
-                counts[src] = counts.get(src, 0) + 1
-        return counts
-
-    def straggler_counts(self):
-        """{follower: times it was the slowest ACK of a committed txn}."""
-        counts = {}
-        for span in self.spans:
-            if not span.committed:
-                continue
-            peer, _lag = span.slowest_follower()
-            if peer is not None:
-                counts[peer] = counts.get(peer, 0) + 1
-        return counts
 
     def transaction_messages(self, zxid):
         """Every send/deliver/drop about *zxid*, in time order."""
@@ -232,7 +207,7 @@ class CausalityGraph:
     # ------------------------------------------------------------------
 
     def summary(self):
-        """JSON-safe digest: message counts + straggler/quorum tables."""
+        """JSON-safe digest of the message counts and mean latency."""
         latencies = [
             deliver.t - send.t for send, deliver in self.message_edges()
         ]
@@ -244,16 +219,6 @@ class CausalityGraph:
                 "mean_latency": (
                     sum(latencies) / len(latencies) if latencies else None
                 ),
-            },
-            "quorum_critical": {
-                str(peer): count
-                for peer, count in sorted(
-                    self.quorum_critical_counts().items()
-                )
-            },
-            "stragglers": {
-                str(peer): count
-                for peer, count in sorted(self.straggler_counts().items())
             },
         }
 

@@ -1,23 +1,26 @@
 """Rolling cluster health: detectors and SLOs over virtual time.
 
-The trace/span/causality layers (``repro.obs.trace``,
-``repro.obs.timeline``) explain *how* a run went.  This module answers
-the operational question — *was the cluster healthy at each moment,
-and if not, which node and why?* — window by window in virtual time,
-and therefore bit-deterministically.
+The trace and span layers (``repro.obs.trace``, ``repro.obs.spans``)
+explain *how* a run went.  This module answers the operational
+question — *was the cluster healthy at each moment, and if not, which
+node and why?* — window by window in virtual time, and therefore
+bit-deterministically.
 
 A :class:`HealthMonitor` reads a finished structured event stream
-(:meth:`HealthMonitor.feed`), folds it into per-node
-:class:`~repro.obs.series.TimeSeries` windows, and runs four detectors:
+(:meth:`HealthMonitor.feed`), folds it into per-node samples, one per
+window, and runs four detectors.  The two leader detectors are read
+off the trace's epochs (:func:`~repro.obs.spans.phase_spans`); the
+monitor keeps no leader state of its own:
 
 ``leader_unavailable``
-    The cluster has no established leader (cluster-scoped).  Opens on a
-    leader crash/deposition or a from-cold election, clears on
-    ``leader.established``.
+    The cluster has no established leader (cluster-scoped).  Opens at
+    the first election before any epoch (``reason`` ``"election"``)
+    or when an epoch is lost (``"crash"``/``"deposed"``), clears when
+    the next epoch is established.
 ``recovery_dip``
     The paper's availability dip: commits were flowing, the leader was
-    lost, and service is not considered restored until the *new* epoch
-    commits its first transaction (cluster-scoped).
+    lost, and service is not considered restored until a *newer* epoch
+    delivers its first transaction (cluster-scoped).
 ``straggler``
     Gray failure: one follower's ACK lag (``leader.ack`` ``lag``) is a
     multiple of the quorum's median while the quorum itself is fine
@@ -43,7 +46,7 @@ byte-identical ``health.json``, which CI asserts.
 """
 
 from repro.common.errors import ConfigError
-from repro.obs.series import SeriesBank, nearest_rank
+from repro.obs.spans import phase_spans
 
 #: Schema identifier embedded in every health report.
 HEALTH_SCHEMA = "repro-health/v1"
@@ -53,9 +56,6 @@ HEALTH_SCHEMA_VERSION = 1
 DETECTORS = (
     "leader_unavailable", "recovery_dip", "disk_stall", "straggler",
 )
-
-#: Ring capacity of every retained :class:`TimeSeries`.
-SERIES_CAPACITY = 4096
 
 #: A node's per-window median ACK lag must exceed *both*
 #: ``STRAGGLER_RATIO x (median of the other nodes' medians)`` and the
@@ -79,6 +79,12 @@ SLO_COMMIT_BUDGET = 0.10
 
 #: Leader-availability target as a fraction of the run.
 SLO_AVAILABILITY = 0.99
+
+
+def nearest_rank(values, fraction):
+    """Nearest-rank *fraction*-percentile (0..1) of a non-empty list."""
+    ordered = sorted(values)
+    return ordered[int(round(fraction * (len(ordered) - 1)))]
 
 
 def _median(values):
@@ -146,17 +152,20 @@ class HealthMonitor:
 
     *window* is the width of each judgement window in virtual seconds;
     the thresholds, hysteresis and SLO targets are the module
-    constants above.
+    constants above.  After :meth:`finish`, :attr:`spans` holds the
+    trace's :func:`~repro.obs.spans.phase_spans`, which the leader
+    detectors were read from.
     """
 
     def __init__(self, window=0.25):
         if window <= 0:
             raise ConfigError("window must be > 0: %r" % (window,))
         self.window = float(window)
-        self.bank = SeriesBank(SERIES_CAPACITY)
         self.slo_commit = Slo("commit_p99", SLO_COMMIT_P99,
                               SLO_COMMIT_BUDGET)
         self.firings = []            # every firing ever, in onset order
+        self.spans = []              # phase_spans of the trace, at finish
+        self._events = []            # the trace, for phase_spans
         # windowing
         self._t0 = None              # origin of window 0
         self._index = 0              # next window to close
@@ -164,13 +173,11 @@ class HealthMonitor:
         self._win_acks = {}          # node -> [ack lag] this window
         self._win_waits = {}         # node -> [fsync wait] this window
         self._win_latency = []       # commit latencies this window
+        self._series = {}            # (name, node) -> [sample per window]
         # event-driven state
         self._nodes = set()
-        self._leader = None
-        self._epoch = None
         self._commits_total = 0
         self._propose_t = {}         # zxid tuple -> propose time
-        self._open = {}              # detector name -> open cluster firing
         self._streaks = {"straggler": {}, "disk_stall": {}}
         self._down_spans = {}        # node -> [[down_t, up_t|None], ...]
         self._last_t = None
@@ -197,6 +204,7 @@ class HealthMonitor:
         monitor."""
         if self._finished:
             return
+        self._events.append(event)
         t = event.t
         self._origin(t)
         self._advance(t)
@@ -208,7 +216,10 @@ class HealthMonitor:
         kind = event.kind
         fields = event.fields
         if kind == "peer.commit":
-            self._on_commit(t, node, fields)
+            self._commits_total += 1
+            if node is not None:
+                counts = self._win_commits
+                counts[node] = counts.get(node, 0) + 1
         elif kind == "leader.ack":
             lag = fields.get("lag")
             if lag is not None:
@@ -225,35 +236,14 @@ class HealthMonitor:
             proposed = self._propose_t.pop(tuple(fields["zxid"]), None)
             if proposed is not None:
                 self._win_latency.append(t - proposed)
-        elif kind == "leader.established":
-            self._set_leader(t, node, fields.get("epoch"))
         elif kind == "fault.crash":
-            self._on_crash(t, node, fields)
+            self._on_crash(t, node)
         elif kind == "fault.recover":
             spans = self._down_spans.get(node)
             if spans and spans[-1][1] is None:
                 spans[-1][1] = t
-        elif kind == "peer.looking":
-            if node is not None and node == self._leader:
-                self._leader_lost(t, "deposed")
-        elif kind == "election.start":
-            if self._leader is None:
-                self._open_unavailable(t, "election")
 
-    def _on_commit(self, t, node, fields):
-        self._commits_total += 1
-        if node is not None:
-            counts = self._win_commits
-            counts[node] = counts.get(node, 0) + 1
-        dip = self._open.get("recovery_dip")
-        if dip is not None:
-            epoch = fields["zxid"][0]
-            if epoch > dip["epoch_lost"]:
-                dip["clear"] = t
-                dip["epoch_cleared"] = epoch
-                del self._open["recovery_dip"]
-
-    def _on_crash(self, t, node, fields):
+    def _on_crash(self, t, node):
         self._down_spans.setdefault(node, []).append([t, None])
         # A hard failure supersedes any gray-failure firing on the node.
         for detector, streaks in sorted(self._streaks.items()):
@@ -263,45 +253,82 @@ class HealthMonitor:
                     state["firing"]["clear"] = t
                     state["firing"]["cleared_by"] = "crash"
                 del streaks[node]
-        if fields.get("was_leader") or node == self._leader:
-            self._leader_lost(t, "crash")
 
     # ------------------------------------------------------------------
-    # Leader availability and the recovery dip
+    # Leader availability and the recovery dip, from the phase spans
     # ------------------------------------------------------------------
 
-    def _open_unavailable(self, t, reason):
-        if "leader_unavailable" not in self._open:
-            firing = {
+    def _leader_firings(self):
+        """``leader_unavailable`` and ``recovery_dip`` firings, read off
+        :attr:`spans`: no leader from the first election to the first
+        establishment, and from each lost epoch to the next one; a dip
+        from each loss after commits began until a newer epoch's first
+        delivery."""
+        spans = self.spans
+        firings = []
+
+        def unavailable(onset, clear, reason):
+            firings.append({
                 "detector": "leader_unavailable", "node": None,
-                "onset": t, "clear": None, "reason": reason,
-            }
-            self._open["leader_unavailable"] = firing
-            self.firings.append(firing)
+                "onset": onset, "clear": clear, "reason": reason,
+            })
 
-    def _leader_lost(self, t, reason):
-        self._open_unavailable(t, reason)
-        if (
-            self._commits_total > 0
-            and self._epoch is not None
-            and "recovery_dip" not in self._open
-        ):
+        if spans:
+            if spans[0]["election_start"] is not None:
+                unavailable(spans[0]["election_start"],
+                            spans[0]["established_at"], "election")
+        else:
+            started = [e.t for e in self._events
+                       if e.kind == "election.start"]
+            if started:
+                unavailable(started[0], None, "election")
+        delivered = [s["first_commit_at"] for s in spans
+                     if s["first_commit_at"] is not None]
+        first_delivery = min(delivered) if delivered else None
+        dip = None
+        for k, span in enumerate(spans):
+            if span["lost"] is None:
+                continue
+            onset = span["end"]
+            later = spans[k + 1:]
+            unavailable(
+                onset, later[0]["established_at"] if later else None,
+                span["lost"],
+            )
+            if dip is not None and (
+                dip["clear"] is None or dip["clear"] > onset
+            ):
+                continue                 # still dipping from an older loss
+            flowing = first_delivery is not None and first_delivery <= onset
+            if span["epoch"] is None or not flowing:
+                continue
             dip = {
                 "detector": "recovery_dip", "node": None,
-                "onset": t, "clear": None, "epoch_lost": self._epoch,
+                "onset": onset, "clear": None, "epoch_lost": span["epoch"],
             }
-            self._open["recovery_dip"] = dip
-            self.firings.append(dip)
-        self._leader = None
-        self._propose_t.clear()
+            restored = [
+                s for s in later
+                if s["first_commit_at"] is not None
+                and s["epoch"] is not None and s["epoch"] > span["epoch"]
+            ]
+            if restored:
+                first = min(restored, key=lambda s: s["first_commit_at"])
+                dip["clear"] = first["first_commit_at"]
+                dip["epoch_cleared"] = first["epoch"]
+            firings.append(dip)
+        return firings
 
-    def _set_leader(self, t, node, epoch):
-        self._leader = node
-        if epoch is not None:
-            self._epoch = epoch
-        firing = self._open.pop("leader_unavailable", None)
-        if firing is not None:
-            firing["clear"] = t
+    def _leader_present(self, k):
+        """1.0 if an established leader held at the end of window *k*."""
+        end = self._t0 + (k + 1) * self.window
+        latest = None
+        for span in self.spans:
+            if span["established_at"] >= end:
+                break
+            latest = span
+        if latest is None or (latest["lost"] and latest["end"] < end):
+            return 0.0
+        return 1.0
 
     # ------------------------------------------------------------------
     # Window machinery
@@ -315,18 +342,21 @@ class HealthMonitor:
         while self._t0 is not None and t >= self._window_end():
             self._close_window()
 
+    def _sample(self, name, node, value):
+        """Record *value* as window ``_index``'s sample of a series."""
+        samples = self._series.setdefault((name, node), [])
+        samples.extend([None] * (self._index - len(samples)))
+        samples.append(value)
+
     def _close_window(self):
         start = self._t0 + self._index * self.window
         end = self._window_end()
-        bank = self.bank
         commits = self._win_commits
-        bank.series("commit_rate").add(
-            end, sum(commits.values()) / self.window
-        )
+        self._sample("commit_rate", None,
+                     sum(commits.values()) / self.window)
         for node in sorted(self._nodes):
-            bank.series("commit_rate", node).add(
-                end, commits.get(node, 0) / self.window
-            )
+            self._sample("commit_rate", node,
+                         commits.get(node, 0) / self.window)
         self._judge_windowed(
             "straggler", self._win_acks, "ack_lag_p50",
             STRAGGLER_RATIO, STRAGGLER_FLOOR, start, end,
@@ -337,11 +367,8 @@ class HealthMonitor:
         )
         if self._win_latency:
             p99 = nearest_rank(self._win_latency, 0.99)
-            bank.series("commit_p99").add(end, p99)
+            self._sample("commit_p99", None, p99)
             self.slo_commit.record(p99 <= self.slo_commit.target)
-        bank.series("leader_present").add(
-            end, 1.0 if self._leader is not None else 0.0
-        )
         self._win_commits = {}
         self._win_acks = {}
         self._win_waits = {}
@@ -356,7 +383,7 @@ class HealthMonitor:
             for node, values in samples.items()
         }
         for node in sorted(medians):
-            self.bank.series(series_name, node).add(end, medians[node])
+            self._sample(series_name, node, medians[node])
         enough = len(medians) >= 3
         for node in sorted(self._nodes):
             if not enough or node not in medians:
@@ -414,8 +441,9 @@ class HealthMonitor:
     # ------------------------------------------------------------------
 
     def finish(self, t_end=None):
-        """Close complete windows and freeze the monitor at *t_end*
-        (defaults to the last event time seen)."""
+        """Close complete windows, judge leadership from the trace's
+        :func:`~repro.obs.spans.phase_spans`, and freeze the monitor at
+        *t_end* (defaults to the last event time seen)."""
         if self._finished:
             return self
         if t_end is None:
@@ -424,6 +452,17 @@ class HealthMonitor:
             self._origin(t_end)
             self._advance(t_end)
         self._t_end = t_end if t_end is not None else 0.0
+        self.spans = phase_spans(self._events)
+        if self._index:
+            self._series[("leader_present", None)] = [
+                self._leader_present(k) for k in range(self._index)
+            ]
+        # Leader firings first, so they precede a windowed firing with
+        # the same onset.
+        self.firings = sorted(
+            self._leader_firings() + self.firings,
+            key=lambda f: f["onset"],
+        )
         self._finished = True
         return self
 
@@ -467,19 +506,39 @@ class HealthMonitor:
             "ok": availability >= target,
         }
 
+    def _series_digest(self):
+        """``{name: {node-or-"cluster": digest}}`` of every per-window
+        series, names and (stringified) nodes in sorted order."""
+        data = {}
+        for (name, node), samples in sorted(
+            self._series.items(),
+            key=lambda item: (item[0][0], str(item[0][1])),
+        ):
+            values = [value for value in samples if value is not None]
+            data.setdefault(name, {})[
+                "cluster" if node is None else str(node)
+            ] = {
+                "count": len(values),
+                "total": len(values),
+                "mean": sum(values) / len(values),
+                "min": min(values),
+                "max": max(values),
+                "last": values[-1],
+                "last_t": self._t0 + len(samples) * self.window,
+            }
+        return data
+
     def report(self, params=None):
         """The machine-readable health verdict (``health.json`` body).
 
         Deterministic for a given event stream: serialise with
         ``json.dump(..., sort_keys=True)`` for byte-stable artifacts.
         """
-        firings = []
-        for firing in self.firings:
-            item = dict(firing)
-            firings.append(item)
-        firings.sort(
-            key=lambda f: (f["onset"], f["detector"], str(f["node"]))
+        firings = sorted(
+            (dict(firing) for firing in self.firings),
+            key=lambda f: (f["onset"], f["detector"], str(f["node"])),
         )
+        last = self.spans[-1] if self.spans else None
         return {
             "schema": HEALTH_SCHEMA,
             "schema_version": HEALTH_SCHEMA_VERSION,
@@ -490,8 +549,10 @@ class HealthMonitor:
             "windows": self._index,
             "nodes": sorted(self._nodes),
             "voters": sorted(self._nodes),
-            "leader": self._leader,
-            "epoch": self._epoch,
+            "leader": (
+                last["leader"] if last and last["lost"] is None else None
+            ),
+            "epoch": last["epoch"] if last else None,
             "commits": self._commits_total,
             "firings": firings,
             "active": [
@@ -502,7 +563,7 @@ class HealthMonitor:
                 "commit_p99": self.slo_commit.summary(),
                 "availability": self._availability(),
             },
-            "series": self.bank.snapshot(),
+            "series": self._series_digest(),
             "verdict": "healthy" if self.healthy else "degraded",
         }
 
@@ -566,27 +627,18 @@ def render_health(monitor, max_windows=160):
         "",
     ]
 
-    def window_value(series, end):
-        if series is None:
-            return None
-        for t, value in series.items():
-            if abs(t - end) < 1e-9:
-                return value
-        return None
-
     by_detector = {}
     for firing in monitor.firings:
         by_detector.setdefault(firing["detector"], []).append(firing)
 
     def lane(node):
         chars = []
-        rate = monitor.bank.get("commit_rate", node)
+        rate = monitor._series.get(("commit_rate", node), ())
         for k in range(first, total):
             start = t0 + k * width
             end = t0 + (k + 1) * width
             char = "."
-            value = window_value(rate, end)
-            if value:
+            if k < len(rate) and rate[k]:
                 char = "#"
             if node is None:
                 if any(

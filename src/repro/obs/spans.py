@@ -1,4 +1,4 @@
-"""Per-transaction commit-path spans reconstructed from a trace.
+"""Per-transaction and per-epoch spans reconstructed from a trace.
 
 Zab's commit path is ``propose -> log/fsync -> quorum ACK -> COMMIT ->
 deliver``; the DSN'11 evaluation (and protocol-comparison work such as
@@ -19,6 +19,12 @@ anatomy:
 - ``commit_t`` — COMMIT fan-out started and the leader delivered
   (``leader.commit``);
 - ``delivers`` — per-node delivery times (``peer.commit``).
+
+The same trace also rebuilds per *epoch*: :func:`phase_spans` turns it
+back into the protocol's ``election -> sync -> broadcast`` shape, one
+span per established epoch, ended by its leader's crash or deposition
+or by a newer epoch.  That is the ``repro trace`` phase table and the
+input of the health monitor's leader detectors.
 
 Only the cheap always-on protocol kinds are required; wire-level
 ``net.*`` events are not consulted (the causality DAG in
@@ -243,6 +249,137 @@ def _zxid_key(raw):
 
 
 # ---------------------------------------------------------------------------
+# Epochs
+# ---------------------------------------------------------------------------
+
+def phase_spans(events):
+    """Reconstruct per-epoch ``election -> sync -> broadcast`` spans.
+
+    Returns a list of dicts, one per established epoch, in time order::
+
+        {
+            "epoch": 3, "leader": 4,
+            "election_start": 6.01, "decided_at": 6.25,
+            "established_at": 6.30, "end": 8.00, "lost": None,
+            "election_s": 0.24, "sync_s": 0.05,
+            "sync_modes": {"DIFF": 3},
+            "first_commit_at": 6.31, "commits": 1234,
+        }
+
+    An epoch ends when its leader crashes (``fault.crash`` at the
+    leader, or one flagged ``was_leader``), when its leader goes
+    looking (``peer.looking``), or when a newer epoch is established;
+    a follower's election does not end it.  ``lost`` says why:
+    ``"crash"``, ``"deposed"``, or None when superseded or still
+    broadcasting at the end of the trace (``end`` is then the last
+    event's time).  ``election_start`` is the first ``election.start``
+    after the previous establishment.  ``commits`` counts the leader's
+    own deliveries until ``end``; ``first_commit_at`` is the first
+    delivery, at any node, of a transaction of this epoch.  Timing
+    fields are None when the trace does not cover them.
+    """
+    spans = []
+    by_epoch = {}             # epoch -> span, for first_commit_at
+    election_start = None     # first election.start since last establish
+    decided = {}              # candidate leader -> earliest decided time
+    sync_modes = {}           # leader's sync choices since decided
+    current = None            # the span still broadcasting
+
+    for event in events:
+        kind = event.kind
+        if kind == "election.start":
+            if election_start is None:
+                election_start = event.t
+        elif kind == "election.decided":
+            leader = event.fields.get("leader")
+            if leader is not None and leader not in decided:
+                decided[leader] = event.t
+        elif kind == "leader.sync":
+            modes = sync_modes.setdefault(event.node, {})
+            mode = event.fields.get("mode", "?")
+            modes[mode] = modes.get(mode, 0) + 1
+        elif kind == "leader.established":
+            if current is not None:
+                current["end"] = event.t          # superseded
+            leader = event.node
+            decided_at = decided.get(leader)
+            current = {
+                "epoch": event.fields.get("epoch"),
+                "leader": leader,
+                "election_start": election_start,
+                "decided_at": decided_at,
+                "established_at": event.t,
+                "end": None,
+                "lost": None,
+                "election_s": (
+                    decided_at - election_start
+                    if decided_at is not None and election_start is not None
+                    else None
+                ),
+                "sync_s": (
+                    event.t - decided_at if decided_at is not None else None
+                ),
+                "sync_modes": sync_modes.pop(leader, {}),
+                "first_commit_at": None,
+                "commits": 0,
+            }
+            spans.append(current)
+            by_epoch[current["epoch"]] = current
+            election_start = None
+            decided = {}
+        elif kind == "peer.commit":
+            zxid = _zxid_key(event.fields.get("zxid"))
+            span = by_epoch.get(zxid[0]) if zxid is not None else None
+            if span is not None and span["first_commit_at"] is None:
+                span["first_commit_at"] = event.t
+            if current is not None and event.node == current["leader"]:
+                current["commits"] += 1
+        elif current is not None and (
+            (kind == "fault.crash" and (
+                event.node == current["leader"]
+                or event.fields.get("was_leader")
+            ))
+            or (kind == "peer.looking" and event.node == current["leader"])
+        ):
+            current["end"] = event.t
+            current["lost"] = "crash" if kind == "fault.crash" else "deposed"
+            current = None
+
+    if current is not None:
+        current["end"] = events[-1].t
+    return spans
+
+
+def fault_events(events):
+    """The injected-fault subset, as (t, description) pairs."""
+    faults = []
+    for event in events:
+        if not event.kind.startswith("fault."):
+            continue
+        action = event.kind.split(".", 1)[1]
+        detail = ""
+        if event.fields.get("was_leader"):
+            detail = " (leader)"
+        elif event.fields.get("groups"):
+            detail = " %s" % (event.fields["groups"],)
+        target = "" if event.node is None else " peer %s" % event.node
+        faults.append((event.t, "%s%s%s" % (action, target, detail)))
+    return faults
+
+
+def summarize(events):
+    """Full trace digest: spans, faults, and per-kind event counts."""
+    counts = {}
+    for event in events:
+        counts[event.kind] = counts.get(event.kind, 0) + 1
+    return {
+        "spans": phase_spans(events),
+        "faults": fault_events(events),
+        "counts": counts,
+    }
+
+
+# ---------------------------------------------------------------------------
 # Aggregation
 # ---------------------------------------------------------------------------
 
@@ -433,3 +570,52 @@ def render_profile(summary):
 
 def _ms(value):
     return None if value is None else "%.3f" % (value * 1e3)
+
+
+def render_summary(summary):
+    """Human-readable digest of :func:`summarize` output."""
+    from repro.bench.formats import render_table
+
+    lines = []
+    if summary["faults"]:
+        lines.append("injected faults:")
+        for t, description in summary["faults"]:
+            lines.append("  t=%8.3f  %s" % (t, description))
+        lines.append("")
+    spans = summary["spans"]
+    if spans:
+        rows = []
+        for span in spans:
+            rows.append((
+                span["epoch"],
+                span["leader"],
+                _seconds(span["election_s"]),
+                _seconds(span["sync_s"]),
+                ", ".join(
+                    "%s:%d" % (mode, count)
+                    for mode, count in sorted(span["sync_modes"].items())
+                ) or "-",
+                _seconds(
+                    span["first_commit_at"] - span["established_at"]
+                    if span["first_commit_at"] is not None
+                    else None
+                ),
+                span["commits"],
+            ))
+        lines.append(render_table(
+            ["epoch", "leader", "election (s)", "sync (s)", "sync modes",
+             "first commit (s)", "commits"],
+            rows,
+            title="phase spans (election -> sync -> broadcast)",
+        ))
+    else:
+        lines.append("no established epochs in trace")
+    lines.append("")
+    lines.append("events by kind:")
+    for kind, count in sorted(summary["counts"].items()):
+        lines.append("  %-24s %d" % (kind, count))
+    return "\n".join(lines)
+
+
+def _seconds(value):
+    return "-" if value is None else "%.4f" % value

@@ -18,7 +18,7 @@ from repro.obs import (
     phase_spans,
     summarize,
 )
-from repro.obs.series import nearest_rank
+from repro.obs.health import nearest_rank
 from repro.sim import Simulator
 
 
@@ -266,6 +266,7 @@ def test_phase_spans_reconstruction():
     assert first["decided_at"] == 0.20
     assert first["established_at"] == 0.30
     assert first["end"] == 2.00          # closed by the leader crash
+    assert first["lost"] == "crash"
     assert first["commits"] == 2
     assert first["first_commit_at"] == 0.40
     assert first["sync_modes"] == {"DIFF": 1, "SNAP": 1}
@@ -295,7 +296,9 @@ def test_phase_spans_interleaved_elections_and_out_of_order_epochs():
     window, only one establishes, and the old leader's last
     ``peer.commit`` arrives after the new epoch has started — the
     reconstruction must attribute commits to the broadcasting epoch
-    and time the election from its *first* start event.
+    and time the election from its *first* start event.  A node's
+    election does not end the broadcasting epoch; the newer epoch's
+    establishment does.
     """
     raw = [
         (0.00, 1, "election.start", {"round": 1}),
@@ -305,7 +308,7 @@ def test_phase_spans_interleaved_elections_and_out_of_order_epochs():
         (0.30, 3, "leader.established", {"epoch": 1}),
         (0.40, 3, "peer.commit", {"zxid": [1, 1]}),
         (2.00, 1, "election.start", {"round": 2}),
-        (2.05, 3, "peer.commit", {"zxid": [1, 2]}),     # after close: lost
+        (2.05, 3, "peer.commit", {"zxid": [1, 2]}),     # still epoch 1
         (2.40, 1, "election.decided", {"leader": 2, "round": 2}),
         (2.50, 2, "leader.established", {"epoch": 2}),
         (2.55, 3, "peer.commit", {"zxid": [1, 3]}),     # stale old leader
@@ -318,8 +321,9 @@ def test_phase_spans_interleaved_elections_and_out_of_order_epochs():
     assert first["epoch"] == 1 and first["leader"] == 3
     # Election timed from the first start to the *winner's* decided.
     assert first["election_s"] == pytest.approx(0.20)
-    assert first["end"] == 2.00          # closed when re-election began
-    assert first["commits"] == 1         # t=2.05 / t=2.55 not counted
+    assert first["end"] == 2.50          # superseded by epoch 2
+    assert first["lost"] is None
+    assert first["commits"] == 2         # t=2.55 (after end) not counted
 
     assert second["epoch"] == 2 and second["leader"] == 2
     assert second["commits"] == 1        # only the new leader's commit

@@ -1,6 +1,6 @@
-"""Tests for the live health layer: time-series ring buffers, the
-detector engine (hysteresis, crash precedence, recovery dip), SLO
-accounting, and the two canned scenarios behind ``repro health``."""
+"""Tests for the health layer: the detector engine (hysteresis, crash
+precedence, leader detectors read off the phase spans, recovery dip),
+SLO accounting, and the two canned scenarios behind ``repro health``."""
 
 import json
 
@@ -16,84 +16,6 @@ from repro.obs.health import (
     render_health,
     run_health_check,
 )
-from repro.obs.series import SeriesBank, TimeSeries
-
-
-# ---------------------------------------------------------------------------
-# TimeSeries / SeriesBank
-# ---------------------------------------------------------------------------
-
-def test_series_appends_and_reads_in_order():
-    series = TimeSeries("x", capacity=8)
-    for k in range(5):
-        series.add(0.1 * k, k)
-    assert len(series) == 5
-    assert series.times() == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4])
-    assert series.values() == [0, 1, 2, 3, 4]
-    assert series.latest() == (pytest.approx(0.4), 4)
-    assert series.total_added == 5
-
-
-def test_series_ring_evicts_oldest():
-    series = TimeSeries("x", capacity=3)
-    for k in range(7):
-        series.add(float(k), k * 10)
-    assert len(series) == 3
-    assert series.items() == [(4.0, 40), (5.0, 50), (6.0, 60)]
-    assert series.total_added == 7
-    # latest() still points at the newest sample after wrapping.
-    assert series.latest() == (6.0, 60)
-
-
-def test_series_rejects_backwards_time_and_bad_capacity():
-    series = TimeSeries("x")
-    series.add(1.0, 1)
-    series.add(1.0, 2)          # equal timestamps are fine
-    with pytest.raises(ConfigError):
-        series.add(0.5, 3)
-    with pytest.raises(ConfigError):
-        TimeSeries("x", capacity=0)
-
-
-def test_series_window_and_percentile():
-    series = TimeSeries("x", capacity=16)
-    for k in range(10):
-        series.add(float(k), k)
-    assert series.window(2.0, 5.0) == [(2.0, 2), (3.0, 3), (4.0, 4)]
-    assert series.percentile(0.0) == 0
-    assert series.percentile(1.0) == 9
-    assert series.percentile(0.5) == pytest.approx(4)  # round(4.5) -> 4
-    assert series.mean() == pytest.approx(4.5)
-
-
-def test_series_summary_shapes():
-    empty = TimeSeries("x")
-    assert empty.summary() == {"count": 0, "total": 0}
-    series = TimeSeries("x", capacity=2)
-    for k in range(4):
-        series.add(float(k), k)
-    digest = series.summary()
-    assert digest["count"] == 2 and digest["total"] == 4
-    assert digest["min"] == 2 and digest["max"] == 3
-    assert digest["last"] == 3 and digest["last_t"] == 3.0
-
-
-def test_bank_snapshot_is_sorted_and_keyed_by_node():
-    bank = SeriesBank(capacity=4)
-    bank.series("zeta", 2).add(0.0, 1)
-    bank.series("alpha").add(0.0, 7)
-    bank.series("zeta", 10).add(0.0, 2)
-    bank.series("zeta", 1).add(0.0, 3)
-    snap = bank.snapshot()
-    assert list(snap) == ["alpha", "zeta"]
-    # Node keys stringified, sorted as strings alongside "cluster".
-    assert list(snap["zeta"]) == ["1", "10", "2"]
-    assert snap["alpha"]["cluster"]["last"] == 7
-    assert bank.names() == ["alpha", "zeta"]
-    assert bank.nodes() == [1, 2, 10]
-    assert bank.get("alpha") is bank.series("alpha")
-    assert bank.get("missing") is None
-    assert sorted(bank.node_series("zeta")) == [1, 2, 10]
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +242,59 @@ def test_deposed_leader_via_peer_looking():
     monitor.feed(events).finish(2.0)
     (unavail,) = monitor.firings
     assert unavail["reason"] == "deposed"
+    assert monitor.spans[0]["lost"] == "deposed"
+
+
+def test_election_without_a_leader_never_clears():
+    monitor = HealthMonitor(window=1.0)
+    events = [
+        TraceEvent(0.5, 1, "election.start", {"round": 1}),
+        TraceEvent(1.5, 2, "election.start", {"round": 1}),
+    ]
+    monitor.feed(events).finish(3.0)
+    (unavail,) = monitor.firings
+    assert unavail["reason"] == "election"
+    assert unavail["onset"] == 0.5 and unavail["clear"] is None
+    assert not monitor.healthy
+    report = monitor.report()
+    assert report["leader"] is None and report["epoch"] is None
+    assert report["series"]["leader_present"]["cluster"]["max"] == 0.0
+
+
+def test_dip_outlasts_an_epoch_lost_before_its_first_commit():
+    monitor = HealthMonitor(window=1.0)
+    events = [
+        TraceEvent(0.0, 1, "election.start", {"round": 1}),
+        TraceEvent(0.1, 3, "leader.established", {"epoch": 1}),
+        TraceEvent(0.2, 3, "peer.commit", {"zxid": [1, 1]}),
+        TraceEvent(1.0, 3, "fault.crash", {"was_leader": True}),
+        TraceEvent(1.5, 2, "leader.established", {"epoch": 2}),
+        # Epoch 2 is deposed before delivering anything: the dip that
+        # epoch 1's crash opened stays open, and no second dip opens.
+        TraceEvent(1.8, 2, "peer.looking", {}),
+        TraceEvent(2.5, 1, "leader.established", {"epoch": 3}),
+        TraceEvent(2.6, 4, "peer.commit", {"zxid": [3, 1]}),
+        # Superseded, never lost: epoch 4 takes over from a live leader,
+        # and the old leader going looking afterwards fires nothing.
+        TraceEvent(3.0, 4, "leader.established", {"epoch": 4}),
+        TraceEvent(3.5, 1, "peer.looking", {}),
+    ]
+    monitor.feed(events).finish(4.0)
+    assert [
+        (f["detector"], f["onset"], f["clear"], f.get("reason"))
+        for f in monitor.firings
+    ] == [
+        ("leader_unavailable", 0.0, 0.1, "election"),
+        ("leader_unavailable", 1.0, 1.5, "crash"),
+        ("recovery_dip", 1.0, 2.6, None),
+        ("leader_unavailable", 1.8, 2.5, "deposed"),
+    ]
+    (dip,) = [f for f in monitor.firings
+              if f["detector"] == "recovery_dip"]
+    assert dip["epoch_lost"] == 1 and dip["epoch_cleared"] == 3
+    report = monitor.report()
+    assert report["leader"] == 4 and report["epoch"] == 4
+    assert monitor.healthy
 
 
 def test_monitor_rejects_bad_config():
@@ -370,7 +345,7 @@ def test_slow_fsync_fires_on_victim_only(slow_monitor):
     victims = {f["node"] for f in gray}
     assert len(victims) == 1
     (victim,) = victims
-    assert victim != slow_monitor._leader
+    assert victim != slow_monitor.report()["leader"]
     for detector in ("straggler", "disk_stall"):
         (firing,) = [f for f in gray if f["detector"] == detector]
         # Onset at the slow_at fault (t=2.0), cleared after restore_at.
@@ -404,6 +379,67 @@ def test_slow_fsync_drill_is_pinned(slow_monitor):
         ("disk_stall", 1, 2.0, 6.5),
     ]
     assert slow_monitor.summary()["verdict"] == "healthy"
+
+
+def test_crash_drill_epoch_outlives_follower_elections(crash_monitor):
+    # Peers 1 and 5 recover at t=6.03 and run elections to rejoin.  That
+    # does not end epoch 2: its leader delivers until the trace ends.
+    first, second = crash_monitor.spans
+    assert (first["epoch"], first["end"], first["lost"]) == (1, 4.03, "crash")
+    assert (second["epoch"], second["leader"]) == (2, 4)
+    assert second["lost"] is None
+    assert second["end"] == 8.02888334510031      # the last event
+    assert second["commits"] == 1482
+
+
+def _replay_firings(schedule):
+    from repro.harness.replay import replay_schedule
+
+    firings = replay_schedule(schedule, health=True).health.firings
+    return (
+        [(f["detector"], f["node"], f["onset"], f["clear"], f.get("reason"))
+         for f in firings],
+        [(f["epoch_lost"], f["epoch_cleared"])
+         for f in firings if f["detector"] == "recovery_dip"],
+    )
+
+
+def test_partition_replay_firings_are_pinned():
+    # Epoch 1 is superseded (no firing); epochs 2-4 are each deposed.
+    from repro.harness.schedule import ActionSchedule
+
+    firings, dips = _replay_firings(
+        ActionSchedule.generate_partitions(3, n_voters=3, steps=10)
+    )
+    assert firings == [
+        ("leader_unavailable", None, 0.0, 0.021297399231831524,
+         "election"),
+        ("leader_unavailable", None, 2.2698157742361973,
+         2.3416661773484813, "deposed"),
+        ("recovery_dip", None, 2.2698157742361973, 2.350416315049018, None),
+        ("leader_unavailable", None, 5.841666177348469, 5.92894684902105,
+         "deposed"),
+        ("recovery_dip", None, 5.841666177348469, 5.930494936330931, None),
+        ("leader_unavailable", None, 6.678946849021047, 6.750835102599379,
+         "deposed"),
+        ("recovery_dip", None, 6.678946849021047, 6.760443178476827, None),
+    ]
+    assert dips == [(2, 3), (3, 4), (4, 5)]
+
+
+def test_crash_replay_firings_are_pinned():
+    # Epoch 1 is superseded (no firing); epoch 2's leader crashes.
+    from repro.harness.schedule import ActionSchedule
+
+    firings, dips = _replay_firings(
+        ActionSchedule.generate(11, n_voters=3, steps=10)
+    )
+    assert firings == [
+        ("leader_unavailable", None, 0.0, 0.02134584696901492, "election"),
+        ("leader_unavailable", None, 4.58, 4.875386922658151, "crash"),
+        ("recovery_dip", None, 4.58, 4.880452837642152, None),
+    ]
+    assert dips == [(2, 3)]
 
 
 def test_health_report_is_byte_deterministic():

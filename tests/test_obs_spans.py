@@ -232,8 +232,12 @@ def test_causality_summary_counts():
     assert digest["messages"]["sent"] == 3
     assert digest["messages"]["delivered"] == 2
     assert digest["messages"]["dropped"] == 1
-    assert digest["quorum_critical"] == {"3": 1}
-    assert digest["stragglers"] == {"3": 1}
+    # Per-follower counts come from the span profile, not the DAG.
+    followers = profile_trace(_wire_trace())["followers"]
+    assert {peer: data["quorum_critical"]
+            for peer, data in followers.items()} == {"3": 1}
+    assert {peer: data["straggler"]
+            for peer, data in followers.items()} == {"3": 1}
 
 
 def test_causality_transaction_messages_in_time_order():
