@@ -230,6 +230,9 @@ SEEDED_BUGS = {
             description="every 5th local commit is skipped; the "
                         "cumulative COMMIT still reaches the followers, "
                         "so only the leader's history keeps a hole",
+            # The trigger (the 5th commit) is a burst in the schedule,
+            # not load from the quiesce tail, which stops early.
+            actions=[(0.0, "submit", 8)],
         ),
         SeededBug(
             "position_skip",
@@ -237,6 +240,8 @@ SEEDED_BUGS = {
             expected={"agreement", "local_primary_order", "total_order"},
             description="the leader's delivery index jumps a slot, "
                         "shifting every later delivery off by one",
+            # Likewise for the 3rd commit.
+            actions=[(0.0, "submit", 8)],
         ),
         SeededBug(
             "snapshot_skip",

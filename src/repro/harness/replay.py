@@ -2,7 +2,8 @@
 
 ``replay_schedule`` boots a fresh :class:`~repro.harness.cluster.Cluster`,
 waits for stability, drives a steady client load, fires each scheduled
-action at its virtual time, then quiesces (heal + recover everyone) and
+action at its virtual time, then quiesces (heal + recover everyone, run
+until every live peer delivers the same post-recovery frontier) and
 checks the six PO broadcast properties plus replica convergence.  The
 whole run lives in simulated time, so the same ``(schedule, seed)`` pair
 always yields the same :class:`ReplayResult` — including the exact
@@ -148,15 +149,32 @@ def stabilise_under_load(cluster, timeout, op_interval,
     return t0
 
 
+def _quiescent(cluster, floor):
+    """Stable, the leader delivered past *floor* (its frontier when it
+    re-stabilised), and every live peer is at the leader's frontier."""
+    if not cluster.is_stable():
+        return False
+    frontier = cluster.leader().last_committed
+    if frontier is None or (floor is not None and frontier <= floor):
+        return False
+    return all(
+        peer.last_committed == frontier
+        for peer in cluster.peers.values() if not peer.crashed
+    )
+
+
 def quiesce_and_judge(cluster, settle, timeout, check=None):
-    """Undo every standing fault, re-stabilise, settle, then judge.
+    """Undo every standing fault, re-stabilise, quiesce, then judge.
 
     The second half.  Link cuts and clock skews restore trace-silently
     when absent, so schedules predating those faults replay
     byte-identically.  Raises :class:`TimeoutError` if stability never
-    returns.  *check* produces the property report (default: the
-    post-hoc ``cluster.check_properties``).  Returns ``(report,
-    converged, signature)``.
+    returns.  The load then runs until every live peer has delivered
+    one frontier past the leader's at re-stabilisation, or for *settle*
+    sim-seconds, the cap; either way the run is judged.  *check*
+    produces the property report (default: the post-hoc
+    ``cluster.check_properties``).  Returns ``(report, converged,
+    signature)``.
     """
     cluster.heal()
     cluster.restore_links()
@@ -164,8 +182,8 @@ def quiesce_and_judge(cluster, settle, timeout, check=None):
     for peer_id, peer in cluster.peers.items():
         if peer.crashed:
             cluster.recover(peer_id)
-    cluster.run_until_stable(timeout=timeout)
-    cluster.run(settle)
+    floor = cluster.run_until_stable(timeout=timeout).last_committed
+    cluster.run_until(lambda: _quiescent(cluster, floor), timeout=settle)
     report = (check or cluster.check_properties)()
     states = {
         tuple(sorted(state.items()))
@@ -221,7 +239,8 @@ def replay_schedule(schedule, config=None, op_interval=None, settle=2.0,
     overrides) overlaid with the schedule's own ``meta`` — ``n_voters``,
     ``seed``, ``dissemination``, ``protocol`` — and ``op_interval``
     defaults to the meta's too (else 20 ms), so a schedule loaded from a
-    repro artifact replays with no extra arguments.
+    repro artifact replays with no extra arguments.  The run is judged
+    at quiescence (:func:`quiesce_and_judge`), *settle* being the cap.
 
     With *recorder_dir* set, any failing replay (checker violation,
     divergence, or a run that never stabilised) dumps the cluster's

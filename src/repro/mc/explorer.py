@@ -61,6 +61,7 @@ class ExplorerConfig:
     peers / seed / op_interval / step_interval / settle / timeout
         Mirror :func:`~repro.harness.replay.replay_schedule` so every
         emitted schedule replays bit-identically with no extra args.
+        Each execution is judged at quiescence; *settle* caps the wait.
     depth
         Number of fault decision points per execution.
     max_schedules / max_states

@@ -248,3 +248,87 @@ def test_interleave_mode_branches_on_delivery_order():
     assert result.choice_points > result.config.depth * result.runs, (
         "interleave mode added no delivery-order choice points"
     )
+
+
+# ----------------------------------------------------------------------
+# Quiescence: every judged run stops before the settle cap
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def quiesce_calls(monkeypatch):
+    """``(quiesced, sim_seconds, cap)`` per quiesce wait, in order."""
+    calls = []
+    run_until = Cluster.run_until
+
+    def spy(self, predicate, timeout=30.0, step=0.01):
+        start = self.sim.now
+        quiesced = run_until(self, predicate, timeout=timeout, step=step)
+        if "quiesce_and_judge" in predicate.__qualname__:
+            calls.append((quiesced, self.sim.now - start, timeout))
+        return quiesced
+
+    monkeypatch.setattr(Cluster, "run_until", spy)
+    return calls
+
+
+def _all_before_cap(calls):
+    return all(ok and took < cap for ok, took, cap in calls)
+
+
+def test_every_judged_execution_quiesces_before_the_cap(
+        quiesce_calls, monkeypatch):
+    clusters = []
+    init = Cluster.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        clusters.append(self)
+
+    monkeypatch.setattr(Cluster, "__init__", spy)
+    result = explore_schedules(peers=3, depth=3, max_violations=0)
+    assert (result.runs, result.states_visited, result.states_pruned) == (
+        36, 47, 4
+    )
+    assert len(quiesce_calls) == 32
+    assert _all_before_cap(quiesce_calls)
+    # 44,255 while every judged run settled a fixed 2.0 s.
+    assert sum(cluster.sim.events_fired for cluster in clusters) == 13229
+
+
+def test_stock_zab_campaign_quiesces_before_the_cap(quiesce_calls):
+    from repro.bench.campaign import run_adversarial_campaign
+
+    outcomes = run_adversarial_campaign(range(40), ClusterConfig())
+    assert all(outcome.passed for outcome in outcomes)
+    assert len(quiesce_calls) == 40
+    assert _all_before_cap(quiesce_calls)
+
+
+def test_quiescence_waits_for_a_recovered_follower():
+    from repro.harness.replay import _quiescent
+
+    cluster = Cluster(ClusterConfig()).start()
+    leader = cluster.run_until_stable()
+    follower_id = min(
+        peer_id for peer_id, peer in cluster.peers.items()
+        if peer is not leader
+    )
+    follower = cluster.peers[follower_id]
+    cluster.crash(follower_id)
+    for _ in range(5):
+        leader.propose_op(("incr", "k", 1))
+    cluster.run(0.5)
+    cluster.recover(follower_id)
+    floor = cluster.run_until_stable().last_committed
+    assert follower.last_committed == floor  # caught up by sync alone
+    assert not _quiescent(cluster, floor)
+
+    cluster.leader().propose_op(("incr", "k", 1))
+    lagged = False
+    while not _quiescent(cluster, floor):
+        lagged |= cluster.leader().last_committed > follower.last_committed
+        cluster.run(0.0001)
+    assert lagged  # the leader delivered first, and that was not enough
+    assert follower.last_committed > floor
+    assert follower.last_committed == cluster.leader().last_committed
