@@ -56,18 +56,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, "%s: error: %s\n" % (self.prog, message))
 
 
-def _positive(kind):
-    """An argparse type: a finite *kind* (``int`` or ``float``) > 0, so
-    ``--servers 0`` or ``--rate -5`` is a usage error, not a traceback."""
+def _positive(kind, or_zero=False):
+    """An argparse type: a finite *kind* (``int`` or ``float``) > 0, or
+    >= 0 with *or_zero*, so ``--servers 0`` or ``--rate -5`` is a usage
+    error, not a traceback."""
     def parse(text):
         try:
             value = kind(text)
         except ValueError:
             value = None
-        if value is None or not 0 < value < float("inf"):
+        if (value is None or not value < float("inf")
+                or not (value >= 0 if or_zero else value > 0)):
             raise argparse.ArgumentTypeError(
-                "must be a positive %s, not %r"
-                % ("integer" if kind is int else "number", text)
+                "must be a %s %s, not %r"
+                % ("non-negative" if or_zero else "positive",
+                   "integer" if kind is int else "number", text)
             )
         return value
     return parse
@@ -75,6 +78,7 @@ def _positive(kind):
 
 _positive_int = _positive(int)
 _positive_float = _positive(float)
+_non_negative_float = _positive(float, or_zero=True)
 
 
 # A table block of EXPERIMENTS.md is a bare fence whose first line is
@@ -175,7 +179,7 @@ def cmd_bench(args):
         monitor = HealthMonitor()
         monitor.feed(tracer.events).finish()
         path = bench_report.write_bench_report(
-            result, args.name, path=args.json, health=monitor.summary()
+            result, args.json, health=monitor.summary()
         )
         print("health:       %s" % monitor.summary()["verdict"])
         print("report:       %s" % path)
@@ -373,8 +377,7 @@ def cmd_profile(args):
         monitor = HealthMonitor()
         monitor.feed(events).finish()
         path = bench_report.write_profile_report(
-            summary, args.name, path=args.json, params=params,
-            health=monitor.summary(),
+            summary, args.json, params=params, health=monitor.summary(),
         )
         print()
         print("health: %s" % monitor.summary()["verdict"])
@@ -796,9 +799,7 @@ def build_parser():
                          help="broadcast propagation topology "
                               "(default leader-direct)")
     p_bench.add_argument("--json", default=None, metavar="PATH",
-                         help="also write a BENCH_<name>.json report")
-    p_bench.add_argument("--name", default="bench",
-                         help="report name for --json (default bench)")
+                         help="also write a JSON report here")
     p_bench.set_defaults(fn=cmd_bench)
 
     p_trace = sub.add_parser(
@@ -859,9 +860,7 @@ def build_parser():
     p_profile.add_argument("--top", type=int, default=5,
                            help="how many slowest transactions to list")
     p_profile.add_argument("--json", default=None, metavar="PATH",
-                           help="also write a BENCH_<name>.json report")
-    p_profile.add_argument("--name", default="profile",
-                           help="report name for --json (default profile)")
+                           help="also write a JSON report here")
     p_profile.set_defaults(fn=cmd_profile)
 
     p_fuzz = sub.add_parser(
@@ -910,7 +909,8 @@ def build_parser():
     p_explore.add_argument("--seed", type=int, default=0)
     p_explore.add_argument("--step-interval", type=_positive_float,
                            default=0.25)
-    p_explore.add_argument("--op-interval", type=float, default=0.02,
+    p_explore.add_argument("--op-interval", type=_non_negative_float,
+                           default=0.02,
                            help="client load period (0 disables load)")
     p_explore.add_argument("--max-schedules", type=int, default=256,
                            help="execution budget (stop is reported, "

@@ -80,8 +80,8 @@ class Simulator:
 
     def schedule(self, delay, fn, *args):
         """Run ``fn(*args)`` after *delay* seconds of virtual time."""
-        if delay < 0:
-            raise ValueError("negative delay: %r" % delay)
+        if not delay >= 0:   # also rejects NaN, which breaks heap order
+            raise ValueError("delay must be >= 0, not %r" % delay)
         time = self._now + delay
         seq = self._seq
         self._seq = seq + 1
@@ -92,9 +92,9 @@ class Simulator:
 
     def schedule_at(self, time, fn, *args):
         """Run ``fn(*args)`` at absolute virtual *time*."""
-        if time < self._now:
+        if not time >= self._now:   # also rejects NaN
             raise ValueError(
-                "cannot schedule in the past: %r < now=%r" % (time, self._now)
+                "cannot schedule at %r: now=%r" % (time, self._now)
             )
         seq = self._seq
         self._seq = seq + 1

@@ -1,10 +1,10 @@
-"""Tests for BENCH_*.json reports, the regression gate, and the trace
-schema validator's correlation-field checks."""
+"""Tests for BENCH_*.json reports, the exact pin of the simulated
+profile scenario, and the trace schema validator's correlation-field
+checks."""
 
 import importlib.util
 import io
 import json
-import math
 import os
 
 import pytest
@@ -12,7 +12,6 @@ import pytest
 from repro.bench.report import (
     SCHEMA,
     bench_metrics,
-    load_report,
     make_report,
     profile_metrics,
     write_report,
@@ -31,11 +30,6 @@ def load_script(name):
 
 
 @pytest.fixture(scope="module")
-def gate():
-    return load_script("check_bench_regression")
-
-
-@pytest.fixture(scope="module")
 def validator():
     return load_script("validate_trace")
 
@@ -49,26 +43,10 @@ def test_report_round_trip(tmp_path):
                          params={"seed": 1})
     path = str(tmp_path / "BENCH_demo.json")
     write_report(report, path)
-    loaded = load_report(path)
+    with open(path) as handle:
+        loaded = json.load(handle)
     assert loaded == report
     assert loaded["schema"] == SCHEMA
-
-
-def test_load_report_rejects_wrong_schema(tmp_path, gate, capsys):
-    path = str(tmp_path / "bad.json")
-    with open(path, "w") as handle:
-        json.dump({"schema": "nope/v9", "metrics": {}}, handle)
-    with pytest.raises(ValueError):
-        load_report(path)
-    # Well-formed JSON of the wrong shape is an input error (one line,
-    # exit 2), never "a metric is out of tolerance" (exit 1).
-    listed = _write(tmp_path, "list.json", [1, 2, 3])
-    with pytest.raises(ValueError, match="list.json"):
-        load_report(listed)
-    good = _write(tmp_path, "BENCH_smoke.json", _report_payload({}))
-    for argv in ([listed], [good, "--baseline", listed]):
-        assert gate.main(argv) == 2
-        assert capsys.readouterr().err.count("\n") == 1
 
 
 def test_bench_metrics_flattens_result():
@@ -97,93 +75,40 @@ def test_profile_metrics_flattens_summary():
 
 
 # ---------------------------------------------------------------------------
-# Regression gate
+# The simulated profile scenario, pinned exactly
 # ---------------------------------------------------------------------------
 
-def _write(tmp_path, name, payload):
-    path = str(tmp_path / name)
-    with open(path, "w") as handle:
-        json.dump(payload, handle)
-    return path
+def test_profile_scenario_metrics_are_pinned_exactly():
+    # `repro profile --servers 5 --seed 3` (CI's smoke run) through the
+    # library.  Virtual time and seeded draws make every metric repeat
+    # bit for bit, so the pin is `==`; a change that moves one on
+    # purpose re-pins it here and says so.  Wire events do not move the
+    # profile, so the pin holds with or without `--net`.
+    from repro.bench.runner import EVAL_LINK, run_broadcast_bench
+    from repro.bench.workloads import open_loop
+    from repro.harness import ClusterConfig
+    from repro.obs import Tracer, profile_trace
 
-
-def _baseline_payload(metrics):
-    return {"schema": "repro-bench-baseline/v1",
-            "entries": {"smoke": {"metrics": metrics}}}
-
-
-def _report_payload(metrics):
-    return {"schema": SCHEMA, "schema_version": 1, "name": "smoke",
-            "params": {}, "metrics": metrics}
-
-
-def test_gate_rejects_perturbed_metric(tmp_path, gate, capsys):
-    # The acceptance case: the gate is ==, so one unit in the last place
-    # of one metric, in either direction, must fail the run.
-    value = 772.466752542617
-    baseline = _write(tmp_path, "baseline.json",
-                      _baseline_payload({"throughput_ops": value,
-                                         "latency.p99_ms": 2.0}))
-    for perturbed in (math.nextafter(value, 0.0),
-                      math.nextafter(value, math.inf)):
-        report = _write(tmp_path, "BENCH_smoke.json", _report_payload(
-            {"throughput_ops": perturbed, "latency.p99_ms": 2.0}
-        ))
-        assert gate.main([report, "--baseline", baseline]) == 1
-        out = capsys.readouterr().out
-        assert "FAIL" in out and repr(perturbed) in out
-
-
-def test_gate_fails_on_missing_metric(tmp_path, gate, capsys):
-    baseline = _write(tmp_path, "baseline.json",
-                      _baseline_payload({"throughput_ops": 1000.0,
-                                         "latency.p99_ms": 2.0}))
-    report = _write(tmp_path, "BENCH_smoke.json",
-                    _report_payload({"throughput_ops": 1000.0}))
-    assert gate.main([report, "--baseline", baseline]) == 1
-    assert "MISSING" in capsys.readouterr().out
-
-
-def test_gate_zero_baseline_flags_nonzero_run(tmp_path, gate):
-    baseline = _write(tmp_path, "baseline.json",
-                      _baseline_payload({"stage.log_fsync.p50_ms": 0.0}))
-    ok = _write(tmp_path, "ok.json",
-                _report_payload({"stage.log_fsync.p50_ms": 0.0}))
-    bad = _write(tmp_path, "bad.json",
-                 _report_payload({"stage.log_fsync.p50_ms": 0.4}))
-    assert gate.main([ok, "--baseline", baseline]) == 0
-    assert gate.main([bad, "--baseline", baseline]) == 1
-
-
-def test_gate_unknown_report_name_fails(tmp_path, gate, capsys):
-    baseline = _write(tmp_path, "baseline.json", _baseline_payload({}))
-    report = _write(tmp_path, "BENCH_other.json", {
-        "schema": SCHEMA, "schema_version": 1, "name": "other",
-        "params": {}, "metrics": {},
-    })
-    assert gate.main([report, "--baseline", baseline]) == 1
-    assert "no baseline entry" in capsys.readouterr().out
-
-
-def test_gate_update_records_and_accepts_own_run(tmp_path, gate):
-    baseline = _write(tmp_path, "baseline.json",
-                      _baseline_payload({"throughput_ops": 1000.0}))
-    report = _write(tmp_path, "BENCH_smoke.json",
-                    _report_payload({"throughput_ops": 1200.0}))
-    assert gate.main([report, "--baseline", baseline]) == 1
-    assert gate.main([report, "--baseline", baseline, "--update"]) == 0
-    entry = gate.load_baseline(baseline)["entries"]["smoke"]
-    assert entry == {"metrics": {"throughput_ops": 1200.0}}
-    # The freshly recorded baseline accepts its own run.
-    assert gate.main([report, "--baseline", baseline]) == 0
-
-
-def test_committed_baseline_has_smoke_entry(gate):
-    baseline = gate.load_baseline(gate.DEFAULT_BASELINE)
-    entry = baseline["entries"]["smoke"]
-    assert entry["metrics"]["committed"] > 0
-    assert entry["metrics"]["throughput_ops"] > 0
-    assert "stage.quorum_wait.p99_ms" in entry["metrics"]
+    tracer = Tracer()
+    tracer.disable("net.")
+    run_broadcast_bench(
+        ClusterConfig(n_voters=5, seed=3, net=EVAL_LINK, tracer=tracer),
+        duration=3.0, warmup=0, session_classes=open_loop(800.0),
+    )
+    assert profile_metrics(profile_trace(tracer.events)) == {
+        "committed": 2393,
+        "quorum_wait_fraction.mean": 1.0,
+        "stage.commit_latency.p50_ms": 0.5480472161813265,
+        "stage.commit_latency.p99_ms": 0.7500404582265313,
+        "stage.e2e.p50_ms": 0.8112437596178169,
+        "stage.e2e.p99_ms": 1.110243101747359,
+        "stage.log_fsync.p50_ms": 0.0,
+        "stage.log_fsync.p99_ms": 0.0,
+        "stage.quorum_wait.p50_ms": 0.5480472161813265,
+        "stage.quorum_wait.p99_ms": 0.7500404582265313,
+        "throughput_ops": 798.2557945359014,
+        "transactions": 2393,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -318,27 +243,6 @@ def test_validator_accepts_disk_fault_kinds(validator):
     assert counts["fault.slow_disk"] == 1
 
 
-def test_load_report_rejects_wrong_schema_version(tmp_path):
-    report = make_report("demo", {"throughput_ops": 1.0})
-    report["schema_version"] = 99
-    path = str(tmp_path / "BENCH_demo.json")
-    write_report(report, path)
-    with pytest.raises(ValueError) as excinfo:
-        load_report(path)
-    message = str(excinfo.value)
-    assert "schema_version" in message
-    assert "regenerate" in message
-
-
-def test_load_report_rejects_missing_schema_version(tmp_path):
-    report = make_report("demo", {"throughput_ops": 1.0})
-    del report["schema_version"]
-    path = str(tmp_path / "BENCH_demo.json")
-    write_report(report, path)
-    with pytest.raises(ValueError):
-        load_report(path)
-
-
 def test_make_report_embeds_health_summary():
     health = {"verdict": "healthy", "firings": {}, "active": []}
     report = make_report("demo", {"x": 1.0}, health=health)
@@ -353,6 +257,13 @@ def test_make_report_embeds_health_summary():
 @pytest.fixture(scope="module")
 def counts_gate():
     return load_script("check_e2e_counts")
+
+
+def _write(tmp_path, name, payload):
+    path = str(tmp_path / name)
+    with open(path, "w") as handle:
+        json.dump(payload, handle)
+    return path
 
 
 def _e2e_result(msgs_per_op=6.0):

@@ -98,6 +98,17 @@ def test_negative_delay_rejected():
         sim.schedule(-0.1, lambda: None)
 
 
+def test_nan_time_rejected():
+    # NaN compares false both ways: in the heap it would scramble the
+    # virtual-time order of every other event.
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        sim.schedule(float("nan"), lambda: None)
+    with pytest.raises(ValueError):
+        sim.schedule_at(float("nan"), lambda: None)
+    assert sim.pending() == 0
+
+
 def test_schedule_in_past_rejected():
     sim = Simulator()
     sim.schedule(1.0, lambda: None)
