@@ -65,7 +65,7 @@ class ClusterConfig:
         leaders here; see :mod:`repro.harness.buggy`).
     zab
         Extra keyword arguments for :class:`~repro.zab.config.ZabConfig`
-        (``tick``, ``max_outstanding``, ``max_batch``, ...).
+        (``tick``, ``max_outstanding``, ``snapshot_every``, ...).
     protocol
         ``"zab"`` (default) or ``"paxos"``: the multi-Paxos baseline,
         which reads ``tick``, ``sync_limit`` (leader silence budget, in

@@ -149,16 +149,16 @@ class CausalityGraph:
         return hops
 
     def _find_message(self, zxid, type_name, src, dst):
-        """(send, deliver-or-None) of the first matching message; for a
-        cumulative ACK, the first from *src* that covers *zxid*."""
+        """(send, deliver-or-None) of the first message *src* sent *dst*
+        covering *zxid*: a cumulative ACK, or a frame carrying a PROPOSE
+        (only a leader sends frames)."""
+        types = (type_name, "Frame")
         for msg_id in sorted(self._sends):
             event = self._sends[msg_id]
-            raw = event.fields.get("zxid")
             if (
-                raw is not None and event.fields.get("type") == type_name
+                event.fields.get("type") in types
                 and event.node == src and event.fields.get("dst") == dst
-                and (tuple(raw) == zxid
-                     or type_name == "Ack" and _covers(raw, zxid))
+                and _covers(event.fields.get("zxid"), zxid)
             ):
                 return event, self._delivers.get(msg_id)
         return None
@@ -171,10 +171,10 @@ class CausalityGraph:
         edges = {}
         for msg_id in sorted(self._sends):
             event = self._sends[msg_id]
-            raw = event.fields.get("zxid")
-            if raw is None or tuple(raw) != zxid:
+            if not _covers(event.fields.get("zxid"), zxid):
                 continue
-            if event.fields.get("type") not in ("Relay", "Propose"):
+            if event.fields.get("type") not in ("Relay", "Propose",
+                                                "Frame"):
                 continue
             edges.setdefault(event.node, []).append(
                 (event.fields.get("dst"), event, self._delivers.get(msg_id))
@@ -224,6 +224,7 @@ class CausalityGraph:
 
 
 def _covers(raw, zxid):
-    """True if a cumulative ACK of *raw* covers *zxid*: same epoch, and
-    no older (the first such ACK from a peer is the one that counted)."""
+    """True if a message tagged *raw* covers *zxid*: same epoch, and no
+    older (the first such ACK or frame on a channel is the one that
+    counted or carried it)."""
     return raw is not None and raw[0] == zxid[0] and raw[1] >= zxid[1]

@@ -66,6 +66,7 @@ class Simulator:
         self._cancelled = 0      # cancels of not-yet-fired events
         self._policy = None      # optional SchedulePolicy (tie-breaking)
         self._pending_view = None  # cached iter_pending result
+        self._deferred = []      # (fn, args) for defer(), in order
         self.random = SplitRandom(seed)
 
     @property
@@ -102,6 +103,14 @@ class Simulator:
         event = Event(time, seq, fn, args, self)
         _heappush(self._queue, (time, seq, event))
         return event
+
+    def defer(self, fn, *args):
+        """Run ``fn(*args)`` when the current event's callback returns,
+        at the same virtual time, before the next event (nested defers
+        too).  Not an event: no seq, not in :attr:`events_fired`, never
+        offered to a policy.  Deferred outside :meth:`run`, it drains at
+        the next :meth:`run` entry."""
+        self._deferred.append((fn, args))
 
     def set_policy(self, policy):
         """Install (or with ``None`` remove) a :class:`SchedulePolicy`.
@@ -155,6 +164,10 @@ class Simulator:
         the loop stopped.  *until* values at or before the current time
         fire only already-due events (time never moves backwards).
         """
+        deferred = self._deferred
+        while deferred:              # deferred outside run(): due now
+            fn, args = deferred.pop(0)
+            fn(*args)
         if until is not None and until < self._now:
             until = self._now     # fast-exit floor: never rewind the clock
         queue = self._queue
@@ -196,6 +209,9 @@ class Simulator:
                 event.fn = None
                 event.args = ()
                 event.kernel = None
+                fn(*args)
+            while deferred:
+                fn, args = deferred.pop(0)
                 fn(*args)
             self._events_fired += 1
             fired += 1

@@ -41,6 +41,7 @@ class TxnLog:
         self._pending = []        # [(LogRecord, callback)] awaiting flush
         self._inflight = []       # the batch currently being flushed
         self._flushing = False
+        self._held = False        # hold(): appends wait for release()
         self._generation = 0      # bumped on crash to void in-flight flushes
         self._purged_through = None
         self.flushes = 0
@@ -94,7 +95,17 @@ class TxnLog:
                 callback()
             return
         self._pending.append((record, callback, self._now()))
-        if not self._flushing:
+        if not self._flushing and not self._held:
+            self._start_flush()
+
+    def hold(self):
+        """Queue appends without flushing until :meth:`release`."""
+        self._held = True
+
+    def release(self):
+        """End a :meth:`hold`: start the flush the held appends wait for."""
+        self._held = False
+        if self._pending and not self._flushing:
             self._start_flush()
 
     def _now(self):
@@ -293,6 +304,7 @@ class TxnLog:
         self._pending = []
         self._inflight = []
         self._flushing = False
+        self._held = False
         self._generation += 1
 
     def tear(self):

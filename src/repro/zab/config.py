@@ -2,7 +2,7 @@
 
 The knobs mirror ZooKeeper's: ``tickTime`` drives heartbeats and failure
 detection, ``initLimit``/``syncLimit`` bound the handshake and follower
-staleness, and the pipelining/batching limits control the broadcast phase's
+staleness, and the pipelining limit controls the broadcast phase's
 multiple-outstanding-transactions behaviour that the paper highlights.
 """
 
@@ -32,10 +32,6 @@ class ZabConfig:
         Maximum broadcast proposals in flight (not yet committed) at the
         leader.  1 emulates a conservative one-at-a-time sequencer; the
         paper's design point is "many".
-    max_batch / batch_delay
-        Client-request batching at the leader: up to *max_batch* requests
-        or *batch_delay* seconds, whichever first.  A batch still maps to
-        one transaction per request; batching only amortises scheduling.
     snapshot_every
         Take an application snapshot every N delivered transactions.
     snap_sync_threshold
@@ -60,8 +56,6 @@ class ZabConfig:
         init_limit=10,
         sync_limit=4,
         max_outstanding=64,
-        max_batch=1,
-        batch_delay=0.0,
         snapshot_every=1000,
         snap_sync_threshold=500,
         digest_every=0,
@@ -79,8 +73,6 @@ class ZabConfig:
             raise ConfigError("init_limit and sync_limit must be >= 1")
         if max_outstanding < 1:
             raise ConfigError("max_outstanding must be >= 1")
-        if max_batch < 1:
-            raise ConfigError("max_batch must be >= 1")
         self.voters = voters
         self.observers = observers
         self.quorum = quorum or MajorityQuorum(voters)
@@ -90,8 +82,6 @@ class ZabConfig:
         self.init_limit = init_limit
         self.sync_limit = sync_limit
         self.max_outstanding = max_outstanding
-        self.max_batch = max_batch
-        self.batch_delay = batch_delay
         self.snapshot_every = snapshot_every
         self.snap_sync_threshold = snap_sync_threshold
         if digest_every < 0:

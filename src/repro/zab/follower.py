@@ -42,6 +42,7 @@ _HANDLERS = {
     messages.UpToDate: "_on_up_to_date",
     messages.Propose: "_on_propose",
     messages.Commit: "_on_commit",
+    messages.Frame: "_on_frame",
     messages.Ping: "_on_ping",
     messages.SyncReply: "_on_sync_reply",
 }
@@ -299,6 +300,16 @@ class FollowerContext:
                     msg.origin, msg.epoch, msg.payload, children
                 ))
         self.on_message(self.leader_id, msg.payload)
+
+    def _on_frame(self, msg):
+        """Members in order, one log flush (and ACK) for the frame."""
+        log = self.peer.storage.log
+        log.hold()
+        for member in msg.members:
+            self.on_message(self.leader_id, member)
+            if self.peer.ctx is not self:
+                break  # a member made us abandon the leader
+        log.release()
 
     def _on_propose(self, msg):
         if not self._saw_newleader or msg.zxid.epoch != self.epoch:

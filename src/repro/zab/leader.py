@@ -11,13 +11,14 @@ One :class:`LeaderContext` exists per leadership attempt.  Life cycle:
    quorum has acknowledged.
 3. **Broadcast** — pipelined two-phase commit: assign zxids ``(e', n)``,
    log + PROPOSE, count quorum ACKs, COMMIT in order; ACK(z) and COMMIT(z)
-   are cumulative (every zxid <= z of the epoch).  Late followers are
-   synchronised individually and join the broadcast stream.
+   cover every zxid <= z of the epoch, and one event's PROPOSEs and COMMIT
+   leave as one frame per learner.  Late followers are synced one by one.
 
 The leader abdicates (peer returns to LOOKING) if it cannot establish
 within ``init_limit`` ticks or later loses contact with a quorum.
 """
 
+import collections
 import functools
 
 from repro.app.statemachine import Txn
@@ -103,12 +104,9 @@ class LeaderContext:
         self.acked_newleader = set()
         self.counter = 0
         self.proposals = OutstandingWindow()
-        self.pending = []
+        self.pending = collections.deque()
         self.spec_sm = None
-        self.batcher = Batcher(
-            peer, self.config.max_batch, self.config.batch_delay,
-            self._propose_batch,
-        )
+        self.batcher = Batcher(peer, self._disseminate)
         self._strategy = self.config.dissemination
         # Leader-direct is the empty plan: every voter is fed directly.
         self._relayed = not self._strategy.direct
@@ -398,17 +396,8 @@ class LeaderContext:
 
     def submit(self, request):
         """Accept a client write (queues until established / window free)."""
-        if not self.established:
-            self.pending.append(request)
-            return
-        self.batcher.add(request)
-
-    def _propose_batch(self, batch):
-        for request in batch:
-            if len(self.proposals) >= self.config.max_outstanding:
-                self.pending.append(request)
-            else:
-                self._propose(request)
+        self.pending.append(request)
+        self._drain_pending()
 
     def _propose(self, request):
         body = self.spec_sm.prepare(request.op)
@@ -440,7 +429,7 @@ class LeaderContext:
             recent[zxid] = proposal.proposed_at
             if len(recent) > _RECENT_PROPOSE_CAP:
                 del recent[next(iter(recent))]
-        self._disseminate(messages.Propose(zxid, txn, request.size))
+        self.batcher.add(messages.Propose(zxid, txn, request.size))
         self.peer.storage.log.append(
             zxid, txn, request.size,
             callback=functools.partial(
@@ -510,7 +499,7 @@ class LeaderContext:
         if not committed:
             return
         if self.peer.last_committed != before:
-            self._disseminate(
+            self.batcher.add(
                 messages.Commit(self.peer.last_committed), committed
             )
         self._drain_pending()
@@ -564,11 +553,11 @@ class LeaderContext:
         return self._plan
 
     def _disseminate(self, message, committed=()):
-        """Send one PROPOSE or COMMIT to every learner in the stream.
+        """Send one PROPOSE, COMMIT or FRAME to every learner in the stream.
 
         In handle order: a voter outside the relay plan gets *message*,
-        an observer an INFORM per *committed* ``(zxid, proposal)``; then
-        the plan members get *message* along the plan.
+        an observer the INFORMs of *committed* ``(zxid, proposal)``s,
+        framed as *message* is; then the plan members get *message*.
         """
         plan = self._refresh_plan() if self._relayed else ()
         members = self._plan_member_set
@@ -584,6 +573,8 @@ class LeaderContext:
                 if informs is None:
                     informs = [messages.Inform(z, p.txn, p.size)
                                for z, p in committed]
+                    if len(informs) > 1 and type(message) is messages.Frame:
+                        informs = [messages.Frame(informs)]
                 for inform in informs:
                     send(handle.peer_id, inform)
         for node, children in plan:
@@ -628,7 +619,7 @@ class LeaderContext:
             and self.established
             and len(self.proposals) < self.config.max_outstanding
         ):
-            self._propose(self.pending.pop(0))
+            self._propose(self.pending.popleft())
 
     # ------------------------------------------------------------------
     # Heartbeats and quorum supervision

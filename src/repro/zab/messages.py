@@ -8,6 +8,7 @@ bandwidth model where payload bytes matter.
 """
 
 from repro.net.message import HEADER_BYTES
+from repro.zab.dissemination import plan_members
 
 # --- Phase 0: leader election -----------------------------------------
 
@@ -226,12 +227,27 @@ class Inform:
         return HEADER_BYTES + 8 + self.size
 
 
+class Frame:
+    """Leader -> learner: the stream messages (PROPOSE/COMMIT, or
+    INFORM) of one leader event, handled in order as if sent back to
+    back; tagged with its newest member's zxid."""
+
+    __slots__ = ("members", "zxid")
+
+    def __init__(self, members):
+        self.members = members
+        self.zxid = max(member.zxid for member in members)
+
+    def wire_size(self):
+        return sum(member.wire_size() for member in self.members)
+
+
 class Relay:
     """One hop of a relayed broadcast message (non-direct topologies).
 
     Carries the originating leader and epoch so a receiver can tell
     stale relays (from a deposed leader's plan) from live traffic, the
-    wrapped broadcast payload (PROPOSE or COMMIT), and the source route
+    wrapped payload (PROPOSE, COMMIT or FRAME), and the source route
     the receiver forwards onward — a tuple of ``(node, children)``
     pairs in the same nested shape the strategy's plan uses.  Because
     the route travels with the message, in-flight hops keep working
@@ -255,21 +271,13 @@ class Relay:
         zxid-tagged across relay hops)."""
         return getattr(self.payload, "zxid", None)
 
-    def _route_nodes(self):
-        count = 0
-        stack = list(self.route)
-        while stack:
-            node, children = stack.pop()
-            count += 1
-            stack.extend(children)
-        return count
-
     def wire_size(self):
         # The wrapped message keeps its own framing: it is never charged
         # less than a header (what a relayed COMMIT has always cost).
         inner = getattr(self.payload, "wire_size", None)
         size = max(inner(), HEADER_BYTES) if inner else HEADER_BYTES
-        return size + 16 + self.ROUTE_ENTRY_BYTES * self._route_nodes()
+        return size + 16 + self.ROUTE_ENTRY_BYTES * len(
+            plan_members(self.route))
 
     def __repr__(self):
         return "Relay(%s e=%s %r via %d)" % (

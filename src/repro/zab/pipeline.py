@@ -1,18 +1,11 @@
-"""Leader-side request pipeline: pending requests and batching.
-
-Zab's headline performance feature is keeping **many transactions
-outstanding** (Phase 3 is a pipelined two-phase commit).  The leader
-additionally batches incoming requests before handing them to the
-proposal path, so consecutive proposals coalesce into one log flush
-(group commit) and back-to-back network sends.  ``max_batch=1`` (the
-default) disables batching, and only tests raise it.  Experiment E9
-sweeps fsync latency x group commit, which
-:class:`~repro.storage.txnlog.TxnLog` does whatever the batch size.
+"""Leader-side request pipeline: pending requests, the outstanding
+window (Phase 3 keeps **many transactions outstanding**) and the
+per-event outbox that frames the broadcast stream.
 """
 
 import collections
 
-from repro.obs.trace import NULL_TRACER
+from repro.zab.messages import Frame
 
 
 class PendingRequest:
@@ -32,72 +25,47 @@ class PendingRequest:
 
 
 class Batcher:
-    """Accumulates requests and flushes them in groups.
+    """The per-event outbox of a leader's broadcast stream.
 
-    Flush triggers: the batch reaches *max_batch* requests, or
-    *batch_delay* seconds pass since the first queued request.  A
-    ``max_batch`` of 1 (or a zero delay with any batch size) flushes
-    immediately and never arms a timer.
+    The first PROPOSE or COMMIT of an event (with the ``(zxid,
+    proposal)`` pairs a COMMIT covers, for observers) defers
+    :meth:`flush` to the event's end, which disseminates a lone message
+    as it is and two or more as one ``Frame``, in issue order.
     """
 
-    def __init__(self, peer, max_batch, batch_delay, flush_fn):
+    def __init__(self, peer, disseminate):
         self._peer = peer
-        self._max_batch = max_batch
-        self._batch_delay = batch_delay
-        self._flush_fn = flush_fn
-        self._buffer = []
-        self._timer = None
-        self._first_add_at = None
+        self._disseminate = disseminate
+        self._outbox = []         # (message, committed), issue order
 
-    def add(self, request):
-        if not self._buffer:
-            self._first_add_at = self._peer.sim.now
-        self._buffer.append(request)
-        if len(self._buffer) >= self._max_batch or self._batch_delay <= 0:
-            self.flush()
-        elif self._timer is None:
-            self._timer = self._peer.set_timer(
-                self._batch_delay, self._on_timer
-            )
-
-    def _on_timer(self):
-        self._timer = None
-        self.flush()
+    def add(self, message, committed=()):
+        if not self._outbox:
+            self._peer.sim.defer(self.flush)
+        self._outbox.append((message, committed))
 
     def flush(self):
-        """Hand everything buffered to the flush function, in order."""
-        if self._timer is not None:
-            self._peer.cancel_timer(self._timer)
-            self._timer = None
-        batch, self._buffer = self._buffer, []
-        if batch:
-            # getattr: unit tests drive the batcher with a bare stub
-            # peer that has no tracer wired up.
-            tracer = getattr(self._peer, "tracer", NULL_TRACER)
-            if tracer.active:
-                tracer.emit(
-                    "leader.batch", node=self._peer.peer_id,
-                    n=len(batch),
-                    held=self._peer.sim.now - self._first_add_at,
-                )
-            self._first_add_at = None
-            self._flush_fn(batch)
+        """Send everything issued during this event, in order."""
+        outbox, self._outbox = self._outbox, []
+        if not outbox:
+            return  # closed since the flush was deferred
+        tracer = self._peer.tracer
+        if tracer.active:
+            tracer.emit("leader.batch", node=self._peer.peer_id,
+                        n=len(outbox))
+        if len(outbox) == 1:
+            self._disseminate(*outbox[0])
+        else:
+            self._disseminate(
+                Frame([message for message, _c in outbox]),
+                [pair for _m, committed in outbox for pair in committed],
+            )
 
     def close(self):
-        """Drop buffered requests and cancel the timer.
-
-        Called when the leader loses leadership (or crashes): whatever
-        was buffered must die with the epoch — handing it to the flush
-        function here would leak requests into the next leader's term.
-        """
-        if self._timer is not None:
-            self._peer.cancel_timer(self._timer)
-            self._timer = None
-        self._buffer = []
-        self._first_add_at = None
+        """Drop the outbox: what a deposed leader issued dies with it."""
+        self._outbox = []
 
     def __len__(self):
-        return len(self._buffer)
+        return len(self._outbox)
 
 
 class OutstandingWindow(collections.OrderedDict):

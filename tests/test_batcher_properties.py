@@ -1,20 +1,24 @@
-"""Property-based tests for the leader-side request batcher.
+"""Property-based tests for the leader's broadcast-stream outbox.
 
 Two layers:
 
-- Unit-level (hypothesis): random interleavings of add / advance-time /
-  manual-flush, optionally ending in ``close()``, must preserve the
-  batcher's contract — FIFO order, no duplicates, no request held past
-  ``batch_delay``, batches never exceed ``max_batch``, nothing stuck
-  forever, and nothing flushed after close.
+- Unit-level (hypothesis): random runs of events, each issuing a random
+  sequence of PROPOSEs and COMMITs, optionally ending in ``close()``
+  with an event's messages still in the outbox, must preserve the
+  outbox contract: every event that issued anything causes exactly one
+  dissemination, a lone message goes out bare, two or more as one
+  frame, the unframed stream equals the issue order, and nothing is
+  sent after close.
 
-- Cluster-level: the ``batch_delay`` timer edge the batcher exists to
-  get right.  A leader buffers requests, the flush timer is armed, and
-  the leader then crashes (or is partitioned out and abdicates) before
-  the timer fires.  The buffered requests must die with that epoch:
-  they are never delivered anywhere, in any epoch, and the PO
-  properties hold across the leadership change.
+- Cluster-level: the edge the outbox must get right.  A leader issues
+  proposals outside any event (so their flush is still deferred), and
+  then crashes (or is partitioned out and abdicates).  The outboxed
+  requests must die with that epoch: they are never delivered
+  anywhere, in any epoch, and the PO properties hold across the
+  leadership change.
 """
+
+import types
 
 import pytest
 
@@ -22,89 +26,75 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from repro.harness import Cluster, ClusterConfig
-from repro.sim import Process, Simulator
+from repro.obs.trace import NULL_TRACER
+from repro.sim import Simulator
+from repro.zab import messages
 from repro.zab.pipeline import Batcher
+from repro.zab.zxid import Zxid
 
 
-class Host(Process):
-    def __init__(self, sim):
-        Process.__init__(self, sim, "host")
-
-
-_OPS = st.lists(
-    st.one_of(
-        st.just(("add",)),
-        st.tuples(st.just("run"), st.floats(min_value=0.001, max_value=0.4)),
-        st.just(("flush",)),
-    ),
-    max_size=40,
+_EVENTS = st.lists(
+    st.lists(st.sampled_from(["propose", "commit"]), max_size=6),
+    max_size=12,
 )
 
 
 @settings(max_examples=80, deadline=None)
-@given(
-    ops=_OPS,
-    max_batch=st.integers(min_value=1, max_value=8),
-    delay=st.sampled_from([0.0, 0.05, 0.2]),
-    close_at_end=st.booleans(),
-)
-def test_batcher_contract_under_random_interleavings(
-    ops, max_batch, delay, close_at_end
-):
+@given(events=_EVENTS, close_at_end=st.booleans())
+def test_batcher_contract_under_random_interleavings(events, close_at_end):
     sim = Simulator()
-    host = Host(sim)
-    flushes = []  # (virtual time, batch)
-
+    peer = types.SimpleNamespace(sim=sim, tracer=NULL_TRACER, peer_id=1)
+    sent = []  # (virtual time, message)
     batcher = Batcher(
-        host, max_batch, delay, lambda batch: flushes.append((sim.now, batch))
+        peer, lambda message, committed=(): sent.append((sim.now, message))
     )
-    submitted = []
-    added_at = {}
-    for op in ops:
-        if op[0] == "add":
-            request = "r%d" % len(submitted)
-            submitted.append(request)
-            added_at[request] = sim.now
-            batcher.add(request)
-        elif op[0] == "run":
-            sim.run(until=sim.now + op[1])
-        else:
-            batcher.flush()
+    issued = []
+    counter = [0]
 
+    def issue(kinds):
+        for kind in kinds:
+            if kind == "propose":
+                counter[0] += 1
+                message = messages.Propose(Zxid(1, counter[0]), None, 8)
+            else:
+                message = messages.Commit(Zxid(1, max(counter[0], 1)))
+            issued.append(message)
+            batcher.add(message)
+
+    for index, kinds in enumerate(events):
+        sim.schedule(0.01 * (index + 1), issue, kinds)
+    sim.run()
     if close_at_end:
+        # Issued outside run(): the flush is deferred to the next run().
+        issue(["propose", "commit"])
         batcher.close()
-        dropped = set(submitted) - {
-            request for _t, batch in flushes for request in batch
-        }
-    sim.run()  # drain every pending timer
+        sim.run()
 
-    flat = [request for _t, batch in flushes for request in batch]
-    # FIFO, exactly-once: what got flushed is exactly a prefix of what
-    # was submitted (the dropped tail only exists after close()).
-    assert flat == submitted[: len(flat)]
-    if close_at_end:
-        # close() is terminal for the buffered tail: draining the sim
-        # afterwards flushed nothing more.
-        assert set(flat).isdisjoint(dropped)
-        assert len(batcher) == 0
-    else:
-        assert flat == submitted, "requests stuck in the batcher forever"
-    for flush_time, batch in flushes:
-        assert 0 < len(batch) <= max_batch
-        # No request waits longer than the batch delay (1e-9 covers
-        # float rounding in virtual-time addition).
-        assert flush_time - added_at[batch[0]] <= delay + 1e-9
+    busy = [kinds for kinds in events if kinds]
+    assert len(sent) == len(busy)   # one dissemination per event
+    unframed = []
+    for (_t, message), kinds in zip(sent, busy):
+        if len(kinds) == 1:
+            assert not isinstance(message, messages.Frame)
+            unframed.append(message)
+        else:
+            assert isinstance(message, messages.Frame)
+            assert len(message.members) == len(kinds)
+            unframed.extend(message.members)
+    expected = issued[:-2] if close_at_end else issued
+    assert unframed == expected     # per-learner order is issue order
+    assert len(batcher) == 0
 
 
 def _buffer_doomed_requests(cluster, leader, count=5):
-    """Submit *count* writes that stay buffered (timer armed, no flush)."""
+    """Submit *count* writes outside ``run()``: they stay in the outbox."""
     committed = []
     for index in range(count):
         leader.propose_op(
             ("incr", "doomed-%d" % index, 1),
             callback=lambda result, zxid: committed.append(zxid),
         )
-    assert len(leader.ctx.batcher) == count, "requests should be buffered"
+    assert len(leader.ctx.batcher) == count, "proposals should be outboxed"
     return committed
 
 
@@ -118,12 +108,12 @@ def _assert_no_leak(cluster, committed):
 
 
 def test_buffered_requests_die_when_leader_crashes_before_flush():
-    cluster = Cluster(ClusterConfig(n_voters=3, seed=2,
-                      zab={"max_batch": 64, "batch_delay": 0.5})).start()
+    cluster = Cluster(ClusterConfig(n_voters=3, seed=2)).start()
     leader = cluster.run_until_stable(timeout=60)
     committed = _buffer_doomed_requests(cluster, leader)
-    cluster.run(0.1)  # well inside the 0.5 s batch window
-    cluster.crash(leader.peer_id)
+    batcher = leader.ctx.batcher
+    cluster.crash(leader.peer_id)   # before the deferred flush ran
+    assert len(batcher) == 0
     cluster.run_until_stable(timeout=60)
     cluster.recover(leader.peer_id)
     cluster.run_until_stable(timeout=60)
@@ -132,16 +122,15 @@ def test_buffered_requests_die_when_leader_crashes_before_flush():
 
 
 def test_buffered_requests_die_when_leader_loses_leadership():
-    # Same edge without a crash: the isolated leader abdicates (loses
-    # follower quorum) while the batch timer is armed; Batcher.close()
-    # must drop the buffer instead of flushing it into the next epoch.
-    cluster = Cluster(ClusterConfig(n_voters=3, seed=2,
-                      zab={"max_batch": 64, "batch_delay": 0.5})).start()
+    # Same edge without a crash: the outbox flushes into a partition
+    # that isolates the leader, which then abdicates (loses follower
+    # quorum); what it proposed must not leak into the next epoch.
+    cluster = Cluster(ClusterConfig(n_voters=3, seed=2)).start()
     leader = cluster.run_until_stable(timeout=60)
     old_epoch = leader.current_epoch()
     committed = _buffer_doomed_requests(cluster, leader)
     cluster.partition([leader.peer_id])
-    cluster.run(0.4)  # staleness timeout < 0.4 s < batch_delay arming
+    cluster.run(0.4)  # past the 0.2 s staleness timeout
     assert leader.state != "leading" or not leader.ctx.established
     cluster.heal()
     cluster.run_until_stable(timeout=60)

@@ -131,7 +131,7 @@ def test_validator_accepts_new_commit_path_kinds(validator):
         _line("leader.ack", {"zxid": [1, 1], "first": [1, 1], "src": 2}),
         _line("leader.quorum", {"zxid": [1, 1], "src": 2, "acks": 2}),
         _line("leader.commit", {"zxid": [1, 1], "acks": [1, 2]}),
-        _line("leader.batch", {"n": 4, "held": 0.001}),
+        _line("leader.batch", {"n": 4}),
         _line("net.send", {"dst": 2, "type": "Propose", "size": 64,
                            "msg_id": 1, "zxid": [1, 1]}),
         _line("net.deliver", {"src": 1, "type": "Propose", "size": 64,

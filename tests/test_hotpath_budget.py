@@ -18,6 +18,7 @@ Measured with this file's driver, identical on CPython 3.10, 3.11 and
     hot-path PR                         197.9
     cumulative ACK and COMMIT           138.0
     one durability callback per flush   133.2
+    one frame per learner per event      95.1
 
 The count is deterministic, so the gate is tight: 10 % head-room over
 the recorded value, and never more than two thirds of the parent's.  A
@@ -26,16 +27,19 @@ it) or added protocol work on purpose (re-measure and re-record).
 
 The same ruler holds the always-on flight recorder to its budget.  A
 wall-clock "recorder within 5 % of tracing off" reading flips sign from
-round to round on any shared box; in frames it is exact: 133.199 armed
-(the default control-plane posture) vs 133.188 with ``recorder=False``
-— the difference is the ``snapshot.save`` emits — and 273.7 with
+round to round on any shared box; in frames it is exact: 95.063 armed
+(the default control-plane posture) vs 95.052 with ``recorder=False``
+— the difference is the ``snapshot.save`` emits — and 179.9 with
 ``FlightRecorder(capture="all")``, so a recorder that starts building
 per-message events trips the half-frame gate with a 2x signal.
 
 The same window also pins the message economy of Phase 3 exactly: ACK
 and COMMIT are cumulative, so each follower sends one ACK per flush
 (not per record) and the leader one COMMIT per commit advance (not per
-proposal).  Per-txn ACK/COMMIT would send 2.0 of each per committed op.
+proposal); and the PROPOSEs and COMMIT the leader issues while handling
+one event leave as one frame per follower, which the follower logs in
+one flush.  Per-txn messages would send 2.0 PROPOSEs, 2.0 ACKs and 2.0
+COMMITs per committed op.
 """
 
 import functools
@@ -45,7 +49,7 @@ from repro import Cluster, ClusterConfig
 from repro.net import NetworkConfig
 
 PARENT_FRAMES_PER_OP = 355.0
-FRAMES_PER_OP = 133.2
+FRAMES_PER_OP = 95.1
 
 KEYS = 1000
 OUTSTANDING = 64
@@ -123,9 +127,11 @@ def test_frames_per_committed_op_within_budget():
 
 def test_cumulative_ack_and_commit_message_economy():
     _frames, commits, sent = _measure()
-    assert (commits, sent["Propose"], sent["Ack"], sent["Commit"]) == (
-        3188, 6376, 1134, 1366)
-    # Per committed op: 2 PROPOSEs, 0.36 ACKs and 0.43 COMMITs.
+    assert (commits, sent["Frame"], sent["Ack"]) == (3392, 106, 107)
+    # No PROPOSE or COMMIT leaves bare: per committed op, 0.031 frames
+    # (each a COMMIT and the ~64 PROPOSEs its commits released) and
+    # 0.032 ACKs, one per follower flush.
+    assert sent["Propose"] == sent["Commit"] == 0
 
 
 def test_flight_recorder_adds_under_half_a_frame_per_op():

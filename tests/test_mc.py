@@ -1,5 +1,8 @@
 """Unit tests for the bounded schedule explorer (repro.mc)."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.harness import Cluster, ClusterConfig
@@ -189,6 +192,28 @@ def test_explorer_finds_seeded_bug_and_emits_replayable_schedule():
     assert violation.schedule.meta["explored_prefix"] == list(
         violation.prefix
     )
+
+
+#: sha256 of the sorted-key JSON summary of three searches, recorded
+#: before a leader event's PROPOSEs and COMMIT could share a frame.  An
+#: explored execution has one broadcast message per leader event, which
+#: leaves the leader exactly as it did before, so framing must leave
+#: these searches byte-identical.
+_SEARCH_DIGESTS = [
+    ({"depth": 4},
+     "9a575c895018c126e8cfb3dbcbc99df814b6a375654b0e155d8e2c224bcb49cd"),
+    ({"depth": 4, "dissemination": "chain"},
+     "a2a24ca1d9178a3166f1063b2ca731ec11a2b875ac256705fdec0b53bc921133"),
+    ({"depth": 3, "interleave": True, "max_schedules": 64},
+     "d382bc657c5fe067312c149ab42df346923753b6e1d9f66f8313b5799dac5f84"),
+]
+
+
+@pytest.mark.parametrize("options,digest", _SEARCH_DIGESTS)
+def test_search_summary_is_pinned_byte_for_byte(options, digest):
+    summary = Explorer(ExplorerConfig(**options)).run().to_json()
+    text = json.dumps(summary, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest, summary
 
 
 def test_settle_cuts_a_run_where_the_search_prunes_it():

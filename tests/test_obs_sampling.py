@@ -198,7 +198,7 @@ def test_event_counts_per_posture_exact():
     sampled.sample(8, "net.", "log.", "leader.", "follower.", "peer.")
     _commit_puts(1250, tracer=sampled, recorder=False)
     _commit_puts(1250, tracer=full, recorder=False)
-    assert (len(sampled.events), len(full.events)) == (5810, 37583)
+    assert (len(sampled.events), len(full.events)) == (5187, 32588)
     assert _commit_puts(5000).recorder.recorded == 44
 
 

@@ -317,3 +317,79 @@ def test_pending_counter_stays_exact_through_cancel_and_fire():
     assert sim.pending() == 1
     sim.run()
     assert sim.pending() == 0
+
+
+# ----------------------------------------------------------------------
+# defer(): the end-of-event hook
+# ----------------------------------------------------------------------
+
+def test_deferred_work_runs_at_the_same_time_before_the_next_event():
+    sim = Simulator()
+    log = []
+
+    def first():
+        sim.defer(lambda: log.append(("deferred", sim.now)))
+        log.append(("first", sim.now))
+
+    sim.schedule(1.0, first)
+    sim.schedule(1.0, lambda: log.append(("second", sim.now)))
+    sim.run()
+    assert log == [("first", 1.0), ("deferred", 1.0), ("second", 1.0)]
+
+
+def test_nested_defers_drain_in_order_before_the_next_event():
+    sim = Simulator()
+    log = []
+
+    def deferred(name, more):
+        log.append(name)
+        for child in more:
+            sim.defer(deferred, child, ())
+
+    def event():
+        sim.defer(deferred, "a", ("a1", "a2"))
+        sim.defer(deferred, "b", ("b1",))
+
+    sim.schedule(0.5, event)
+    sim.schedule(0.5, log.append, "next")
+    sim.run()
+    assert log == ["a", "b", "a1", "a2", "b1", "next"]
+
+
+def test_deferred_work_is_not_an_event():
+    sim = Simulator()
+    sim.schedule(0.1, lambda: sim.defer(lambda: None))
+    sim.run()
+    assert sim.events_fired == 1
+    assert sim.pending() == 0
+
+
+def test_deferred_work_drains_under_an_installed_policy():
+    sim = Simulator()
+    sim.set_policy(_LastFirst())
+    log = []
+
+    def event(name):
+        sim.defer(log.append, name + "*")
+        log.append(name)
+
+    for name in "abc":
+        sim.schedule(1.0, event, name)
+    sim.run()
+    # The policy reorders the tied events; each event's deferred work
+    # still runs right after it, before the policy picks again.
+    assert log == ["c", "c*", "b", "b*", "a", "a*"]
+    assert sim.events_fired == 3
+
+
+def test_work_deferred_outside_run_drains_before_the_fast_exit():
+    sim = Simulator()
+    sim.run(until=2.0)
+    log = []
+    # Deferred outside run(): the next run() drains it on entry, at the
+    # current time, even though no event is due before the horizon.
+    sim.defer(lambda: log.append(sim.now))
+    sim.defer(lambda: sim.schedule(0.0, log.append, "scheduled"))
+    assert sim.run(until=2.0) == 2.0
+    assert log == [2.0, "scheduled"]
+    assert sim.events_fired == 1

@@ -119,6 +119,37 @@ def test_group_commit_batches_appends():
     assert log.last_durable() == z(1, 5)
 
 
+def test_held_appends_share_one_flush_after_release():
+    sim = Simulator()
+    disk = DiskModel(sim, fsync_latency=0.01, bandwidth_bps=1e9)
+    log = TxnLog(disk)
+    done = []
+    log.hold()
+    for i in range(1, 6):
+        log.append(z(1, i), "t%d" % i, size=10,
+                   callback=lambda i=i: done.append(i))
+    assert log.last_appended() == z(1, 5)
+    sim.run()
+    assert done == [] and log.flushes == 0   # nothing starts while held
+    log.release()
+    sim.run()
+    assert done == [5]
+    assert log.flushes == 1
+    assert log.last_durable() == z(1, 5)
+
+
+def test_crash_ends_a_hold():
+    sim = Simulator()
+    log = TxnLog(DiskModel(sim, fsync_latency=0.01, bandwidth_bps=1e9))
+    log.hold()
+    log.append(z(1, 1), "lost", size=10)
+    log.crash()
+    log.append(z(1, 1), "kept", size=10)   # flushes at once again
+    sim.run()
+    assert log.flushes == 1
+    assert log.get(z(1, 1)).txn == "kept"
+
+
 def test_callbacks_fire_after_fsync_latency():
     sim = Simulator()
     disk = DiskModel(sim, fsync_latency=0.05, bandwidth_bps=1e9)

@@ -90,13 +90,18 @@ def test_commit_order_matches_proposal_order():
 
 
 def test_batching_still_commits_everything():
-    cluster = stable_cluster(max_batch=8, batch_delay=0.01)
+    # 30 writes submitted at one instant leave the leader as one frame
+    # per follower, and every one of them commits, in order.
+    cluster = stable_cluster()
     done = []
     for i in range(30):
         cluster.submit(("incr", "b", 1), callback=lambda r, z:
                        done.append(r))
     cluster.run_until(lambda: len(done) == 30, timeout=10)
-    assert done[-1] == 30
+    assert done == list(range(1, 31))
+    assert cluster.network.stats.by_type.get("Frame", 0) >= 2
+    cluster.run(0.5)
+    cluster.assert_properties()
 
 
 def test_follower_local_read_via_peer():

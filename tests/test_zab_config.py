@@ -36,8 +36,6 @@ def test_validation_errors():
         ZabConfig([1], init_limit=0)
     with pytest.raises(ConfigError):
         ZabConfig([1], max_outstanding=0)
-    with pytest.raises(ConfigError):
-        ZabConfig([1], max_batch=0)
 
 
 def test_custom_quorum_must_match_voters():

@@ -65,6 +65,49 @@ def test_duplicate_propose_mid_flush_waits_for_the_fsync():
     assert acks_sent() == before + 1
 
 
+def test_a_frame_is_one_flush_and_one_ack():
+    cluster = stable_cluster(224, disk="model", fsync_latency=0.01)
+    cluster.submit_and_wait(("put", "k", 1))
+    cluster.run(0.3)
+    follower = active_follower(cluster)
+    leader_id = cluster.leader().peer_id
+    log = follower.storage.log
+    record = log.all_entries()[-1]
+    zxids = [record.zxid.next()]
+    for _ in range(2):
+        zxids.append(zxids[-1].next())
+    acks_before = cluster.network.stats.by_type.get("Ack", 0)
+    flushes_before = log.flushes
+    follower.ctx.on_message(leader_id, messages.Frame(
+        [messages.Propose(z, record.txn, record.size) for z in zxids]))
+    assert cluster.run_until(lambda: log.last_durable() == zxids[-1],
+                             timeout=1)
+    assert log.flushes == flushes_before + 1
+    assert cluster.network.stats.by_type.get("Ack", 0) == acks_before + 1
+
+
+def test_a_gap_inside_a_frame_stops_the_frame():
+    # The first member leaves a hole, so the follower abandons the
+    # leader; the members after it must not reach the aborted log.
+    cluster = stable_cluster(225, disk="model")
+    cluster.submit_and_wait(("put", "k", 1))
+    cluster.run(0.3)
+    follower = active_follower(cluster)
+    leader_id = cluster.leader().peer_id
+    log = follower.storage.log
+    record = log.all_entries()[-1]
+    gap = record.zxid.next().next()
+    changes = len(follower.role_changes)
+    follower.ctx.on_message(leader_id, messages.Frame([
+        messages.Propose(gap, record.txn, record.size),
+        messages.Propose(gap.next(), record.txn, record.size),
+    ]))
+    assert "gap" in follower.last_looking_reason
+    assert [state for _t, state in follower.role_changes[changes:]] == [
+        "looking"]   # abandoned once, by the first member
+    assert log.last_appended() == record.zxid
+
+
 def test_messages_from_non_leader_are_ignored():
     cluster = stable_cluster(221)
     follower = active_follower(cluster)

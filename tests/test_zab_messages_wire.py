@@ -124,6 +124,10 @@ WIRE_SIZES = [
     (messages.Relay(1, 1, messages.Propose(Z, TXN, 100),
                     ((2, ((3, ()),)),)), 268),
     (messages.Relay(1, 1, messages.Commit(Z), ((2, ()),)), 152),
+    # A COMMIT riding with the next PROPOSE: one header for both, where
+    # sent bare they cost 80 + 236.
+    (messages.Frame([messages.Commit(Z), messages.Propose(Zxid(1, 2), TXN,
+                                                          100)]), 252),
     (messages.Ping(Z), 82),
     (messages.Ping(Z, digest_position=100, digest="0123456789abcdef"), 104),
     (messages.Pong(Z), 80),

@@ -1,97 +1,96 @@
 """Unit tests for the leader-side request pipeline helpers."""
 
-from repro.sim import Process, Simulator
+import types
+
+from repro.obs.trace import NULL_TRACER
+from repro.sim import Simulator
+from repro.zab import messages
 from repro.zab.pipeline import Batcher, OutstandingWindow, PendingRequest
 from repro.zab.zxid import Zxid
 
 
-class Host(Process):
-    def __init__(self, sim):
-        Process.__init__(self, sim, "host")
-
-
-def make_batcher(max_batch, delay):
+def make_batcher():
     sim = Simulator()
-    host = Host(sim)
-    flushed = []
-    batcher = Batcher(host, max_batch, delay, flushed.append)
-    return sim, batcher, flushed
+    peer = types.SimpleNamespace(sim=sim, tracer=NULL_TRACER, peer_id=1)
+    sent = []  # (virtual time, message, committed)
+    batcher = Batcher(
+        peer, lambda message, committed=(): sent.append(
+            (sim.now, message, list(committed)))
+    )
+    return sim, batcher, sent
 
 
-def test_batch_of_one_flushes_immediately():
-    _sim, batcher, flushed = make_batcher(1, 0.5)
-    batcher.add("a")
-    assert flushed == [["a"]]
+def _propose(counter):
+    return messages.Propose(Zxid(1, counter), "t%d" % counter, 8)
 
 
-def test_zero_delay_flushes_immediately_regardless_of_size():
-    _sim, batcher, flushed = make_batcher(10, 0.0)
-    batcher.add("a")
-    batcher.add("b")
-    assert flushed == [["a"], ["b"]]
+def test_lone_message_goes_out_bare():
+    sim, batcher, sent = make_batcher()
+    propose = _propose(1)
+    sim.schedule(0.1, batcher.add, propose)
+    sim.run()
+    assert sent == [(0.1, propose, [])]
+
+
+def test_flush_runs_when_the_event_returns():
+    sim, batcher, sent = make_batcher()
+    seen = []
+
+    def event():
+        batcher.add(_propose(1))
+        seen.append(list(sent))   # nothing leaves mid-event
+
+    sim.schedule(0.2, event)
+    sim.run()
+    assert seen == [[]]
+    assert [t for t, _m, _c in sent] == [0.2]
 
 
 def test_full_batch_flushes_without_waiting():
-    sim, batcher, flushed = make_batcher(3, 10.0)
-    for item in "abc":
-        batcher.add(item)
-    assert flushed == [["a", "b", "c"]]
-    assert sim.now == 0.0
+    # Everything one event issued leaves as one dissemination when the
+    # event returns, at the same virtual time.
+    sim, batcher, sent = make_batcher()
+    commit = messages.Commit(Zxid(1, 1))
+    covered = [(Zxid(1, 1), "proposal-1")]
 
+    def event():
+        batcher.add(commit, covered)
+        for counter in (2, 3, 4):
+            batcher.add(_propose(counter))
 
-def test_partial_batch_flushes_on_timer():
-    sim, batcher, flushed = make_batcher(10, 0.2)
-    batcher.add("a")
-    batcher.add("b")
-    assert flushed == []
+    sim.schedule(0.1, event)
+    sim.schedule(0.1, batcher.add, _propose(5))
     sim.run()
-    assert flushed == [["a", "b"]]
-    assert sim.now >= 0.2
+    assert [t for t, _m, _c in sent] == [0.1, 0.1]
+    _t, frame, committed = sent[0]
+    assert isinstance(frame, messages.Frame)
+    # Issue order, tagged with the newest member's zxid, sized as the
+    # sum of its members.
+    assert [type(m).__name__ for m in frame.members] == [
+        "Commit", "Propose", "Propose", "Propose"]
+    assert frame.zxid == Zxid(1, 4)
+    assert frame.wire_size() == sum(m.wire_size() for m in frame.members)
+    assert committed == covered
+    assert sent[1][1].zxid == Zxid(1, 5)   # the next event: bare
 
 
-def test_manual_flush_cancels_timer():
-    sim, batcher, flushed = make_batcher(10, 0.2)
-    batcher.add("a")
+def test_manual_flush_leaves_nothing_for_the_deferred_flush():
+    sim, batcher, sent = make_batcher()
+    batcher.add(_propose(1))
     batcher.flush()
-    assert flushed == [["a"]]
-    sim.run()
-    assert flushed == [["a"]]  # timer did not fire a second flush
-
-
-def test_flush_then_refill_waits_the_full_delay_again():
-    # Regression: a manual flush must leave no stale timer behind — a
-    # buffer refilled right after a flush gets the full batch_delay from
-    # the refill, not an early flush at the *original* deadline.
-    sim, batcher, flushed = make_batcher(10, 0.2)
-    batcher.add("a")
-    sim.run(until=0.05)
-    batcher.flush()
-    assert flushed == [["a"]]
-    sim.run(until=0.1)
-    batcher.add("b")
-    sim.run(until=0.25)  # past the stale deadline (0.0 + 0.2)
-    assert flushed == [["a"]], "stale timer flushed the refilled buffer"
-    sim.run(until=0.31)  # past the real deadline (0.1 + 0.2, fp-rounded)
-    assert flushed == [["a"], ["b"]]
-
-
-def test_close_resets_first_add_timestamp():
-    # Hygiene invariant: empty buffer <=> no first-add timestamp.  A
-    # closed batcher must not keep the old epoch's timestamp around.
-    sim, batcher, _flushed = make_batcher(10, 0.2)
-    batcher.add("a")
-    assert batcher._first_add_at == sim.now
-    batcher.close()
-    assert batcher._first_add_at is None
+    assert len(sent) == 1
+    sim.run()   # the deferred flush finds an empty outbox
+    assert len(sent) == 1
 
 
 def test_close_drops_buffered_items():
-    sim, batcher, flushed = make_batcher(10, 0.2)
-    batcher.add("a")
-    assert len(batcher) == 1
+    sim, batcher, sent = make_batcher()
+    batcher.add(_propose(1))
+    batcher.add(_propose(2))
+    assert len(batcher) == 2
     batcher.close()
     sim.run()
-    assert flushed == []
+    assert sent == []
     assert len(batcher) == 0
 
 
