@@ -22,7 +22,6 @@ table and figure.
 
 from repro.bench.campaign import run_adversarial_campaign
 from repro.bench.runner import run_broadcast_bench
-from repro.bench.workloads import AggregateOpenLoopDriver, SessionClass
 from repro.checker import CheckerState, Trace, check_all
 from repro.client import Client
 from repro.harness import (
@@ -70,8 +69,6 @@ __all__ = [
     "ExplorationResult",
     "run_broadcast_bench",
     "run_adversarial_campaign",
-    "SessionClass",
-    "AggregateOpenLoopDriver",
     "check_all",
     "CheckerState",
     "Trace",

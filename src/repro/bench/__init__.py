@@ -13,11 +13,7 @@ Wall-clock cost of the simulation machinery itself is measured by
 from repro.bench.campaign import run_adversarial_campaign
 from repro.bench.metrics import Timeline
 from repro.bench.runner import BenchResult, run_broadcast_bench
-from repro.bench.workloads import (
-    AggregateOpenLoopDriver,
-    ClosedLoopDriver,
-    SessionClass,
-)
+from repro.bench.workloads import ClosedLoopDriver, OpenLoopDriver
 
 __all__ = [
     "Timeline",
@@ -25,6 +21,5 @@ __all__ = [
     "run_broadcast_bench",
     "run_adversarial_campaign",
     "ClosedLoopDriver",
-    "SessionClass",
-    "AggregateOpenLoopDriver",
+    "OpenLoopDriver",
 ]

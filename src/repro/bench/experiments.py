@@ -26,7 +26,7 @@ from repro.bench.runner import (
     require_properties,
     run_broadcast_bench,
 )
-from repro.bench.workloads import ClosedLoopDriver, open_loop
+from repro.bench.workloads import ClosedLoopDriver
 from repro.harness import ActionSchedule, Cluster, ClusterConfig
 from repro.harness.scenarios import measure_recovery_gap
 from repro.zab.dissemination import DISSEMINATION_TOPOLOGIES
@@ -194,7 +194,7 @@ def e2_latency_vs_load(rates=(500, 1000, 2000, 4000, 8000, 12000),
     rows = []
     for rate in rates:
         result = _bench(_EVAL.replace(n_voters=n_voters, seed=seed),
-                        duration, session_classes=open_loop(rate, _OP_SIZE))
+                        duration, rate=rate)
         p50 = result.latency.get("p50")
         p99 = result.latency.get("p99")
         rows.append({
@@ -216,7 +216,7 @@ def e3_failure_timeline(n_voters=5, seed=3, rate=2000):
     visible gap (election + sync) before service resumes."""
     result = run_broadcast_bench(
         _EVAL.replace(n_voters=n_voters, seed=seed), duration=10.0,
-        warmup=0, session_classes=open_loop(rate, _OP_SIZE),
+        op_size=_OP_SIZE, warmup=0, rate=rate,
         schedule=(
             ActionSchedule()
             .add(2.0, "crash_follower")
@@ -545,7 +545,7 @@ def e8_latency_percentiles(sizes=(3, 5, 7), rate=1000, duration=_DURATION,
     rows = []
     for n in sizes:
         latency = _bench(_EVAL.replace(n_voters=n, seed=seed), duration,
-                         session_classes=open_loop(rate, _OP_SIZE)).latency
+                         rate=rate).latency
         rows.append({
             "servers": n,
             "p50_ms": latency["p50"] * 1000,
@@ -690,7 +690,7 @@ def a2_observers(duration=_DURATION, seed=12, rate=1000):
         summary = _bench(
             _EVAL.replace(n_voters=n_voters, n_observers=n_observers,
                           seed=seed),
-            duration, session_classes=open_loop(rate, _OP_SIZE),
+            duration, rate=rate,
         ).latency
         rows.append({
             "config": label,

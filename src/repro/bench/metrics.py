@@ -34,7 +34,3 @@ class Timeline:
 
     def total(self):
         return sum(self._counts.values())
-
-    def min_rate(self, start=None, end=None):
-        rates = [rate for _t, rate in self.series(start, end)]
-        return min(rates) if rates else 0.0

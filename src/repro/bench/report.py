@@ -57,11 +57,6 @@ def bench_metrics(result):
         metrics["net.messages_dropped"] = result.net_stats.get(
             "messages_dropped", 0
         )
-    workload = getattr(result, "workload", None)
-    if workload is not None:
-        # Session-class runs: per-class rates/latencies flow into the
-        # same flat namespace, pre-flattened by the aggregate driver.
-        metrics.update(workload.get("class_metrics", {}))
     return metrics
 
 

@@ -1,7 +1,9 @@
 """End-to-end experiment runner.
 
 ``run_broadcast_bench`` builds a cluster from one ``ClusterConfig``,
-drives it with a workload (and, optionally, a fault schedule) for a
+drives it with a closed loop of outstanding puts or an open loop of
+Poisson puts at a fixed rate (an arrival that finds no leader is counted
+as rejected, never retried), optionally under a fault schedule, for a
 fixed stretch of simulated time, and returns a :class:`BenchResult`
 with throughput, latency percentiles, and traffic accounting.  Every
 bench-shaped experiment of :mod:`repro.bench.experiments`, E3's failure
@@ -9,7 +11,7 @@ timeline, and ``repro bench``/``trace``/``profile``/``health`` run
 through it.
 """
 
-from repro.bench.workloads import AggregateOpenLoopDriver, ClosedLoopDriver
+from repro.bench.workloads import ClosedLoopDriver, OpenLoopDriver
 from repro.harness.cluster import Cluster
 from repro.net import NetworkConfig
 from repro.obs import MetricsRegistry
@@ -25,7 +27,7 @@ class BenchResult:
 
     def __init__(self, params, throughput, latency, duration, committed,
                  submitted, started_at, net_stats, timeline, fault_log,
-                 check_report, metrics, workload=None):
+                 check_report, metrics):
         self.params = params
         self.throughput = throughput      # committed ops / simulated second
         self.latency = latency            # summary dict (mean/p50/p95/p99)
@@ -39,9 +41,6 @@ class BenchResult:
         self.fault_log = fault_log
         self.check_report = check_report
         self.metrics = metrics            # repro.obs registry snapshot
-        # AggregateOpenLoopDriver.results() dict (per-class breakdowns)
-        # when the run used session-class load, else None.
-        self.workload = workload
 
     def __repr__(self):
         return "<BenchResult %.0f ops/s %r>" % (self.throughput, self.params)
@@ -75,7 +74,7 @@ def run_broadcast_bench(
     outstanding=64,
     duration=3.0,
     warmup=0.5,
-    session_classes=None,
+    rate=None,
     schedule=None,
 ):
     """Boot a cluster built from *config* (a
@@ -86,12 +85,11 @@ def run_broadcast_bench(
     :class:`BenchResult`; raises unless the history passes the checker.
 
     The load is closed-loop by default: ``outstanding`` puts of
-    ``op_size`` bytes always in flight.  ``session_classes`` (a list of
-    :class:`~repro.bench.workloads.SessionClass`; ``open_loop(rate)``
-    for plain Poisson writes) switches to the open-loop aggregate
-    population driver: offered load comes from arrival-rate models, the
-    result carries per-class breakdowns in ``result.workload``, and
-    per-class rates/latencies join the bench metrics.  *schedule* (an
+    ``op_size`` bytes always in flight.  A *rate* switches to the open
+    loop (:class:`~repro.bench.workloads.OpenLoopDriver`): Poisson puts
+    of ``op_size`` bytes at *rate* per simulated second, whatever the
+    cluster keeps up with; an arrival that finds no leader is counted
+    as rejected and not retried.  *schedule* (an
     :class:`~repro.harness.schedule.ActionSchedule`) is installed at
     stability, timed from there, and its fired actions come back as
     ``result.fault_log``.  The result always carries a
@@ -106,10 +104,8 @@ def run_broadcast_bench(
     cluster = Cluster(config.replace(metrics=registry)).start()
     cluster.run_until_stable(timeout=60.0)
 
-    if session_classes is not None:
-        driver = AggregateOpenLoopDriver(
-            cluster, session_classes, warmup=warmup,
-        )
+    if rate is not None:
+        driver = OpenLoopDriver(cluster, rate, op_size, warmup=warmup)
     else:
         driver = ClosedLoopDriver(
             cluster, outstanding, default_op_factory(op_size), op_size,
@@ -144,13 +140,8 @@ def run_broadcast_bench(
         "dissemination": config.dissemination,
         "leader": leader.peer_id if leader is not None else None,
     }
-    workload = None
-    if session_classes is not None:
-        params["session_classes"] = [
-            cls.to_json() for cls in session_classes
-        ]
-        workload = driver.results()
-        workload["class_metrics"] = driver.class_metrics(measured_window)
+    if rate is not None:
+        params["rate"] = rate
     return BenchResult(
         params=params,
         throughput=throughput,
@@ -164,5 +155,4 @@ def run_broadcast_bench(
         fault_log=fault_log,
         check_report=report,
         metrics=registry.snapshot(),
-        workload=workload,
     )

@@ -26,7 +26,6 @@ from pathlib import Path
 from repro.bench import experiments
 from repro.bench.report import write_report
 from repro.bench.runner import EVAL_LINK, run_broadcast_bench
-from repro.bench.workloads import open_loop
 from repro.common.errors import ConfigError
 from repro.common.util import atomic_write
 from repro.harness.config import ClusterConfig
@@ -276,7 +275,7 @@ def cmd_trace(args):
             tracer=tracer, metrics=registry,
         ),
         duration=args.duration, warmup=0,
-        session_classes=open_loop(args.rate),
+        rate=args.rate,
         schedule=crash_recovery_schedule(),
     )
     events = tracer.events
@@ -326,7 +325,7 @@ def cmd_profile(args):
                 tracer=tracer,
             ),
             duration=args.duration, warmup=0,
-            session_classes=open_loop(args.rate),
+            rate=args.rate,
         )
         # Round-trip through JSONL: the analysis below always runs on a
         # replayed trace, so `repro profile --trace <file>` on the dump

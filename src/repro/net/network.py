@@ -204,7 +204,7 @@ class Network:
         msg_id = self._msg_seq + 1
         self._msg_seq = msg_id
         sim = self.sim
-        now = sim._now
+        now = sim.now
         envelope = Envelope(src, dst, payload, size, now, msg_id)
 
         if not self._alive.get(src, False):

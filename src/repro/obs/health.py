@@ -740,7 +740,6 @@ def run_health_check(scenario, config, rate=2000.0, duration=8.0,
     ``net.*`` events disabled (the detectors never need them).
     """
     from repro.bench.runner import run_broadcast_bench
-    from repro.bench.workloads import open_loop
     from repro.harness.opscenarios import stable_leader_id
     from repro.harness.scenarios import crash_recovery_schedule
     from repro.harness.schedule import ActionSchedule
@@ -768,7 +767,7 @@ def run_health_check(scenario, config, rate=2000.0, duration=8.0,
         config = config.replace(tracer=tracer)
     result = run_broadcast_bench(
         config, duration=duration, warmup=0,
-        session_classes=open_loop(rate), schedule=schedule,
+        rate=rate, schedule=schedule,
     )
     return HealthMonitor(window).feed(config.tracer.events).finish(
         result.metrics["gauges"]["sim.now"]

@@ -60,7 +60,7 @@ class Simulator:
     def __init__(self, seed=0):
         self._queue = []         # heap of (time, seq, Event)
         self._seq = 0
-        self._now = 0.0
+        self.now = 0.0           # virtual seconds; only run() moves it
         self._events_fired = 0
         self._scheduled = 0      # total schedule_at calls
         self._cancelled = 0      # cancels of not-yet-fired events
@@ -68,11 +68,6 @@ class Simulator:
         self._pending_view = None  # cached iter_pending result
         self._deferred = []      # (fn, args) for defer(), in order
         self.random = SplitRandom(seed)
-
-    @property
-    def now(self):
-        """Current virtual time in seconds."""
-        return self._now
 
     @property
     def events_fired(self):
@@ -83,7 +78,7 @@ class Simulator:
         """Run ``fn(*args)`` after *delay* seconds of virtual time."""
         if not delay >= 0:   # also rejects NaN, which breaks heap order
             raise ValueError("delay must be >= 0, not %r" % delay)
-        time = self._now + delay
+        time = self.now + delay
         seq = self._seq
         self._seq = seq + 1
         self._scheduled += 1
@@ -93,9 +88,9 @@ class Simulator:
 
     def schedule_at(self, time, fn, *args):
         """Run ``fn(*args)`` at absolute virtual *time*."""
-        if not time >= self._now:   # also rejects NaN
+        if not time >= self.now:   # also rejects NaN
             raise ValueError(
-                "cannot schedule at %r: now=%r" % (time, self._now)
+                "cannot schedule at %r: now=%r" % (time, self.now)
             )
         seq = self._seq
         self._seq = seq + 1
@@ -168,15 +163,15 @@ class Simulator:
         while deferred:              # deferred outside run(): due now
             fn, args = deferred.pop(0)
             fn(*args)
-        if until is not None and until < self._now:
-            until = self._now     # fast-exit floor: never rewind the clock
+        if until is not None and until < self.now:
+            until = self.now      # fast-exit floor: never rewind the clock
         queue = self._queue
         if until is not None and (not queue or queue[0][0] > until):
             # Fast exit: nothing due on or before the horizon.  This is
             # the common case for the polling loops in run_until().
-            if until > self._now:
-                self._now = until
-            return self._now
+            if until > self.now:
+                self.now = until
+            return self.now
         heappop = _heappop
         # Sentinel bounds instead of per-event None checks: an unbounded
         # run compares against +inf, which is never exceeded.
@@ -192,17 +187,17 @@ class Simulator:
                 heappop(queue)
                 continue
             if event_time > bound:
-                self._now = until
+                self.now = until
                 return until
             heappop(queue)
             if policy is not None:
                 event = self._resolve_tie(event_time, event)
-                self._now = event_time
+                self.now = event_time
                 event.fire()
             else:
                 # Inlined Event.fire(): consume the event and invoke the
                 # callback without a second method call per event.
-                self._now = event_time
+                self.now = event_time
                 fn = event.fn
                 args = event.args
                 event.cancelled = True
@@ -217,11 +212,11 @@ class Simulator:
             fired += 1
             if fired >= limit:
                 raise SimulationLimitError(
-                    "stopped after %d events at t=%.6f" % (fired, self._now)
+                    "stopped after %d events at t=%.6f" % (fired, self.now)
                 )
-        if until is not None and until > self._now:
-            self._now = until
-        return self._now
+        if until is not None and until > self.now:
+            self.now = until
+        return self.now
 
     def _resolve_tie(self, time, head):
         """Let the installed policy pick among all events tied with *head*.
@@ -257,7 +252,7 @@ class Simulator:
 
     def run_for(self, duration):
         """Advance virtual time by *duration* seconds, processing events."""
-        return self.run(until=self._now + duration)
+        return self.run(until=self.now + duration)
 
     def attach_metrics(self, registry):
         """Expose kernel health to a metrics registry.

@@ -8,7 +8,6 @@ commits resuming under the new leader — all stamped with virtual time.
 """
 
 from repro.bench.runner import EVAL_LINK, run_broadcast_bench
-from repro.bench.workloads import open_loop
 from repro.harness import ActionSchedule, ClusterConfig
 from repro.obs import MetricsRegistry, Tracer, phase_spans
 
@@ -20,7 +19,7 @@ def _run_traced(rate=300.0, duration=6.0):
     result = run_broadcast_bench(
         ClusterConfig(n_voters=5, seed=3, net=EVAL_LINK, tracer=tracer,
                       metrics=registry),
-        duration=duration, warmup=0, session_classes=open_loop(rate),
+        duration=duration, warmup=0, rate=rate,
         schedule=(
             ActionSchedule()
             .add(1.0, "crash_follower")

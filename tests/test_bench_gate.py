@@ -85,7 +85,6 @@ def test_profile_scenario_metrics_are_pinned_exactly():
     # purpose re-pins it here and says so.  Wire events do not move the
     # profile, so the pin holds with or without `--net`.
     from repro.bench.runner import EVAL_LINK, run_broadcast_bench
-    from repro.bench.workloads import open_loop
     from repro.harness import ClusterConfig
     from repro.obs import Tracer, profile_trace
 
@@ -93,7 +92,7 @@ def test_profile_scenario_metrics_are_pinned_exactly():
     tracer.disable("net.")
     run_broadcast_bench(
         ClusterConfig(n_voters=5, seed=3, net=EVAL_LINK, tracer=tracer),
-        duration=3.0, warmup=0, session_classes=open_loop(800.0),
+        duration=3.0, warmup=0, rate=800.0,
     )
     assert profile_metrics(profile_trace(tracer.events)) == {
         "committed": 2393,
@@ -170,14 +169,13 @@ def test_validator_still_rejects_unknown_kinds(validator):
 
 def test_validator_accepts_real_profile_dump(tmp_path, validator):
     from repro.bench.runner import run_broadcast_bench
-    from repro.bench.workloads import open_loop
     from repro.harness import ClusterConfig
     from repro.obs import Tracer, dump_jsonl
 
     tracer = Tracer()
     run_broadcast_bench(
         ClusterConfig(seed=1, tracer=tracer), duration=0.5, warmup=0,
-        session_classes=open_loop(200),
+        rate=200,
     )
     path = str(tmp_path / "profile.jsonl")
     dump_jsonl(tracer, path)

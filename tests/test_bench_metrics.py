@@ -29,17 +29,9 @@ def test_timeline_window_filter():
     assert [t for t, _r in series] == [3.0, 4.0, 5.0]
 
 
-def test_timeline_min_rate():
-    timeline = Timeline(bucket=1.0)
-    timeline.add(0.5, count=10)
-    timeline.add(2.5, count=2)
-    assert timeline.min_rate() == 0.0   # bucket 1 is empty
-    assert timeline.min_rate(start=2.0, end=2.9) == 2.0
-
-
 def test_timeline_empty():
     assert Timeline().series() == []
-    assert Timeline().min_rate() == 0.0
+    assert Timeline().total() == 0
 
 
 def test_timeline_validation():

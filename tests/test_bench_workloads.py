@@ -2,17 +2,12 @@
 
 import pytest
 
-from repro.bench import (
-    AggregateOpenLoopDriver,
-    ClosedLoopDriver,
-    SessionClass,
-)
+from repro.bench import ClosedLoopDriver, OpenLoopDriver
 from repro.bench.runner import (
     EVAL_LINK,
     default_op_factory,
     run_broadcast_bench,
 )
-from repro.bench.workloads import open_loop
 from repro.harness import Cluster, ClusterConfig
 from repro.net.network import Network
 from repro.zab import messages
@@ -54,15 +49,13 @@ def test_closed_loop_survives_leader_crash():
 
 def test_open_loop_hits_target_rate():
     cluster = stable_cluster(seed=132)
-    driver = AggregateOpenLoopDriver(
-        cluster, open_loop(rate=500, op_size=64),
-    ).start()
+    driver = OpenLoopDriver(cluster, rate=500, op_size=64).start()
     cluster.run(2.0)
     driver.stop()
     achieved = driver.committed / 2.0
     assert 350 < achieved < 650  # Poisson noise around 500
-    assert driver.submitted == driver.results()["classes"]["open-loop"][
-        "submitted"]          # write-only: every arrival is a proposal
+    assert driver.rejected == 0  # a stable leader takes every arrival
+    assert driver.submitted >= driver.committed
 
 
 def test_each_post_warmup_commit_is_recorded_exactly_once():
@@ -121,154 +114,40 @@ def test_runner_end_to_end_smoke(monkeypatch):
 def test_runner_open_loop_mode():
     result = run_broadcast_bench(
         ClusterConfig(seed=137, net=EVAL_LINK),
-        duration=0.5, warmup=0.1, session_classes=open_loop(300),
+        duration=0.5, warmup=0.1, rate=300,
     )
-    assert 0 < result.throughput < 600
-    assert result.params["session_classes"] == [{
-        "name": "open-loop", "sessions": 1, "rate_per_session": 300,
-        "read_fraction": 0.0, "arrival": "poisson", "op_size": 1024,
-        "keys": 64,
-    }]
+    assert result.params["rate"] == 300
+    assert result.params["op_size"] == 1024
+    # The Poisson schedule is a function of the seed alone, pinned.
+    assert (result.submitted, result.committed, result.throughput) == (
+        170, 143, 286.0)
+    assert result.latency["p50"] == 0.000506700458747528
+    assert result.latency["p99"] == 0.0005927678690217226
 
 
-# ---------------------------------------------------------------------------
-# Aggregate session-class load
-# ---------------------------------------------------------------------------
-
-def test_session_class_validates_inputs():
-    with pytest.raises(ValueError):
-        SessionClass("bad", sessions=0, rate_per_session=1.0)
-    with pytest.raises(ValueError):
-        SessionClass("bad", sessions=1, rate_per_session=0)
-    with pytest.raises(ValueError):
-        SessionClass("bad", sessions=1, rate_per_session=1.0,
-                     read_fraction=1.5)
-    with pytest.raises(ValueError):
-        SessionClass("bad", sessions=1, rate_per_session=1.0,
-                     arrival="bursty")
-    # An op_size the class could not sample fails here, not at the
-    # first arrival in the middle of a simulation.
-    for op_size in (("zipf", 1, 2), ("uniform", 9, 3), ("uniform", 0, 3),
-                    ("uniform", 1), -5, 0, 2.5, True, "big"):
+def test_open_loop_rejects_a_rate_that_is_not_finite_and_positive():
+    cluster = stable_cluster(seed=143)
+    for rate in (0, -1, float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            SessionClass("bad", sessions=1, rate_per_session=1.0,
-                         op_size=op_size)
-    SessionClass("ok", sessions=1, rate_per_session=1.0,
-                 op_size=("uniform", 3, 3))
+            OpenLoopDriver(cluster, rate)
 
 
-def test_aggregate_rate_is_population_times_per_session():
-    cls = SessionClass("web", sessions=1_000_000,
-                       rate_per_session=0.0004)
-    assert cls.aggregate_rate == pytest.approx(400.0)
-
-
-def test_aggregate_driver_simulates_millions_of_sessions():
-    cluster = stable_cluster(seed=140)
-    driver = AggregateOpenLoopDriver(cluster, [SessionClass(
-        "web", sessions=2_000_000, rate_per_session=0.0002,
-        read_fraction=0.5, op_size=64,
-    )]).start()
-    cluster.run(1.0)
-    driver.stop()
-    assert driver.sessions == 2_000_000
-    results = driver.results()
-    web = results["classes"]["web"]
-    # ~400 arrivals/s split evenly between reads and commits.
-    assert web["committed"] > 100
-    assert web["reads"] > 100
-    assert web["latency"]["p50"] > 0
-
-
-@pytest.mark.parametrize("sessions", [1, 1024, 2**20, 10**6])
-def test_aggregate_driver_cost_is_independent_of_population(sessions):
-    # Sessions are a rate parameter, not objects: the same 400 ops/s
-    # spread over one session or a million fires the same kernel events
-    # and submits and commits the same ops, on any machine.  (The class
-    # name labels the arrival PRNG stream, so it is part of the pin.)
-    cluster = stable_cluster(seed=1)
-    fired = cluster.sim.events_fired
-    driver = AggregateOpenLoopDriver(cluster, [SessionClass(
-        "population", sessions=sessions, rate_per_session=400.0 / sessions,
-        read_fraction=0.5, op_size=64,
-    )]).start()
-    cluster.run(1.0)
-    driver.stop()
-    assert (cluster.sim.events_fired - fired, driver.submitted,
-            driver.committed) == (1779, 423, 202)
-
-
-def test_aggregate_driver_per_class_breakdowns_are_independent():
-    cluster = stable_cluster(seed=141)
-    classes = [
-        SessionClass("readers", sessions=1000, rate_per_session=0.2,
-                     read_fraction=1.0),
-        SessionClass("writers", sessions=100, rate_per_session=1.0,
-                     read_fraction=0.0, op_size=("uniform", 32, 256)),
-    ]
-    driver = AggregateOpenLoopDriver(cluster, classes).start()
-    cluster.run(1.0)
-    driver.stop()
-    results = driver.results()
-    assert results["classes"]["readers"]["committed"] == 0
-    assert results["classes"]["readers"]["reads"] > 100
-    assert results["classes"]["writers"]["reads"] == 0
-    assert results["classes"]["writers"]["committed"] > 50
-
-
-def test_aggregate_driver_is_deterministic():
+def test_open_loop_is_deterministic():
     def run():
         cluster = stable_cluster(seed=142)
-        driver = AggregateOpenLoopDriver(cluster, [SessionClass(
-            "mix", sessions=10_000, rate_per_session=0.03,
-            read_fraction=0.25, op_size=("uniform", 16, 64),
-        )]).start()
+        driver = OpenLoopDriver(cluster, rate=300, op_size=32).start()
         cluster.run(1.0)
         driver.stop()
-        return driver.results()
+        return (driver.submitted, driver.committed,
+                driver.latency.snapshot(), driver.timeline.series())
 
     assert run() == run()
-
-
-def test_aggregate_driver_rejects_duplicate_class_names():
-    cluster = stable_cluster(seed=143)
-    cls = SessionClass("dup", sessions=10, rate_per_session=1.0)
-    with pytest.raises(ValueError):
-        AggregateOpenLoopDriver(cluster, [cls, cls])
-    with pytest.raises(ValueError):
-        AggregateOpenLoopDriver(cluster, [])
 
 
 def test_aggregate_driver_counts_rejections_without_leader():
     cluster = stable_cluster(seed=144)
     cluster.crash(cluster.leader().peer_id)
-    driver = AggregateOpenLoopDriver(cluster, [SessionClass(
-        "storm", sessions=1000, rate_per_session=0.2,
-    )]).start()
+    driver = OpenLoopDriver(cluster, rate=200).start()
     cluster.run(0.2)
     driver.stop()
     assert driver.rejected > 0
-
-
-def test_runner_session_class_mode_reports_per_class_metrics():
-    from repro.bench.report import bench_metrics
-
-    result = run_broadcast_bench(
-        ClusterConfig(seed=145, net=EVAL_LINK),
-        duration=0.5, warmup=0.1,
-        session_classes=[
-            SessionClass("web", sessions=500_000,
-                         rate_per_session=0.0008, read_fraction=0.5),
-            SessionClass("batch", sessions=10, rate_per_session=10.0,
-                         arrival="fixed", op_size=512),
-        ],
-    )
-    assert result.workload is not None
-    assert result.workload["sessions"] == 500_010
-    assert set(result.workload["classes"]) == {"web", "batch"}
-    assert result.params["session_classes"][0]["name"] == "web"
-    metrics = bench_metrics(result)
-    assert metrics["workload.sessions"] == 500_010
-    assert metrics["workload.class.web.committed"] > 0
-    assert metrics["workload.class.batch.write_ops"] > 0
-    assert metrics["workload.class.web.latency.p50_ms"] > 0

@@ -256,14 +256,13 @@ def test_health_exit_1_while_detector_firing(capsys):
 
 def test_health_offline_trace(capsys, tmp_path):
     from repro.bench.runner import run_broadcast_bench
-    from repro.bench.workloads import open_loop
     from repro.harness import ClusterConfig
     from repro.obs import Tracer, dump_jsonl
 
     tracer = Tracer()
     tracer.disable("net.")
     run_broadcast_bench(ClusterConfig(seed=1, tracer=tracer), duration=0.5,
-                        warmup=0, session_classes=open_loop(200))
+                        warmup=0, rate=200)
     trace = str(tmp_path / "run.jsonl")
     dump_jsonl(tracer.events, trace)
     assert main(["health", "--trace", trace]) == 0

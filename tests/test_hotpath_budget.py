@@ -19,6 +19,7 @@ Measured with this file's driver, identical on CPython 3.10, 3.11 and
     cumulative ACK and COMMIT           138.0
     one durability callback per flush   133.2
     one frame per learner per event      95.1
+    ``Simulator.now`` a plain attribute  87.8
 
 The count is deterministic, so the gate is tight: 10 % head-room over
 the recorded value, and never more than two thirds of the parent's.  A
@@ -27,11 +28,11 @@ it) or added protocol work on purpose (re-measure and re-record).
 
 The same ruler holds the always-on flight recorder to its budget.  A
 wall-clock "recorder within 5 % of tracing off" reading flips sign from
-round to round on any shared box; in frames it is exact: 95.063 armed
-(the default control-plane posture) vs 95.052 with ``recorder=False``
-— the difference is the ``snapshot.save`` emits — and 179.9 with
+round to round on any shared box; in frames it is exact: 87.758 armed
+(the default control-plane posture) vs 87.750 with ``recorder=False``
+— the difference is the ``snapshot.save`` emits — and 159.0 with
 ``FlightRecorder(capture="all")``, so a recorder that starts building
-per-message events trips the half-frame gate with a 2x signal.
+per-message events trips the half-frame gate with a 1.8x signal.
 
 The same window also pins the message economy of Phase 3 exactly: ACK
 and COMMIT are cumulative, so each follower sends one ACK per flush
@@ -49,7 +50,7 @@ from repro import Cluster, ClusterConfig
 from repro.net import NetworkConfig
 
 PARENT_FRAMES_PER_OP = 355.0
-FRAMES_PER_OP = 95.1
+FRAMES_PER_OP = 87.8
 
 KEYS = 1000
 OUTSTANDING = 64

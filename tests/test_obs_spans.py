@@ -257,13 +257,12 @@ def test_causality_transaction_messages_in_time_order():
 @pytest.fixture(scope="module")
 def replayed_profile():
     from repro.bench.runner import EVAL_LINK, run_broadcast_bench
-    from repro.bench.workloads import open_loop
     from repro.harness import ClusterConfig
 
     tracer = Tracer()
     run_broadcast_bench(
         ClusterConfig(n_voters=5, seed=3, net=EVAL_LINK, tracer=tracer),
-        duration=1.5, warmup=0, session_classes=open_loop(400),
+        duration=1.5, warmup=0, rate=400,
     )
     buffer = io.StringIO()
     dump_jsonl(tracer, buffer)
