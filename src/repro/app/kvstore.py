@@ -74,11 +74,13 @@ class KVStateMachine(StateMachine):
         if kind == "set":
             _, key, value = body
             size = self._value_size
+            grown = len(value) if value.__class__ is str else size(value)
             old = self._data.get(key, _ABSENT)
             if old is _ABSENT:
-                self._data_bytes += size(key) + size(value)
+                grown += len(key) if key.__class__ is str else size(key)
             else:
-                self._data_bytes += size(value) - size(old)
+                grown -= len(old) if old.__class__ is str else size(old)
+            self._data_bytes += grown
             self._data[key] = value
             return value
         if kind == "del":
@@ -126,7 +128,11 @@ class KVStateMachine(StateMachine):
         self.applied_count = applied
 
     def op_size(self, op):
-        return 8 + sum(self._value_size(part) for part in op[1:])
+        size = 8
+        for part in op[1:]:
+            size += (len(part) if part.__class__ is str
+                     else self._value_size(part))
+        return size
 
     @staticmethod
     def _value_size(value):

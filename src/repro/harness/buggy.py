@@ -38,9 +38,9 @@ class BuggyLeaderContext(LeaderContext):
     partition with writes in flight.
     """
 
-    def _quorate(self, zxid):
+    def _quorum_frontier(self):
         # BUG: should be a quorum check
-        return any(mark >= zxid for mark in self.acked.values())
+        return max(self.acked.values(), default=None)
 
 
 class _RelabelingTrace:

@@ -41,7 +41,7 @@ def peer_fingerprint(peer, storage_state=False):
         storage.epochs.current_epoch,
         peer.position,
         _zxid_tuple(peer.last_committed),
-        tuple(_zxid_tuple(record.zxid) for record in storage.log.all_entries()),
+        tuple(map(tuple, storage.log.durable_zxids())),
     )
     if not storage_state:
         return base

@@ -13,10 +13,19 @@ the protocol layer re-reads the durable suffix.
 """
 
 import bisect
+import functools
+import types
+from operator import itemgetter
 
 from repro.common.errors import StorageError
 from repro.obs.trace import NULL_TRACER
 from repro.storage.records import LogRecord, Torn
+
+_ZXID, _TXN, _SIZE = itemgetter(0), itemgetter(1), itemgetter(2)
+#: ``LogRecord`` from a ``(zxid, txn, size)`` tuple, without a Python frame.
+_record = functools.partial(tuple.__new__, LogRecord)
+#: The clock of a disk that has none.
+_NO_CLOCK = types.SimpleNamespace(now=0.0)
 
 
 class TxnLog:
@@ -35,10 +44,13 @@ class TxnLog:
 
     def __init__(self, disk=None, group_commit=True):
         self._disk = disk
+        self._clock = getattr(disk, "sim", _NO_CLOCK)   # bound once
         self._group_commit = group_commit
-        self._records = []        # durable LogRecords, ascending zxid
-        self._zxids = []          # parallel list of zxids for bisect
-        self._pending = []        # [(LogRecord, callback)] awaiting flush
+        # The durable log as three parallel columns, ascending zxid.
+        self._zxids = []
+        self._txns = []
+        self._sizes = []
+        self._pending = []        # [(zxid, txn, size, callback, appended_at)]
         self._inflight = []       # the batch currently being flushed
         self._flushing = False
         self._held = False        # hold(): appends wait for release()
@@ -71,12 +83,12 @@ class TxnLog:
         zxids must be strictly increasing across the whole log (durable
         tail plus any pending appends).
         """
-        last = self.last_appended()
+        queued = self._pending or self._inflight
+        last = queued[-1][0] if queued else self.last_durable()
         if last is not None and zxid <= last:
             raise StorageError(
                 "non-monotonic append: %r <= last %r" % (zxid, last)
             )
-        record = LogRecord(zxid, txn, size)
         tracer = self._tracer
         if tracer.active:
             tracer.emit(
@@ -85,7 +97,7 @@ class TxnLog:
                 queued=len(self._pending),
             )
         if self._disk is None:
-            self._install(record)
+            self._land([(zxid, txn, size)])
             if tracer.active:
                 tracer.emit(
                     "log.durable", node=self._trace_node,
@@ -94,7 +106,7 @@ class TxnLog:
             if callback is not None:
                 callback()
             return
-        self._pending.append((record, callback, self._now()))
+        self._pending.append((zxid, txn, size, callback, self._clock.now))
         if not self._flushing and not self._held:
             self._start_flush()
 
@@ -108,11 +120,6 @@ class TxnLog:
         if self._pending and not self._flushing:
             self._start_flush()
 
-    def _now(self):
-        """The disk model's virtual clock (0.0 without one)."""
-        sim = getattr(self._disk, "sim", None)
-        return sim.now if sim is not None else 0.0
-
     def _start_flush(self):
         if self._group_commit:
             batch = self._pending
@@ -123,8 +130,9 @@ class TxnLog:
         self._inflight = batch
         self._flushing = True
         generation = self._generation
-        total = sum(record.size for record, _cb, _t in batch)
-        self._disk.write(total, lambda: self._on_flush(batch, generation))
+        self._disk.write(
+            sum(map(_SIZE, batch)), lambda: self._on_flush(batch, generation)
+        )
 
     def _on_flush(self, batch, generation):
         if generation != self._generation:
@@ -132,33 +140,38 @@ class TxnLog:
         self._flushing = False
         self._inflight = []
         self.flushes += 1
+        self._land(batch)
         tracer = self._tracer
-        now = self._now()
         if tracer.active and batch:
+            now = self._clock.now
             tracer.emit(
                 "log.flush", node=self._trace_node,
-                records=len(batch),
-                bytes=sum(record.size for record, _cb, _t in batch),
+                records=len(batch), bytes=sum(map(_SIZE, batch)),
             )
-        for record, _cb, appended_at in batch:
-            self._install(record)
-            if tracer.active:
+            for zxid, _txn, _size, _cb, appended_at in batch:
                 tracer.emit(
                     "log.durable", node=self._trace_node,
-                    zxid=record.zxid.as_tuple(),
-                    wait=now - appended_at,
+                    zxid=zxid.as_tuple(), wait=now - appended_at,
                 )
         # Records are durable in order, so the newest one's callback
         # stands for the whole flush: it is the only one that runs.
-        callback = batch[-1][1] if batch else None
+        callback = batch[-1][3] if batch else None
         if callback is not None:
             callback()
         if self._pending:
             self._start_flush()
 
-    def _install(self, record):
-        self._records.append(record)
-        self._zxids.append(record.zxid)
+    def _land(self, batch):
+        """Extend the durable columns by a flushed *batch*, in order."""
+        self._zxids.extend(map(_ZXID, batch))
+        self._txns.extend(map(_TXN, batch))
+        self._sizes.extend(map(_SIZE, batch))
+
+    def _rows(self, start):
+        """The durable records from index *start* on, as ``LogRecord``s."""
+        return list(map(_record, zip(
+            self._zxids[start:], self._txns[start:], self._sizes[start:]
+        )))
 
     # ------------------------------------------------------------------
     # Reading
@@ -166,23 +179,16 @@ class TxnLog:
 
     def last_durable(self):
         """zxid of the newest durable record, or None if empty."""
-        if not self._records:
-            return self._purged_through
-        return self._records[-1].zxid
+        return self._zxids[-1] if self._zxids else self._purged_through
 
     def last_appended(self):
         """zxid of the newest record: durable, mid-flush, or pending."""
-        if self._pending:
-            return self._pending[-1][0].zxid
-        if self._inflight:
-            return self._inflight[-1][0].zxid
-        return self.last_durable()
+        queued = self._pending or self._inflight
+        return queued[-1][0] if queued else self.last_durable()
 
     def first_durable(self):
         """zxid of the oldest record still in the log, or None."""
-        if not self._records:
-            return None
-        return self._records[0].zxid
+        return self._zxids[0] if self._zxids else None
 
     def purged_through(self):
         """zxid up to which records were folded into a snapshot, or None."""
@@ -197,29 +203,45 @@ class TxnLog:
         """Return the durable record with this zxid, or None."""
         index = bisect.bisect_left(self._zxids, zxid)
         if index < len(self._zxids) and self._zxids[index] == zxid:
-            return self._records[index]
+            return LogRecord(zxid, self._txns[index], self._sizes[index])
         return None
+
+    def _after(self, zxid):
+        """Index of the first durable record newer than *zxid* (None: 0)."""
+        return 0 if zxid is None else bisect.bisect_right(self._zxids, zxid)
 
     def entries_after(self, zxid):
         """All durable records with zxid strictly greater than *zxid*.
 
         Pass ``None`` to read the whole durable log.
         """
-        if zxid is None:
-            return list(self._records)
-        index = bisect.bisect_right(self._zxids, zxid)
-        return self._records[index:]
+        return self._rows(self._after(zxid))
 
     def all_entries(self):
         """The full durable log, oldest first."""
-        return list(self._records)
+        return self._rows(0)
+
+    def committed_between(self, after, upto):
+        """An iterator of ``(zxid, txn)``, one per durable record in
+        (*after*, *upto*], oldest first.
+
+        The delivery read: *after* is what was delivered (None for
+        nothing yet), *upto* the commit frontier.
+        """
+        start = self._after(after)
+        end = bisect.bisect_right(self._zxids, upto)
+        return zip(self._zxids[start:end], self._txns[start:end])
+
+    def durable_zxids(self):
+        """The durable records' zxids, oldest first, as a tuple."""
+        return tuple(self._zxids)
 
     def bytes_after(self, zxid):
         """Total record bytes newer than *zxid* (sync-cost accounting)."""
-        return sum(record.size for record in self.entries_after(zxid))
+        return sum(self._sizes[self._after(zxid):])
 
     def __len__(self):
-        return len(self._records)
+        return len(self._zxids)
 
     # ------------------------------------------------------------------
     # Synchronisation paths
@@ -236,22 +258,20 @@ class TxnLog:
             raise StorageError(
                 "non-monotonic install: %r <= last %r" % (zxid, last)
             )
-        self._install(LogRecord(zxid, txn, size))
+        self._land([(zxid, txn, size)])
 
     def reset_to_snapshot(self, zxid):
         """Drop every record: the state now lives in a snapshot at *zxid*."""
         if self._pending or self._flushing:
             raise StorageError("cannot reset with in-flight appends")
-        self._records = []
-        self._zxids = []
+        self._zxids, self._txns, self._sizes = [], [], []
         self._purged_through = zxid
 
     def replace_with(self, records, purged_through=None):
         """Adopt a foreign history wholesale (leader history fetch)."""
         if self._pending or self._flushing:
             raise StorageError("cannot replace with in-flight appends")
-        self._records = []
-        self._zxids = []
+        self._zxids, self._txns, self._sizes = [], [], []
         self._purged_through = purged_through
         for record in records:
             self.install_record(record.zxid, record.txn, record.size)
@@ -269,10 +289,10 @@ class TxnLog:
         """
         if self._pending or self._flushing:
             raise StorageError("cannot truncate with in-flight appends")
-        index = 0 if zxid is None else bisect.bisect_right(self._zxids, zxid)
-        dropped = len(self._records) - index
-        del self._records[index:]
-        del self._zxids[index:]
+        index = self._after(zxid)
+        dropped = len(self._zxids) - index
+        for column in self._zxids, self._txns, self._sizes:
+            del column[index:]
         return dropped
 
     def purge_through(self, zxid):
@@ -288,14 +308,14 @@ class TxnLog:
         no-op: pending and in-flight records are never dropped and
         cannot justify a watermark.
         """
-        if not self._records:
+        if not self._zxids:
             return
         tail = self._zxids[-1]
         if zxid > tail:
             zxid = tail
-        index = bisect.bisect_right(self._zxids, zxid)
-        del self._records[:index]
-        del self._zxids[:index]
+        index = self._after(zxid)
+        for column in self._zxids, self._txns, self._sizes:
+            del column[:index]
         if self._purged_through is None or zxid > self._purged_through:
             self._purged_through = zxid
 
@@ -317,12 +337,9 @@ class TxnLog:
         """
         batch = self._inflight
         self.crash()
-        for record, _cb, _t in batch:
-            self._install(record)
         if batch:
-            self._records[-1] = self._records[-1]._replace(
-                txn=Torn(self._records[-1].txn)
-            )
+            self._land(batch)
+            self._txns[-1] = Torn(self._txns[-1])
         return len(batch)
 
     def drop_torn_tail(self):
@@ -331,9 +348,9 @@ class TxnLog:
         Only a tail can tear, since a flush starts only after the one
         before it landed, so no record before the last is checked.
         """
-        if self._records and isinstance(self._records[-1].txn, Torn):
-            del self._records[-1]
-            del self._zxids[-1]
+        if self._txns and isinstance(self._txns[-1], Torn):
+            for column in self._zxids, self._txns, self._sizes:
+                del column[-1]
 
     def abort_pending(self):
         """Discard not-yet-durable appends without a crash.

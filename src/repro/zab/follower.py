@@ -64,6 +64,8 @@ def _contiguous(last, zxid):
 class FollowerContext:
     """Drives one following attempt of *peer* towards *leader_id*."""
 
+    _handlers = _HANDLERS   # this role's dispatch table (see on_message)
+
     def __init__(self, peer, leader_id):
         self.peer = peer
         self.config = peer.config
@@ -160,7 +162,7 @@ class FollowerContext:
         if src != self.leader_id:
             return  # stale traffic from a deposed leader
         self._last_leader_contact = self.peer.sim.now
-        handler = _HANDLERS.get(cls)
+        handler = self._handlers.get(cls)
         if handler is not None:
             getattr(self, handler)(msg)
 
@@ -305,36 +307,42 @@ class FollowerContext:
         """Members in order, one log flush (and ACK) for the frame."""
         log = self.peer.storage.log
         log.hold()
+        handlers = self._handlers
         for member in msg.members:
-            self.on_message(self.leader_id, member)
+            getattr(self, handlers[member.__class__])(member)
             if self.peer.ctx is not self:
                 break  # a member made us abandon the leader
         log.release()
 
     def _on_propose(self, msg):
-        if not self._saw_newleader or msg.zxid.epoch != self.epoch:
+        zxid = msg.zxid
+        if not self._saw_newleader or zxid.epoch != self.epoch:
             return
         log = self.peer.storage.log
         last = log.last_appended()
-        if last is not None and msg.zxid <= last:
+        if last is not None and zxid <= last:
             # Duplicate from a re-sync: ACK it only if durable; a copy
             # still queued for fsync is covered by its flush's own ACK.
             durable = log.last_durable()
-            if durable is not None and msg.zxid <= durable:
-                self.peer.send(self.leader_id, messages.Ack(msg.zxid))
+            if durable is not None and zxid <= durable:
+                self.peer.send(self.leader_id, messages.Ack(zxid))
             return
-        if not _contiguous(last, msg.zxid):
+        # Same epoch, counter + 1 is the common case: test it inline.
+        if (
+            last is None or zxid.epoch != last.epoch
+            or zxid.counter != last.counter + 1
+        ) and not _contiguous(last, zxid):
             # A proposal went missing: the supposedly-FIFO-reliable
             # channel dropped something.  Logging past the hole would
             # break total order — abandon and re-sync instead (the
             # moral equivalent of a TCP connection reset).
             self.peer.go_looking(
-                "proposal gap: got %r after %r" % (msg.zxid, last)
+                "proposal gap: got %r after %r" % (zxid, last)
             )
             return
         log.append(
-            msg.zxid, msg.txn, msg.size,
-            callback=functools.partial(self._on_durable, msg.zxid),
+            zxid, msg.txn, msg.size,
+            callback=functools.partial(self._on_durable, zxid),
         )
 
     def _on_durable(self, zxid):
@@ -366,10 +374,10 @@ class FollowerContext:
         frontier = self.commit_frontier
         delivered = peer.last_committed
         if delivered is None or frontier > delivered:
-            for record in peer.storage.log.entries_after(delivered):
-                if record.zxid > frontier:
-                    break
-                peer.commit_local(record.zxid, record.txn)
+            commit_local = peer.commit_local
+            for zxid, txn in peer.storage.log.committed_between(
+                    delivered, frontier):
+                commit_local(zxid, txn)
         if self._sync_barriers:
             self._serve_ready_sync_reads()
 

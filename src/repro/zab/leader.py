@@ -432,9 +432,12 @@ class LeaderContext:
         self.batcher.add(messages.Propose(zxid, txn, request.size))
         self.peer.storage.log.append(
             zxid, txn, request.size,
-            callback=functools.partial(
-                self._on_ack, self.peer.peer_id, messages.Ack(zxid)),
+            callback=functools.partial(self._on_logged, zxid),
         )
+
+    def _on_logged(self, zxid):
+        """The leader's own flush landed: its ACK, for the newest zxid."""
+        self._on_ack(self.peer.peer_id, messages.Ack(zxid))
 
     def _on_ack(self, src, msg):
         """Advance *src*'s mark: ACK(z) covers every zxid <= z."""
@@ -472,20 +475,34 @@ class LeaderContext:
         if self.proposals and zxid >= next(iter(self.proposals)):
             self._try_commit(src)   # the head may have become quorate
 
-    def _quorate(self, zxid):
-        """True once the voters whose mark covers *zxid* hold a quorum."""
-        return self.config.quorum.contains_quorum(
-            [voter for voter, mark in self.acked.items() if mark >= zxid]
-        )
+    def _quorum_frontier(self):
+        """The newest zxid a quorum of voters has acknowledged, or None.
+
+        With the voters in descending mark order, the mark at which the
+        growing prefix first contains a quorum: every voter of that
+        prefix covers it, and no newer mark has a quorum behind it.
+        """
+        acked = self.acked
+        voters = sorted(acked, key=acked.__getitem__, reverse=True)
+        contains_quorum = self.config.quorum.contains_quorum
+        for count in range(1, len(voters) + 1):
+            if contains_quorum(voters[:count]):
+                return acked[voters[count - 1]]
+        return None
 
     def _try_commit(self, src):
         """Commit the quorate run at the head; one COMMIT, naming the
         newest zxid delivered locally, then covers the whole run."""
         proposals = self.proposals
+        frontier = self._quorum_frontier()
+        if frontier is None:
+            return
         before = self.peer.last_committed
         tracer = self.peer.tracer
         committed = []
-        while proposals and self._quorate(next(iter(proposals))):
+        # A commit callback may propose, and so re-enter this method:
+        # the marks only grow, so what was quorate here stays quorate.
+        while proposals and next(iter(proposals)) <= frontier:
             zxid, proposal = proposals.popitem(last=False)
             committed.append((zxid, proposal))
             if tracer.active:

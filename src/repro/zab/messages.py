@@ -230,16 +230,23 @@ class Inform:
 class Frame:
     """Leader -> learner: the stream messages (PROPOSE/COMMIT, or
     INFORM) of one leader event, handled in order as if sent back to
-    back; tagged with its newest member's zxid."""
+    back; tagged with its newest member's zxid.  Its wire size is summed
+    once, when built, however many learners it is sent to."""
 
-    __slots__ = ("members", "zxid")
+    __slots__ = ("members", "zxid", "_size")
 
     def __init__(self, members):
         self.members = members
-        self.zxid = max(member.zxid for member in members)
+        zxid, size = members[0].zxid, 0
+        for member in members:
+            if member.zxid > zxid:
+                zxid = member.zxid
+            size += member.wire_size()
+        self.zxid = zxid
+        self._size = size
 
     def wire_size(self):
-        return sum(member.wire_size() for member in self.members)
+        return self._size
 
 
 class Relay:

@@ -24,6 +24,8 @@ _HANDLERS[messages.Inform] = "_on_inform"
 class ObserverContext(FollowerContext):
     """Connects an observer peer to the leader and applies INFORMs."""
 
+    _handlers = _HANDLERS
+
     def __init__(self, peer, leader_id):
         FollowerContext.__init__(self, peer, leader_id)
         # INFORM is leader-direct under every topology: no relay to lose.
@@ -43,7 +45,7 @@ class ObserverContext(FollowerContext):
         if src != self.leader_id:
             return
         self._last_leader_contact = self.peer.sim.now
-        handler = _HANDLERS.get(msg.__class__)
+        handler = self._handlers.get(msg.__class__)
         if handler is not None:
             getattr(self, handler)(msg)
 

@@ -400,7 +400,7 @@ class ZabPeer(Process):
     def commit_local(self, zxid, txn):
         """Apply one committed transaction and answer its originator."""
         result = self.sm.apply(txn.body)
-        self.position += 1
+        position = self.position = self.position + 1
         self.delivered_count += 1
         self.last_committed = zxid
         tracer = self.tracer
@@ -414,16 +414,16 @@ class ZabPeer(Process):
                 self.peer_id, self.incarnation, self.position, zxid,
                 txn.txn_id,
             )
-        self._maybe_snapshot()
-        self._maybe_digest()
+        config = self.config
+        if position - self._last_snapshot_position >= config.snapshot_every:
+            self._snapshot()
+        if config.digest_every and not position % config.digest_every:
+            self._checkpoint_digest()
         if txn.origin == self.peer_id:
             self._answer(txn, result, zxid)
         return result
 
-    def _maybe_digest(self):
-        every = self.config.digest_every
-        if not every or self.position % every:
-            return
+    def _checkpoint_digest(self):
         self._digests[self.position] = self.sm.digest()
         # Keep the table bounded.
         while len(self._digests) > 16:
@@ -458,12 +458,6 @@ class ZabPeer(Process):
                     txn.request_id, True, result=result, zxid=zxid
                 ),
             )
-
-    def _maybe_snapshot(self):
-        due = self.position - self._last_snapshot_position
-        if due < self.config.snapshot_every:
-            return
-        self._snapshot()
 
     def take_snapshot(self):
         """Operator-initiated fuzzy snapshot (the ``snapshot`` action).

@@ -1,4 +1,5 @@
-"""Python frames per committed op on the PROPOSE/ACK/COMMIT path.
+"""Python frames and kept objects per committed op on the
+PROPOSE/ACK/COMMIT path.
 
 A machine-independent cost gate (ROADMAP aim 1: "Python calls per
 committed txn, gated tightly"): host seconds vary with the box, the
@@ -9,10 +10,14 @@ network and disk model, 1,000 preloaded keys, a 64-outstanding closed
 loop of ~1 KiB puts through ``leader.propose_op`` — and after 0.05
 simulated seconds of warm-up it counts ``sys.setprofile`` ``"call"``
 events (Python frames only; C calls are ``"c_call"``) over 0.3 simulated
-seconds and divides by the commits in that span.
+seconds and divides by the commits in that span.  Around the same window
+it counts the GC-tracked objects the run keeps (``gc.collect()``, then
+``len(gc.get_objects())``, before and after): ROADMAP aim 1's
+"allocations per committed txn", as what stays allocated.
 
 Measured with this file's driver, identical on CPython 3.10, 3.11 and
-3.12:
+3.12 (the last row reads 41.39 frames on 3.12 and 3.13; its kept
+objects are the same on all four):
 
     PR 12 (parent of the hot-path PR)   355.0 frames per committed op
     hot-path PR                         197.9
@@ -20,19 +25,24 @@ Measured with this file's driver, identical on CPython 3.10, 3.11 and
     one durability callback per flush   133.2
     one frame per learner per event      95.1
     ``Simulator.now`` a plain attribute  87.8
+    columnar log, one quorum frontier    41.4   (kept objects 8.93 -> 5.93)
 
-The count is deterministic, so the gate is tight: 10 % head-room over
-the recorded value, and never more than two thirds of the parent's.  A
-change that trips it either put per-message work back on the path (fix
-it) or added protocol work on purpose (re-measure and re-record).
+Both counts are deterministic, so the gates are tight: 10 % head-room
+over the recorded value, and never more than two thirds of the parent's
+frames.  A change that trips one either put per-txn work back on the
+path (fix it) or added protocol work on purpose (re-measure and
+re-record).  What each committed op keeps is its ``Txn``, its ``Zxid`` (a
+tuple subclass, which the collector never untracks) and its four
+checker-trace events; before the log kept columns, a ``LogRecord`` per
+replica was three more.
 
 The same ruler holds the always-on flight recorder to its budget.  A
 wall-clock "recorder within 5 % of tracing off" reading flips sign from
-round to round on any shared box; in frames it is exact: 87.758 armed
-(the default control-plane posture) vs 87.750 with ``recorder=False``
-— the difference is the ``snapshot.save`` emits — and 159.0 with
+round to round on any shared box; in frames it is exact: 41.422 armed
+(the default control-plane posture) vs 41.415 with ``recorder=False``
+— the difference is the ``snapshot.save`` emits — and 109.6 with
 ``FlightRecorder(capture="all")``, so a recorder that starts building
-per-message events trips the half-frame gate with a 1.8x signal.
+per-message events trips the half-frame gate with a 2.6x signal.
 
 The same window also pins the message economy of Phase 3 exactly: ACK
 and COMMIT are cumulative, so each follower sends one ACK per flush
@@ -44,13 +54,15 @@ COMMITs per committed op.
 """
 
 import functools
+import gc
 import sys
 
 from repro import Cluster, ClusterConfig
 from repro.net import NetworkConfig
 
 PARENT_FRAMES_PER_OP = 355.0
-FRAMES_PER_OP = 87.8
+FRAMES_PER_OP = 41.4
+KEPT_OBJECTS_PER_OP = 5.93
 
 KEYS = 1000
 OUTSTANDING = 64
@@ -76,7 +88,8 @@ def _put(cluster, leader, state):
 
 @functools.lru_cache(maxsize=None)   # deterministic: measure each once
 def _measure(recorder=True):
-    """(frames, commits, sends by payload type) over the window."""
+    """(frames, commits, sends by payload type, kept objects) over the
+    window."""
     cluster = Cluster(ClusterConfig(
         n_voters=3, seed=11, disk="model", group_commit=True,
         recorder=recorder,
@@ -104,20 +117,30 @@ def _measure(recorder=True):
 
     commits_before = state["commits"]
     sent_before = cluster.network.stats.by_type
+    gc.collect()
+    objects_before = len(gc.get_objects())
     previous = sys.getprofile()
     sys.setprofile(count)
     try:
         cluster.run(WINDOW_S)
     finally:
         sys.setprofile(previous)
+    gc.collect()
+    kept = len(gc.get_objects()) - objects_before
     commits = state["commits"] - commits_before
     assert commits > 1000, commits
-    return frames[0], commits, cluster.network.stats.by_type - sent_before
+    return (frames[0], commits, cluster.network.stats.by_type - sent_before,
+            kept)
 
 
 def measure_frames_per_op(recorder=True):
-    frames, commits, _sent = _measure(recorder)
+    frames, commits, _sent, _kept = _measure(recorder)
     return frames / commits
+
+
+def measure_kept_objects_per_op():
+    _frames, commits, _sent, kept = _measure()
+    return kept / commits
 
 
 def test_frames_per_committed_op_within_budget():
@@ -126,8 +149,13 @@ def test_frames_per_committed_op_within_budget():
     assert frames_per_op <= PARENT_FRAMES_PER_OP * 0.67, frames_per_op
 
 
+def test_kept_objects_per_committed_op_within_budget():
+    kept_per_op = measure_kept_objects_per_op()
+    assert kept_per_op <= KEPT_OBJECTS_PER_OP * 1.10, kept_per_op
+
+
 def test_cumulative_ack_and_commit_message_economy():
-    _frames, commits, sent = _measure()
+    _frames, commits, sent, _kept = _measure()
     assert (commits, sent["Frame"], sent["Ack"]) == (3392, 106, 107)
     # No PROPOSE or COMMIT leaves bare: per committed op, 0.031 frames
     # (each a COMMIT and the ~64 PROPOSEs its commits released) and
@@ -142,4 +170,5 @@ def test_flight_recorder_adds_under_half_a_frame_per_op():
 
 
 if __name__ == "__main__":
-    print("%.1f frames per committed op" % measure_frames_per_op())
+    print("%.1f frames and %.2f kept objects per committed op"
+          % (measure_frames_per_op(), measure_kept_objects_per_op()))

@@ -1,11 +1,15 @@
 """Unit tests for the write-ahead transaction log."""
 
+import contextlib
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import StorageError
 from repro.sim import Simulator
+from repro.sim.kernel import SimulationLimitError
 from repro.storage import DiskModel, TxnLog
-from repro.storage.records import Torn
+from repro.storage.records import LogRecord, Torn
 from repro.zab.zxid import Zxid
 
 
@@ -293,3 +297,182 @@ def test_tear_lands_the_flush_with_a_torn_tail_that_recovery_drops(
     assert [record.txn for record in log.all_entries()] == (
         ["t%d" % i for i in range(1, survivors + 1)] + ["retaken"]
     )
+
+
+# --- Model test: every reader against a plain list of LogRecords ------------
+
+_OPS = st.sampled_from([
+    "append", "append", "append", "advance", "advance", "hold", "release",
+    "crash", "tear", "drop_torn_tail", "truncate", "purge_through",
+    "reset_to_snapshot", "replace_with", "install_record",
+])
+
+
+class _LogModel:
+    """What a TxnLog on a DiskModel must hold: durable LogRecords, the
+    flush in flight, the appends queued behind it, and one flag per disk
+    write still to complete (False once a crash voided it)."""
+
+    def __init__(self, group_commit):
+        self.group_commit = group_commit
+        self.durable = []
+        self.inflight = None
+        self.queued = []
+        self.writes = []
+        self.held = False
+        self.purged = None
+
+    def busy(self):
+        return bool(self.queued) or self.inflight is not None
+
+    def last_appended(self):
+        tail = self.queued or self.inflight
+        if tail:
+            return tail[-1].zxid
+        return self.durable[-1].zxid if self.durable else self.purged
+
+    def start_flush(self):
+        cut = len(self.queued) if self.group_commit else 1
+        self.inflight, self.queued = self.queued[:cut], self.queued[cut:]
+        self.writes.append(True)
+
+    def crash(self):
+        self.queued, self.inflight, self.held = [], None, False
+        self.writes = [False] * len(self.writes)
+
+
+def _rows(records):
+    """Comparable rows: a torn txn reads as ("torn", body)."""
+    return [
+        (zxid, ("torn", txn.body) if isinstance(txn, Torn) else txn, size)
+        for zxid, txn, size in records
+    ]
+
+
+def _check_readers(log, model, probes):
+    durable = model.durable
+    assert len(log._zxids) == len(log._txns) == len(log._sizes)
+    assert _rows(log.all_entries()) == _rows(durable)
+    assert len(log) == len(durable)
+    assert log.durable_zxids() == tuple(r.zxid for r in durable)
+    assert log.first_durable() == (durable[0].zxid if durable else None)
+    assert log.last_durable() == (
+        durable[-1].zxid if durable else model.purged)
+    assert log.last_appended() == model.last_appended()
+    assert log.purged_through() == model.purged
+    for probe in [None] + probes:
+        after = [r for r in durable if probe is None or r.zxid > probe]
+        assert _rows(log.entries_after(probe)) == _rows(after)
+        assert log.bytes_after(probe) == sum(r.size for r in after)
+        for upto in probes:
+            assert _rows(
+                (zxid, txn, 0) for zxid, txn
+                in log.committed_between(probe, upto)
+            ) == _rows((r.zxid, r.txn, 0) for r in after if r.zxid <= upto)
+    for probe in probes:
+        match = [r for r in durable if r.zxid == probe]
+        assert log.contains(probe) == bool(match)
+        got = log.get(probe)
+        assert _rows([got] if got else []) == _rows(match)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.booleans(), st.lists(st.tuples(_OPS, st.integers(0, 7)),
+                               max_size=40))
+def test_txnlog_matches_a_list_model(group_commit, steps):
+    sim = Simulator()
+    log = TxnLog(DiskModel(sim, fsync_latency=0.01, bandwidth_bps=1e9),
+                 group_commit=group_commit)
+    model = _LogModel(group_commit)
+    fresh = [1, 0]   # epoch, counter of the newest zxid handed out
+
+    def next_zxid(arg):
+        # Counters step by 2 so odd probes fall between records; an
+        # arg of 0 opens a new epoch.
+        if arg == 0:
+            fresh[:] = [fresh[0] + 1, 0]
+        fresh[1] += 2
+        return z(*fresh)
+
+    def record(arg):
+        zxid = next_zxid(arg)
+        return LogRecord(zxid, "t%d" % zxid.counter, 10 + arg)
+
+    for op, arg in steps:
+        pick = (model.durable[arg % len(model.durable)].zxid
+                if model.durable else z(1, 1))
+        if op == "append":
+            new = record(arg)
+            log.append(*new)
+            model.queued.append(new)
+            if model.inflight is None and not model.held:
+                model.start_flush()
+        elif op == "advance" and model.writes:
+            with contextlib.suppress(SimulationLimitError):
+                sim.run(max_events=1)   # the oldest disk write completes
+            if model.writes.pop(0):
+                model.durable += model.inflight
+                model.inflight = None
+                if model.queued:
+                    model.start_flush()
+        elif op == "hold":
+            log.hold()
+            model.held = True
+        elif op == "release":
+            log.release()
+            model.held = False
+            if model.queued and model.inflight is None:
+                model.start_flush()
+        elif op == "crash":
+            log.crash()
+            model.crash()
+        elif op == "tear":
+            torn = model.inflight or []
+            assert log.tear() == len(torn)
+            if torn:
+                last = torn[-1]
+                model.durable += torn[:-1] + [
+                    last._replace(txn=Torn(last.txn))]
+            model.crash()
+        elif op == "drop_torn_tail":
+            log.drop_torn_tail()
+            if model.durable and isinstance(model.durable[-1].txn, Torn):
+                model.durable.pop()
+        elif op in ("truncate", "reset_to_snapshot", "replace_with"):
+            if model.busy():
+                with pytest.raises(StorageError):
+                    getattr(log, op)(pick)
+                continue
+            if op == "truncate":
+                target = None if arg == 7 else pick
+                kept = [r for r in model.durable
+                        if target is not None and r.zxid <= target]
+                assert log.truncate(target) == len(model.durable) - len(kept)
+                model.durable = kept
+            elif op == "reset_to_snapshot":
+                log.reset_to_snapshot(pick)
+                model.durable, model.purged = [], pick
+            else:
+                base = next_zxid(arg) if arg % 2 else None
+                history = [record(1) for _ in range(arg)]
+                log.replace_with(history, purged_through=base)
+                model.durable, model.purged = history, base
+        elif op == "purge_through":
+            # Past the durable tail, the watermark clamps to the tail.
+            target = pick if arg < 6 else z(fresh[0], fresh[1] + 1)
+            log.purge_through(target)
+            if model.durable:
+                target = min(target, model.durable[-1].zxid)
+                model.durable = [r for r in model.durable if r.zxid > target]
+                if model.purged is None or target > model.purged:
+                    model.purged = target
+        elif op == "install_record":
+            if model.busy():
+                continue   # sync installs into a quiesced log only
+            new = record(arg)
+            log.install_record(*new)
+            model.durable.append(new)
+        probes = sorted({r.zxid for r in model.durable} | {
+            z(1, 1), z(fresh[0], fresh[1] + 1), z(fresh[0] + 1, 0)
+        } | {z(r.zxid.epoch, r.zxid.counter + 1) for r in model.durable})
+        _check_readers(log, model, probes)

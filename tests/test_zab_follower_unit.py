@@ -190,8 +190,9 @@ def test_delivery_reads_the_log_only_when_something_is_deliverable():
     leader_id = cluster.leader().peer_id
     log = follower.storage.log
     reads, delivered = [], []
-    read_log, commit_local = log.entries_after, follower.commit_local
-    log.entries_after = lambda zxid: reads.append(zxid) or read_log(zxid)
+    read_log, commit_local = log.committed_between, follower.commit_local
+    log.committed_between = (
+        lambda after, upto: reads.append(after) or read_log(after, upto))
     follower.commit_local = (
         lambda zxid, txn: delivered.append(zxid) or commit_local(zxid, txn))
 

@@ -88,6 +88,30 @@ def test_observer_does_not_ack_proposals():
     assert informs == 10
 
 
+def test_observer_applies_a_frame_of_informs():
+    # A burst five times the window: each flush-wide ACK commits a run of
+    # txns and frees the window for new PROPOSEs in the same leader
+    # event, so the observer gets that run's INFORMs as one Frame, whose
+    # members it must dispatch through its own table.
+    tracer = Tracer(kinds=("net.deliver", "peer.looking"))
+    cluster = observer_cluster(216, tracer=tracer, disk="model",
+                               zab={"max_outstanding": 8})
+    leader = cluster.leader()
+    committed = []
+    for i in range(40):
+        leader.propose_op(("put", "k%d" % (i % 7), i),
+                          callback=lambda _r, zxid: committed.append(zxid))
+    assert cluster.run_until(lambda: len(committed) == 40, timeout=10.0)
+    cluster.run(0.1)
+    observer = cluster.peers[4]
+    mine = [e for e in tracer.events if e.node == 4]
+    assert [e for e in mine if e.fields.get("type") == "Frame"]
+    assert [e for e in mine if e.kind == "peer.looking"] == []
+    assert observer.last_committed == leader.last_committed
+    assert observer.sm.as_dict() == leader.sm.as_dict()
+    cluster.assert_properties()
+
+
 def test_recovering_observer_joins_under_load():
     # 5,000 writes/s leave no quiet sync window: commits land between
     # the leader's NEWLEADER and the observer's UPTODATE every time.

@@ -178,18 +178,44 @@ def _per_proposal_commits(quorum, n, flushes):
     return trail
 
 
+def _frontier(quorum, acked):
+    """``LeaderContext._quorum_frontier`` over the marks *acked*."""
+    leader = SimpleNamespace(acked=acked,
+                             config=SimpleNamespace(quorum=quorum))
+    return LeaderContext._quorum_frontier(leader)
+
+
 def _high_water_commits(quorum, n, flushes):
     """The leader's rule on the coalesced stream: one ACK per flush, for
     its newest record, advances the voter's mark, and the head commits
-    while ``LeaderContext._quorate`` holds for it."""
-    leader = SimpleNamespace(acked={}, config=SimpleNamespace(quorum=quorum))
-    head, trail = 1, []
+    up to ``LeaderContext._quorum_frontier``."""
+    acked, head, trail = {}, 1, []
     for voter, records in flushes:
-        leader.acked[voter] = records[-1]
-        while head <= n and LeaderContext._quorate(leader, head):
+        acked[voter] = records[-1]
+        frontier = _frontier(quorum, acked)
+        while head <= n and frontier is not None and head <= frontier:
             head += 1
         trail.append(head - 1)
     return trail
+
+
+def test_quorum_frontier_with_two_voters_at_equal_marks():
+    # Voters 2 and 3 tie at 4: together they are the quorum behind 4,
+    # whichever of the two the sort puts first.
+    for quorum in (
+        MajorityQuorum([1, 2, 3]),
+        WeightedQuorum({1: 1, 2: 1, 3: 1}),
+        HierarchicalQuorum({"a": {1: 1, 2: 1, 3: 1}}),
+    ):
+        assert _frontier(quorum, {1: 2, 2: 4, 3: 4}) == 4, quorum
+        assert _frontier(quorum, {1: 7, 3: 4, 2: 4}) == 4, quorum
+        assert _frontier(quorum, {2: 4, 3: 4}) == 4, quorum
+        assert _frontier(quorum, {2: 4}) is None, quorum
+        assert _frontier(quorum, {}) is None, quorum
+    # A zero-weight voter tied with a weighted one adds nothing.
+    weighted = WeightedQuorum({1: 1, 2: 0, 3: 1})
+    assert _frontier(weighted, {1: 9, 2: 5, 3: 5}) == 5
+    assert _frontier(weighted, {1: 9, 2: 5, 3: 1}) == 1
 
 
 @given(_weights, st.integers(min_value=1, max_value=12), st.data())
