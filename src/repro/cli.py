@@ -588,6 +588,8 @@ def cmd_explore(args):
     print("pruning:  %d revisits skipped, %d commuting orderings skipped,"
           " %d choice points" % (result.states_pruned, result.por_skipped,
                                  result.choice_points))
+    print("resumed:  %d of %d executions from a step-boundary image"
+          % (result.resumed, result.runs))
     if result.exhausted:
         print("frontier: exhausted (complete to depth %d)" % args.depth)
     else:

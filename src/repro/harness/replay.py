@@ -127,26 +127,29 @@ def stabilise_under_load(cluster, timeout, op_interval,
     """
     cluster.run_until_stable(timeout=timeout)
     t0 = cluster.sim.now
-    if not op_interval:
-        return t0
-
-    def load_tick():
-        leader = cluster.leader()
-        if leader is not None:
-            try:
-                if latency_histogram is None:
-                    leader.propose_op(LOAD_OP)
-                else:
-                    def _observe(_result, _zxid, _t0=cluster.sim.now):
-                        latency_histogram.observe(cluster.sim.now - _t0)
-
-                    leader.propose_op(LOAD_OP, callback=_observe)
-            except Exception:
-                pass
-        cluster.sim.schedule(op_interval, load_tick)
-
-    load_tick()
+    if op_interval:
+        _load_tick(cluster, op_interval, latency_histogram)
     return t0
+
+
+def _load_tick(cluster, op_interval, latency_histogram):
+    """One write of the steady client load, then the next tick.  A
+    module function, not a closure, so a loaded cluster pickles."""
+    leader = cluster.leader()
+    if leader is not None:
+        try:
+            if latency_histogram is None:
+                leader.propose_op(LOAD_OP)
+            else:
+                def _observe(_result, _zxid, _t0=cluster.sim.now):
+                    latency_histogram.observe(cluster.sim.now - _t0)
+
+                leader.propose_op(LOAD_OP, callback=_observe)
+        except Exception:
+            pass
+    cluster.sim.schedule(
+        op_interval, _load_tick, cluster, op_interval, latency_histogram
+    )
 
 
 def _quiescent(cluster, floor):

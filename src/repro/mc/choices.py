@@ -1,13 +1,16 @@
-"""Decision-sequence bookkeeping for replay-based exploration.
+"""Decision-sequence bookkeeping for prefix-driven exploration.
 
-The explorer is *stateless* in the model-checking sense: it never
-snapshots a simulation.  Instead, one execution of the system is a pure
-function of the decision sequence fed to it — which fault to inject at
-each step, which of several same-timestamp events fires first — and the
-search walks the tree of decision sequences by replaying from the start
-with a chosen *prefix* and taking the default (index 0) everywhere
-beyond it.  This is the classic CHESS/dBug recipe, and it works here
-because the simulator is already bit-deterministic.
+One execution of the system is a pure function of the decision
+sequence fed to it — which fault to inject at each step, which of
+several same-timestamp events fires first — and the search walks the
+tree of decision sequences by running each chosen *prefix* and taking
+the default (index 0) everywhere beyond it.  This is the classic
+CHESS/dBug recipe, and it works here because the simulator is
+bit-deterministic.  The explorer does not replay a prefix from the
+start when it can help it: it resumes from a pickled image of the
+deepest step boundary on the prefix's path that an earlier execution
+passed (:mod:`repro.mc.explorer`), with the chooser's ``prefix`` swapped
+for the new one, and only the decisions after that boundary run again.
 
 :class:`Chooser` is the per-run decision stream; :class:`DfsFrontier`
 is the driver that turns one run's recorded choice points into the

@@ -8,6 +8,17 @@ it, quiesce, and run the PO property checker over the whole history.
 Untaken alternatives recorded along the way become new prefixes on a
 depth-first frontier.
 
+An execution does not re-run what a parent already ran.  At each
+step boundary where its choice is unscripted, after running to the
+step's time, it pickles itself (cluster, incremental checker, chooser,
+schedule).  A new prefix resumes from the deepest such image on its own
+path (an ``interleave`` tie falls inside a step, so the nearest earlier
+boundary runs forward), and an image lives while a waiting prefix needs
+it.  Pickle refuses a closure where ``copy.deepcopy`` would share it
+with the original cluster; an execution that holds something pickle
+cannot rebuild makes the search boot every later run instead, with the
+same result.
+
 Crucially, an execution here runs *the same recipe* as
 :func:`repro.harness.replay.replay_schedule` — the boot-under-load and
 quiesce-and-judge halves are the very functions replay calls, and the
@@ -23,14 +34,17 @@ or ``max_states`` the result says so and reports how many frontier
 prefixes were left unexplored — no silent caps.
 
 There is one search.  ``run(workers=N)`` only lets N processes execute
-the prefixes waiting on top of the DFS stack ahead of time: an
-execution depends on nothing but its prefix, and pruning only cuts it
-short, so a run made early elsewhere is the run the search would have
-made.  This process still pops in DFS order and settles every run
-against the one visited map, so the result is the same for every N.
+the prefixes waiting on top of the DFS stack ahead of time, each with
+the image it resumes from: an execution depends on nothing but its
+prefix, and pruning only cuts it short, so a run made early elsewhere
+is the run the search would have made.  This process still pops in
+DFS order and settles every run against the one visited map, so the
+result is the same for every N.
 """
 
+import collections
 import os
+import pickle
 import time
 
 from repro.checker import CheckerState
@@ -179,10 +193,11 @@ class ExplorationResult:
         self.errors = []              # (prefix, error-string) pairs
         self.stopped_reason = "exhausted"
         self.frontier_left = 0
-        # Wall-clock seconds, deliberately absent from to_json(): the
-        # canonical summary must stay byte-identical across machines
-        # and worker counts.
+        # Wall-clock seconds and executions resumed from an image, both
+        # deliberately absent from to_json(): the canonical summary
+        # must stay byte-identical across machines and worker counts.
         self.elapsed = None
+        self.resumed = 0
 
     @property
     def exhausted(self):
@@ -241,7 +256,7 @@ class _Run:
     """
 
     __slots__ = ("taken", "arities", "trail", "steps", "por", "error",
-                 "signature", "schedule", "recorder")
+                 "signature", "schedule", "recorder", "images")
 
     def __init__(self, chooser):
         self.taken = chooser.taken
@@ -253,6 +268,8 @@ class _Run:
         self.signature = ()
         self.schedule = None
         self.recorder = None
+        # tuple(taken) at each unscripted step boundary -> pickled image
+        self.images = {}
 
     def por_counts(self):
         return (self.por["choice_points"], self.por["por_skipped"])
@@ -268,6 +285,7 @@ class Explorer:
         # fingerprint -> shallowest decision step at which it was seen
         self._visited = {}
         self._signatures = set()
+        self._imaging = True      # False once an execution fails to pickle
 
     # ------------------------------------------------------------------
     # Search driver
@@ -292,6 +310,8 @@ class Explorer:
         if workers > 1:
             pool = process_pool(workers, _start_worker, (config,))
         ahead = {}      # tuple(prefix) -> pending worker execution
+        images = {}     # boundary key -> image a waiting prefix resumes from
+        users = collections.Counter()   # boundary key -> waiting prefixes
         try:
             while len(frontier):
                 if result.runs >= config.max_schedules:
@@ -304,17 +324,34 @@ class Explorer:
                     for waiting in frontier.peek(2 * workers):
                         if tuple(waiting) not in ahead:
                             ahead[tuple(waiting)] = pool.apply_async(
-                                _execute_ahead, (waiting,)
+                                _execute_ahead,
+                                (waiting, images.get(_resume_key(
+                                    waiting, images))),
                             )
                 prefix = frontier.pop()
+                key = _resume_key(prefix, images)
+                image = images.get(key)
+                if image is not None:
+                    result.resumed += 1
+                    users[key] -= 1
+                    if not users[key]:
+                        del images[key]
                 if pool is None:
-                    run = self._execute(prefix, self._visited)
+                    run = self._execute(prefix, self._visited, image)
                 else:
-                    run = self._collect(prefix, ahead.pop(tuple(prefix)))
+                    run = self._collect(
+                        prefix, image, ahead.pop(tuple(prefix))
+                    )
                 if self._settle(prefix, run, result):
                     result.stopped_reason = "max_violations"
                     break
-                frontier.expand(prefix, run)
+                added = frontier.expand(prefix, run)
+                images.update(run.images)
+                for sibling in frontier.peek(added) if added else ():
+                    users[_resume_key(sibling, images)] += 1
+                for key in run.images:
+                    if not users[key]:
+                        del images[key]
                 self._note_progress(result, frontier)
         finally:
             if pool is not None:
@@ -326,7 +363,7 @@ class Explorer:
         self._publish_metrics(result)
         return result
 
-    def _collect(self, prefix, pending):
+    def _collect(self, prefix, image, pending):
         """A worker's run of *prefix*, or this process's if it raised.
 
         A worker runs past points where this search may prune, so only
@@ -339,7 +376,7 @@ class Explorer:
         except DivergentReplayError:
             raise
         except Exception:
-            return self._execute(prefix, self._visited)
+            return self._execute(prefix, self._visited, image)
 
     def _settle(self, prefix, run, result):
         """Fold one run into the search, as if it had executed here.
@@ -437,57 +474,77 @@ class Explorer:
         self.metrics.counter("mc.states_pruned").inc(result.states_pruned)
         self.metrics.counter("mc.por_skipped").inc(result.por_skipped)
         self.metrics.counter("mc.violations").inc(len(result.violations))
+        self.metrics.counter("mc.resumed").inc(result.resumed)
 
     # ------------------------------------------------------------------
     # One execution
     # ------------------------------------------------------------------
 
-    def _execute(self, prefix, visited):
-        """Run one decision prefix end to end; return its :class:`_Run`.
+    def _execute(self, prefix, visited, image=None):
+        """Run one decision prefix to its verdict; return its :class:`_Run`.
 
-        Boot and quiesce are :func:`~repro.harness.replay.replay_schedule`'s
-        own halves and each action lands on a step boundary, so the
-        ActionSchedule assembled from the choices replays to the same
-        execution bit for bit.  The run stops where *visited*
-        (fingerprint -> shallowest step) or its own trail would prune
-        it; it only reads *visited* — :meth:`_settle` writes it.
+        With *image* (a step boundary on *prefix*'s own path, from
+        :meth:`_take_image`) the execution resumes there; without, it
+        boots.  Boot and quiesce are
+        :func:`~repro.harness.replay.replay_schedule`'s own halves and
+        each action lands on a step boundary, so the ActionSchedule
+        assembled from the choices replays to the same execution bit
+        for bit.  The run stops where *visited* (fingerprint ->
+        shallowest step) or its own trail would prune it; it only reads
+        *visited* — :meth:`_settle` writes it.
         """
         config = self.config
-        chooser = Chooser(prefix)
-        run = _Run(chooser)
-        cluster = Cluster(self.config.cluster_config()).start()
-        # Incremental checker rides along with the execution, so the
-        # terminal verdict is O(1) instead of a full check_all re-read
-        # of the history at every explored state.
-        checker_state = CheckerState.attach(cluster.trace)
-        if config.interleave:
-            cluster.sim.set_policy(InterleavingPolicy(
-                chooser, cluster.network._deliver, run.por
-            ))
-        meta = {
-            "seed": config.seed,
-            "n_voters": config.peers,
-            "op_interval": config.op_interval,
-            "explored_prefix": list(prefix),
-        }
-        if config.dissemination != "leader-direct":
-            meta["dissemination"] = config.dissemination
-        if config.interleave:
-            meta["jitter"] = 0.0
-        run.schedule = schedule = ActionSchedule(meta=meta)
-        try:
-            t0 = stabilise_under_load(
-                cluster, config.timeout, config.op_interval
-            )
-        except TimeoutError as exc:
-            run.error = "never stable: %s" % exc
-            return run
+        if image is None:
+            chooser = Chooser(prefix)
+            run = _Run(chooser)
+            cluster = Cluster(self.config.cluster_config()).start()
+            # Incremental checker rides along with the execution, so
+            # the terminal verdict is O(1) instead of a full check_all
+            # re-read of the history at every explored state.
+            checker_state = CheckerState.attach(cluster.trace)
+            if config.interleave:
+                cluster.sim.set_policy(InterleavingPolicy(
+                    chooser, cluster.network._deliver, run.por
+                ))
+            meta = {
+                "seed": config.seed,
+                "n_voters": config.peers,
+                "op_interval": config.op_interval,
+                "explored_prefix": list(prefix),
+            }
+            if config.dissemination != "leader-direct":
+                meta["dissemination"] = config.dissemination
+            if config.interleave:
+                meta["jitter"] = 0.0
+            run.schedule = schedule = ActionSchedule(meta=meta)
+            try:
+                t0 = stabilise_under_load(
+                    cluster, config.timeout, config.op_interval
+                )
+            except TimeoutError as exc:
+                run.error = "never stable: %s" % exc
+                return run
+            first = 0
+        else:
+            (cluster, checker_state, chooser, por, schedule, t0,
+             first) = pickle.loads(image)
+            chooser.prefix = list(prefix)
+            schedule.meta["explored_prefix"] = list(prefix)
+            run = _Run(chooser)
+            run.por, run.schedule = por, schedule
 
         own = set()
-        for step in range(config.depth):
-            target = t0 + (step + 1) * config.step_interval
-            if target > cluster.sim.now:
-                cluster.run(target - cluster.sim.now)
+        for step in range(first, config.depth):
+            # A resumed image already stands at its step's target time.
+            if image is None or step > first:
+                target = t0 + (step + 1) * config.step_interval
+                if target > cluster.sim.now:
+                    cluster.run(target - cluster.sim.now)
+                if len(chooser.taken) >= len(chooser.prefix):
+                    self._take_image(run, (
+                        cluster, checker_state, chooser, run.por,
+                        schedule, t0, step,
+                    ))
             options = self._step_options(cluster)
             pick = options[chooser.next(len(options), label="step%d" % step)]
             run.steps = step + 1
@@ -550,6 +607,17 @@ class Explorer:
             run.recorder = cluster.recorder
         return run
 
+    def _take_image(self, run, execution):
+        """Pickle *execution* into *run*, keyed by the choices so far.
+        Once one fails to pickle, this explorer takes no more images."""
+        if not self._imaging:
+            return
+        try:
+            run.images[tuple(run.taken)] = pickle.dumps(execution)
+        except (pickle.PicklingError, TypeError, AttributeError,
+                RecursionError):
+            self._imaging = False
+
     def _step_options(self, cluster):
         """The fault menu at this decision point, gated by cluster state.
 
@@ -594,6 +662,14 @@ class Explorer:
         return options
 
 
+def _resume_key(prefix, images):
+    """The key of the deepest image on *prefix*'s own path, or None."""
+    for cut in range(len(prefix) - 1, -1, -1):
+        if tuple(prefix[:cut]) in images:
+            return tuple(prefix[:cut])
+    return None
+
+
 # Pool side of ``Explorer.run(workers=N)``: each worker process holds one
 # Explorer for the run's config (inherited at fork, never pickled).
 _worker_explorer = None
@@ -604,9 +680,9 @@ def _start_worker(config):
     _worker_explorer = Explorer(config)
 
 
-def _execute_ahead(prefix):
+def _execute_ahead(prefix, image):
     """Pool task: execute *prefix* against an empty visited map."""
-    run = _worker_explorer._execute(prefix, {})
+    run = _worker_explorer._execute(prefix, {}, image)
     run.recorder = None     # bound to this process's simulator clock
     return run
 

@@ -51,6 +51,7 @@ Traces serialise to JSON Lines — one event object per line — via
 :func:`dump_jsonl` / :func:`load_jsonl` and round-trip losslessly.
 """
 
+import functools
 import io
 import json
 
@@ -135,7 +136,7 @@ class Tracer:
 
     def bind(self, sim):
         """Stamp subsequent events with *sim*'s virtual clock."""
-        self._clock = lambda: sim.now
+        self._clock = functools.partial(getattr, sim, "now")
         return self
 
     def add_observer(self, fn):

@@ -57,6 +57,13 @@ class Event:
         self.kernel = None
         fn(*args)
 
+    def __reduce__(self):
+        # (time, seq) reach the constructor: __hash__ reads seq while
+        # pickle rebuilds a set of events (Process._timers).
+        return Event, (self.time, self.seq, None), (None, {
+            "fn": self.fn, "args": self.args,
+            "cancelled": self.cancelled, "kernel": self.kernel})
+
     def __hash__(self):
         return self.seq  # seq is unique per simulator
 

@@ -9,6 +9,18 @@ keeps whatever it wrote to stable storage.
 from repro.common.errors import CrashedProcessError
 
 
+class _Timer:
+    """One :meth:`Process.set_timer` callback: an object rather than a
+    closure, so a simulation pickles."""
+
+    __slots__ = ("process", "event", "fn", "args")
+
+    def __call__(self):
+        self.process._timers.discard(self.event)
+        if not self.process.crashed:
+            self.fn(*self.args)
+
+
 class Process:
     """Base class for simulated crash-recovery processes."""
 
@@ -22,14 +34,9 @@ class Process:
         """Schedule a callback that is automatically voided on crash."""
         if self.crashed:
             raise CrashedProcessError("%s is crashed" % self.name)
-        event = None
-
-        def wrapper():
-            self._timers.discard(event)
-            if not self.crashed:
-                fn(*args)
-
-        event = self.sim.schedule(delay, wrapper)
+        timer = _Timer()
+        timer.process, timer.fn, timer.args = self, fn, args
+        timer.event = event = self.sim.schedule(delay, timer)
         self._timers.add(event)
         return event
 

@@ -131,7 +131,8 @@ class TxnLog:
         self._flushing = True
         generation = self._generation
         self._disk.write(
-            sum(map(_SIZE, batch)), lambda: self._on_flush(batch, generation)
+            sum(map(_SIZE, batch)),
+            functools.partial(self._on_flush, batch, generation),
         )
 
     def _on_flush(self, batch, generation):

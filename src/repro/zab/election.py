@@ -100,16 +100,15 @@ class FastLeaderElection:
 
     def _arm_resend(self):
         jitter = self.peer.rng.uniform(0.0, NOTIFICATION_INTERVAL * 0.2)
-
-        def resend():
-            self._resend_timer = None
-            if self.peer.state == messages.LOOKING:
-                self._broadcast()
-                self._arm_resend()
-
         self._resend_timer = self.peer.election_timer(
-            NOTIFICATION_INTERVAL + jitter, resend
+            NOTIFICATION_INTERVAL + jitter, self._resend
         )
+
+    def _resend(self):
+        self._resend_timer = None
+        if self.peer.state == messages.LOOKING:
+            self._broadcast()
+            self._arm_resend()
 
     # ------------------------------------------------------------------
     # Notification handling
@@ -212,18 +211,17 @@ class FastLeaderElection:
             return  # already counting down for this vote
         self._cancel_finalize()
         self._finalize_vote = self.vote
-
-        def finalize():
-            self._finalize_timer = None
-            if (
-                self.peer.state == messages.LOOKING
-                and self.vote == self._finalize_vote
-            ):
-                self._decide(self.vote[2])
-
         self._finalize_timer = self.peer.election_timer(
-            FINALIZE_WAIT, finalize
+            FINALIZE_WAIT, self._finalize
         )
+
+    def _finalize(self):
+        self._finalize_timer = None
+        if (
+            self.peer.state == messages.LOOKING
+            and self.vote == self._finalize_vote
+        ):
+            self._decide(self.vote[2])
 
     def _cancel_finalize(self):
         if self._finalize_timer is not None:

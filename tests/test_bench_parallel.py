@@ -21,7 +21,7 @@ from repro.bench.campaign import (
 )
 from repro.common.pool import partition_items
 from repro.harness.buggy import SEEDED_BUGS
-from repro.mc import DivergentReplayError, Explorer, ExplorerConfig
+from repro.mc import Chooser, DivergentReplayError, Explorer, ExplorerConfig
 
 
 def small_campaign(workers):
@@ -200,26 +200,18 @@ def test_parallel_explore_rejects_zero_workers():
         Explorer(small_config()).run(workers=0)
 
 
-class _DivergesInWorkers:
-    """A chooser whose scripted prefixes diverge in any child process."""
-
-    def __init__(self, parent, chooser_class):
-        self.parent = parent
-        self.chooser_class = chooser_class
-
-    def __call__(self, prefix=()):
-        chooser = self.chooser_class(prefix)
-        if os.getpid() != self.parent and prefix:
-            raise DivergentReplayError("prefix %r diverged" % (prefix,))
-        return chooser
-
-
 def test_divergent_replay_in_a_worker_stops_the_search(monkeypatch):
-    import repro.mc.explorer as explorer_module
+    # A worker's scripted decisions diverge: booted or resumed from an
+    # image, an execution meets its scripted prefix in Chooser.next.
+    parent = os.getpid()
+    scripted = Chooser.next
 
-    monkeypatch.setattr(explorer_module, "Chooser", _DivergesInWorkers(
-        os.getpid(), explorer_module.Chooser,
-    ))
+    def diverges_in_workers(self, arity, label=None):
+        if os.getpid() != parent and len(self.taken) < len(self.prefix):
+            raise DivergentReplayError("prefix %r diverged" % (self.prefix,))
+        return scripted(self, arity, label)
+
+    monkeypatch.setattr(Chooser, "next", diverges_in_workers)
     with pytest.raises(DivergentReplayError):
         Explorer(small_config()).run(workers=2)
     assert multiprocessing.active_children() == []

@@ -172,8 +172,10 @@ def test_explore_workers_flag_matches_the_default_search(capsys, tmp_path):
     argv = ["explore", "--depth", "2", "--max-violations", "0",
             "-o", str(tmp_path / "out")]
     assert main(argv + ["--json", str(default)]) == 0
+    assert "resumed:" in capsys.readouterr().out
     assert main(argv + ["--json", str(pooled), "--workers", "2"]) == 0
     assert default.read_bytes() == pooled.read_bytes()
+    assert "resumed" not in default.read_text()  # text output only
     assert json.loads(pooled.read_text())["exhausted"] is True
 
 

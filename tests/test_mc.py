@@ -18,6 +18,7 @@ from repro.mc import (
     explore_schedules,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.sim import Simulator
 
 
 # ----------------------------------------------------------------------
@@ -239,10 +240,14 @@ def test_settle_cuts_a_run_where_the_search_prunes_it():
 
 def test_explorer_publishes_metrics():
     registry = MetricsRegistry()
-    explore_schedules(peers=3, depth=1, max_violations=0, metrics=registry)
+    result = explore_schedules(
+        peers=3, depth=1, max_violations=0, metrics=registry
+    )
     counters = registry.snapshot()["counters"]
     assert counters["mc.runs"] >= 1
     assert "mc.violations" in counters
+    # Every execution but the root's resumes from the root's image.
+    assert counters["mc.resumed"] == result.resumed == result.runs - 1
 
 
 def test_progress_callback_sees_every_run():
@@ -303,22 +308,28 @@ def _all_before_cap(calls):
 
 def test_every_judged_execution_quiesces_before_the_cap(
         quiesce_calls, monkeypatch):
-    clusters = []
-    init = Cluster.__init__
+    # Counts the kernel events this process fires, whether an
+    # execution booted its cluster or resumed a pickled image of one.
+    fired = []
+    run = Simulator.run
 
     def spy(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        clusters.append(self)
+        before = self.events_fired
+        try:
+            return run(self, *args, **kwargs)
+        finally:
+            fired.append(self.events_fired - before)
 
-    monkeypatch.setattr(Cluster, "__init__", spy)
+    monkeypatch.setattr(Simulator, "run", spy)
     result = explore_schedules(peers=3, depth=3, max_violations=0)
     assert (result.runs, result.states_visited, result.states_pruned) == (
         36, 47, 4
     )
     assert len(quiesce_calls) == 32
     assert _all_before_cap(quiesce_calls)
-    # 44,255 while every judged run settled a fixed 2.0 s.
-    assert sum(cluster.sim.events_fired for cluster in clusters) == 13229
+    # 44,255 while every judged run settled a fixed 2.0 s; 13,229 while
+    # every execution booted and re-ran its scripted prefix.
+    assert sum(fired) == 2828
 
 
 def test_stock_zab_campaign_quiesces_before_the_cap(quiesce_calls):
