@@ -346,13 +346,19 @@ class CheckerState:
             check_primary_integrity(view, self._history, violations)
         else:
             violations.extend(self._pi_violations.values())
-        report = PropertyReport(violations, view.stats())
+        report = PropertyReport(violations, {   # Trace.stats(), no walk
+            "broadcasts": len(self._broadcasts),
+            "deliveries": len(self._deliveries),
+            # Positions count from 1: every delivering process has a max.
+            "processes": len(self._process_max_position),
+            "epochs": sorted(self._epoch_broadcast_txns),
+        })
         self._report_cache = report
         return report
 
     def _trace_view(self):
         """A Trace sharing this state's event lists (no copying), for
-        the stock per-property functions and ``stats()``."""
+        the stock per-property functions."""
         view = Trace.__new__(Trace)
         view.broadcasts = self._broadcasts
         view.deliveries = self._deliveries

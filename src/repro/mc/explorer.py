@@ -17,7 +17,10 @@ boundary runs forward), and an image lives while a waiting prefix needs
 it.  Pickle refuses a closure where ``copy.deepcopy`` would share it
 with the original cluster; an execution that holds something pickle
 cannot rebuild makes the search boot every later run instead, with the
-same result.
+same result.  An image copies only what the execution can still
+change: records nothing assigns to after ``__init__`` (``_WRITE_ONCE``)
+are shared by reference, so a resumed execution holds the very records
+its parent recorded; the lists and dicts that hold them are copied.
 
 Crucially, an execution here runs *the same recipe* as
 :func:`repro.harness.replay.replay_schedule` — the boot-under-load and
@@ -43,11 +46,15 @@ result is the same for every N.
 """
 
 import collections
+import gc
+import io
 import os
 import pickle
 import time
 
+from repro.app.statemachine import Txn
 from repro.checker import CheckerState
+from repro.checker.trace import BroadcastEvent, DeliveryEvent
 from repro.common.pool import process_pool
 from repro.harness.cluster import Cluster
 from repro.harness.config import ClusterConfig
@@ -62,6 +69,10 @@ from repro.mc.choices import Chooser, DfsFrontier, DivergentReplayError
 from repro.mc.fingerprint import cluster_fingerprint
 from repro.mc.policy import InterleavingPolicy
 from repro.net import NetworkConfig
+from repro.obs.trace import TraceEvent
+from repro.storage.records import LogRecord
+from repro.zab.messages import Ack, Commit, Frame, Ping, Pong, Propose
+from repro.zab.zxid import Zxid
 
 #: Decision-point option meaning "inject nothing this step".
 NOOP = ("noop", None)
@@ -268,7 +279,7 @@ class _Run:
         self.signature = ()
         self.schedule = None
         self.recorder = None
-        # tuple(taken) at each unscripted step boundary -> pickled image
+        # tuple(taken) at each unscripted step boundary -> its image
         self.images = {}
 
     def por_counts(self):
@@ -527,7 +538,7 @@ class Explorer:
             first = 0
         else:
             (cluster, checker_state, chooser, por, schedule, t0,
-             first) = pickle.loads(image)
+             first) = _load_image(image)
             chooser.prefix = list(prefix)
             schedule.meta["explored_prefix"] = list(prefix)
             run = _Run(chooser)
@@ -608,15 +619,21 @@ class Explorer:
         return run
 
     def _take_image(self, run, execution):
-        """Pickle *execution* into *run*, keyed by the choices so far.
+        """Image *execution* into *run*, keyed by the choices so far:
+        ``(blob, shared)``, a pickle that refers to each write-once
+        record it reaches by its index in the *shared* tuple.
         Once one fails to pickle, this explorer takes no more images."""
         if not self._imaging:
             return
+        blob = io.BytesIO()
+        pickler = _ImagePickler(blob)
         try:
-            run.images[tuple(run.taken)] = pickle.dumps(execution)
+            pickler.dump(execution)
         except (pickle.PicklingError, TypeError, AttributeError,
                 RecursionError):
             self._imaging = False
+            return
+        run.images[tuple(run.taken)] = blob.getvalue(), tuple(pickler.shared)
 
     def _step_options(self, cluster):
         """The fault menu at this decision point, gated by cluster state.
@@ -660,6 +677,57 @@ class Explorer:
                 options.append(("compact_log", 1))
         options.append(NOOP)
         return options
+
+
+#: Classes nothing assigns to after ``__init__``, whose instances an
+#: image shares instead of copying: check that before adding one.
+_WRITE_ONCE = frozenset((
+    DeliveryEvent, BroadcastEvent, TraceEvent, Txn, Zxid, LogRecord,
+    Propose, Commit, Ack, Ping, Pong, Frame,
+))
+
+
+class _ImagePickler(pickle.Pickler):
+    """Pickles each write-once record as a reference into ``shared``."""
+
+    def __init__(self, file):
+        super().__init__(file)
+        self.shared = []
+
+    def reducer_override(self, obj):
+        if type(obj) in _WRITE_ONCE:
+            shared = self.shared
+            shared.append(obj)
+            return _shared_record, (len(shared) - 1,)
+        return NotImplemented
+
+
+def _shared_record(index):
+    """``shared[index]`` in a blob; :class:`_ImageUnpickler` resolves it."""
+    raise RuntimeError("an image blob loads only through _load_image")
+
+
+class _ImageUnpickler(pickle.Unpickler):
+    def __init__(self, image):
+        blob, self._shared = image
+        super().__init__(io.BytesIO(blob))
+
+    def find_class(self, module, name):
+        if module == __name__ and name == "_shared_record":
+            return self._shared.__getitem__     # a C call per record
+        return super().find_class(module, name)
+
+
+def _load_image(image):
+    """The execution in *image*, loaded with the cyclic GC paused: every
+    object being built is reachable, so a collection would free none."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _ImageUnpickler(image).load()
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _resume_key(prefix, images):

@@ -21,6 +21,12 @@ from repro.harness import Cluster, ClusterConfig
 from repro.harness.buggy import SEEDED_BUGS
 from repro.harness.replay import replay_schedule
 from repro.zab.zxid import Zxid
+from tests.corpus import (
+    test_e4b_seed_4_paxos_partition as e4b_seed_4,
+    test_seed_17_paxos_primary_order as seed_17,
+    test_seed_6_buggy_leader as seed_6,
+    test_torn_write_tail as torn_write,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
@@ -107,6 +113,30 @@ def test_report_is_cached_until_next_event():
     assert state.report() is not first
 
 
+#: Every schedule ``tests/corpus/`` replays, with its cluster config.
+CORPUS = {
+    "e4b_seed_4": (e4b_seed_4.SCHEDULE, e4b_seed_4.CONFIG),
+    "seed_17": (seed_17.SCHEDULE, seed_17.CONFIG),
+    "seed_6": (seed_6.SCHEDULE, seed_6.CONFIG),
+    "torn_write_1": (torn_write.schedule(1), torn_write.CONFIG),
+    "torn_write_3": (torn_write.schedule(3), torn_write.CONFIG),
+}
+CORPUS.update(
+    ("bug_" + name, (bug.canonical_schedule(),
+                     ClusterConfig(leader_factory=bug.factory)))
+    for name, bug in SEEDED_BUGS.items()
+)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_report_stats_equal_the_trace_stats_on_the_corpus(name):
+    # report() counts from its own indexes instead of walking the trace.
+    schedule, config = CORPUS[name]
+    trace = replay_schedule(schedule, config).cluster.trace
+    assert trace.deliveries
+    assert CheckerState.attach(trace).report().stats == trace.stats()
+
+
 # ---------------------------------------------------------------------------
 # Adversarial random traces
 # ---------------------------------------------------------------------------
@@ -132,10 +162,7 @@ _EVENTS = st.lists(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(_EVENTS)
-def test_equivalent_on_arbitrary_event_sequences(events):
-    trace = Trace()
+def _feed(trace, events):
     for event in events:
         if event[0] == "b":
             _tag, primary, epoch, ze, zc, txn = event
@@ -146,7 +173,24 @@ def test_equivalent_on_arbitrary_event_sequences(events):
                 process, inc, position, Zxid(ze, zc), "t%d" % txn,
                 epoch=ze,
             )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EVENTS)
+def test_equivalent_on_arbitrary_event_sequences(events):
+    trace = Trace()
+    _feed(trace, events)
     _assert_equivalent(trace)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EVENTS)
+def test_report_stats_equal_the_trace_stats(events):
+    trace = Trace()
+    state = CheckerState.attach(trace)
+    for event in events:
+        _feed(trace, [event])
+        assert state.report().stats == trace.stats()
 
 
 @settings(max_examples=100, deadline=None)
@@ -154,23 +198,9 @@ def test_equivalent_on_arbitrary_event_sequences(events):
 def test_attach_split_point_is_irrelevant(head, tail):
     """Catching up on a backlog then streaming gives the same verdict
     as streaming everything (and as post-hoc)."""
-    def feed(trace, events):
-        for event in events:
-            if event[0] == "b":
-                _tag, primary, epoch, ze, zc, txn = event
-                trace.record_broadcast(
-                    primary, epoch, Zxid(ze, zc), "t%d" % txn
-                )
-            else:
-                _tag, process, inc, position, ze, zc, txn = event
-                trace.record_delivery(
-                    process, inc, position, Zxid(ze, zc), "t%d" % txn,
-                    epoch=ze,
-                )
-
     trace = Trace()
-    feed(trace, head)
+    _feed(trace, head)
     state = CheckerState.attach(trace)    # backlog replayed here
-    feed(trace, tail)                     # observed live
+    _feed(trace, tail)                    # observed live
     posthoc = check_all(trace)
     assert _multiset(state.report()) == _multiset(posthoc)
