@@ -8,9 +8,11 @@ post-hoc pass made checking cost O(states × history).
 
 :class:`CheckerState` maintains the same verdict online.  It consumes
 broadcast/delivery events one at a time, in global index order (attach
-it to a :class:`~repro.checker.trace.Trace` and the trace feeds it), and
-keeps per-property running state so that :meth:`report` answers in O(1)
-for the overwhelmingly common case — a clean, in-order trace.
+it to a :class:`~repro.checker.trace.Trace` and the trace feeds it each
+row's fields), and keeps per-property running state (positions, txn
+ids and row numbers, never event objects) so that :meth:`report`
+answers in O(1) for the overwhelmingly common case — a clean, in-order
+trace.
 
 Exactness contract
 ------------------
@@ -32,36 +34,45 @@ multiset-equality contract.
 """
 
 from repro.checker.properties import (
+    _agreement_violation,
+    _global_order_violation,
+    _misdelivery_violation,
+    _primary_integrity_violation,
+    _total_order_violation,
     PropertyReport,
-    Violation,
     check_global_primary_order,
     check_integrity,
     check_local_primary_order,
     check_primary_integrity,
 )
-from repro.checker.trace import Trace
+from repro.checker.trace import BROADCAST_FIELDS, DELIVERY_FIELDS
+
+_B = len(BROADCAST_FIELDS)
+_ZXID = BROADCAST_FIELDS.index("zxid_epoch")
+_D = len(DELIVERY_FIELDS)
+_EPOCH = DELIVERY_FIELDS.index("epoch")
 
 
 class CheckerState:
     """Online mirror of :func:`~repro.checker.properties.check_all`.
 
-    Feed it events with :meth:`observe_broadcast` /
-    :meth:`observe_delivery` in global index order — or let
-    :meth:`attach` wire it to a live :class:`Trace` — and read the
-    verdict at any point via :attr:`ok`, :meth:`report`, or
+    :meth:`attach` wires it to a live :class:`Trace`, whose ``record_*``
+    calls feed it each event's row through :meth:`observe_broadcast` /
+    :meth:`observe_delivery` in global index order; read the verdict at
+    any point via :attr:`ok`, :meth:`report`, or
     :meth:`violated_properties`.
     """
 
     def __init__(self):
-        self._broadcasts = []
-        self._deliveries = []
-        # -- total order: union history, first event per position wins.
-        self._history = {}            # position -> DeliveryEvent
+        self._trace = None
+        self._delivered_rows = 0      # deliveries observed so far
+        # -- total order: union history, first row per position wins.
+        self._history = {}            # position -> delivery row
         self._to_violations = []
-        # -- integrity: last broadcast per txn_id (post-hoc dict
+        # -- integrity: last broadcast row per txn_id (post-hoc dict
         #    comprehension semantics).  Dirty on re-broadcast or on a
         #    delivery that precedes its broadcast.
-        self._txn_broadcast = {}      # txn_id -> BroadcastEvent
+        self._txn_broadcast = {}      # txn_id -> broadcast row
         self._delivered_txns = set()
         self._integrity_violations = []
         self._integrity_dirty = False
@@ -74,7 +85,7 @@ class CheckerState:
         self._epoch_broadcast_txns = {}   # epoch -> [txn_id, ...]
         self._epoch_counts = {}           # epoch -> history inserts so far
         self._max_position = None
-        self._last_inserted = None        # event at _max_position
+        self._last_inserted = None        # delivery row at _max_position
         self._order_dirty = False
         self._lpo_dirty = False
         self._gpo_violations = []
@@ -83,8 +94,7 @@ class CheckerState:
         #    epoch's first broadcast" a simple running max per process.
         self._txn_position = {}           # txn_id -> history position
         self._process_max_position = {}
-        self._pi_seen_epochs = set()
-        self._pi_open = []                # [epoch, covered, first_event]
+        self._pi_open = []                # [epoch, covered, first row]
         self._pi_violations = {}          # epoch -> Violation
         self._pi_dirty = False
         self._report_cache = None
@@ -99,23 +109,15 @@ class CheckerState:
         trace already holds (in index order), then observes every
         subsequent ``record_*`` call."""
         state = cls()
-        backlog = sorted(
-            [(event.index, True, event) for event in trace.broadcasts]
-            + [(event.index, False, event) for event in trace.deliveries]
-        )
-        for _index, is_broadcast, event in backlog:
-            if is_broadcast:
-                state.observe_broadcast(event)
-            else:
-                state.observe_delivery(event)
+        state._trace = trace
+        trace.replay_to(state)
         trace.add_observer(state)
         return state
 
-    def observe_broadcast(self, event):
-        """Consume one :class:`~repro.checker.trace.BroadcastEvent`."""
+    def observe_broadcast(self, row, primary, epoch, zxid_epoch,
+                          zxid_counter, txn):
+        """Consume broadcast *row* of the attached trace."""
         self._report_cache = None
-        self._broadcasts.append(event)
-        txn = event.txn_id
         txn_broadcast = self._txn_broadcast
         if txn in txn_broadcast or txn in self._delivered_txns:
             # Re-broadcast (last-wins map shifts under old verdicts) or
@@ -123,46 +125,29 @@ class CheckerState:
             # deliveries against this later event, so eager verdicts for
             # the whole property are void.
             self._integrity_dirty = True
-        txn_broadcast[txn] = event
-        epoch = event.epoch
+        txn_broadcast[txn] = row
         txns = self._epoch_broadcast_txns.get(epoch)
         if txns is None:
             txns = self._epoch_broadcast_txns[epoch] = []
+            self._first_broadcast_of_epoch(row, primary, epoch)
         txns.append(txn)
-        if epoch not in self._pi_seen_epochs:
-            self._pi_seen_epochs.add(epoch)
-            self._first_broadcast_of_epoch(event)
 
-    def observe_delivery(self, event):
-        """Consume one :class:`~repro.checker.trace.DeliveryEvent`."""
+    def observe_delivery(self, row, process, incarnation, position,
+                         zxid_epoch, zxid_counter, epoch, txn):
+        """Consume delivery *row* of the attached trace."""
         self._report_cache = None
-        self._deliveries.append(event)
-        txn = event.txn_id
-        position = event.position
+        self._delivered_rows = row + 1
         prior_delivered = txn in self._delivered_txns
         self._delivered_txns.add(txn)
 
         # Total order: first event at a position defines it.
-        history = self._history
-        existing = history.get(position)
-        if existing is None:
-            history[position] = event
-            self._note_history_insert(event, prior_delivered)
-        elif existing.txn_id != txn:
+        existing = self._history.setdefault(position, row)
+        if existing == row:
+            self._note_history_insert(row, position, epoch, txn,
+                                      prior_delivered)
+        elif self._trace.delivery_txns[existing] != txn:
             self._to_violations.append(
-                Violation(
-                    "total_order",
-                    "position %d holds %s at %s but %s at %s"
-                    % (
-                        position,
-                        existing.txn_id,
-                        existing.process,
-                        txn,
-                        event.process,
-                    ),
-                    [existing, event],
-                )
-            )
+                _total_order_violation(self._trace, existing, row))
 
         # Integrity: judge against the broadcast seen so far; a missing
         # origin might be filled in later, so it defers to report time.
@@ -170,37 +155,28 @@ class CheckerState:
             origin = self._txn_broadcast.get(txn)
             if origin is None:
                 self._integrity_dirty = True
-            elif origin.zxid != event.zxid:
-                self._integrity_violations.append(
-                    Violation(
-                        "integrity",
-                        "%s delivered under %r but broadcast as %r"
-                        % (txn, event.zxid, origin.zxid),
-                        [event, origin],
-                    )
-                )
+            else:
+                broadcast_ints = self._trace.broadcast_ints
+                base = origin * _B + _ZXID
+                if (broadcast_ints[base] != zxid_epoch
+                        or broadcast_ints[base + 1] != zxid_counter):
+                    self._integrity_violations.append(
+                        _misdelivery_violation(self._trace, row, origin))
 
         # Agreement: per-incarnation positions must step by exactly 1.
-        key = (event.process, event.incarnation)
+        key = (process, incarnation)
         previous = self._last_position.get(key)
         if previous is not None and position != previous + 1:
             self._agreement_violations.append(
-                Violation(
-                    "agreement",
-                    "%s/inc%d jumped from position %d to %d"
-                    % (event.process, event.incarnation, previous, position),
-                    [event],
-                )
-            )
+                _agreement_violation(self._trace, row, previous))
         self._last_position[key] = position
 
         # Primary integrity: any still-open later epoch is on the hook
         # for this delivery if it belongs to an earlier epoch.
         if self._pi_open and not self._pi_dirty:
-            self._check_open_epochs(event)
+            self._check_open_epochs(row, epoch, txn)
 
         pmax = self._process_max_position
-        process = event.process
         if position > pmax.get(process, 0):
             pmax[process] = position
 
@@ -208,10 +184,9 @@ class CheckerState:
     # Per-event helpers
     # ------------------------------------------------------------------
 
-    def _note_history_insert(self, event, prior_delivered):
+    def _note_history_insert(self, row, position, epoch, txn,
+                             prior_delivered):
         """Update order-sensitive state for a new union-history position."""
-        position = event.position
-        txn = event.txn_id
         txn_position = self._txn_position
         if prior_delivered or txn in txn_position:
             # The txn's final history position may differ from what any
@@ -226,51 +201,46 @@ class CheckerState:
             self._order_dirty = True
             return
         last = self._last_inserted
-        if last is not None and event.epoch < last.epoch:
+        if last is not None and epoch < self._trace.delivery_ints[
+                last * _D + _EPOCH]:
             self._gpo_violations.append(
-                Violation(
-                    "global_primary_order",
-                    "epoch %d txn %s delivered after epoch %d txn %s"
-                    % (event.epoch, txn, last.epoch, last.txn_id),
-                    [last, event],
-                )
-            )
+                _global_order_violation(self._trace, last, row))
         self._max_position = position
-        self._last_inserted = event
+        self._last_inserted = row
         if not self._lpo_dirty:
-            epoch = event.epoch
             count = self._epoch_counts.get(epoch, 0)
             txns = self._epoch_broadcast_txns.get(epoch)
             if txns is None or count >= len(txns) or txns[count] != txn:
                 self._lpo_dirty = True
             self._epoch_counts[epoch] = count + 1
 
-    def _first_broadcast_of_epoch(self, event):
+    def _first_broadcast_of_epoch(self, row, primary, epoch):
         """Open a primary-integrity obligation for a new epoch.
 
         Because events arrive in index order, "deliveries by the primary
         before this broadcast" is just the current running max — and the
-        backlog of earlier-epoch deliveries is scanned once, here, in
-        list order (exactly the post-hoc scan order)."""
+        deliveries observed so far are scanned once, here, in row order
+        (exactly the post-hoc scan order)."""
         if self._pi_dirty:
             return
-        epoch = event.epoch
-        covered = self._process_max_position.get(event.primary, 0)
+        covered = self._process_max_position.get(primary, 0)
         txn_position = self._txn_position
-        for delivery in self._deliveries:
-            if delivery.epoch >= epoch:
+        trace = self._trace
+        scanned = zip(trace.delivery_column("epoch")[:self._delivered_rows],
+                      trace.delivery_txns)
+        for delivery_row, (delivery_epoch, txn) in enumerate(scanned):
+            if delivery_epoch >= epoch:
                 continue
-            position = txn_position.get(delivery.txn_id)
+            position = txn_position.get(txn)
             if position is not None and position > covered:
-                self._pi_violations[epoch] = self._pi_violation(
-                    event, epoch, delivery, position, covered
+                self._pi_violations[epoch] = _primary_integrity_violation(
+                    trace, row, epoch, delivery_row, position, covered
                 )
                 return
-        self._pi_open.append((epoch, covered, event))
+        self._pi_open.append((epoch, covered, row))
 
-    def _check_open_epochs(self, delivery):
-        epoch = delivery.epoch
-        position = self._txn_position.get(delivery.txn_id)
+    def _check_open_epochs(self, row, epoch, txn):
+        position = self._txn_position.get(txn)
         if position is None:
             return
         pi_open = self._pi_open
@@ -279,32 +249,16 @@ class CheckerState:
             # One delivery can be the first violator of several epochs
             # at once (the post-hoc pass scans per epoch independently).
             if epoch < open_epoch and position > covered:
-                self._pi_violations[open_epoch] = self._pi_violation(
-                    first, open_epoch, delivery, position, covered
-                )
+                self._pi_violations[open_epoch] = (
+                    _primary_integrity_violation(
+                        self._trace, first, open_epoch, row, position,
+                        covered))
                 closed = True
         if closed:
             violations = self._pi_violations
             pi_open[:] = [
                 entry for entry in pi_open if entry[0] not in violations
             ]
-
-    @staticmethod
-    def _pi_violation(first, epoch, delivery, position, covered):
-        return Violation(
-            "primary_integrity",
-            "primary %s of epoch %d broadcast before covering "
-            "%s (epoch %d, position %d > covered %d)"
-            % (
-                first.primary,
-                epoch,
-                delivery.txn_id,
-                delivery.epoch,
-                position,
-                covered,
-            ),
-            [first, delivery],
-        )
 
     # ------------------------------------------------------------------
     # Verdicts
@@ -325,30 +279,30 @@ class CheckerState:
 
         Cached until the next observed event; on a clean in-order trace
         this is O(1), and each dirty property re-derives through the
-        stock post-hoc code."""
+        stock post-hoc code over the attached trace."""
         cached = self._report_cache
         if cached is not None:
             return cached
         violations = list(self._to_violations)
-        view = self._trace_view()
+        trace = self._trace
         if self._integrity_dirty:
-            check_integrity(view, violations)
+            check_integrity(trace, violations)
         else:
             violations.extend(self._integrity_violations)
         violations.extend(self._agreement_violations)
         if self._order_dirty or self._lpo_dirty:
-            check_local_primary_order(view, self._history, violations)
+            check_local_primary_order(trace, self._history, violations)
         if self._order_dirty:
-            check_global_primary_order(view, self._history, violations)
+            check_global_primary_order(trace, self._history, violations)
         else:
             violations.extend(self._gpo_violations)
         if self._pi_dirty:
-            check_primary_integrity(view, self._history, violations)
+            check_primary_integrity(trace, self._history, violations)
         else:
             violations.extend(self._pi_violations.values())
         report = PropertyReport(violations, {   # Trace.stats(), no walk
-            "broadcasts": len(self._broadcasts),
-            "deliveries": len(self._deliveries),
+            "broadcasts": len(trace.broadcast_txns),
+            "deliveries": self._delivered_rows,
             # Positions count from 1: every delivering process has a max.
             "processes": len(self._process_max_position),
             "epochs": sorted(self._epoch_broadcast_txns),
@@ -356,19 +310,9 @@ class CheckerState:
         self._report_cache = report
         return report
 
-    def _trace_view(self):
-        """A Trace sharing this state's event lists (no copying), for
-        the stock per-property functions."""
-        view = Trace.__new__(Trace)
-        view.broadcasts = self._broadcasts
-        view.deliveries = self._deliveries
-        view._observers = ()
-        view._next_index = len(self._broadcasts) + len(self._deliveries)
-        return view
-
     def __repr__(self):
         return "<CheckerState %d broadcasts, %d deliveries, %s>" % (
-            len(self._broadcasts),
-            len(self._deliveries),
+            len(self._trace.broadcast_txns),
+            self._delivered_rows,
             "ok" if self.ok else sorted(self.violated_properties()),
         )

@@ -45,14 +45,13 @@ def render_report(report, max_violations=10):
 def render_history(trace, limit=50):
     """The union delivery history, one line per position."""
     by_position = {}
-    for event in trace.deliveries:
-        by_position.setdefault(event.position, event)
-    primaries = {
-        event.epoch: event.primary for event in trace.broadcasts
-    }
+    for row, position in enumerate(trace.delivery_column("position")):
+        by_position.setdefault(position, row)
+    primaries = dict(zip(trace.broadcast_column("epoch"),
+                         trace.broadcast_column("primary")))
     lines = []
     for position in sorted(by_position)[:limit]:
-        event = by_position[position]
+        event = trace.delivery(by_position[position])
         lines.append(
             "  %4d  %-12s epoch %-3d primary %-4s %s"
             % (

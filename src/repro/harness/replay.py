@@ -212,11 +212,10 @@ def committed_txn_loss(cluster):
     zxids a live peer never reached; crashed peers are excused.
     """
     trace = cluster.trace
-    if trace is None or not trace.deliveries:
+    if trace is None or not trace.delivery_txns:
         return []
-    committed = sorted({
-        event.zxid.as_tuple() for event in trace.deliveries
-    })
+    committed = sorted(set(zip(trace.delivery_column("zxid_epoch"),
+                               trace.delivery_column("zxid_counter"))))
     frontier = committed[-1]
     lost = []
     for peer_id, peer in sorted(cluster.peers.items()):

@@ -21,6 +21,8 @@ same result.  An image copies only what the execution can still
 change: records nothing assigns to after ``__init__`` (``_WRITE_ONCE``)
 are shared by reference, so a resumed execution holds the very records
 its parent recorded; the lists and dicts that hold them are copied.
+The checker trace's columns go as one shared snapshot per image, and
+each PRNG stream as its shared ``getstate()`` tuple.
 
 Crucially, an execution here runs *the same recipe* as
 :func:`repro.harness.replay.replay_schedule` — the boot-under-load and
@@ -54,7 +56,7 @@ import time
 
 from repro.app.statemachine import Txn
 from repro.checker import CheckerState
-from repro.checker.trace import BroadcastEvent, DeliveryEvent
+from repro.checker.trace import TraceColumns
 from repro.common.pool import process_pool
 from repro.harness.cluster import Cluster
 from repro.harness.config import ClusterConfig
@@ -70,6 +72,7 @@ from repro.mc.fingerprint import cluster_fingerprint
 from repro.mc.policy import InterleavingPolicy
 from repro.net import NetworkConfig
 from repro.obs.trace import TraceEvent
+from repro.sim.random import Stream
 from repro.storage.records import LogRecord
 from repro.zab.messages import Ack, Commit, Frame, Ping, Pong, Propose
 from repro.zab.zxid import Zxid
@@ -681,29 +684,41 @@ class Explorer:
 
 #: Classes nothing assigns to after ``__init__``, whose instances an
 #: image shares instead of copying: check that before adding one.
+#: (``TraceColumns`` is the immutable copy a ``Trace`` pickles as.)
 _WRITE_ONCE = frozenset((
-    DeliveryEvent, BroadcastEvent, TraceEvent, Txn, Zxid, LogRecord,
-    Propose, Commit, Ack, Ping, Pong, Frame,
+    TraceColumns, TraceEvent, Txn, Zxid, LogRecord, Propose, Commit, Ack,
+    Ping, Pong, Frame,
 ))
 
 
 class _ImagePickler(pickle.Pickler):
-    """Pickles each write-once record as a reference into ``shared``."""
+    """Pickles each write-once record, and each PRNG stream's state, as
+    a reference into ``shared``."""
 
     def __init__(self, file):
         super().__init__(file)
         self.shared = []
 
     def reducer_override(self, obj):
-        if type(obj) in _WRITE_ONCE:
+        cls = type(obj)
+        if cls in _WRITE_ONCE:
             shared = self.shared
             shared.append(obj)
             return _shared_record, (len(shared) - 1,)
+        if cls is Stream:
+            shared = self.shared
+            shared.append(obj.getstate())   # an immutable tuple
+            return _shared_stream, (len(shared) - 1,)
         return NotImplemented
 
 
 def _shared_record(index):
     """``shared[index]`` in a blob; :class:`_ImageUnpickler` resolves it."""
+    raise RuntimeError("an image blob loads only through _load_image")
+
+
+def _shared_stream(index):
+    """A stream in state ``shared[index]``; resolved like the above."""
     raise RuntimeError("an image blob loads only through _load_image")
 
 
@@ -715,7 +730,14 @@ class _ImageUnpickler(pickle.Unpickler):
     def find_class(self, module, name):
         if module == __name__ and name == "_shared_record":
             return self._shared.__getitem__     # a C call per record
+        if module == __name__ and name == "_shared_stream":
+            return self._stream
         return super().find_class(module, name)
+
+    def _stream(self, index):
+        stream = Stream.__new__(Stream)
+        stream.setstate(self._shared[index])
+        return stream
 
 
 def _load_image(image):

@@ -16,8 +16,8 @@ it counts the GC-tracked objects the run keeps (``gc.collect()``, then
 "allocations per committed txn", as what stays allocated.
 
 Measured with this file's driver, identical on CPython 3.10, 3.11 and
-3.12 (the last row reads 41.39 frames on 3.12 and 3.13; its kept
-objects are the same on all four):
+3.12 (the 41.4 row reads 41.39 frames on 3.12 and 3.13; its kept
+objects are the same on all four; the last row is measured on 3.11):
 
     PR 12 (parent of the hot-path PR)   355.0 frames per committed op
     hot-path PR                         197.9
@@ -26,23 +26,26 @@ objects are the same on all four):
     one frame per learner per event      95.1
     ``Simulator.now`` a plain attribute  87.8
     columnar log, one quorum frontier    41.4   (kept objects 8.93 -> 5.93)
+    columnar checker trace               37.3   (kept objects 5.93 -> 1.91)
 
 Both counts are deterministic, so the gates are tight: 10 % head-room
 over the recorded value, and never more than two thirds of the parent's
 frames.  A change that trips one either put per-txn work back on the
 path (fix it) or added protocol work on purpose (re-measure and
-re-record).  What each committed op keeps is its ``Txn``, its ``Zxid`` (a
-tuple subclass, which the collector never untracks) and its four
-checker-trace events; before the log kept columns, a ``LogRecord`` per
-replica was three more.
+re-record).  What each committed op keeps is its ``Txn`` and its ``Zxid``
+(a tuple subclass, which the collector never untracks).  Before the
+checker trace kept columns, its four events (one broadcast, three
+deliveries) were four more; before the log kept columns, a
+``LogRecord`` per replica was three more again.
 
 The same ruler holds the always-on flight recorder to its budget.  A
 wall-clock "recorder within 5 % of tracing off" reading flips sign from
-round to round on any shared box; in frames it is exact: 41.422 armed
-(the default control-plane posture) vs 41.415 with ``recorder=False``
+round to round on any shared box; in frames it is exact: 37.338 armed
+(the default control-plane posture) vs 37.333 with ``recorder=False``
 — the difference is the ``snapshot.save`` emits — and 109.6 with
-``FlightRecorder(capture="all")``, so a recorder that starts building
-per-message events trips the half-frame gate with a 2.6x signal.
+``FlightRecorder(capture="all")`` (measured at 41.4 frames per op), so
+a recorder that starts building per-message events trips the
+half-frame gate by far.
 
 The same window also pins the message economy of Phase 3 exactly: ACK
 and COMMIT are cumulative, so each follower sends one ACK per flush
@@ -61,8 +64,8 @@ from repro import Cluster, ClusterConfig
 from repro.net import NetworkConfig
 
 PARENT_FRAMES_PER_OP = 355.0
-FRAMES_PER_OP = 41.4
-KEPT_OBJECTS_PER_OP = 5.93
+FRAMES_PER_OP = 37.3
+KEPT_OBJECTS_PER_OP = 1.91
 
 KEYS = 1000
 OUTSTANDING = 64
