@@ -580,7 +580,7 @@ def cmd_explore(args):
                      len(result.violations), result.frontier_left),
                   file=sys.stderr)
 
-    result = Explorer(config, progress=progress).run(workers=args.workers)
+    result = Explorer(config, progress=progress).run()
     print("explored %d schedules over %d distinct states "
           "(depth %d, %d peers, seed %d)"
           % (result.runs, result.states_visited, args.depth, args.peers,
@@ -935,12 +935,6 @@ def build_parser():
                            choices=list(DISSEMINATION_TOPOLOGIES),
                            help="broadcast propagation topology for "
                                 "every explored execution")
-    p_explore.add_argument("--workers", type=_positive_int, default=1,
-                           metavar="N",
-                           help="execute upcoming prefixes of the search "
-                                "on N processes (same search, same "
-                                "summary for every N; only wall-clock "
-                                "changes)")
     p_explore.add_argument("--json", default=None, metavar="PATH",
                            help="write the JSON exploration summary here")
     p_explore.add_argument("-o", "--out", default=None,

@@ -1,5 +1,5 @@
-"""The one process pool behind ``--workers``: campaign seeds and explorer
-prefixes both fan out through :func:`process_pool`.
+"""The process pool behind ``repro campaign --workers``: campaign seeds
+fan out through :func:`process_pool`.
 
 Work handed to a pool must be a pure function of its inputs — the whole
 simulation runs in virtual time on seeded PRNG streams — so what a

@@ -38,13 +38,10 @@ Budgets are explicit and loud: when the run stops on ``max_schedules``
 or ``max_states`` the result says so and reports how many frontier
 prefixes were left unexplored — no silent caps.
 
-There is one search.  ``run(workers=N)`` only lets N processes execute
-the prefixes waiting on top of the DFS stack ahead of time, each with
-the image it resumes from: an execution depends on nothing but its
-prefix, and pruning only cuts it short, so a run made early elsewhere
-is the run the search would have made.  This process still pops in
-DFS order and settles every run against the one visited map, so the
-result is the same for every N.
+The search runs in one process.  Each execution writes the visited
+map as it goes, so the first run to reach a state owns it, and a later
+run, or a later step of the same run, that reaches it again at the same
+or a shallower remaining depth stops there.
 """
 
 import collections
@@ -52,12 +49,12 @@ import gc
 import io
 import os
 import pickle
+import random
 import time
 
 from repro.app.statemachine import Txn
 from repro.checker import CheckerState
 from repro.checker.trace import TraceColumns
-from repro.common.pool import process_pool
 from repro.harness.cluster import Cluster
 from repro.harness.config import ClusterConfig
 from repro.harness.replay import (
@@ -67,12 +64,11 @@ from repro.harness.replay import (
     stabilise_under_load,
 )
 from repro.harness.schedule import Action, ActionSchedule, apply_action
-from repro.mc.choices import Chooser, DfsFrontier, DivergentReplayError
+from repro.mc.choices import Chooser, DfsFrontier
 from repro.mc.fingerprint import cluster_fingerprint
 from repro.mc.policy import InterleavingPolicy
 from repro.net import NetworkConfig
 from repro.obs.trace import TraceEvent
-from repro.sim.random import Stream
 from repro.storage.records import LogRecord
 from repro.zab.messages import Ack, Commit, Frame, Ping, Pong, Propose
 from repro.zab.zxid import Zxid
@@ -83,8 +79,7 @@ NOOP = ("noop", None)
 
 class ExplorerConfig:
     """Knobs of one exploration run: everything that decides *what* is
-    searched.  How many processes search it is ``Explorer.run(workers=)``,
-    which changes wall-clock only.
+    searched.
 
     peers / seed / op_interval / step_interval / settle / timeout
         Mirror :func:`~repro.harness.replay.replay_schedule` so every
@@ -209,7 +204,7 @@ class ExplorationResult:
         self.frontier_left = 0
         # Wall-clock seconds and executions resumed from an image, both
         # deliberately absent from to_json(): the canonical summary
-        # must stay byte-identical across machines and worker counts.
+        # must stay byte-identical across machines and image support.
         self.elapsed = None
         self.resumed = 0
 
@@ -263,19 +258,17 @@ class _CheckerMismatch(Exception):
 class _Run:
     """What one execution of a decision prefix did: a plain record.
 
-    ``taken``/``arities`` are the chooser's; ``trail`` holds one
-    ``(step, fingerprint, len(taken), (choice_points, por_skipped))``
-    entry per revisit check, in order, so :meth:`Explorer._settle` can
-    find where the search prunes the run without re-executing it.
+    ``taken``/``arities`` are the chooser's; ``pruned`` says the run
+    stopped at a state the search had already reached.
     """
 
-    __slots__ = ("taken", "arities", "trail", "steps", "por", "error",
+    __slots__ = ("taken", "arities", "pruned", "steps", "por", "error",
                  "signature", "schedule", "recorder", "images")
 
     def __init__(self, chooser):
         self.taken = chooser.taken
         self.arities = chooser.arities
-        self.trail = []
+        self.pruned = False
         self.steps = 0
         self.por = {"choice_points": 0, "por_skipped": 0}
         self.error = None
@@ -284,9 +277,6 @@ class _Run:
         self.recorder = None
         # tuple(taken) at each unscripted step boundary -> its image
         self.images = {}
-
-    def por_counts(self):
-        return (self.por["choice_points"], self.por["por_skipped"])
 
 
 class Explorer:
@@ -305,115 +295,54 @@ class Explorer:
     # Search driver
     # ------------------------------------------------------------------
 
-    def run(self, workers=1):
-        """Explore until the frontier drains or a budget trips.
-
-        With ``workers > 1`` a pool of that many processes executes the
-        top ``2 * workers`` prefixes of the DFS stack ahead of time.
-        Workers only execute: prefixes are still popped in DFS order and
-        settled here against the one visited map, so the result is the
-        ``workers=1`` result, byte for byte; only wall-clock changes.
-        """
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
+    def run(self):
+        """Explore until the frontier drains or a budget trips."""
         started = time.perf_counter()
         config = self.config
         result = ExplorationResult(config)
         frontier = DfsFrontier()
-        pool = None
-        if workers > 1:
-            pool = process_pool(workers, _start_worker, (config,))
-        ahead = {}      # tuple(prefix) -> pending worker execution
         images = {}     # boundary key -> image a waiting prefix resumes from
         users = collections.Counter()   # boundary key -> waiting prefixes
-        try:
-            while len(frontier):
-                if result.runs >= config.max_schedules:
-                    result.stopped_reason = "max_schedules"
-                    break
-                if len(self._visited) >= config.max_states:
-                    result.stopped_reason = "max_states"
-                    break
-                if pool is not None:
-                    for waiting in frontier.peek(2 * workers):
-                        if tuple(waiting) not in ahead:
-                            ahead[tuple(waiting)] = pool.apply_async(
-                                _execute_ahead,
-                                (waiting, images.get(_resume_key(
-                                    waiting, images))),
-                            )
-                prefix = frontier.pop()
-                key = _resume_key(prefix, images)
-                image = images.get(key)
-                if image is not None:
-                    result.resumed += 1
-                    users[key] -= 1
-                    if not users[key]:
-                        del images[key]
-                if pool is None:
-                    run = self._execute(prefix, self._visited, image)
-                else:
-                    run = self._collect(
-                        prefix, image, ahead.pop(tuple(prefix))
-                    )
-                if self._settle(prefix, run, result):
-                    result.stopped_reason = "max_violations"
-                    break
-                added = frontier.expand(prefix, run)
-                images.update(run.images)
-                for sibling in frontier.peek(added) if added else ():
-                    users[_resume_key(sibling, images)] += 1
-                for key in run.images:
-                    if not users[key]:
-                        del images[key]
-                self._note_progress(result, frontier)
-        finally:
-            if pool is not None:
-                pool.terminate()
-                pool.join()
+        while len(frontier):
+            if result.runs >= config.max_schedules:
+                result.stopped_reason = "max_schedules"
+                break
+            if len(self._visited) >= config.max_states:
+                result.stopped_reason = "max_states"
+                break
+            prefix = frontier.pop()
+            key = _resume_key(prefix, images)
+            image = images.get(key)
+            if image is not None:
+                result.resumed += 1
+                users[key] -= 1
+                if not users[key]:
+                    del images[key]
+            run = self._execute(prefix, image)
+            if self._settle(prefix, run, result):
+                result.stopped_reason = "max_violations"
+                break
+            added = frontier.expand(prefix, run)
+            images.update(run.images)
+            for sibling in frontier.peek(added) if added else ():
+                users[_resume_key(sibling, images)] += 1
+            for key in run.images:
+                if not users[key]:
+                    del images[key]
+            self._note_progress(result, frontier)
         result.states_visited = len(self._visited)
         result.frontier_left = len(frontier)
         result.elapsed = time.perf_counter() - started
         self._publish_metrics(result)
         return result
 
-    def _collect(self, prefix, image, pending):
-        """A worker's run of *prefix*, or this process's if it raised.
-
-        A worker runs past points where this search may prune, so only
-        a divergent replay (raised inside the scripted prefix, which no
-        pruning can cut) is final; anything else is re-run here against
-        the visited map, where it either recurs or is pruned first.
-        """
-        try:
-            return pending.get()
-        except DivergentReplayError:
-            raise
-        except Exception:
-            return self._execute(prefix, self._visited, image)
-
     def _settle(self, prefix, run, result):
-        """Fold one run into the search, as if it had executed here.
-
-        Replays the run's trail against the visited map to find where
-        this search prunes it (never later than where the run stopped
-        itself), truncates the run there, and books its share of the
-        counters.  Returns True once ``max_violations`` is reached.
-        """
-        steps, por = run.steps, run.por_counts()
-        pruned = False
-        for step, fingerprint, taken, por_at in run.trail:
-            seen_at = self._visited.get(fingerprint)
-            if seen_at is not None and seen_at <= step:
-                pruned = True
-                steps, por = step + 1, por_at
-                del run.taken[taken:], run.arities[taken:]
-                break
-            self._visited[fingerprint] = step
+        """Book one run's share of the counters, and its error or
+        violation.  Returns True once ``max_violations`` is reached."""
         result.runs += 1
-        result.choice_points += steps + por[0]
-        result.por_skipped += por[1]
-        if pruned:
+        result.choice_points += run.steps + run.por["choice_points"]
+        result.por_skipped += run.por["por_skipped"]
+        if run.pruned:
             result.states_pruned += 1
         elif run.error is not None:
             result.errors.append((tuple(prefix), run.error))
@@ -445,30 +374,24 @@ class Explorer:
             confirmed=(replayed.signature == run.signature),
             replay_signature=replayed.signature,
             prefix=tuple(prefix),
-            flight_path=self._dump_flight(prefix, run,
-                                          len(result.violations)),
+            flight_path=self._dump_flight(run, len(result.violations)),
         ))
 
-    def _dump_flight(self, prefix, run, index):
+    def _dump_flight(self, run, index):
         """Ship the violating execution's black box, if configured.
 
         The dump is the *explored* run's recorder (not the verification
         replay's), so its tail shows the exact execution whose
-        signature was recorded — even when replay fails to confirm.  A
-        worker's recorder stays with its simulator; re-executing the
-        prefix here rebuilds the same box, event for event.
+        signature was recorded — even when replay fails to confirm.
         """
         recorder_dir = self.config.recorder_dir
         if recorder_dir is None:
             return None
-        recorder = run.recorder
-        if recorder is None:
-            recorder = self._execute(prefix, {}).recorder
         os.makedirs(recorder_dir, exist_ok=True)
         path = os.path.join(
             recorder_dir, "violation-%d.flight.jsonl" % index
         )
-        recorder.dump(
+        run.recorder.dump(
             path, reason="explorer_violation",
             signature=signature_json(run.signature),
         )
@@ -494,7 +417,7 @@ class Explorer:
     # One execution
     # ------------------------------------------------------------------
 
-    def _execute(self, prefix, visited, image=None):
+    def _execute(self, prefix, image=None):
         """Run one decision prefix to its verdict; return its :class:`_Run`.
 
         With *image* (a step boundary on *prefix*'s own path, from
@@ -503,9 +426,10 @@ class Explorer:
         :func:`~repro.harness.replay.replay_schedule`'s own halves and
         each action lands on a step boundary, so the ActionSchedule
         assembled from the choices replays to the same execution bit
-        for bit.  The run stops where *visited* (fingerprint ->
-        shallowest step) or its own trail would prune it; it only reads
-        *visited* — :meth:`_settle` writes it.
+        for bit.  At each revisit check the run either stops, marked
+        ``pruned``, on a fingerprint the search (this run included)
+        reached at the same step or shallower, or records the
+        fingerprint at this step in the visited map.
         """
         config = self.config
         if image is None:
@@ -547,7 +471,6 @@ class Explorer:
             run = _Run(chooser)
             run.por, run.schedule = por, schedule
 
-        own = set()
         for step in range(first, config.depth):
             # A resumed image already stands at its step's target time.
             if image is None or step > first:
@@ -583,14 +506,11 @@ class Explorer:
                 fingerprint = cluster_fingerprint(
                     cluster, storage_state=config.ops_actions
                 )
-                run.trail.append(
-                    (step, fingerprint, len(chooser.taken), run.por_counts())
-                )
-                seen_at = visited.get(fingerprint)
-                if fingerprint in own or (
-                        seen_at is not None and seen_at <= step):
+                seen_at = self._visited.get(fingerprint)
+                if seen_at is not None and seen_at <= step:
+                    run.pruned = True
                     return run
-                own.add(fingerprint)
+                self._visited[fingerprint] = step
 
         def check():
             report = checker_state.report()
@@ -705,7 +625,7 @@ class _ImagePickler(pickle.Pickler):
             shared = self.shared
             shared.append(obj)
             return _shared_record, (len(shared) - 1,)
-        if cls is Stream:
+        if cls is random.Random:
             shared = self.shared
             shared.append(obj.getstate())   # an immutable tuple
             return _shared_stream, (len(shared) - 1,)
@@ -735,7 +655,7 @@ class _ImageUnpickler(pickle.Unpickler):
         return super().find_class(module, name)
 
     def _stream(self, index):
-        stream = Stream.__new__(Stream)
+        stream = random.Random.__new__(random.Random)
         stream.setstate(self._shared[index])
         return stream
 
@@ -758,23 +678,6 @@ def _resume_key(prefix, images):
         if tuple(prefix[:cut]) in images:
             return tuple(prefix[:cut])
     return None
-
-
-# Pool side of ``Explorer.run(workers=N)``: each worker process holds one
-# Explorer for the run's config (inherited at fork, never pickled).
-_worker_explorer = None
-
-
-def _start_worker(config):
-    global _worker_explorer
-    _worker_explorer = Explorer(config)
-
-
-def _execute_ahead(prefix, image):
-    """Pool task: execute *prefix* against an empty visited map."""
-    run = _worker_explorer._execute(prefix, {}, image)
-    run.recorder = None     # bound to this process's simulator clock
-    return run
 
 
 def explore_schedules(peers=3, depth=8, seed=0, leader_factory=None,

@@ -7,25 +7,8 @@ by, say, the election module, so experiments stay comparable across code
 changes.
 """
 
-import array
 import hashlib
 import random
-
-
-class Stream(random.Random):
-    """A :class:`random.Random` that pickles its Mersenne Twister state
-    as 2.5 KB of packed words rather than a tuple of 625 ints; it draws
-    exactly what :class:`random.Random` draws."""
-
-    def __reduce__(self):
-        version, words, gauss = self.getstate()
-        return _stream, (version, array.array("I", words).tobytes(), gauss)
-
-
-def _stream(version, words, gauss):
-    stream = Stream.__new__(Stream)
-    stream.setstate((version, tuple(array.array("I", words)), gauss))
-    return stream
 
 
 class SplitRandom:
@@ -41,7 +24,9 @@ class SplitRandom:
             digest = hashlib.sha256(
                 ("%s/%s" % (self.seed, label)).encode("utf-8")
             ).digest()
-            self._streams[label] = Stream(int.from_bytes(digest[:8], "big"))
+            self._streams[label] = random.Random(
+                int.from_bytes(digest[:8], "big")
+            )
         return self._streams[label]
 
     def split(self, label):

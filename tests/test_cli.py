@@ -167,19 +167,20 @@ def test_campaign_json_report_identical_across_workers(capsys, tmp_path):
     assert report["summary"]["passed"] == 2
 
 
-def test_explore_workers_flag_matches_the_default_search(capsys, tmp_path):
-    default, pooled = tmp_path / "default.json", tmp_path / "pooled.json"
-    argv = ["explore", "--depth", "2", "--max-violations", "0",
-            "-o", str(tmp_path / "out")]
-    assert main(argv + ["--json", str(default)]) == 0
+def test_explore_runs_in_one_process(capsys, tmp_path):
+    summary = tmp_path / "summary.json"
+    assert main(["explore", "--depth", "2", "--max-violations", "0",
+                 "-o", str(tmp_path / "out"), "--json", str(summary)]) == 0
     assert "resumed:" in capsys.readouterr().out
-    assert main(argv + ["--json", str(pooled), "--workers", "2"]) == 0
-    assert default.read_bytes() == pooled.read_bytes()
-    assert "resumed" not in default.read_text()  # text output only
-    assert json.loads(pooled.read_text())["exhausted"] is True
+    assert "resumed" not in summary.read_text()  # text output only
+    assert json.loads(summary.read_text())["exhausted"] is True
+    with pytest.raises(SystemExit) as excinfo:
+        main(["explore", "--workers", "2"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["explore", "campaign"])
+@pytest.mark.parametrize("command", ["campaign"])
 @pytest.mark.parametrize("workers", ["0", "-1", "two"])
 def test_workers_below_one_is_a_usage_error(capsys, command, workers):
     with pytest.raises(SystemExit) as excinfo:

@@ -217,25 +217,48 @@ def test_search_summary_is_pinned_byte_for_byte(options, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest, summary
 
 
-def test_settle_cuts_a_run_where_the_search_prunes_it():
-    # A pool worker runs with no visited map, so it can run past the
-    # point where this search prunes; settling must cut it back there.
-    from repro.mc.explorer import ExplorationResult, _Run
-
+@pytest.mark.parametrize("seeded,fingerprints,pruned_at,visited", [
+    # Reached before at a shallower step: this run stops there.
+    ({"b": 0}, "abcd", 1, {"a": 0, "b": 0}),
+    # Reached before at a deeper step: this run goes on, and owns it
+    # from its own, shallower step.
+    ({"b": 3}, "abcd", None, {"a": 0, "b": 1, "c": 2, "d": 3}),
+    # Reached earlier in this very run: it stops there.
+    ({}, "abad", 2, {"a": 0, "b": 1}),
+], ids=["shallower", "deeper", "own"])
+def test_a_run_writes_the_visited_map_and_stops_on_a_revisit(
+        monkeypatch, seeded, fingerprints, pruned_at, visited):
+    scripted = iter(fingerprints)
+    monkeypatch.setattr("repro.mc.explorer.cluster_fingerprint",
+                        lambda cluster, storage_state: next(scripted))
     explorer = Explorer(ExplorerConfig(depth=4))
-    explorer._visited["b"] = 1
-    run = _Run(run_choices([], [3, 2, 2, 2]))
-    run.steps = 4
-    run.trail = [(0, "a", 1, (0, 0)), (1, "b", 2, (5, 7)),
-                 (2, "c", 3, (6, 8)), (3, "d", 4, (9, 9))]
-    run.signature = (("integrity", None),)
-    result = ExplorationResult(explorer.config)
-    assert not explorer._settle([], run, result)
-    assert (run.taken, run.arities) == ([0, 0], [3, 2])
-    assert explorer._visited == {"a": 0, "b": 1}
-    assert (result.runs, result.states_pruned) == (1, 1)
-    assert (result.choice_points, result.por_skipped) == (2 + 5, 7)
-    assert not result.violations  # a pruned run reports nothing
+    explorer._visited.update(seeded)
+    run = explorer._execute([])
+    assert explorer._visited == visited
+    assert run.pruned == (pruned_at is not None)
+    steps = 4 if pruned_at is None else pruned_at + 1
+    assert run.steps == len(run.taken) == len(run.arities) == steps
+    if run.pruned:
+        assert run.signature == () and run.recorder is None
+
+
+def test_explore_pins_depth_3():
+    result = Explorer(ExplorerConfig(depth=3, max_violations=0)).run()
+    assert (result.runs, result.states_visited) == (36, 47)
+    assert result.exhausted and result.ok
+
+
+def test_explorer_confirms_a_seeded_bug_and_dumps_its_flight(tmp_path):
+    result = Explorer(ExplorerConfig(
+        depth=4, max_schedules=64, max_violations=1,
+        leader_factory=SEEDED_BUGS["quorum_skip"].factory,
+        recorder_dir=str(tmp_path),
+    )).run()
+    violation, = result.violations
+    assert violation.confirmed
+    path = tmp_path / "violation-0.flight.jsonl"
+    assert violation.flight_path == str(path)
+    assert path.read_bytes()
 
 
 def test_explorer_publishes_metrics():

@@ -2,7 +2,7 @@
 
 Every prefix the explorer resumes from its parent's image must run
 exactly as if it had booted and replayed its scripted prefix: same
-choices, same revisit trail, same verdict, same history.
+choices, same writes to the visited map, same verdict, same history.
 """
 
 import hashlib
@@ -30,7 +30,7 @@ def _outcome(run, cluster, dump_path):
         with open(dump_path, "rb") as handle:
             dump = handle.read()
     return (
-        run.taken, run.arities, run.trail, run.steps, run.por_counts(),
+        run.taken, run.arities, run.pruned, run.steps, dict(run.por),
         run.signature, run.error, sorted(run.images), _trace_digest(cluster),
         dump,
     )
@@ -40,7 +40,9 @@ def _outcome(run, cluster, dump_path):
 def run_twice(monkeypatch, tmp_path):
     """Run every resumed execution a second time, booted, and compare.
 
-    Returns the list of ``(prefix, outcome)`` pairs it compared.
+    The booted run starts from the visited map the resumed run started
+    from, and must leave the same map.  Returns the list of
+    ``(prefix, outcome)`` pairs it compared.
     """
     compared = []
     clusters = []
@@ -51,14 +53,17 @@ def run_twice(monkeypatch, tmp_path):
         clusters.append(cluster)
         return step_options(self, cluster)
 
-    def twice(self, prefix, visited, image=None):
-        run = execute(self, prefix, visited, image)
+    def twice(self, prefix, image=None):
         if image is None:
-            return run
+            return execute(self, prefix)
+        before = dict(self._visited)
+        run = execute(self, prefix, image)
         resumed = _outcome(run, clusters[-1], tmp_path / "resumed.jsonl")
-        booted = execute(self, prefix, visited)
+        after, self._visited = self._visited, before
+        booted = execute(self, prefix)
         assert _outcome(booted, clusters[-1],
                         tmp_path / "booted.jsonl") == resumed, prefix
+        assert self._visited == after, prefix
         compared.append((tuple(prefix), resumed))
         return run
 

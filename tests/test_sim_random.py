@@ -1,11 +1,12 @@
 """Unit tests for splittable deterministic randomness."""
 
 import hashlib
-import pickle
+import io
 import random
 
 import pytest
 
+from repro.mc.explorer import _ImagePickler, _load_image
 from repro.sim import Simulator, SplitRandom
 
 
@@ -70,12 +71,13 @@ def _draws(stream):
 
 
 def test_stream_draws_what_the_plain_random_stream_drew():
-    # The stream a label derived before streams pickled compactly.
+    # The stream a label derives is a plain random.Random seeded from
+    # the label's digest.
     seed, label = 11, "net:jitter"
     digest = hashlib.sha256(("%s/%s" % (seed, label)).encode()).digest()
     plain = random.Random(int.from_bytes(digest[:8], "big"))
     stream = SplitRandom(seed).stream(label)
-    assert isinstance(stream, random.Random)
+    assert type(stream) is random.Random
     assert [_draws(stream) for _ in range(50)] == [
         _draws(plain) for _ in range(50)
     ]
@@ -83,6 +85,8 @@ def test_stream_draws_what_the_plain_random_stream_drew():
 
 @pytest.mark.parametrize("gauss_pending", [False, True])
 def test_a_pickled_stream_continues_like_the_original(gauss_pending):
+    # An explored execution pickles its streams inside a step-boundary
+    # image, each as its shared getstate() tuple.
     stream = SplitRandom(3).stream("x")
     for _ in range(700):    # past one full twist of the state
         stream.random()
@@ -90,13 +94,13 @@ def test_a_pickled_stream_continues_like_the_original(gauss_pending):
     if not gauss_pending:
         stream.gauss(0.0, 1.0)
     assert (stream.gauss_next is not None) == gauss_pending
-    blob = pickle.dumps(stream)
-    copy = pickle.loads(blob)
-    assert type(copy) is type(stream)
+    blob = io.BytesIO()
+    pickler = _ImagePickler(blob)
+    pickler.dump([stream])
+    assert pickler.shared == [stream.getstate()]
+    copy, = _load_image((blob.getvalue(), tuple(pickler.shared)))
+    assert type(copy) is random.Random and copy is not stream
     assert copy.gauss_next == stream.gauss_next
-    assert copy.getstate() == stream.getstate()
     assert [_draws(copy) for _ in range(50)] == [
         _draws(stream) for _ in range(50)
     ]
-    # The state travels as packed 32-bit words, not 625 pickled ints.
-    assert len(blob) < 2600 < len(pickle.dumps(random.Random(3)))
